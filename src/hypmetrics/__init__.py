@@ -19,7 +19,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     boundary_sup,
-    complement_in_sphere,
     cross_ratio,
     distance_to_boundary,
     is_infinity,
@@ -72,58 +71,3 @@ from .suite import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryCardinalityError",
-    "BoundaryWitness",
-    "DomainMembershipError",
-    "FiniteComplement",
-    "INFINITY",
-    "ParameterError",
-    "UnitBall",
-    "UpperHalfSpace",
-    "boundary_sup",
-    "complement_in_sphere",
-    "cross_ratio",
-    "distance_to_boundary",
-    "is_infinity",
-    "sup_refinement",
-    "MetricId",
-    "alpha_metric",
-    "alpha_pair_form",
-    "cassinian",
-    "delta_metric",
-    "delta_pair_form",
-    "eta_metric",
-    "evaluable_metrics",
-    "evaluate_metric",
-    "j_metric",
-    "j_tilde",
-    "rho",
-    "rho_axial",
-    "triangular_ratio",
-    "u_metric",
-    "MobiusMap",
-    "Orthogonal",
-    "Scaling",
-    "SphereInversion",
-    "Translation",
-    "ball_automorphism",
-    "cayley_map",
-    "inversion_unit",
-    "map_domain",
-    "Catalog",
-    "CaseResult",
-    "ConfigurationError",
-    "InequalityCase",
-    "ProbeResult",
-    "ScheduleError",
-    "SharpnessProbe",
-    "catalog",
-    "check_case",
-    "parse_report",
-    "records_to_csv",
-    "records_to_json",
-    "records_to_text",
-    "run_probe",
-    "__version__",
-]

@@ -217,7 +217,7 @@ def _cmd_report(args) -> int:
     try:
         with open(args.infile, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"could not read report: {exc}") from None
     data = parse_report(raw)
     records = data if isinstance(data, list) else [data]

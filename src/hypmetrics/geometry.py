@@ -10,6 +10,11 @@ search to one parameter: a coarse scan locates candidate brackets and
 golden-section refinement polishes each of them.  The result is a
 certified lower bound on the true supremum and is treated as the
 supremum by callers.
+
+Points are validated once, at the public entry points: require_member
+(and through it every metric function) and distance_to_boundary.  The
+domain methods, the closed forms and the supremum engine take trusted
+float arrays of the domain's dimension.
 """
 
 from __future__ import annotations
@@ -150,11 +155,10 @@ class UnitBall:
             raise ParameterError("domains require dimension >= 2")
 
     def contains(self, x) -> bool:
-        x = as_point(x, self.dim)
         return float(np.linalg.norm(x)) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - float(np.linalg.norm(as_point(x, self.dim)))
+        return 1.0 - float(np.linalg.norm(x))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -172,11 +176,10 @@ class UpperHalfSpace:
             raise ParameterError("domains require dimension >= 2")
 
     def contains(self, x) -> bool:
-        x = as_point(x, self.dim)
         return float(x[-1]) > 0.0
 
     def distance_to_boundary(self, x) -> float:
-        return float(as_point(x, self.dim)[-1])
+        return float(x[-1])
 
     def __repr__(self) -> str:
         return f"UpperHalfSpace(dim={self.dim})"
@@ -197,26 +200,31 @@ class FiniteComplement:
     def __init__(self, dim: int, removed, includes_infinity_boundary: bool = True):
         if dim < 2:
             raise ParameterError("domains require dimension >= 2")
-        pts = tuple(as_point(p, dim) for p in removed)
+        pts = [as_point(p, dim) for p in removed]
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
-        for i in range(len(pts)):
-            for k in range(i + 1, len(pts)):
-                if np.array_equal(pts[i], pts[k]):
-                    raise ParameterError("removed points must be pairwise distinct")
-        for p in pts:
-            p.setflags(write=False)
+        pts = np.array(pts)
+        same = (pts[:, None, :] == pts[None, :, :]).all(axis=-1)
+        if np.triu(same, k=1).any():
+            raise ParameterError("removed points must be pairwise distinct")
+        pts.setflags(write=False)
         self.dim = dim
         self.removed = pts
         self.includes_infinity_boundary = bool(includes_infinity_boundary)
 
     def contains(self, x) -> bool:
-        x = as_point(x, self.dim)
-        return all(not np.array_equal(x, p) for p in self.removed)
+        return not (self.removed == x).all(axis=1).any()
+
+    def distances(self, x) -> np.ndarray:
+        """|p - x| for each removed point p, in order; ``x`` may carry
+        leading axes, which then lead the result."""
+        d = self.removed - np.asarray(x)[..., None, :]
+        # matmul rounds like math.sqrt(np.dot(d, d)) on every row, which
+        # np.linalg.norm(axis=-1) does not
+        return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
 
     def distance_to_boundary(self, x) -> float:
-        x = as_point(x, self.dim)
-        return min(_dist(x, p) for p in self.removed)
+        return float(self.distances(x).min())
 
     def boundary_cardinality(self) -> int:
         return len(self.removed) + (1 if self.includes_infinity_boundary else 0)
@@ -242,27 +250,6 @@ def distance_to_boundary(domain: Domain, x) -> float:
     """Euclidean distance from an interior point to the finite boundary."""
     x = require_member(domain, x)
     return domain.distance_to_boundary(x)
-
-
-def complement_in_sphere(domain: Domain) -> bool:
-    """True when the complement of the domain lies in a sphere or hyperplane.
-
-    On such domains the Apollonian quantity is only a pseudo-metric.  A
-    finite removed set always fits a sphere once it has at most dim + 1
-    points; with the infinity flag the test becomes containment in a
-    hyperplane.  Detected by a rank test on the paraboloid lift.
-    """
-    if not isinstance(domain, FiniteComplement):
-        return False
-    pts = np.array(domain.removed)
-    if domain.includes_infinity_boundary:
-        # sphere through infinity == hyperplane through the removed points
-        lifted = pts
-    else:
-        lifted = np.hstack([pts, (pts * pts).sum(axis=1, keepdims=True)])
-    rel = lifted - lifted[0]
-    rank = np.linalg.matrix_rank(rel, tol=1e-9) if len(rel) > 1 else 0
-    return rank <= lifted.shape[1] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +311,10 @@ class BoundaryWitness:
 class DistancePairFunctional:
     """Boundary functional that depends on p only through |p-x| and |p-y|.
 
-    All metric suprema in this package have this shape.  Instances are
-    plain callables on boundary points (vectorized over leading axes);
-    boundary_sup additionally recognizes them and evaluates the scan and
+    All metric suprema in this package have this shape.  ``x`` and ``y``
+    are trusted float arrays; :func:`boundary_sup` checks only that they
+    lie in its domain.  Instances are callables on boundary points
+    (vectorized over leading axes); boundary_sup evaluates the scan and
     the refinement directly in distance coordinates, which is both faster
     and free of point reconstruction error.
 
@@ -341,12 +329,12 @@ class DistancePairFunctional:
     KINDS = ("log_dx_over_dy", "log_dy_over_dx", "abs_log_ratio", "inv_product", "inv_sum")
     __slots__ = ("kind", "x", "y", "scale")
 
-    def __init__(self, kind: str, x, y, scale: float = 1.0):
+    def __init__(self, kind: str, x: np.ndarray, y: np.ndarray, scale: float = 1.0):
         if kind not in self.KINDS:
             raise ParameterError(f"unknown functional kind {kind!r}")
         self.kind = kind
-        self.x = as_point(x)
-        self.y = as_point(y)
+        self.x = x
+        self.y = y
         self.scale = float(scale)
 
     def __call__(self, p):
@@ -362,17 +350,6 @@ class DistancePairFunctional:
             return np.log(dy / dx)
         if self.kind == "abs_log_ratio":
             return np.abs(np.log(dx / dy))
-        if self.kind == "inv_product":
-            return self.scale / (dx * dy)
-        return self.scale / (dx + dy)
-
-    def scalar(self, dx: float, dy: float) -> float:
-        if self.kind == "log_dx_over_dy":
-            return math.log(dx / dy)
-        if self.kind == "log_dy_over_dx":
-            return math.log(dy / dx)
-        if self.kind == "abs_log_ratio":
-            return abs(math.log(dx / dy))
         if self.kind == "inv_product":
             return self.scale / (dx * dy)
         return self.scale / (dx + dy)
@@ -487,47 +464,34 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_sup(
-    domain: Domain,
-    f: Callable,
-    x,
-    y,
-    *,
-    value_at_infinity: float | None = None,
-    coarse: int | None = None,
-    param_tol: float | None = None,
+    domain: Domain, f: DistancePairFunctional, *, value_at_infinity: float | None = None
 ) -> tuple[float, BoundaryWitness]:
-    """Supremum of a boundary functional, with a witness.
+    """Supremum of ``f`` over the boundary of ``domain``, with a witness.
 
-    ``f`` maps a boundary point to a real; for the continuous domains it
-    must broadcast over a leading batch axis, and the points x, y supply
-    the symmetry plane of the reduction.  On FiniteComplement the maximum
-    over removed points is exact, ties resolved to the lowest index, and
-    ``value_at_infinity`` is the caller's value of f at INFINITY when the
-    domain carries the infinity flag (omitted when None).
+    The points ``f.x`` and ``f.y`` must lie in the domain; on the ball and
+    the half-space they also supply the symmetry plane of the reduction.
+    On FiniteComplement the maximum over removed points is exact, ties
+    resolved to the lowest index.  ``value_at_infinity`` is the caller's
+    value of f at INFINITY, a candidate on the half-space and, when the
+    domain carries the infinity flag, on a finite complement (omitted
+    when None).
     """
-    coarse = COARSE_SAMPLES if coarse is None else int(coarse)
-    param_tol = PARAM_TOL if param_tol is None else float(param_tol)
+    for name, p in (("x", f.x), ("y", f.y)):
+        if not domain.contains(p):
+            raise DomainMembershipError(f"{name} {list(p)} is not in {domain!r}")
 
     if isinstance(domain, FiniteComplement):
-        best_v = -math.inf
-        best_p = None
-        for p in domain.removed:
-            v = float(f(p))
-            if v > best_v:
-                best_v, best_p = v, p
+        values = f(domain.removed)
+        i = int(np.argmax(values))
+        best_v, best_p = float(values[i]), domain.removed[i]
         if domain.includes_infinity_boundary and value_at_infinity is not None:
             if float(value_at_infinity) > best_v:
                 best_v, best_p = float(value_at_infinity), INFINITY
         return best_v, BoundaryWitness(best_p, best_v)
-
-    x = require_member(domain, x, "x")
-    y = require_member(domain, y, "y")
-    fast = isinstance(f, DistancePairFunctional) and f.x is x and f.y is y
-
     if isinstance(domain, UnitBall):
-        return _sup_ball(domain, f, x, y, fast, coarse, param_tol)
+        return _sup_ball(f, COARSE_SAMPLES, PARAM_TOL)
     if isinstance(domain, UpperHalfSpace):
-        return _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol)
+        return _sup_halfspace(f, value_at_infinity, COARSE_SAMPLES, PARAM_TOL)
     raise ParameterError(f"unsupported domain {domain!r}")
 
 
@@ -544,11 +508,6 @@ def circle_gauge(a: float, b: float):
 def circle_distance(r0: float, t0: float, theta):
     half = np.sin(0.5 * (np.asarray(theta) - t0))
     return np.sqrt((1.0 - r0) ** 2 + 4.0 * r0 * half * half)
-
-
-def _circle_distance_scalar(r0: float, t0: float, theta: float) -> float:
-    half = math.sin(0.5 * (theta - t0))
-    return math.sqrt((1.0 - r0) ** 2 + 4.0 * r0 * half * half)
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
@@ -586,41 +545,28 @@ def _circ_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-def _sup_ball(domain, f, x, y, fast, coarse, param_tol):
+def _sup_ball(f, coarse, param_tol):
+    x, y = f.x, f.y
     u1, u2 = _plane_basis(*_canonical_pair(x, y))
-    ax, bx = float(np.dot(x, u1)), float(np.dot(x, u2))
-    ay, by = float(np.dot(y, u1)), float(np.dot(y, u2))
-    rx, tx = circle_gauge(ax, bx)
-    ry, ty = circle_gauge(ay, by)
-
-    def point_at(theta: float) -> np.ndarray:
-        return math.cos(theta) * u1 + math.sin(theta) * u2
+    rx, tx = circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2)))
+    ry, ty = circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2)))
 
     thetas, s05, c05 = _coarse_circle(coarse)
-    if fast:
-        omx, fx4 = (1.0 - rx) ** 2, 4.0 * rx
-        omy, fy4 = (1.0 - ry) ** 2, 4.0 * ry
-        half = s05 * math.cos(0.5 * tx) - c05 * math.sin(0.5 * tx)
-        dxv = np.sqrt(omx + fx4 * half * half)
-        half = s05 * math.cos(0.5 * ty) - c05 * math.sin(0.5 * ty)
-        dyv = np.sqrt(omy + fy4 * half * half)
-        values = np.asarray(f.array(dxv, dyv), dtype=float)
+    omx, fx4 = (1.0 - rx) ** 2, 4.0 * rx
+    omy, fy4 = (1.0 - ry) ** 2, 4.0 * ry
+    half = s05 * math.cos(0.5 * tx) - c05 * math.sin(0.5 * tx)
+    dxv = np.sqrt(omx + fx4 * half * half)
+    half = s05 * math.cos(0.5 * ty) - c05 * math.sin(0.5 * ty)
+    dyv = np.sqrt(omy + fy4 * half * half)
+    values = f.array(dxv, dyv)
 
-        form = f.scalar_form()
-        sin, sqrt = math.sin, math.sqrt
+    form = f.scalar_form()
+    sin, sqrt = math.sin, math.sqrt
 
-        def eval_scalar(theta: float) -> float:
-            sx = sin(0.5 * (theta - tx))
-            sy = sin(0.5 * (theta - ty))
-            return form(sqrt(omx + fx4 * sx * sx), sqrt(omy + fy4 * sy * sy))
-    else:
-        pts = np.cos(thetas)[:, None] * u1 + np.sin(thetas)[:, None] * u2
-        values = np.asarray(f(pts), dtype=float)
-        if values.shape != thetas.shape:
-            values = np.array([float(f(p)) for p in pts])
-
-        def eval_scalar(theta: float) -> float:
-            return float(f(point_at(theta)))
+    def eval_scalar(theta: float) -> float:
+        sx = sin(0.5 * (theta - tx))
+        sy = sin(0.5 * (theta - ty))
+        return form(sqrt(omx + fx4 * sx * sx), sqrt(omy + fy4 * sy * sy))
 
     h = 2.0 * math.pi / coarse
     i0 = int(np.argmax(values))
@@ -631,55 +577,48 @@ def _sup_ball(domain, f, x, y, fast, coarse, param_tol):
     # live; the widened window also covers any coarse bracket deduped below
     anchors = [(r0, t0) for (r0, t0) in ((rx, tx), (ry, ty)) if r0 > 1e-12]
     for r0, t0 in anchors:
-        tol = max(param_tol, (1.0 - r0) * param_tol * _ADAPTIVE_TOL_FACTOR) if fast else param_tol
+        tol = max(param_tol, (1.0 - r0) * param_tol * _ADAPTIVE_TOL_FACTOR)
         t, v = _golden_max(eval_scalar, t0 - 3.0 * h, t0 + 3.0 * h, tol)
         if v > best_v:
             best_v, best_theta = v, t
 
-    bracket_tol = max(param_tol, h * param_tol * _ADAPTIVE_TOL_FACTOR) if fast else param_tol
+    bracket_tol = max(param_tol, h * param_tol * _ADAPTIVE_TOL_FACTOR)
     for i in _bracket_indices(values, circular=True):
         c0 = float(thetas[i])
         if any(_circ_gap(c0, t0) <= 2.0 * h for _, t0 in anchors):
             continue  # peak already inside an anchor window
-        if fast and float(values[i]) < f.bracket_floor(best_v):
+        if float(values[i]) < f.bracket_floor(best_v):
             continue  # provably cannot reach the incumbent
         t, v = _golden_max(eval_scalar, c0 - h, c0 + h, bracket_tol)
         if v > best_v:
             best_v, best_theta = v, t
-    return best_v, BoundaryWitness(point_at(best_theta), best_v)
+    witness = math.cos(best_theta) * u1 + math.sin(best_theta) * u2
+    return best_v, BoundaryWitness(witness, best_v)
 
 
-def _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol):
-    n = domain.dim
+def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
+    x, y = f.x, f.y
     base, other = _canonical_pair(x, y)
     origin = base.copy()
     origin[-1] = 0.0
     horiz = other - base
-    horiz = horiz.copy()
     horiz[-1] = 0.0
     ell = float(np.linalg.norm(horiz))
     if ell > 1e-300:
         w = horiz / ell
     else:
-        w = np.zeros(n)
+        w = np.zeros(x.size)
         w[0] = 1.0
     hx, hy = float(x[-1]), float(y[-1])
     tau_x = 0.0 if base is x else ell
     tau_y = ell - tau_x
     scale = ell + hx + hy
 
-    def point_at(tau: float) -> np.ndarray:
-        return origin + tau * w
+    form = f.scalar_form()
+    hyp = math.hypot
 
-    if fast:
-        form = f.scalar_form()
-        hyp = math.hypot
-
-        def eval_tau(tau: float) -> float:
-            return form(hyp(tau - tau_x, hx), hyp(tau - tau_y, hy))
-    else:
-        def eval_tau(tau: float) -> float:
-            return float(f(point_at(tau)))
+    def eval_tau(tau: float) -> float:
+        return form(hyp(tau - tau_x, hx), hyp(tau - tau_y, hy))
 
     def eval_theta(theta: float) -> float:
         return eval_tau(scale * math.tan(0.5 * theta))
@@ -687,15 +626,7 @@ def _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol):
     step = 2.0 * math.pi / coarse
     thetas, tan05 = _coarse_line(coarse)
     taus = scale * tan05
-    if fast:
-        dxv = np.hypot(taus - tau_x, hx)
-        dyv = np.hypot(taus - tau_y, hy)
-        values = np.asarray(f.array(dxv, dyv), dtype=float)
-    else:
-        pts = origin + taus[:, None] * w
-        values = np.asarray(f(pts), dtype=float)
-        if values.shape != thetas.shape:
-            values = np.array([float(f(p)) for p in pts])
+    values = f.array(np.hypot(taus - tau_x, hx), np.hypot(taus - tau_y, hy))
 
     theta_cap = math.pi - 1e-9
     i0 = int(np.argmax(values))
@@ -706,10 +637,9 @@ def _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol):
     # anchors first: boundary feet of x and y, refined in the line
     # coordinate with a window sized by each point's own height so that
     # arbitrarily sharp peaks stay resolvable
-    anchor_factor = _ADAPTIVE_TOL_FACTOR if fast else 1.0
     for (tau_a, s_a) in ((tau_x, hx), (tau_y, hy)):
         lo, hi = tau_a - 4.0 * s_a, tau_a + 4.0 * s_a
-        t, v = _golden_max(eval_tau, lo, hi, max(s_a * param_tol * anchor_factor, 5e-324))
+        t, v = _golden_max(eval_tau, lo, hi, max(s_a * param_tol * _ADAPTIVE_TOL_FACTOR, 5e-324))
         if v > best_v:
             best_v, best_tau, best_inf = v, t, False
 
@@ -717,11 +647,10 @@ def _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol):
     # curvature and are always refined; the margin rule only prunes cells
     # safely away from both feet
     feet = (2.0 * math.atan2(tau_x, scale), 2.0 * math.atan2(tau_y, scale))
-    bracket_tol = max(param_tol, step * param_tol * _ADAPTIVE_TOL_FACTOR) if fast else param_tol
+    bracket_tol = max(param_tol, step * param_tol * _ADAPTIVE_TOL_FACTOR)
     for i in _bracket_indices(values, circular=False):
         th0 = float(thetas[i])
-        if (fast
-                and all(abs(th0 - th) > 12.0 * step for th in feet)
+        if (all(abs(th0 - th) > 12.0 * step for th in feet)
                 and float(values[i]) < f.bracket_floor(best_v)):
             continue
         lo = max(th0 - step, -theta_cap)
@@ -733,5 +662,5 @@ def _sup_halfspace(domain, f, x, y, fast, value_at_infinity, coarse, param_tol):
     if value_at_infinity is not None and float(value_at_infinity) >= best_v:
         best_v, best_inf = float(value_at_infinity), True
 
-    witness = INFINITY if best_inf else point_at(best_tau)
+    witness = INFINITY if best_inf else origin + best_tau * w
     return best_v, BoundaryWitness(witness, best_v)

@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
-    INFINITY,
     BoundaryCardinalityError,
     DistancePairFunctional,
     FiniteComplement,
@@ -25,8 +24,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     boundary_sup,
-    cross_ratio,
-    is_infinity,
     require_member,
 )
 
@@ -169,17 +166,14 @@ def delta_metric(domain, x, y) -> float:
     x, y = _pair(domain, x, y)
     if np.array_equal(x, y):
         return 0.0
-    bnd: list = list(domain.removed)
+    # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
+    # leaves |x-y| over the other entry's distance
+    r = _sep(x, y)
+    dpx = domain.distances(x)
+    dqy = domain.distances(y)
+    best = float(np.max((domain.distances(domain.removed) * r) / (dpx[:, None] * dqy[None, :])))
     if domain.includes_infinity_boundary:
-        bnd.append(INFINITY)
-    best = 0.0
-    for p in bnd:
-        for q in bnd:
-            if is_infinity(p) and is_infinity(q):
-                continue
-            v = cross_ratio(p, x, q, y)
-            if v > best:
-                best = v
+        best = max(best, r / float(dqy.min()), r / float(dpx.min()))
     return math.log1p(best)
 
 
@@ -187,10 +181,10 @@ def _axis_sups(domain, x, y, *, at_infinity):
     """Suprema of log(|p-y|/|p-x|) and of log(|p-x|/|p-y|) over the finite
     boundary, with an optional candidate value at infinity."""
     a, _ = boundary_sup(
-        domain, DistancePairFunctional("log_dy_over_dx", x, y), x, y, value_at_infinity=at_infinity
+        domain, DistancePairFunctional("log_dy_over_dx", x, y), value_at_infinity=at_infinity
     )
     b, _ = boundary_sup(
-        domain, DistancePairFunctional("log_dx_over_dy", x, y), x, y, value_at_infinity=at_infinity
+        domain, DistancePairFunctional("log_dx_over_dy", x, y), value_at_infinity=at_infinity
     )
     return a, b
 
@@ -223,16 +217,14 @@ def alpha_pair_form(domain, x, y) -> float:
     if np.array_equal(x, y):
         return 0.0
     if isinstance(domain, FiniteComplement):
-        bnd: list = list(domain.removed)
+        # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
+        # monotone, so it is taken once, of the largest ratio
+        dpx = domain.distances(x)
+        dpy = domain.distances(y)
+        best = float(np.max((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])))
         if domain.includes_infinity_boundary:
-            bnd.append(INFINITY)
-        best = -math.inf
-        for p in bnd:
-            for q in bnd:
-                if is_infinity(p) and is_infinity(q):
-                    continue
-                best = max(best, math.log(cross_ratio(p, x, y, q)))
-        return best
+            best = max(best, float(np.max(dpx / dpy)), float(np.max(dpy / dpx)))
+        return math.log(best)
     a, b = _axis_sups(domain, x, y, at_infinity=None)
     candidates = [a + b, 0.0]
     if isinstance(domain, UpperHalfSpace):
@@ -246,7 +238,7 @@ def eta_metric(domain, x, y) -> float:
     x, y = _pair(domain, x, y)
     if np.array_equal(x, y):
         return 0.0
-    v, _ = boundary_sup(domain, DistancePairFunctional("abs_log_ratio", x, y), x, y)
+    v, _ = boundary_sup(domain, DistancePairFunctional("abs_log_ratio", x, y))
     return v
 
 
@@ -256,7 +248,7 @@ def cassinian(domain, x, y) -> float:
     if np.array_equal(x, y):
         return 0.0
     r = _sep(x, y)
-    v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r), x, y)
+    v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r))
     return v
 
 
@@ -267,7 +259,7 @@ def triangular_ratio(domain, x, y) -> float:
     if np.array_equal(x, y):
         return 0.0
     r = _sep(x, y)
-    v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r), x, y)
+    v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
     return min(v, 1.0)
 
 

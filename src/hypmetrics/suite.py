@@ -171,7 +171,7 @@ def sample_point(domain, rng: np.random.Generator) -> np.ndarray:
             sigma = 10.0 ** rng.uniform(-6.0, 0.5)
             p = center + sigma * rng.standard_normal(n)
         else:
-            centroid = np.mean(np.array(domain.removed), axis=0)
+            centroid = domain.removed.mean(axis=0)
             p = centroid + (5.0 + 45.0 * rng.random()) * _unit(rng, n)
         if domain.contains(p):
             return p
@@ -946,8 +946,8 @@ def check_case(
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
-    if slack < 0.0:
-        raise ParameterError("slack must be >= 0")
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
     if case.sampler == "grid":
         if domain_override is not None:
             raise ConfigurationError(f"case {case.case_id} takes no domain")
@@ -1058,6 +1058,13 @@ def records_to_json(records) -> str:
     return json.dumps(records, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
+def _finite_float(token: str) -> float:
+    v = float(token)
+    if not math.isfinite(v):
+        raise ConfigurationError(f"report contains the non-finite number {token}")
+    return v
+
+
 def parse_report(text: str):
     """Parse and validate a report produced by this package.
 
@@ -1065,7 +1072,7 @@ def parse_report(text: str):
     the parsed structure unchanged (so re-serialization is lossless).
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"report is not valid JSON: {exc}") from None
     records = data if isinstance(data, list) else [data]

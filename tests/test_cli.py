@@ -117,6 +117,13 @@ class TestVerify:
         rec = parse_report(out)[0]
         assert rec["violations"] > 0 and rec["pass"] is False
 
+    @pytest.mark.parametrize("slack", ["nan", "inf"])
+    def test_non_finite_slack_exits_2(self, capsys, slack):
+        # a NaN slack makes every comparison false, so even the known
+        # counterexample would report "pass, violations=0"
+        code, out, err = run(capsys, "verify", "--case", "T-ALJ", "--samples", "50", "--slack", slack)
+        assert code == 2 and out == "" and "slack" in err
+
     def test_seed_flag_beats_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPMETRICS_SEED", "9")
         code, out, _ = run(
@@ -249,6 +256,22 @@ class TestReport:
         bad.write_text("{]")
         code, _, err = run(capsys, "report", "--in", str(bad))
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_rejects_non_finite_numbers(self, capsys, tmp_path, token):
+        _, target = self._write_report(capsys, tmp_path)
+        text = target.read_text()
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(text.replace('"max_slack": 0.0', f'"max_slack": {token}', 1))
+        assert bad.read_text() != text
+        code, out, err = run(capsys, "report", "--in", str(bad), "--format", "json")
+        assert code == 2 and out == "" and "non-finite" in err
+
+    def test_rejects_invalid_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'[{"case_id": "caf\xe9"}]')
+        code, _, err = run(capsys, "report", "--in", str(bad))
+        assert code == 2 and "could not read report" in err
 
     def test_rejects_wrong_shape(self, capsys, tmp_path):
         bad = tmp_path / "shape.json"

@@ -61,6 +61,40 @@ def test_membership_is_checked(metric):
         metric(BALL, 2.0 * E1, 0.1 * E1)
 
 
+def _catalog_domains():
+    from hypmetrics.suite import catalog
+
+    found = {}
+    for case in catalog().cases:
+        for d in case.domains:
+            if d is not None:
+                found.setdefault(repr(d), d)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("domain", _catalog_domains(), ids=repr)
+def test_each_point_is_validated_once(domain, monkeypatch):
+    # validation happens at the public entry only: one as_point per point
+    from hypmetrics import geometry
+    from hypmetrics.suite import sample_pair
+
+    calls = []
+    as_point = geometry.as_point
+
+    def counted(p, dim=None):
+        calls.append(1)
+        return as_point(p, dim)
+
+    monkeypatch.setattr(geometry, "as_point", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x, y = sample_pair(domain, rng)
+        for metric in evaluable_metrics(domain):
+            calls.clear()
+            evaluate_metric(domain, metric, x, y)
+            assert len(calls) == 2, (metric.value, len(calls))
+
+
 class TestU:
     def test_ball_value(self):
         # 2 log((0.5 + 1) / sqrt(0.5)) = log 4.5
@@ -173,6 +207,25 @@ class TestDelta:
         d = FiniteComplement(3, [O, 2.0 * E1])
         x, y = 0.5 * E1, 1.5 * E1
         assert delta_pair_form(d, x, y) == delta_metric(d, x, y)
+
+
+@pytest.mark.parametrize("infinity", [True, False])
+def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
+    # the array reductions do the loops' arithmetic, so they agree exactly
+    from hypmetrics.geometry import INFINITY, cross_ratio
+    from hypmetrics.suite import sample_pair
+
+    d = FiniteComplement(3, [O, 2.0 * E1, [0.0, 3.0, 1.0]], includes_infinity_boundary=infinity)
+    bnd = list(d.removed) + ([INFINITY] if infinity else [])
+    pairs = [(p, q) for p in bnd for q in bnd if not (p is INFINITY and q is INFINITY)]
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        x, y = sample_pair(d, rng)
+        delta = math.log1p(max(cross_ratio(p, x, q, y) for p, q in pairs))
+        alpha = max(math.log(cross_ratio(p, x, y, q)) for p, q in pairs)
+        near = min(math.sqrt(float(np.dot(x - p, x - p))) for p in d.removed)
+        assert (delta_metric(d, x, y), alpha_pair_form(d, x, y)) == (delta, alpha)
+        assert d.distance_to_boundary(x) == near
 
 
 class TestAlpha:

@@ -105,8 +105,9 @@ class TestCheckCase:
         case = catalog().case("AX-U")
         with pytest.raises(ParameterError):
             check_case(case, n_samples=0)
-        with pytest.raises(ParameterError):
-            check_case(case, slack=-1e-9)
+        for slack in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                check_case(case, slack=slack)
 
     def test_grid_case_takes_no_domain(self):
         case = catalog().case("T-ETA-DOM")
