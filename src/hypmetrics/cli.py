@@ -9,6 +9,7 @@ usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -68,13 +69,20 @@ def _resolve_seed(explicit: int | None) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"could not write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and shared by every later one;
+    # parse_args leaves the parser unchanged and the append actions copy
+    # their defaults before appending
     parser = argparse.ArgumentParser(
         prog="hypmetrics",
         description="hyperbolic-type metrics on canonical domains: evaluation, "

@@ -127,7 +127,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ParameterError(f"point has non-finite coordinates: {arr!r}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
@@ -154,11 +154,13 @@ class UnitBall:
         if self.dim < 2:
             raise ParameterError("domains require dimension >= 2")
 
+    # math.sqrt(np.dot(x, x)) is how np.linalg.norm computes the norm of a
+    # 1-D float array, without its generic dispatch
     def contains(self, x) -> bool:
-        return float(np.linalg.norm(x)) < 1.0
+        return math.sqrt(np.dot(x, x)) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - float(np.linalg.norm(x))
+        return 1.0 - math.sqrt(np.dot(x, x))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -230,7 +232,7 @@ class FiniteComplement:
         return len(self.removed) + (1 if self.includes_infinity_boundary else 0)
 
     def __repr__(self) -> str:
-        pts = ", ".join(str(list(p)) for p in self.removed)
+        pts = ", ".join(str(p) for p in self.removed.tolist())
         inf = ", +inf" if self.includes_infinity_boundary else ""
         return f"FiniteComplement(dim={self.dim}, removed=[{pts}]{inf})"
 
@@ -242,7 +244,7 @@ def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate membership and return the coerced point."""
     x = as_point(x, domain.dim)
     if not domain.contains(x):
-        raise DomainMembershipError(f"{name} {list(x)} is not in {domain!r}")
+        raise DomainMembershipError(f"{name} {x.tolist()} is not in {domain!r}")
     return x
 
 
@@ -442,7 +444,7 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.size
 
     def unit_or_none(v):
-        nv = float(np.linalg.norm(v))
+        nv = math.sqrt(np.dot(v, v))
         return v / nv if nv > 1e-300 else None
 
     u1 = unit_or_none(x)
@@ -459,7 +461,7 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.zeros(n)
         e[k] = 1.0
         w = e - float(np.dot(e, u1)) * u1
-        u2 = w / float(np.linalg.norm(w))
+        u2 = w / math.sqrt(np.dot(w, w))
     return u1, u2
 
 
@@ -478,7 +480,7 @@ def boundary_sup(
     """
     for name, p in (("x", f.x), ("y", f.y)):
         if not domain.contains(p):
-            raise DomainMembershipError(f"{name} {list(p)} is not in {domain!r}")
+            raise DomainMembershipError(f"{name} {p.tolist()} is not in {domain!r}")
 
     if isinstance(domain, FiniteComplement):
         values = f(domain.removed)
@@ -603,7 +605,7 @@ def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
     origin[-1] = 0.0
     horiz = other - base
     horiz[-1] = 0.0
-    ell = float(np.linalg.norm(horiz))
+    ell = math.sqrt(np.dot(horiz, horiz))
     if ell > 1e-300:
         w = horiz / ell
     else:

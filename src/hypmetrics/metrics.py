@@ -76,7 +76,7 @@ def u_metric(domain, x, y) -> float:
     with d the distance to the boundary.
     """
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     dx = domain.distance_to_boundary(x)
     dy = domain.distance_to_boundary(y)
@@ -87,12 +87,12 @@ def u_metric(domain, x, y) -> float:
 def rho(domain, x, y) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UnitBall):
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(y))
+        nx = math.sqrt(np.dot(x, x))
+        ny = math.sqrt(np.dot(y, y))
         # (1 - |x|^2) factored to keep precision near the boundary
         t = (1.0 - nx) * (1.0 + nx) * (1.0 - ny) * (1.0 + ny)
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
@@ -130,7 +130,7 @@ def j_tilde(domain, x, y) -> float:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     dx = domain.distance_to_boundary(x)
@@ -141,7 +141,7 @@ def j_tilde(domain, x, y) -> float:
 def j_metric(domain, x, y) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     return math.log1p(r / min(domain.distance_to_boundary(x), domain.distance_to_boundary(y)))
@@ -164,7 +164,7 @@ def delta_metric(domain, x, y) -> float:
             "or the infinity flag)"
         )
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
     # leaves |x-y| over the other entry's distance
@@ -197,7 +197,7 @@ def alpha_metric(domain, x, y) -> float:
     value 0 to each factor.
     """
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     a, b = _axis_sups(domain, x, y, at_infinity=0.0)
     return a + b
@@ -214,7 +214,7 @@ def alpha_pair_form(domain, x, y) -> float:
     admissible.
     """
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     if isinstance(domain, FiniteComplement):
         # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
@@ -236,7 +236,7 @@ def eta_metric(domain, x, y) -> float:
     """Quasihyperbolic-type boundary metric sup_p |log(|x-p| / |y-p|)|,
     the supremum running over the finite boundary."""
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     v, _ = boundary_sup(domain, DistancePairFunctional("abs_log_ratio", x, y))
     return v
@@ -245,7 +245,7 @@ def eta_metric(domain, x, y) -> float:
 def cassinian(domain, x, y) -> float:
     """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary."""
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r))
@@ -256,7 +256,7 @@ def triangular_ratio(domain, x, y) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary)."""
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
@@ -274,7 +274,7 @@ def delta_pair_form(domain, x, y, *, coarse: int = 192, rounds: int = 14) -> flo
     if isinstance(domain, FiniteComplement):
         return delta_metric(domain, x, y)
     x, y = _pair(domain, x, y)
-    if np.array_equal(x, y):
+    if (x == y).all():
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UnitBall):
@@ -340,7 +340,7 @@ def _delta_grid_halfspace(domain, x, y, r, coarse, rounds):
     hx, hy = float(x[-1]), float(y[-1])
     horiz = y - x
     horiz[-1] = 0.0
-    ell = float(np.linalg.norm(horiz))
+    ell = math.sqrt(np.dot(horiz, horiz))
     scale = ell + hx + hy
     th = -math.pi + (np.arange(coarse) + 0.5) * (2.0 * math.pi / coarse)
     taus = scale * np.tan(0.5 * th)

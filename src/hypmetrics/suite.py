@@ -143,7 +143,7 @@ def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(n)
-        norm = float(np.linalg.norm(g))
+        norm = math.sqrt(np.dot(g, g))
         if norm > 1e-12:
             return g / norm
 
@@ -181,7 +181,7 @@ def sample_pair(domain, rng: np.random.Generator):
     x = sample_point(domain, rng)
     while True:
         y = sample_point(domain, rng)
-        if not np.array_equal(x, y):
+        if not (x == y).all():
             return x, y
 
 
@@ -208,11 +208,11 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
     x = anchor + w
     for _ in range(64):
         flips = (rng.random(n) < 0.5) & flippable & (w != 0.0)
-        if not np.any(flips):
+        if not flips.any():
             continue
         signs = np.where(flips, -1.0, 1.0)
         y = anchor + w * signs
-        if domain.contains(y) and domain.contains(x) and not np.array_equal(x, y):
+        if domain.contains(y) and domain.contains(x) and not (x == y).all():
             return x, y
     return sample_pair(domain, rng)
 
@@ -285,7 +285,7 @@ def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> S
             x, y = sample_pair(domain, rng)
             fx = f.apply(x)
             fy = f.apply(y)
-            if is_infinity(fx) or is_infinity(fy) or np.array_equal(fx, fy):
+            if is_infinity(fx) or is_infinity(fy) or (fx == fy).all():
                 continue
             if not (fd.contains(fx) and fd.contains(fy)):
                 continue

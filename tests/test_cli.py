@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hypmetrics import cli
 from hypmetrics.cli import main
 from hypmetrics.suite import parse_report
 
@@ -86,6 +87,76 @@ class TestEval:
             "--no-infinity-boundary", *args,
         )
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--domain", "ball", "-x", "0,0,0", "-y", "1,0,0"],
+             "error: y [1.0, 0.0, 0.0] is not in UnitBall(dim=3)\n"),
+            (["--domain", "complement", "--remove", "1,0,0", "--metric", "delta",
+              "-x", "0,0,0", "-y", "1,0,0"],
+             "error: y [1.0, 0.0, 0.0] is not in "
+             "FiniteComplement(dim=3, removed=[[1.0, 0.0, 0.0]], +inf)\n"),
+        ],
+    )
+    def test_membership_error_prints_plain_floats(self, capsys, argv, message):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out, err) == (2, "", message)
+
+
+class TestCachedParser:
+    """main() builds its parser once; no call may see another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_case_flags_do_not_accumulate(self, capsys):
+        for case in ("AX-U", "AX-J"):
+            code, out, _ = run(capsys, "verify", "--case", case, "--samples", "5")
+            assert code == 0
+            assert [rec["case_id"] for rec in parse_report(out)] == [case]
+
+    def test_repeated_remove_flags_do_not_accumulate(self, capsys, monkeypatch):
+        calls = [
+            ["eval", "--domain", "complement", "--remove", "1,0,0", "--remove", "0,2,0",
+             "--metric", "eta", "-x", "0,0,1", "-y", "3,0,0"],
+            ["eval", "--domain", "complement", "--remove", "0,0,-1",
+             "--metric", "eta", "-x", "0,0,1", "-y", "3,0,0"],
+        ]
+        shared = [run(capsys, *argv) for argv in calls]
+        assert cli._build_parser().parse_args(calls[1]).remove == ["0,0,-1"]
+        # an uncached builder gives every call a parser of its own
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert shared == fresh
+        assert shared[0] != shared[1]
+
+
+class TestUnwritableOut:
+    """--out under a missing directory is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--case", "AX-U", "--samples", "5"],
+            ["probe", "--id", "P6"],
+        ],
+        ids=["verify", "probe"],
+    )
+    def test_verify_and_probe(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: could not write {target}")
+        assert not target.parent.exists()
+
+    def test_report(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--out", str(report))[0] == 0
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "report", "--in", str(report), "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: could not write {target}")
 
 
 class TestVerify:

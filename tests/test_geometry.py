@@ -46,8 +46,13 @@ class TestPoints:
             as_point([1.0])
 
     def test_as_point_rejects_nan(self):
-        with pytest.raises(ParameterError):
-            as_point([0.0, math.nan])
+        # and either infinity, in any coordinate
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(3):
+                p = [0.5, -0.25, 0.125]
+                p[i] = bad
+                with pytest.raises(ParameterError):
+                    as_point(p)
 
     def test_as_point_dimension_check(self):
         with pytest.raises(ParameterError):
@@ -65,6 +70,7 @@ class TestDomains:
         assert b.contains([0.5, 0, 0])
         assert not b.contains([1.0, 0, 0])
         assert b.distance_to_boundary([0.5, 0, 0]) == pytest.approx(0.5)
+        assert b.contains([0, 0, 0]) and b.distance_to_boundary([0, 0, 0]) == 1.0
 
     def test_halfspace_membership(self):
         h = UpperHalfSpace(3)
@@ -96,6 +102,10 @@ class TestDomains:
     def test_complement_boundary_cardinality_counts_infinity(self):
         assert FiniteComplement(3, [E1]).boundary_cardinality() == 2
         assert FiniteComplement(3, [E1], includes_infinity_boundary=False).boundary_cardinality() == 1
+
+    def test_complement_repr_prints_plain_floats(self):
+        d = FiniteComplement(3, [E1, [0.0, 2.5, 0.0]], includes_infinity_boundary=False)
+        assert repr(d) == "FiniteComplement(dim=3, removed=[[1.0, 0.0, 0.0], [0.0, 2.5, 0.0]])"
 
     def test_removed_points_are_frozen(self):
         d = FiniteComplement(3, [E1])
@@ -199,7 +209,7 @@ class TestBoundarySup:
     def test_membership_is_enforced(self):
         b = UnitBall(3)
         f = DistancePairFunctional("inv_sum", 2.0 * E1, 0.5 * E1, scale=1.0)
-        with pytest.raises(DomainMembershipError):
+        with pytest.raises(DomainMembershipError, match=r"^x \[2\.0, 0\.0, 0\.0\] is not in UnitBall"):
             boundary_sup(b, f)
         d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
         with pytest.raises(DomainMembershipError):
@@ -261,3 +271,74 @@ class TestBoundarySup:
             assert geo.COARSE_SAMPLES == 2048 and geo.PARAM_TOL == 1e-10
         assert (geo.COARSE_SAMPLES, geo.PARAM_TOL) == before
         assert before == (COARSE_SAMPLES, 1e-12)
+
+
+class TestDirectCallsMatchNumpyWrappers:
+    """The per-point path computes norms as math.sqrt(np.dot(v, v)) and
+    equality as (x == y).all(); both must give the bits of the numpy
+    wrappers they replace, in the regimes the sampler stresses."""
+
+    @staticmethod
+    def _ball_points(n):
+        from hypmetrics.suite import sample_point
+
+        rng = np.random.default_rng(40 + n)
+        pts = [sample_point(UnitBall(n), rng) for _ in range(400)]
+        for k in range(1, 7):
+            g = rng.standard_normal(n)
+            pts.append((1.0 - 10.0 ** -k) * g / np.linalg.norm(g))
+        pts += [np.eye(n)[0], np.nextafter(1.0, 0.0) * np.eye(n)[-1], np.zeros(n)]
+        return pts
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_ball_methods(self, n):
+        b = UnitBall(n)
+        radii = []
+        for x in self._ball_points(n):
+            norm = float(np.linalg.norm(x))
+            radii.append(norm)
+            assert b.contains(x) == (norm < 1.0)
+            d = b.distance_to_boundary(x)
+            assert d.hex() == (1.0 - norm).hex()
+        assert max(r for r in radii if r < 1.0) > 1.0 - 2e-6
+
+    def test_rho_on_the_ball(self):
+        from hypmetrics.metrics import rho
+
+        b = UnitBall(3)
+        pts = self._ball_points(3)
+        for x, y in zip(pts[:-3], pts[1:-3]):
+            nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+            r = float(np.linalg.norm(x - y))
+            t = (1.0 - nx) * (1.0 + nx) * (1.0 - ny) * (1.0 + ny)
+            expected = 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
+            assert rho(b, x, y).hex() == expected.hex()
+
+    def test_norms_of_sampler_vectors(self):
+        # unit directions, ball points, and the horizontal offsets of
+        # half-space pairs with heights 1e-6..1e6
+        from hypmetrics.suite import _unit, sample_pair
+
+        rng = np.random.default_rng(7)
+        vectors = [_unit(rng, n) for n in (2, 3, 5) for _ in range(100)]
+        vectors += self._ball_points(3)
+        for _ in range(300):
+            x, y = sample_pair(UpperHalfSpace(3), rng)
+            horiz = y - x
+            horiz[-1] = 0.0
+            vectors += [x, horiz]
+        for v in vectors:
+            assert math.sqrt(np.dot(v, v)).hex() == float(np.linalg.norm(v)).hex()
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.5, -0.25, 1e-6], [0.5, -0.25, 1e-6]),
+            ([0.5, -0.25, 1e-6], [0.5, -0.25, np.nextafter(1e-6, 1.0)]),
+            ([0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]),
+            ([1.0 - 1e-6, 0.0, 0.0], [0.0, 1.0 - 1e-6, 0.0]),
+        ],
+    )
+    def test_equality(self, x, y):
+        x, y = np.array(x), np.array(y)
+        assert bool((x == y).all()) == np.array_equal(x, y)
