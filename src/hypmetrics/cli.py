@@ -67,15 +67,25 @@ def _resolve_seed(explicit: int | None) -> int:
         raise ParameterError(f"HYPMETRICS_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, mode: str = "w") -> None:
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ParameterError(f"could not write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str | None) -> None:
+    """Fail before any work when ``out`` cannot be written.  Append mode
+    leaves an existing file, perhaps the report being read, untouched."""
+    if out:
+        created = not os.path.exists(out)
+        _emit("", out, mode="a")
+        if created:
+            os.remove(out)
 
 
 @functools.cache
@@ -242,6 +252,7 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "verify":

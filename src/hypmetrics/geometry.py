@@ -19,10 +19,11 @@ float arrays of the domain's dimension.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,16 +40,15 @@ __all__ = [
     "BoundaryWitness",
     "DistancePairFunctional",
     "boundary_sup",
+    "EngineSetting",
+    "SCAN",
+    "RECHECK",
     "sup_refinement",
     "DomainMembershipError",
     "BoundaryCardinalityError",
     "ParameterError",
 ]
 
-# Engine knobs.  The coarse scan density and the refinement tolerance are
-# part of the verification contract and are echoed into reports.
-COARSE_SAMPLES = 1024
-PARAM_TOL = 1e-12
 _MAX_BRACKETS = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # log-scale rise bound across one coarse cell, poles excluded; brackets
@@ -57,25 +57,33 @@ _BRACKET_MARGIN = 2.5
 # refinement windows stop once the remaining width cannot move the value
 # by more than ~(factor * param_tol)^2 at the local curvature scale
 # (1/d^2 near a pole at boundary distance d, 1/cell^2 elsewhere); tied to
-# param_tol so tightened refinement contexts tighten it too
+# param_tol so the recheck setting tightens it too
 _ADAPTIVE_TOL_FACTOR = 1e5
 
 
-@contextmanager
-def sup_refinement(coarse: int = 8192, param_tol: float = 1e-13):
-    """Temporarily raise the engine's scan density and tolerance.
+class EngineSetting(NamedTuple):
+    """Coarse scan density and refinement tolerance of the supremum engine."""
 
-    Used to re-examine borderline inequality violations before reporting
-    them.  Swaps module-level defaults, so it is process-global; do not
-    nest across threads.
-    """
-    global COARSE_SAMPLES, PARAM_TOL
-    saved = (COARSE_SAMPLES, PARAM_TOL)
-    COARSE_SAMPLES, PARAM_TOL = int(coarse), float(param_tol)
+    coarse_samples: int
+    param_tol: float
+
+
+# The engine's only two settings, echoed into every report: SCAN for every
+# supremum, RECHECK for borderline violations under sup_refinement().
+SCAN = EngineSetting(1024, 1e-12)
+RECHECK = EngineSetting(8192, 1e-13)
+_setting = SCAN
+
+
+@contextmanager
+def sup_refinement():
+    """Run the enclosed suprema at RECHECK; process state, so not thread-safe."""
+    global _setting
+    saved, _setting = _setting, RECHECK
     try:
         yield
     finally:
-        COARSE_SAMPLES, PARAM_TOL = saved
+        _setting = saved
 
 
 class DomainMembershipError(ValueError):
@@ -128,7 +136,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ParameterError(f"point has non-finite coordinates: {arr!r}")
+        raise ParameterError(f"point has non-finite coordinates: {arr.tolist()}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
     return arr
@@ -266,36 +274,17 @@ def cross_ratio(p, x, q, y) -> float:
     denominator raise ZeroDivisionError.
     """
     pts = [p if is_infinity(p) else as_point(p) for p in (p, x, q, y)]
-    inf_count = sum(1 for v in pts if is_infinity(v))
-    if inf_count > 1:
+    if sum(map(is_infinity, pts)) > 1:
         raise ValueError("cross_ratio supports at most one point at infinity")
     p, x, q, y = pts
-    if inf_count == 0:
-        dpx = _dist(p, x)
-        dqy = _dist(q, y)
-        if dpx == 0.0 or dqy == 0.0:
-            raise ZeroDivisionError("cross_ratio undefined: coincident p,x or q,y")
-        return (_dist(p, q) * _dist(x, y)) / (dpx * dqy)
-    if is_infinity(p):
-        dqy = _dist(q, y)
-        if dqy == 0.0:
-            raise ZeroDivisionError("cross_ratio undefined: coincident q,y")
-        return _dist(x, y) / dqy
-    if is_infinity(x):
-        dqy = _dist(q, y)
-        if dqy == 0.0:
-            raise ZeroDivisionError("cross_ratio undefined: coincident q,y")
-        return _dist(p, q) / dqy
-    if is_infinity(q):
-        dpx = _dist(p, x)
-        if dpx == 0.0:
-            raise ZeroDivisionError("cross_ratio undefined: coincident p,x")
-        return _dist(x, y) / dpx
-    # y at infinity
-    dpx = _dist(p, x)
-    if dpx == 0.0:
-        raise ZeroDivisionError("cross_ratio undefined: coincident p,x")
-    return _dist(p, q) / dpx
+
+    def finite(*pairs):
+        return [_dist(a, b) for a, b in pairs if not (is_infinity(a) or is_infinity(b))]
+
+    den = finite((p, x), (q, y))
+    if 0.0 in den:
+        raise ZeroDivisionError("cross_ratio undefined: coincident p,x or q,y")
+    return math.prod(finite((p, q), (x, y))) / math.prod(den)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +480,9 @@ def boundary_sup(
                 best_v, best_p = float(value_at_infinity), INFINITY
         return best_v, BoundaryWitness(best_p, best_v)
     if isinstance(domain, UnitBall):
-        return _sup_ball(f, COARSE_SAMPLES, PARAM_TOL)
+        return _sup_ball(f, *_setting)
     if isinstance(domain, UpperHalfSpace):
-        return _sup_halfspace(f, value_at_infinity, COARSE_SAMPLES, PARAM_TOL)
+        return _sup_halfspace(f, value_at_infinity, *_setting)
     raise ParameterError(f"unsupported domain {domain!r}")
 
 
@@ -519,27 +508,16 @@ def _canonical_pair(x: np.ndarray, y: np.ndarray):
 
 
 # the coarse grids depend only on the sample count, so their trig is shared
-_COARSE_CIRCLE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_COARSE_LINE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _coarse_circle(coarse: int):
-    got = _COARSE_CIRCLE.get(coarse)
-    if got is None:
-        thetas = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
-        got = (thetas, np.sin(0.5 * thetas), np.cos(0.5 * thetas))
-        _COARSE_CIRCLE[coarse] = got
-    return got
+    thetas = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
+    return thetas, np.sin(0.5 * thetas), np.cos(0.5 * thetas)
 
 
+@functools.cache
 def _coarse_line(coarse: int):
-    got = _COARSE_LINE.get(coarse)
-    if got is None:
-        step = 2.0 * math.pi / coarse
-        thetas = -math.pi + (np.arange(coarse) + 0.5) * step
-        got = (thetas, np.tan(0.5 * thetas))
-        _COARSE_LINE[coarse] = got
-    return got
+    thetas = -math.pi + (np.arange(coarse) + 0.5) * (2.0 * math.pi / coarse)
+    return thetas, np.tan(0.5 * thetas)
 
 
 def _circ_gap(a: float, b: float) -> float:

@@ -263,7 +263,12 @@ def triangular_ratio(domain, x, y) -> float:
     return min(v, 1.0)
 
 
-def delta_pair_form(domain, x, y, *, coarse: int = 192, rounds: int = 14) -> float:
+# delta_pair_form's grid points per boundary parameter and ascent rounds
+_DELTA_COARSE = 192
+_DELTA_ROUNDS = 14
+
+
+def delta_pair_form(domain, x, y) -> float:
     """Boundary-pair metric via direct two-parameter optimization.
 
     Cross-check for the identity delta == rho on the ball and half-space;
@@ -278,19 +283,19 @@ def delta_pair_form(domain, x, y, *, coarse: int = 192, rounds: int = 14) -> flo
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UnitBall):
-        best = _delta_grid_ball(domain, x, y, r, coarse, rounds)
+        best = _delta_grid_ball(domain, x, y, r)
     else:
-        best = _delta_grid_halfspace(domain, x, y, r, coarse, rounds)
+        best = _delta_grid_halfspace(domain, x, y, r)
     return math.log1p(best)
 
 
-def _coordinate_ascent(g, t0, s0, widths, rounds):
+def _coordinate_ascent(g, t0, s0, widths):
     from .geometry import _golden_max
 
     t, s = t0, s0
     best = g(t, s)
     wt, ws = widths
-    for _ in range(rounds):
+    for _ in range(_DELTA_ROUNDS):
         t, v = _golden_max(lambda a: g(a, s), t - wt, t + wt, 1e-13 * max(1.0, abs(t)))
         best = max(best, v)
         s, v = _golden_max(lambda a: g(t, a), s - ws, s + ws, 1e-13 * max(1.0, abs(s)))
@@ -308,13 +313,13 @@ def _coordinate_ascent(g, t0, s0, widths, rounds):
     return best
 
 
-def _delta_grid_ball(domain, x, y, r, coarse, rounds):
+def _delta_grid_ball(domain, x, y, r):
     from .geometry import _plane_basis, circle_distance, circle_gauge
 
     u1, u2 = _plane_basis(x, y)
     rx, tx = circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2)))
     ry, ty = circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2)))
-    th = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
+    th = np.linspace(-math.pi, math.pi, _DELTA_COARSE, endpoint=False)
     dpx = np.maximum(circle_distance(rx, tx, th), 1e-300)
     dqy = np.maximum(circle_distance(ry, ty, th), 1e-300)
     # |p - q| = 2 |sin((t - s)/2)| for p, q on the unit circle of the plane
@@ -327,22 +332,22 @@ def _delta_grid_ball(domain, x, y, r, coarse, rounds):
         dq = max(float(circle_distance(ry, ty, s)), 1e-300)
         return 2.0 * abs(math.sin(0.5 * (t - s))) * r / (dp * dq)
 
-    h = 2.0 * math.pi / coarse
-    best = _coordinate_ascent(g, float(th[i]), float(th[k]), (h, h), rounds)
+    h = 2.0 * math.pi / _DELTA_COARSE
+    best = _coordinate_ascent(g, float(th[i]), float(th[k]), (h, h))
     # peaks hide near the boundary projections of x and y when they are
     # close to the sphere; seed a second ascent there
     if rx > 1e-12 and ry > 1e-12:
-        best = max(best, _coordinate_ascent(g, tx, ty, (h, h), rounds))
+        best = max(best, _coordinate_ascent(g, tx, ty, (h, h)))
     return max(best, float(grid[i, k]))
 
 
-def _delta_grid_halfspace(domain, x, y, r, coarse, rounds):
+def _delta_grid_halfspace(domain, x, y, r):
     hx, hy = float(x[-1]), float(y[-1])
     horiz = y - x
     horiz[-1] = 0.0
     ell = math.sqrt(np.dot(horiz, horiz))
     scale = ell + hx + hy
-    th = -math.pi + (np.arange(coarse) + 0.5) * (2.0 * math.pi / coarse)
+    th = -math.pi + (np.arange(_DELTA_COARSE) + 0.5) * (2.0 * math.pi / _DELTA_COARSE)
     taus = scale * np.tan(0.5 * th)
     dpx = np.hypot(taus, hx)
     dqy = np.hypot(taus - ell, hy)
@@ -355,11 +360,11 @@ def _delta_grid_halfspace(domain, x, y, r, coarse, rounds):
 
     # grid cells widen like scale*(1 + (tau/scale)^2); ascent windows must
     # span at least one cell or far-out peaks stay out of reach
-    step = 2.0 * math.pi / coarse
+    step = 2.0 * math.pi / _DELTA_COARSE
     wt = max(abs(taus[i]) * 0.05, hx, 0.6 * scale * (1.0 + (taus[i] / scale) ** 2) * step)
     ws = max(abs(taus[k]) * 0.05, hy, 0.6 * scale * (1.0 + (taus[k] / scale) ** 2) * step)
-    best = _coordinate_ascent(g, float(taus[i]), float(taus[k]), (wt, ws), rounds)
-    best = max(best, _coordinate_ascent(g, 0.0, ell, (4.0 * hx, 4.0 * hy), rounds))
+    best = _coordinate_ascent(g, float(taus[i]), float(taus[k]), (wt, ws))
+    best = max(best, _coordinate_ascent(g, 0.0, ell, (4.0 * hx, 4.0 * hy)))
     best = max(best, float(grid[i, k]))
     # one boundary entry at infinity: the surviving factors peak at the
     # projections of x and y

@@ -33,12 +33,13 @@ from .geometry import (
     DomainMembershipError,
     FiniteComplement,
     ParameterError,
+    RECHECK,
+    SCAN,
     UnitBall,
     UpperHalfSpace,
     is_infinity,
     sup_refinement,
 )
-from . import geometry
 from .metrics import (
     alpha_metric,
     alpha_pair_form,
@@ -89,12 +90,17 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 42
 DEFAULT_SLACK = 1e-9
 
-# engine parameters echoed into every report record; the recheck pair is
-# applied to borderline violations before they are counted, where
-# borderline means within the noise band of the supremum search
-_RECHECK_COARSE = 8192
-_RECHECK_TOL = 1e-13
+# hits within this band of the supremum search's noise are rechecked at
+# the engine's RECHECK setting before they are counted
 _RECHECK_BAND = 1e-3
+
+# the engine settings echoed into every report record
+_ENGINE = {
+    "coarse_samples": SCAN.coarse_samples,
+    "param_tol": SCAN.param_tol,
+    "recheck_coarse_samples": RECHECK.coarse_samples,
+    "recheck_param_tol": RECHECK.param_tol,
+}
 
 # deviations at or below this are numerically indistinguishable from the
 # limit: mapped near-boundary configurations carry ~eps/d(x) noise, so a
@@ -112,16 +118,8 @@ class ConfigurationError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """A probe's point family left its domain at some schedule point."""
-
-
-def _engine_record() -> dict:
-    return {
-        "coarse_samples": geometry.COARSE_SAMPLES,
-        "param_tol": geometry.PARAM_TOL,
-        "recheck_coarse_samples": _RECHECK_COARSE,
-        "recheck_param_tol": _RECHECK_TOL,
-    }
+    """A probe's point family left its domain, or gave a non-finite
+    estimate, at some schedule point."""
 
 
 def _round12(v):
@@ -369,7 +367,7 @@ class CaseResult:
             "seed": self.seed,
             "pass": self.passed,
             "wall_time": _round12(self.wall_time),
-            "engine": _engine_record(),
+            "engine": dict(_ENGINE),
             "notes": self.notes,
             "violation_samples": self.violation_samples,
         }
@@ -398,7 +396,7 @@ class ProbeResult:
             "seed": None,
             "pass": self.passed,
             "wall_time": _round12(self.wall_time),
-            "engine": _engine_record(),
+            "engine": dict(_ENGINE),
             "notes": self.notes,
             "schedule": [_round12(t) for t in self.schedule],
             "estimates": [_round12(v) for v in self.estimates],
@@ -980,7 +978,7 @@ def check_case(
             lhs, rhs = case.evaluate(domain, smp)
             if _violates(lhs, rhs, slack):
                 if not _violates(lhs, rhs, _RECHECK_BAND):
-                    with sup_refinement(_RECHECK_COARSE, _RECHECK_TOL):
+                    with sup_refinement():
                         lhs, rhs = case.evaluate(domain, smp)
                 if _violates(lhs, rhs, slack):
                     violations += 1
@@ -1017,15 +1015,21 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     schedule = tuple(float(t) for t in (schedule_overrides or probe.schedule))
     if len(schedule) < 4:
         raise ParameterError("a probe schedule needs at least 4 points")
+    for t in schedule:
+        if not math.isfinite(t):
+            raise ParameterError(f"probe schedule values must be finite, got {t!r}")
     started = time.perf_counter()
     estimates = []
     for t in schedule:
         try:
-            estimates.append(float(probe.evaluate(t)))
+            v = float(probe.evaluate(t))
         except DomainMembershipError as exc:
             raise ScheduleError(
                 f"probe {probe.probe_id}: point family leaves the domain at t = {t!r} ({exc})"
             ) from None
+        if not math.isfinite(v):
+            raise ScheduleError(f"probe {probe.probe_id}: the estimate at t = {t!r} is {v}")
+        estimates.append(v)
     deviations = [abs(v - probe.expected_limit) for v in estimates]
     clamped = [0.0 if d <= _MONOTONE_FLOOR else d for d in deviations]
     monotone = all(

@@ -7,7 +7,7 @@ import pytest
 
 from hypmetrics import cli
 from hypmetrics.cli import main
-from hypmetrics.suite import parse_report
+from hypmetrics.suite import parse_report, records_to_text
 
 
 def run(capsys, *argv):
@@ -133,7 +133,8 @@ class TestCachedParser:
 
 
 class TestUnwritableOut:
-    """--out under a missing directory is a usage error, not a traceback."""
+    """An unwritable --out is a usage error, found before any case or
+    probe runs, and an existing file is left alone until the run is done."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -143,12 +144,16 @@ class TestUnwritableOut:
         ],
         ids=["verify", "probe"],
     )
-    def test_verify_and_probe(self, capsys, tmp_path, argv):
+    def test_verify_and_probe(self, capsys, tmp_path, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(cli, "check_case", lambda *a, **k: calls.append("check_case"))
+        monkeypatch.setattr(cli, "run_probe", lambda *a, **k: calls.append("run_probe"))
         target = tmp_path / "missing" / "out.json"
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error: could not write {target}")
         assert not target.parent.exists()
+        assert calls == []
 
     def test_report(self, capsys, tmp_path):
         report = tmp_path / "r.json"
@@ -157,6 +162,24 @@ class TestUnwritableOut:
         code, out, err = run(capsys, "report", "--in", str(report), "--out", str(target))
         assert code == 2 and out == ""
         assert err.startswith(f"error: could not write {target}")
+
+    def test_failed_run_leaves_the_out_file_as_it_was(self, capsys, tmp_path):
+        existing = tmp_path / "old.json"
+        existing.write_text("previous report\n")
+        fresh = tmp_path / "new.json"
+        for target in (existing, fresh):
+            code, _, err = run(capsys, "verify", "--case", "NOPE", "--out", str(target))
+            assert code == 2 and "unknown case ids" in err
+        assert existing.read_text() == "previous report\n"
+        assert not fresh.exists()
+
+    def test_report_may_overwrite_its_input(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--out", str(report))[0] == 0
+        text = report.read_text()
+        code, out, _ = run(capsys, "report", "--in", str(report), "--out", str(report))
+        assert code == 0 and out == ""
+        assert report.read_text() == records_to_text(parse_report(text))
 
 
 class TestVerify:
@@ -271,6 +294,19 @@ class TestProbe:
     def test_unparsable_schedule(self, capsys):
         code, _, err = run(capsys, "probe", "--id", "P6", "--schedule", "1,2,x,4")
         assert code == 2 and "could not parse schedule" in err
+
+    @pytest.mark.parametrize("value", ["1e400", "-inf", "nan"])
+    def test_non_finite_schedule(self, capsys, value):
+        code, out, err = run(capsys, "probe", "--id", "P2", "--schedule", f"0.1,0.01,0.001,{value}")
+        assert code == 2 and out == ""
+        assert err == f"error: probe schedule values must be finite, got {float(value)!r}\n"
+
+    def test_schedule_overflowing_the_family(self, capsys):
+        # finite, but the family's arithmetic overflows to nan there
+        argv = ["probe", "--id", "P6", "--schedule", "0.1,0.01,0.001,1e300", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: probe P6: the estimate at t = 1e+300 is nan\n"
 
     def test_schedule_leaving_the_domain(self, capsys):
         code, _, err = run(capsys, "probe", "--id", "P4", "--schedule", "0.5,0.9,0.99,1.0")

@@ -7,12 +7,13 @@ import pytest
 
 from hypmetrics.geometry import (
     BoundaryCardinalityError,
-    COARSE_SAMPLES,
     DistancePairFunctional,
     DomainMembershipError,
     FiniteComplement,
     INFINITY,
     ParameterError,
+    RECHECK,
+    SCAN,
     UnitBall,
     UpperHalfSpace,
     as_point,
@@ -51,8 +52,10 @@ class TestPoints:
             for i in range(3):
                 p = [0.5, -0.25, 0.125]
                 p[i] = bad
-                with pytest.raises(ParameterError):
+                with pytest.raises(ParameterError) as info:
                     as_point(p)
+                # plain floats, as in the membership messages
+                assert str(info.value) == f"point has non-finite coordinates: {p}"
 
     def test_as_point_dimension_check(self):
         with pytest.raises(ParameterError):
@@ -263,14 +266,26 @@ class TestBoundarySup:
             # one ulp from the flipped division inside the log
             assert v1 == pytest.approx(v2, rel=5e-16)
 
-    def test_sup_refinement_swaps_and_restores_knobs(self):
+    def test_sup_refinement_swaps_and_restores_knobs(self, monkeypatch):
         import hypmetrics.geometry as geo
 
-        before = (geo.COARSE_SAMPLES, geo.PARAM_TOL)
-        with sup_refinement(2048, 1e-10):
-            assert geo.COARSE_SAMPLES == 2048 and geo.PARAM_TOL == 1e-10
-        assert (geo.COARSE_SAMPLES, geo.PARAM_TOL) == before
-        assert before == (COARSE_SAMPLES, 1e-12)
+        assert (SCAN, RECHECK) == ((1024, 1e-12), (8192, 1e-13))
+        seen = []
+        sup_ball = geo._sup_ball
+
+        def recording(f, *setting):
+            seen.append(setting)
+            return sup_ball(f, *setting)
+
+        monkeypatch.setattr(geo, "_sup_ball", recording)
+        f = DistancePairFunctional("abs_log_ratio", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
+        boundary_sup(UnitBall(2), f)
+        with sup_refinement():
+            boundary_sup(UnitBall(2), f)
+        with pytest.raises(RuntimeError), sup_refinement():
+            raise RuntimeError
+        boundary_sup(UnitBall(2), f)
+        assert seen == [SCAN, RECHECK, SCAN]
 
 
 class TestDirectCallsMatchNumpyWrappers:

@@ -90,7 +90,12 @@ class TestCatalog:
         for case in cat.cases:
             rec = check_case(case, n_samples=8, seed=42).record()
             assert rec["samples"] == 8
-            assert rec["engine"]["coarse_samples"] == geo.COARSE_SAMPLES
+            assert rec["engine"] == {
+                "coarse_samples": 1024,
+                "param_tol": 1e-12,
+                "recheck_coarse_samples": 8192,
+                "recheck_param_tol": 1e-13,
+            }
 
     def test_every_probe_has_a_workable_schedule(self):
         cat = catalog()
@@ -154,7 +159,7 @@ class TestCheckCase:
         seen = []
 
         def evaluate(domain, smp):
-            seen.append(geo.COARSE_SAMPLES)
+            seen.append(geo._setting.coarse_samples)
             return 1.0 + 1e-6, 1.0
 
         rigged = InequalityCase(
@@ -173,7 +178,7 @@ class TestCheckCase:
         seen = []
 
         def evaluate(domain, smp):
-            seen.append(geo.COARSE_SAMPLES)
+            seen.append(geo._setting.coarse_samples)
             return 5.0, 1.0
 
         rigged = InequalityCase(
@@ -185,6 +190,19 @@ class TestCheckCase:
         )
         check_case(rigged, n_samples=3, seed=1)
         assert seen == [1024] * 3
+
+    def test_engine_record_echoes_both_settings_inside_the_recheck(self):
+        case = catalog().case("AX-ETA")
+        outside = check_case(case, n_samples=4, seed=3).record()["engine"]
+        with geo.sup_refinement():
+            inside = check_case(case, n_samples=4, seed=3).record()["engine"]
+            probe = run_probe(catalog().probe("P6")).record()["engine"]
+        assert inside == outside == probe == {
+            "coarse_samples": geo.SCAN.coarse_samples,
+            "param_tol": geo.SCAN.param_tol,
+            "recheck_coarse_samples": geo.RECHECK.coarse_samples,
+            "recheck_param_tol": geo.RECHECK.param_tol,
+        }
 
     def test_vacuous_comparisons_do_not_enter_max_slack(self):
         rigged = InequalityCase(
