@@ -2,14 +2,15 @@
 the three canonical domains, the absolute cross-ratio, and a boundary
 supremum engine.
 
-Every metric in this package is either a closed-form expression in
-boundary distances or a supremum of a functional over the domain
-boundary; this module owns both ingredients.  The supremum engine uses
-the rotational symmetry of the ball and the half-space to reduce the
-search to one parameter: a coarse scan locates candidate brackets and
-golden-section refinement polishes each of them.  The result is a
-certified lower bound on the true supremum and is treated as the
-supremum by callers.
+Every metric in this package is either a closed-form expression or a
+supremum of a functional over the domain boundary; on a finite
+complement such a supremum is a maximum over the removed points.  The
+supremum engine serves the suprema that have neither: the Cassinian
+metric on the ball and the half-space, and s on the ball.  It uses the
+rotational symmetry of these domains to reduce the search to one
+parameter: a coarse scan locates candidate brackets and golden-section
+refinement polishes each of them.  The result is a certified lower bound
+on the true supremum and is treated as the supremum by callers.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -51,9 +52,10 @@ __all__ = [
 
 _MAX_BRACKETS = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# log-scale rise bound across one coarse cell, poles excluded; brackets
-# sampled further below the incumbent than this cannot win
-_BRACKET_MARGIN = 2.5
+# across one coarse cell clear of both distance poles a functional rises
+# by well under a factor exp(2.5) (its log-derivative is O(1/gap) there),
+# so a bracket sampled below this fraction of the incumbent cannot win
+_BRACKET_FLOOR = math.exp(-2.5)
 # refinement windows stop once the remaining width cannot move the value
 # by more than ~(factor * param_tol)^2 at the local curvature scale
 # (1/d^2 near a pole at boundary distance d, 1/cell^2 elsewhere); tied to
@@ -295,29 +297,27 @@ def cross_ratio(p, x, q, y) -> float:
 class BoundaryWitness:
     """Boundary point realizing (up to refinement tolerance) a supremum."""
 
-    point: object  # ndarray or INFINITY
+    point: np.ndarray
     value: float
 
 
 class DistancePairFunctional:
     """Boundary functional that depends on p only through |p-x| and |p-y|.
 
-    All metric suprema in this package have this shape.  ``x`` and ``y``
-    are trusted float arrays; :func:`boundary_sup` checks only that they
-    lie in its domain.  Instances are callables on boundary points
+    The metric suprema with no closed form have this shape: the Cassinian
+    metric on the ball and the half-space, and s on the ball.  ``x`` and
+    ``y`` are trusted float arrays; :func:`boundary_sup` checks only that
+    they lie in its domain.  Instances are callables on boundary points
     (vectorized over leading axes); boundary_sup evaluates the scan and
     the refinement directly in distance coordinates, which is both faster
     and free of point reconstruction error.
 
     Kinds:
-      log_dx_over_dy      log(|p-x| / |p-y|)
-      log_dy_over_dx      log(|p-y| / |p-x|)
-      abs_log_ratio       |log(|p-x| / |p-y|)|
       inv_product         scale / (|p-x| |p-y|)
       inv_sum             scale / (|p-x| + |p-y|)
     """
 
-    KINDS = ("log_dx_over_dy", "log_dy_over_dx", "abs_log_ratio", "inv_product", "inv_sum")
+    KINDS = ("inv_product", "inv_sum")
     __slots__ = ("kind", "x", "y", "scale")
 
     def __init__(self, kind: str, x: np.ndarray, y: np.ndarray, scale: float = 1.0):
@@ -335,42 +335,16 @@ class DistancePairFunctional:
         return self.array(dx, dy)
 
     def array(self, dx, dy):
-        if self.kind == "log_dx_over_dy":
-            return np.log(dx / dy)
-        if self.kind == "log_dy_over_dx":
-            return np.log(dy / dx)
-        if self.kind == "abs_log_ratio":
-            return np.abs(np.log(dx / dy))
         if self.kind == "inv_product":
             return self.scale / (dx * dy)
         return self.scale / (dx + dy)
 
     def scalar_form(self):
         """Specialized (dx, dy) -> value callable for tight refinement loops."""
-        k = self.kind
-        if k == "log_dx_over_dy":
-            return lambda dx, dy: math.log(dx / dy)
-        if k == "log_dy_over_dx":
-            return lambda dx, dy: math.log(dy / dx)
-        if k == "abs_log_ratio":
-            return lambda dx, dy: abs(math.log(dx / dy))
         s = self.scale
-        if k == "inv_product":
+        if self.kind == "inv_product":
             return lambda dx, dy: s / (dx * dy)
         return lambda dx, dy: s / (dx + dy)
-
-    def bracket_floor(self, best: float) -> float:
-        """Largest coarse-cell sample that could still beat ``best``.
-
-        Across one coarse cell that stays clear of both distance poles the
-        functional rises by well under _BRACKET_MARGIN on the log scale
-        (the log-distance derivative is O(1/gap) there), so a bracket
-        sampled below this floor cannot contain the winner and its
-        refinement can be dropped.
-        """
-        if self.kind in ("inv_product", "inv_sum"):
-            return best * math.exp(-_BRACKET_MARGIN)
-        return best - _BRACKET_MARGIN
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -443,6 +417,9 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u1 = np.zeros(n)
         u1[0] = 1.0
     w = y - float(np.dot(y, u1)) * u1
+    # projected twice: for y collinear with x (or x = 0) w is rounding
+    # residue, which one projection leaves far from orthogonal to u1
+    w -= float(np.dot(w, u1)) * u1
     u2 = unit_or_none(w)
     if u2 is None:
         # x, y collinear: any direction orthogonal to u1 completes the plane
@@ -454,36 +431,23 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def boundary_sup(
-    domain: Domain, f: DistancePairFunctional, *, value_at_infinity: float | None = None
-) -> tuple[float, BoundaryWitness]:
-    """Supremum of ``f`` over the boundary of ``domain``, with a witness.
+def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, BoundaryWitness]:
+    """Supremum of ``f`` over the boundary sphere of the ball or the
+    boundary hyperplane of the half-space, with a witness.
 
-    The points ``f.x`` and ``f.y`` must lie in the domain; on the ball and
-    the half-space they also supply the symmetry plane of the reduction.
-    On FiniteComplement the maximum over removed points is exact, ties
-    resolved to the lowest index.  ``value_at_infinity`` is the caller's
-    value of f at INFINITY, a candidate on the half-space and, when the
-    domain carries the infinity flag, on a finite complement (omitted
-    when None).
+    The points ``f.x`` and ``f.y`` must lie in the domain; they also
+    supply the symmetry plane of the reduction.  Both kinds vanish at
+    infinity, so the half-space search runs over finite points only.
     """
     for name, p in (("x", f.x), ("y", f.y)):
         if not domain.contains(p):
             raise DomainMembershipError(f"{name} {p.tolist()} is not in {domain!r}")
 
-    if isinstance(domain, FiniteComplement):
-        values = f(domain.removed)
-        i = int(np.argmax(values))
-        best_v, best_p = float(values[i]), domain.removed[i]
-        if domain.includes_infinity_boundary and value_at_infinity is not None:
-            if float(value_at_infinity) > best_v:
-                best_v, best_p = float(value_at_infinity), INFINITY
-        return best_v, BoundaryWitness(best_p, best_v)
     if isinstance(domain, UnitBall):
         return _sup_ball(f, *_setting)
     if isinstance(domain, UpperHalfSpace):
-        return _sup_halfspace(f, value_at_infinity, *_setting)
-    raise ParameterError(f"unsupported domain {domain!r}")
+        return _sup_halfspace(f, *_setting)
+    raise ParameterError(f"boundary_sup searches the ball and the half-space only, got {domain!r}")
 
 
 def circle_gauge(a: float, b: float):
@@ -567,7 +531,7 @@ def _sup_ball(f, coarse, param_tol):
         c0 = float(thetas[i])
         if any(_circ_gap(c0, t0) <= 2.0 * h for _, t0 in anchors):
             continue  # peak already inside an anchor window
-        if float(values[i]) < f.bracket_floor(best_v):
+        if float(values[i]) < best_v * _BRACKET_FLOOR:
             continue  # provably cannot reach the incumbent
         t, v = _golden_max(eval_scalar, c0 - h, c0 + h, bracket_tol)
         if v > best_v:
@@ -576,7 +540,7 @@ def _sup_ball(f, coarse, param_tol):
     return best_v, BoundaryWitness(witness, best_v)
 
 
-def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
+def _sup_halfspace(f, coarse, param_tol):
     x, y = f.x, f.y
     base, other = _canonical_pair(x, y)
     origin = base.copy()
@@ -612,7 +576,6 @@ def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
     i0 = int(np.argmax(values))
     best_v = float(values[i0])
     best_tau = float(taus[i0])
-    best_inf = False
 
     # anchors first: boundary feet of x and y, refined in the line
     # coordinate with a window sized by each point's own height so that
@@ -621,7 +584,7 @@ def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
         lo, hi = tau_a - 4.0 * s_a, tau_a + 4.0 * s_a
         t, v = _golden_max(eval_tau, lo, hi, max(s_a * param_tol * _ADAPTIVE_TOL_FACTOR, 5e-324))
         if v > best_v:
-            best_v, best_tau, best_inf = v, t, False
+            best_v, best_tau = v, t
 
     # brackets near an anchor's angular position see the full pole
     # curvature and are always refined; the margin rule only prunes cells
@@ -631,16 +594,12 @@ def _sup_halfspace(f, value_at_infinity, coarse, param_tol):
     for i in _bracket_indices(values, circular=False):
         th0 = float(thetas[i])
         if (all(abs(th0 - th) > 12.0 * step for th in feet)
-                and float(values[i]) < f.bracket_floor(best_v)):
+                and float(values[i]) < best_v * _BRACKET_FLOOR):
             continue
         lo = max(th0 - step, -theta_cap)
         hi = min(th0 + step, theta_cap)
         t, v = _golden_max(eval_theta, lo, hi, bracket_tol)
         if v > best_v:
-            best_v, best_tau, best_inf = v, scale * math.tan(0.5 * t), False
+            best_v, best_tau = v, scale * math.tan(0.5 * t)
 
-    if value_at_infinity is not None and float(value_at_infinity) >= best_v:
-        best_v, best_inf = float(value_at_infinity), True
-
-    witness = INFINITY if best_inf else origin + best_tau * w
-    return best_v, BoundaryWitness(witness, best_v)
+    return best_v, BoundaryWitness(origin + best_tau * w, best_v)

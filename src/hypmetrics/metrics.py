@@ -2,11 +2,11 @@
 compared against.
 
 All metrics share the signature ``metric(domain, x, y) -> float`` with
-x, y interior points.  Closed forms are evaluated directly; supremum
-definitions go through :func:`hypmetrics.geometry.boundary_sup`.  The
-hyperbolic metric rho is special: it exists only on the unit ball and
-the upper half-space, where it also coincides with the boundary-pair
-metric delta.
+x, y interior points.  Closed forms, including most suprema, are
+evaluated directly; on finite complements suprema are exact maxima.  The
+Cassinian metric on the ball and the half-space and s on the ball go
+through :func:`hypmetrics.geometry.boundary_sup`.  rho exists only on
+the ball and the half-space, where delta and alpha coincide with it.
 """
 
 from __future__ import annotations
@@ -177,69 +177,80 @@ def delta_metric(domain, x, y) -> float:
     return math.log1p(best)
 
 
-def _axis_sups(domain, x, y, *, at_infinity):
-    """Suprema of log(|p-y|/|p-x|) and of log(|p-x|/|p-y|) over the finite
-    boundary, with an optional candidate value at infinity."""
-    a, _ = boundary_sup(
-        domain, DistancePairFunctional("log_dy_over_dx", x, y), value_at_infinity=at_infinity
-    )
-    b, _ = boundary_sup(
-        domain, DistancePairFunctional("log_dx_over_dy", x, y), value_at_infinity=at_infinity
-    )
-    return a, b
-
-
 def alpha_metric(domain, x, y) -> float:
     """Apollonian metric sup_{p,q} log |p,x,y,q|, evaluated as the sum of
     the two single-boundary-point suprema the cross-ratio splits into.
 
-    The point at infinity, when it belongs to the boundary, contributes
-    value 0 to each factor.
+    On the ball and the half-space it equals rho (Beardon 1998), which is
+    returned directly.  On a finite complement both suprema are exact
+    maxima; the point at infinity, when it belongs to the boundary,
+    contributes value 0 to each.
     """
+    if isinstance(domain, (UnitBall, UpperHalfSpace)):
+        return rho(domain, x, y)
     x, y = _pair(domain, x, y)
     if (x == y).all():
         return 0.0
-    a, b = _axis_sups(domain, x, y, at_infinity=0.0)
-    return a + b
+    # log is monotone, so each factor takes it once, of its largest ratio
+    dpx = domain.distances(x)
+    dpy = domain.distances(y)
+    a = float(np.max(dpy / dpx))
+    b = float(np.max(dpx / dpy))
+    if domain.includes_infinity_boundary:
+        a, b = max(a, 1.0), max(b, 1.0)
+    return math.log(a) + math.log(b)
 
 
 def alpha_pair_form(domain, x, y) -> float:
     """Apollonian metric evaluated as a genuine supremum over boundary
     pairs (p, q) of log |p,x,y,q|.
 
-    The objective separates, so the joint supremum is assembled from the
-    finite single-point suprema A, B by case analysis: finite pairs give
-    A + B, pairs with one entry at infinity give A or B alone, and
-    coincident pairs give 0.  Pairs with both entries at infinity are not
-    admissible.
+    On the ball and the half-space it is rho, as :func:`alpha_metric`.
+    On a finite complement it is the exact maximum over admissible pairs:
+    coincident pairs give 0 and pairs with both entries at infinity are
+    not admissible.
     """
+    if isinstance(domain, (UnitBall, UpperHalfSpace)):
+        return rho(domain, x, y)
     x, y = _pair(domain, x, y)
     if (x == y).all():
         return 0.0
-    if isinstance(domain, FiniteComplement):
-        # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
-        # monotone, so it is taken once, of the largest ratio
-        dpx = domain.distances(x)
-        dpy = domain.distances(y)
-        best = float(np.max((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])))
-        if domain.includes_infinity_boundary:
-            best = max(best, float(np.max(dpx / dpy)), float(np.max(dpy / dpx)))
-        return math.log(best)
-    a, b = _axis_sups(domain, x, y, at_infinity=None)
-    candidates = [a + b, 0.0]
-    if isinstance(domain, UpperHalfSpace):
-        candidates += [a, b]
-    return max(candidates)
+    # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
+    # monotone, so it is taken once, of the largest ratio
+    dpx = domain.distances(x)
+    dpy = domain.distances(y)
+    best = float(np.max((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])))
+    if domain.includes_infinity_boundary:
+        best = max(best, float(np.max(dpx / dpy)), float(np.max(dpy / dpx)))
+    return math.log(best)
 
 
 def eta_metric(domain, x, y) -> float:
     """Quasihyperbolic-type boundary metric sup_p |log(|x-p| / |y-p|)|,
-    the supremum running over the finite boundary."""
+    the supremum running over the finite boundary.
+
+    On the ball and the half-space it is log max(lambda(x, y),
+    lambda(y, x)), with lambda(x, y) = sup_p |p-x| / |p-y| the ratio at
+    which the Apollonian sphere around y touches the boundary: ([x,y] +
+    |x-y|) / (1 - |y|^2), [x,y]^2 = |x-y|^2 + (1-|x|^2)(1-|y|^2), on the
+    ball; (|x-y| + sqrt(|x-y|^2 + 4 x_n y_n)) / (2 y_n) on the half-space.
+    """
     x, y = _pair(domain, x, y)
     if (x == y).all():
         return 0.0
-    v, _ = boundary_sup(domain, DistancePairFunctional("abs_log_ratio", x, y))
-    return v
+    r = _sep(x, y)
+    if isinstance(domain, UnitBall):
+        # both lambdas share the numerator; 1 - |v|^2 is factored, and the
+        # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
+        nx, ny = math.sqrt(np.dot(x, x)), math.sqrt(np.dot(y, y))
+        tx, ty = (1.0 - nx) * (1.0 + nx), (1.0 - ny) * (1.0 + ny)
+        return math.log((math.sqrt(r * r + tx * ty) + r) / min(tx, ty))
+    if isinstance(domain, UpperHalfSpace):
+        hx, hy = float(x[-1]), float(y[-1])
+        return math.log((r + math.sqrt(r * r + 4.0 * hx * hy)) / (2.0 * min(hx, hy)))
+    dpx = domain.distances(x)
+    dpy = domain.distances(y)
+    return math.log(max(float(np.max(dpx / dpy)), float(np.max(dpy / dpx))))
 
 
 def cassinian(domain, x, y) -> float:
@@ -248,6 +259,8 @@ def cassinian(domain, x, y) -> float:
     if (x == y).all():
         return 0.0
     r = _sep(x, y)
+    if isinstance(domain, FiniteComplement):
+        return float(np.max(r / (domain.distances(x) * domain.distances(y))))
     v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r))
     return v
 
@@ -259,7 +272,15 @@ def triangular_ratio(domain, x, y) -> float:
     if (x == y).all():
         return 0.0
     r = _sep(x, y)
-    v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
+    if isinstance(domain, UpperHalfSpace):
+        # the shortest path from x over the boundary to y is |x - mirror(y)|
+        mirror = y.copy()
+        mirror[-1] = -mirror[-1]
+        return r / _sep(x, mirror)
+    if isinstance(domain, FiniteComplement):
+        v = float(np.max(r / (domain.distances(x) + domain.distances(y))))
+    else:
+        v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
     return min(v, 1.0)
 
 

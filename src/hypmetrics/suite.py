@@ -118,8 +118,8 @@ class ConfigurationError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """A probe's point family left its domain, or gave a non-finite
-    estimate, at some schedule point."""
+    """A probe's point family left its domain, was undefined, or gave a
+    non-finite estimate at some schedule point."""
 
 
 def _round12(v):
@@ -672,7 +672,8 @@ def catalog() -> Catalog:
         return abs(pair - summ), 0.0
 
     add("T-ALPHA-FORMS", "joint boundary-pair supremum form of the Apollonian metric against its two-factor sum form",
-        "|alpha_pair - alpha_sum| == 0", (ball, punct1, punct3), ev_alpha_forms)
+        "|alpha_pair - alpha_sum| == 0", (ball, punct1, punct3), ev_alpha_forms,
+        notes="on the ball both forms are rho, so there the case checks only bookkeeping")
 
     # -- Cassinian comparisons ------------------------------------------------
     def ev_equ12(domain, smp):
@@ -1022,10 +1023,16 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     estimates = []
     for t in schedule:
         try:
-            v = float(probe.evaluate(t))
+            # a huge t may overflow; the non-finite estimate is rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = float(probe.evaluate(t))
         except DomainMembershipError as exc:
             raise ScheduleError(
                 f"probe {probe.probe_id}: point family leaves the domain at t = {t!r} ({exc})"
+            ) from None
+        except ParameterError as exc:
+            raise ScheduleError(
+                f"probe {probe.probe_id}: the family is undefined at t = {t!r} ({exc})"
             ) from None
         if not math.isfinite(v):
             raise ScheduleError(f"probe {probe.probe_id}: the estimate at t = {t!r} is {v}")

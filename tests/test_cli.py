@@ -308,6 +308,15 @@ class TestProbe:
         assert code == 2 and out == ""
         assert err == "error: probe P6: the estimate at t = 1e+300 is nan\n"
 
+    def test_schedule_where_the_family_is_undefined(self, capsys):
+        # the family's own parameter check fails; the error names probe and t
+        code, out, err = run(capsys, "probe", "--id", "P8", "--schedule", "0.1,0.01,0.001,1e300")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: probe P8: the family is undefined at t = 1e+300 "
+            "(ball_automorphism needs 0 < |a| < 1)\n"
+        )
+
     def test_schedule_leaving_the_domain(self, capsys):
         code, _, err = run(capsys, "probe", "--id", "P4", "--schedule", "0.5,0.9,0.99,1.0")
         assert code == 2 and "leaves the domain" in err

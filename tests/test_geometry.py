@@ -193,21 +193,11 @@ class TestDistancePairFunctional:
 
 
 class TestBoundarySup:
-    def test_finite_complement_exact_max(self):
-        d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
-        x, y = np.zeros(3), 0.5 * E1
-        f = DistancePairFunctional("log_dx_over_dy", x, y)
-        v, w = boundary_sup(d, f)
-        # per removed point: log(1/0.5) at e1, log(1/1.5) at -e1
-        assert v == pytest.approx(math.log(2.0), abs=1e-15)
-        assert np.array_equal(w.point, E1)
-
-    def test_infinity_candidate_wins_when_larger(self):
-        d = FiniteComplement(3, [E1])
-        x, y = np.zeros(3), 0.5 * E1
-        f = DistancePairFunctional("log_dx_over_dy", x, y)
-        v, w = boundary_sup(d, f, value_at_infinity=5.0)
-        assert v == 5.0 and is_infinity(w.point)
+    def test_finite_complements_are_not_searched(self):
+        # their suprema are exact maxima in the metrics
+        d = FiniteComplement(3, [E1, -E1])
+        with pytest.raises(ParameterError, match="ball and the half-space only"):
+            boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), 0.5 * E1))
 
     def test_membership_is_enforced(self):
         b = UnitBall(3)
@@ -245,12 +235,25 @@ class TestBoundarySup:
         for _ in range(10):
             x = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
             y = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
-            f = DistancePairFunctional("abs_log_ratio", x, y)
+            f = DistancePairFunctional("inv_product", x, y, scale=float(np.linalg.norm(x - y)))
             v, _ = boundary_sup(h, f)
             g = rng.normal(size=(4000, 2)) * 5.0
             pts = np.concatenate([g, np.zeros((4000, 1))], axis=1)
             brute = float(np.max(f(pts)))
             assert v >= brute - 1e-12
+
+    def test_pairs_collinear_with_the_origin(self):
+        # any plane through such a pair will do; a basis built from
+        # rounding residue distorted it and missed the peak by 10^5
+        b = UnitBall(3)
+        v = np.array([-0.9920662471377072, -0.07024627560503027, 0.10424980601769739])
+        v /= np.linalg.norm(v)
+        for x, y in ((np.zeros(3), (1.0 - 1e-6) * v), (0.3 * v, -0.6 * v), (-0.0 * v, 0.5 * v)):
+            # the product of distances is least at the outer point's projection
+            p = v if y @ v > 0 else -v
+            exact = 1.0 / float(np.linalg.norm(p - x) * np.linalg.norm(p - y))
+            for f in (DistancePairFunctional("inv_product", x, y), DistancePairFunctional("inv_product", y, x)):
+                assert boundary_sup(b, f)[0] == pytest.approx(exact, rel=1e-9)
 
     def test_argument_order_is_immaterial(self):
         b = UnitBall(3)
@@ -260,10 +263,10 @@ class TestBoundarySup:
             y = rng.uniform(-0.9, 0.9, 3)
             if np.linalg.norm(x) >= 1 or np.linalg.norm(y) >= 1:
                 continue
-            v1, _ = boundary_sup(b, DistancePairFunctional("abs_log_ratio", x, y))
-            v2, _ = boundary_sup(b, DistancePairFunctional("abs_log_ratio", y, x))
+            v1, _ = boundary_sup(b, DistancePairFunctional("inv_product", x, y))
+            v2, _ = boundary_sup(b, DistancePairFunctional("inv_product", y, x))
             # both orders probe the same boundary points; the residual is
-            # one ulp from the flipped division inside the log
+            # one ulp from the flipped product
             assert v1 == pytest.approx(v2, rel=5e-16)
 
     def test_sup_refinement_swaps_and_restores_knobs(self, monkeypatch):
@@ -278,7 +281,7 @@ class TestBoundarySup:
             return sup_ball(f, *setting)
 
         monkeypatch.setattr(geo, "_sup_ball", recording)
-        f = DistancePairFunctional("abs_log_ratio", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
+        f = DistancePairFunctional("inv_product", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
         boundary_sup(UnitBall(2), f)
         with sup_refinement():
             boundary_sup(UnitBall(2), f)

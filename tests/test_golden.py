@@ -1,10 +1,10 @@
 """Golden seed-42 report: the whole catalog at 500 samples per case plus
 every probe, reproduced byte for byte apart from ``wall_time``.
 
-The file was generated once from the code before any refactor of the
-engine and is never regenerated to absorb a diff; an intended numerical
-change is shown and justified in CHANGES.md instead.  ``golden_text()``
-is the function that wrote it.
+The file is never regenerated to absorb a diff.  An intended numerical
+change goes in as one reviewed diff of the file, each changed value
+listed in CHANGES.md next to its old value and a 50-digit mpmath
+evaluation.  ``golden_text()`` is the function that writes it.
 """
 
 import json

@@ -218,7 +218,9 @@ class TestDelta:
 
 @pytest.mark.parametrize("infinity", [True, False])
 def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
-    # the array reductions do the loops' arithmetic, so they agree exactly
+    # the array reductions do the loops' arithmetic, so they agree exactly;
+    # the point at infinity gives |p,x,y,q| its limit, ratio 1 in each
+    # Apollonian factor and 0 in the eta, Cassinian and s functionals
     from hypmetrics.geometry import INFINITY, cross_ratio
     from hypmetrics.suite import sample_pair
 
@@ -228,11 +230,20 @@ def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
     rng = np.random.default_rng(8)
     for _ in range(100):
         x, y = sample_pair(d, rng)
+        r = math.sqrt(float(np.dot(x - y, x - y)))
+        dist = [(math.sqrt(float(np.dot(x - p, x - p))), math.sqrt(float(np.dot(y - p, y - p)))) for p in d.removed]
         delta = math.log1p(max(cross_ratio(p, x, q, y) for p, q in pairs))
         alpha = max(math.log(cross_ratio(p, x, y, q)) for p, q in pairs)
-        near = min(math.sqrt(float(np.dot(x - p, x - p))) for p in d.removed)
+        at_infinity = [1.0] if infinity else []
+        alpha_sum = math.log(max([b / a for a, b in dist] + at_infinity)) + math.log(
+            max([a / b for a, b in dist] + at_infinity)
+        )
+        eta = math.log(max(max(a / b, b / a) for a, b in dist))
         assert (delta_metric(d, x, y), alpha_pair_form(d, x, y)) == (delta, alpha)
-        assert d.distance_to_boundary(x) == near
+        assert (alpha_metric(d, x, y), eta_metric(d, x, y)) == (alpha_sum, eta)
+        assert cassinian(d, x, y) == max(r / (a * b) for a, b in dist)
+        assert triangular_ratio(d, x, y) == min(max(r / (a + b) for a, b in dist), 1.0)
+        assert d.distance_to_boundary(x) == min(a for a, _ in dist)
 
 
 class TestAlpha:
