@@ -26,6 +26,7 @@ from hypmetrics.geometry import (
     require_member,
     sup_refinement,
 )
+from hypmetrics.metrics import alpha_metric, alpha_pair_form, eta_metric
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -198,6 +199,25 @@ class TestBoundarySup:
         d = FiniteComplement(3, [E1, -E1])
         with pytest.raises(ParameterError, match="ball and the half-space only"):
             boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), 0.5 * E1))
+
+    def test_finite_complement_exact_max(self):
+        d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
+        x, y = np.zeros(3), 0.5 * E1
+        ratios = d.distances(x) / d.distances(y)
+        # per removed point: 1/0.5 at e1, 1/1.5 at -e1
+        assert np.array_equal(d.removed[np.argmax(ratios)], E1)
+        assert eta_metric(d, x, y) == pytest.approx(math.log(2.0), abs=1e-15)
+
+    def test_infinity_candidate_wins_when_larger(self):
+        x, y = np.zeros(3), 0.5 * E1
+        with_inf = FiniteComplement(3, [E1])
+        without = FiniteComplement(3, [E1], includes_infinity_boundary=False)
+        # sup_p |p-y| / |p-x| is 0.5 at e1 and 1 at infinity
+        assert alpha_metric(with_inf, x, y) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert alpha_metric(without, x, y) == pytest.approx(0.0, abs=1e-15)
+        # the only pair without infinity is (e1, e1), of cross-ratio 1
+        assert alpha_pair_form(with_inf, x, y) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert alpha_pair_form(without, x, y) == 0.0
 
     def test_membership_is_enforced(self):
         b = UnitBall(3)
