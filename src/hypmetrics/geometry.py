@@ -5,12 +5,14 @@ supremum engine.
 Every metric in this package is either a closed-form expression or a
 supremum of a functional over the domain boundary; on a finite
 complement such a supremum is a maximum over the removed points.  The
-supremum engine serves the suprema that have neither: the Cassinian
-metric on the ball and the half-space, and s on the ball.  It uses the
-rotational symmetry of these domains to reduce the search to one
-parameter: a coarse scan locates candidate brackets and golden-section
-refinement polishes each of them.  The result is a certified lower bound
-on the true supremum and is treated as the supremum by callers.
+supremum engine serves the two suprema that have neither, both on the
+ball: the Cassinian metric and s.  (The half-space Cassinian metric is a
+cubic root solve in :mod:`hypmetrics.metrics`.)  It uses the rotational
+symmetry of the ball to reduce the search to one parameter, the angle on
+a great circle: a coarse scan locates candidate brackets and
+golden-section refinement polishes each of them.  The result is a
+certified lower bound on the true supremum and is treated as the
+supremum by callers.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -305,7 +307,7 @@ class DistancePairFunctional:
     """Boundary functional that depends on p only through |p-x| and |p-y|.
 
     The metric suprema with no closed form have this shape: the Cassinian
-    metric on the ball and the half-space, and s on the ball.  ``x`` and
+    metric and s on the ball.  ``x`` and
     ``y`` are trusted float arrays; :func:`boundary_sup` checks only that
     they lie in its domain.  Instances are callables on boundary points
     (vectorized over leading axes); boundary_sup evaluates the scan and
@@ -378,24 +380,22 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
     return best_t, best_v
 
 
-def _bracket_indices(values: np.ndarray, circular: bool) -> list[int]:
-    """Indices of coarse-scan local maxima, best first, capped."""
+def _bracket_indices(values: np.ndarray) -> list[int]:
+    """Indices of local maxima of a circular coarse scan, best first, capped."""
     v = values
-    n = len(v)
-    flat = np.empty(n, dtype=bool)
-    flat[1:] = v[1:] >= v[:-1]
-    flat[0] = v[0] >= v[-1] if circular else True
-    keep = flat
-    flat = np.empty(n, dtype=bool)
-    flat[:-1] = v[:-1] >= v[1:]
-    flat[-1] = v[-1] >= v[0] if circular else True
-    idx = np.flatnonzero(keep & flat)
+    rise = np.empty(len(v), dtype=bool)
+    rise[1:] = v[1:] >= v[:-1]
+    rise[0] = v[0] >= v[-1]
+    fall = np.empty(len(v), dtype=bool)
+    fall[:-1] = v[:-1] >= v[1:]
+    fall[-1] = v[-1] >= v[0]
+    idx = np.flatnonzero(rise & fall)
     if idx.size == 0:
         idx = np.array([int(np.argmax(v))])
     order = idx[np.argsort(v[idx])[::-1]]
     picked: list[int] = []
     for i in order:
-        if all(min(abs(i - j), len(v) - abs(i - j) if circular else abs(i - j)) > 1 for j in picked):
+        if all(min(abs(i - j), len(v) - abs(i - j)) > 1 for j in picked):
             picked.append(int(i))
         if len(picked) >= _MAX_BRACKETS:
             break
@@ -432,22 +432,20 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, BoundaryWitness]:
-    """Supremum of ``f`` over the boundary sphere of the ball or the
-    boundary hyperplane of the half-space, with a witness.
+    """Supremum of ``f`` over the boundary sphere of the ball, with a
+    witness.
 
-    The points ``f.x`` and ``f.y`` must lie in the domain; they also
-    supply the symmetry plane of the reduction.  Both kinds vanish at
-    infinity, so the half-space search runs over finite points only.
+    The points ``f.x`` and ``f.y`` must lie in the ball; they also supply
+    the symmetry plane of the reduction.  Every other domain raises
+    ParameterError: its suprema are formulas or exact maxima.
     """
     for name, p in (("x", f.x), ("y", f.y)):
         if not domain.contains(p):
             raise DomainMembershipError(f"{name} {p.tolist()} is not in {domain!r}")
 
-    if isinstance(domain, UnitBall):
-        return _sup_ball(f, *_setting)
-    if isinstance(domain, UpperHalfSpace):
-        return _sup_halfspace(f, *_setting)
-    raise ParameterError(f"boundary_sup searches the ball and the half-space only, got {domain!r}")
+    if not isinstance(domain, UnitBall):
+        raise ParameterError(f"boundary_sup searches the ball only, got {domain!r}")
+    return _sup_ball(f, *_setting)
 
 
 def circle_gauge(a: float, b: float):
@@ -466,22 +464,17 @@ def circle_distance(r0: float, t0: float, theta):
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
-    """Order a pair by raw bytes so the search parametrization (and with
-    it every probed boundary point) is identical for (x, y) and (y, x)."""
+    """Order a pair by raw bytes so that a computation from the ordered
+    pair (a search parametrization, the half-space Cassinian cubic) gives
+    the same bits for (x, y) and (y, x)."""
     return (x, y) if x.tobytes() <= y.tobytes() else (y, x)
 
 
-# the coarse grids depend only on the sample count, so their trig is shared
+# the coarse grid depends only on the sample count, so its trig is shared
 @functools.cache
 def _coarse_circle(coarse: int):
     thetas = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
     return thetas, np.sin(0.5 * thetas), np.cos(0.5 * thetas)
-
-
-@functools.cache
-def _coarse_line(coarse: int):
-    thetas = -math.pi + (np.arange(coarse) + 0.5) * (2.0 * math.pi / coarse)
-    return thetas, np.tan(0.5 * thetas)
 
 
 def _circ_gap(a: float, b: float) -> float:
@@ -527,7 +520,7 @@ def _sup_ball(f, coarse, param_tol):
             best_v, best_theta = v, t
 
     bracket_tol = max(param_tol, h * param_tol * _ADAPTIVE_TOL_FACTOR)
-    for i in _bracket_indices(values, circular=True):
+    for i in _bracket_indices(values):
         c0 = float(thetas[i])
         if any(_circ_gap(c0, t0) <= 2.0 * h for _, t0 in anchors):
             continue  # peak already inside an anchor window
@@ -538,68 +531,3 @@ def _sup_ball(f, coarse, param_tol):
             best_v, best_theta = v, t
     witness = math.cos(best_theta) * u1 + math.sin(best_theta) * u2
     return best_v, BoundaryWitness(witness, best_v)
-
-
-def _sup_halfspace(f, coarse, param_tol):
-    x, y = f.x, f.y
-    base, other = _canonical_pair(x, y)
-    origin = base.copy()
-    origin[-1] = 0.0
-    horiz = other - base
-    horiz[-1] = 0.0
-    ell = math.sqrt(np.dot(horiz, horiz))
-    if ell > 1e-300:
-        w = horiz / ell
-    else:
-        w = np.zeros(x.size)
-        w[0] = 1.0
-    hx, hy = float(x[-1]), float(y[-1])
-    tau_x = 0.0 if base is x else ell
-    tau_y = ell - tau_x
-    scale = ell + hx + hy
-
-    form = f.scalar_form()
-    hyp = math.hypot
-
-    def eval_tau(tau: float) -> float:
-        return form(hyp(tau - tau_x, hx), hyp(tau - tau_y, hy))
-
-    def eval_theta(theta: float) -> float:
-        return eval_tau(scale * math.tan(0.5 * theta))
-
-    step = 2.0 * math.pi / coarse
-    thetas, tan05 = _coarse_line(coarse)
-    taus = scale * tan05
-    values = f.array(np.hypot(taus - tau_x, hx), np.hypot(taus - tau_y, hy))
-
-    theta_cap = math.pi - 1e-9
-    i0 = int(np.argmax(values))
-    best_v = float(values[i0])
-    best_tau = float(taus[i0])
-
-    # anchors first: boundary feet of x and y, refined in the line
-    # coordinate with a window sized by each point's own height so that
-    # arbitrarily sharp peaks stay resolvable
-    for (tau_a, s_a) in ((tau_x, hx), (tau_y, hy)):
-        lo, hi = tau_a - 4.0 * s_a, tau_a + 4.0 * s_a
-        t, v = _golden_max(eval_tau, lo, hi, max(s_a * param_tol * _ADAPTIVE_TOL_FACTOR, 5e-324))
-        if v > best_v:
-            best_v, best_tau = v, t
-
-    # brackets near an anchor's angular position see the full pole
-    # curvature and are always refined; the margin rule only prunes cells
-    # safely away from both feet
-    feet = (2.0 * math.atan2(tau_x, scale), 2.0 * math.atan2(tau_y, scale))
-    bracket_tol = max(param_tol, step * param_tol * _ADAPTIVE_TOL_FACTOR)
-    for i in _bracket_indices(values, circular=False):
-        th0 = float(thetas[i])
-        if (all(abs(th0 - th) > 12.0 * step for th in feet)
-                and float(values[i]) < best_v * _BRACKET_FLOOR):
-            continue
-        lo = max(th0 - step, -theta_cap)
-        hi = min(th0 + step, theta_cap)
-        t, v = _golden_max(eval_theta, lo, hi, bracket_tol)
-        if v > best_v:
-            best_v, best_tau = v, scale * math.tan(0.5 * t)
-
-    return best_v, BoundaryWitness(origin + best_tau * w, best_v)

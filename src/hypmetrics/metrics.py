@@ -4,9 +4,11 @@ compared against.
 All metrics share the signature ``metric(domain, x, y) -> float`` with
 x, y interior points.  Closed forms, including most suprema, are
 evaluated directly; on finite complements suprema are exact maxima.  The
-Cassinian metric on the ball and the half-space and s on the ball go
-through :func:`hypmetrics.geometry.boundary_sup`.  rho exists only on
-the ball and the half-space, where delta and alpha coincide with it.
+Cassinian metric on the half-space is the largest of its values at the
+feet of x and y and at the real roots of one cubic.  Only the Cassinian
+metric and s on the ball are searched, by
+:func:`hypmetrics.geometry.boundary_sup`.  rho exists only on the ball
+and the half-space, where delta and alpha coincide with it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
+    _canonical_pair,
     boundary_sup,
     require_member,
 )
@@ -93,8 +96,9 @@ def rho(domain, x, y) -> float:
     if isinstance(domain, UnitBall):
         nx = math.sqrt(np.dot(x, x))
         ny = math.sqrt(np.dot(y, y))
-        # (1 - |x|^2) factored to keep precision near the boundary
-        t = (1.0 - nx) * (1.0 + nx) * (1.0 - ny) * (1.0 + ny)
+        # (1 - |x|^2) factored to keep precision near the boundary, and
+        # grouped per point so that swapping x and y keeps the bits
+        t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
     if isinstance(domain, UpperHalfSpace):
         h = 2.0 * float(x[-1]) * float(y[-1])
@@ -254,15 +258,53 @@ def eta_metric(domain, x, y) -> float:
 
 
 def cassinian(domain, x, y) -> float:
-    """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary."""
+    """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary.
+
+    On the half-space the product of distances is least on the boundary
+    line through the feet of x and y.  With the feet at tau = 0 and
+    tau = l and heights h_x, h_y, its square g(tau) = (tau^2 + h_x^2)
+    ((tau-l)^2 + h_y^2) has the critical points 2 tau^3 - 3 l tau^2 +
+    (l^2 + h_x^2 + h_y^2) tau - l h_x^2 = 0; the metric is the largest
+    value over the real roots and both feet.
+    """
     x, y = _pair(domain, x, y)
     if (x == y).all():
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, FiniteComplement):
         return float(np.max(r / (domain.distances(x) * domain.distances(y))))
+    if isinstance(domain, UpperHalfSpace):
+        # ordered so that (x, y) and (y, x) give the same bits
+        a, b = _canonical_pair(x, y)
+        ha, hb = float(a[-1]), float(b[-1])
+        horiz = b - a
+        horiz[-1] = 0.0
+        ell = math.sqrt(np.dot(horiz, horiz))
+        # lengths in units of s; tau = s (t + el/2), centred between the
+        # feet, turns the cubic into t^3 + p t + q
+        s = ell + ha + hb
+        el, ea, eb = ell / s, ha / s, hb / s
+        p = (2.0 * (ea * ea + eb * eb) - el * el) / 4.0
+        q = el * (eb * eb - ea * ea) / 4.0
+        taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
+        return max(r / (math.hypot(t, ha) * math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
     v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r))
     return v
+
+
+def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
+    """Real roots of t^3 + p t + q = 0 (Cardano, or the trigonometric
+    form when all three are real)."""
+    d = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if d > 0.0:
+        # the two cube roots are c and -p/(3c); c takes the sign that adds magnitudes
+        c = -math.copysign((0.5 * abs(q) + math.sqrt(d)) ** (1.0 / 3.0), q)
+        return (c - p / (3.0 * c),)
+    if p >= 0.0:
+        return (0.0,)  # with d <= 0 only p = q = 0 gets here
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+    return tuple(m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3))
 
 
 def triangular_ratio(domain, x, y) -> float:

@@ -26,7 +26,7 @@ from hypmetrics.geometry import (
     require_member,
     sup_refinement,
 )
-from hypmetrics.metrics import alpha_metric, alpha_pair_form, eta_metric
+from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -195,10 +195,10 @@ class TestDistancePairFunctional:
 
 class TestBoundarySup:
     def test_finite_complements_are_not_searched(self):
-        # their suprema are exact maxima in the metrics
-        d = FiniteComplement(3, [E1, -E1])
-        with pytest.raises(ParameterError, match="ball and the half-space only"):
-            boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), 0.5 * E1))
+        # nor the half-space: their suprema are exact maxima or formulas
+        for d in (FiniteComplement(3, [E1, -E1]), UpperHalfSpace(3)):
+            with pytest.raises(ParameterError, match="ball only"):
+                boundary_sup(d, DistancePairFunctional("inv_sum", 0.5 * E3, E3))
 
     def test_finite_complement_exact_max(self):
         d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
@@ -250,13 +250,14 @@ class TestBoundarySup:
             assert float(f(w.point)) == pytest.approx(v, rel=1e-12)
 
     def test_halfspace_sup_against_dense_scan(self):
+        # the half-space Cassinian metric is a cubic root solve, not a search
         h = UpperHalfSpace(3)
         rng = np.random.default_rng(10)
         for _ in range(10):
             x = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
             y = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
             f = DistancePairFunctional("inv_product", x, y, scale=float(np.linalg.norm(x - y)))
-            v, _ = boundary_sup(h, f)
+            v = cassinian(h, x, y)
             g = rng.normal(size=(4000, 2)) * 5.0
             pts = np.concatenate([g, np.zeros((4000, 1))], axis=1)
             brute = float(np.max(f(pts)))
@@ -348,7 +349,7 @@ class TestDirectCallsMatchNumpyWrappers:
         for x, y in zip(pts[:-3], pts[1:-3]):
             nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
             r = float(np.linalg.norm(x - y))
-            t = (1.0 - nx) * (1.0 + nx) * (1.0 - ny) * (1.0 + ny)
+            t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
             expected = 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
             assert rho(b, x, y).hex() == expected.hex()
 

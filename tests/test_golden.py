@@ -8,6 +8,7 @@ evaluation.  ``golden_text()`` is the function that writes it.
 """
 
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 from hypmetrics.cli import main
@@ -33,9 +34,23 @@ def golden_text(tmp_dir: Path) -> tuple[int, int, str]:
     return verify_code, probe_code, text + "\n"
 
 
+def changed_fields(golden: str, text: str) -> list[tuple]:
+    """(record id, field, golden value, new value) for each field of each
+    record that differs between two serialized reports."""
+    old, new = json.loads(golden), json.loads(text)
+    out = []
+    for section in ("verify", "probe"):
+        for a, b in zip_longest(old[section], new[section], fillvalue={}):
+            rid = a.get("case_id", b.get("case_id"))
+            out += [(rid, k, a.get(k), b.get(k)) for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+    return out
+
+
 def test_seed42_report_matches_the_golden_file(tmp_path):
     verify_code, probe_code, text = golden_text(tmp_path)
     # T-ALJ is the known counterexample and P5 misses its tolerance
     assert (verify_code, probe_code) == (1, 1)
     golden = GOLDEN.read_text(encoding="utf-8")
-    assert text == golden
+    if text != golden:
+        rows = "\n".join(map(repr, changed_fields(golden, text)))
+        raise AssertionError(f"report differs from {GOLDEN.name}; (id, field, golden, new):\n{rows}")

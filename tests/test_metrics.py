@@ -29,6 +29,7 @@ from hypmetrics.metrics import (
     triangular_ratio,
     u_metric,
 )
+from hypmetrics.suite import sample_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -159,6 +160,13 @@ class TestRho:
         t = 1.0 - 1e-12
         got = rho(BALL, O, t * E1)
         assert got == pytest.approx(rho_axial(BALL, 0.0, t), rel=1e-9)
+
+    def test_ball_value_is_symmetric_to_the_bit(self):
+        # multiplying the four factors left to right rounded (x, y) and
+        # (y, x) differently on 128 of these pairs
+        rng = np.random.default_rng(0)
+        pairs = [sample_pair(BALL, rng) for _ in range(2000)]
+        assert [(x, y) for x, y in pairs if rho(BALL, x, y) != rho(BALL, y, x)] == []
 
 
 class TestDistanceRatio:

@@ -1,5 +1,5 @@
-"""50-digit references for every metric with a closed form or an exact
-finite maximum.
+"""50-digit references for every metric with a closed form, an exact
+finite maximum or a root solve.
 
 Each reference evaluates its formula in mpmath at the exact binary value
 of the float inputs, so a comparison sees only the package's own
@@ -10,7 +10,9 @@ down to 1e-6 around punctures.
 The one-sided Apollonian supremum lambda(x, y) = sup_p |p-x| / |p-y|
 over the boundary is the ratio at which the Apollonian sphere around y
 first touches the boundary.  Then eta = log max(lambda(x, y),
-lambda(y, x)) and alpha = log lambda(x, y) + log lambda(y, x).
+lambda(y, x)) and alpha = log lambda(x, y) + log lambda(y, x).  The
+half-space Cassinian metric takes the least product of distances over
+the real roots of a cubic, found by ``polyroots``, and the two feet.
 
 Tolerance: 1e-12 relative plus 8 eps absolute, the absolute term
 multiplied on the ball by (1 + 1/d(x) + 1/d(y)), since 1 - |x| inherits
@@ -68,6 +70,19 @@ def lam(domain, x, y):
     return max(best, MP.one) if domain.includes_infinity_boundary else best
 
 
+def _least_foot_product(x, y):
+    """Least g(tau) = (tau^2 + h_x^2) ((tau-l)^2 + h_y^2) on the boundary
+    line through the feet of x and y (at tau = 0 and tau = l): the least
+    squared product of the distances to the half-space boundary."""
+    ell = _dist(x[:-1], y[:-1])
+    hx, hy = x[-1], y[-1]
+    roots = MP.polyroots([2, -3 * ell, ell**2 + hx**2 + hy**2, -ell * hx**2], maxsteps=200, extraprec=200)
+    # the real part of any root is a boundary point too, so taking it for
+    # the complex roots adds candidates without passing the minimum
+    taus = [MP.zero, ell] + [MP.re(t) for t in roots]
+    return min((t * t + hx * hx) * ((t - ell) ** 2 + hy * hy) for t in taus)
+
+
 def reference(domain, name, x, y):
     x, y = _mp(x), _mp(y)
     r = _dist(x, y)
@@ -88,6 +103,8 @@ def reference(domain, name, x, y):
     if name == "alpha":
         return MP.log(lam(domain, x, y)) + MP.log(lam(domain, y, x))
     if name == "cassinian":
+        if isinstance(domain, UpperHalfSpace):
+            return r / MP.sqrt(_least_foot_product(x, y))
         return max(r / (a * b) for a, b in zip(dxs, dys))
     if name == "triangular":
         if isinstance(domain, UpperHalfSpace):
@@ -157,7 +174,7 @@ DOMAINS = [
 ]
 CLOSED = {
     UnitBall: ("u", "rho", "j", "j_tilde", "eta", "alpha"),
-    UpperHalfSpace: ("u", "rho", "j", "j_tilde", "eta", "alpha", "triangular"),
+    UpperHalfSpace: ("u", "rho", "j", "j_tilde", "eta", "alpha", "cassinian", "triangular"),
     FiniteComplement: ("u", "j", "j_tilde", "eta", "alpha", "cassinian", "triangular"),
 }
 CASES = [(d, name) for d in DOMAINS for name in CLOSED[type(d)]]
@@ -179,6 +196,22 @@ def test_metric_meets_its_50_digit_reference(domain, name):
         assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, x, y, float(want)), (
             name, x.tolist(), y.tolist(), got, float(want)
         )
+        assert evaluate_metric(domain, name, y, x) == got, (name, x.tolist(), y.tolist())
+
+
+def test_cassinian_at_a_sharp_ball_minimum():
+    # both points 1e-6 from the sphere and 1e-6 apart: the product of
+    # distances has a sharp minimum between the two poles, which a root
+    # solve of the ball quartic must reproduce before it replaces the
+    # search.  The value ~ 1/(d(x) d(y)) carries the relative rounding of
+    # 1 - |x|, so it is compared on the log scale, where the tolerance's
+    # 1/d amplification applies.
+    ball = UnitBall(3)
+    x = np.array([0.5999994, 0.7999992, 0.0])
+    y = np.array([0.5999986000005, 0.7999997999990001, 0.0])
+    want = MP.mpf("799999.36002271656893")
+    got = evaluate_metric(ball, "cassinian", x, y)
+    assert abs(float(MP.log(got) - MP.log(want))) <= tolerance(ball, x, y, float(MP.log(want))), got
 
 
 def _textbook_eta(x, y):
