@@ -30,7 +30,6 @@ from .metrics import (
     alpha_pair_form,
     cassinian,
     delta_metric,
-    delta_pair_form,
     eta_metric,
     evaluable_metrics,
     evaluate_metric,

@@ -155,7 +155,15 @@ def _cmd_eval(args) -> int:
         domain = FiniteComplement(
             dim, removed, includes_infinity_boundary=not args.no_infinity_boundary
         )
-    value = evaluate_metric(domain, args.metric, x, y)
+    # squared coordinates beyond about 1e154 overflow, and so do ratios
+    # over subnormal boundary distances; the non-finite value is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = evaluate_metric(domain, args.metric, x, y)
+    if not np.isfinite(value):
+        raise ParameterError(
+            f"{args.metric} evaluates to {value} at these points: their coordinates are "
+            "too large (or a distance to the boundary too small) for double precision"
+        )
     print(f"{value:.12g}")
     return 0
 

@@ -38,7 +38,6 @@ __all__ = [
     "j_tilde",
     "j_metric",
     "delta_metric",
-    "delta_pair_form",
     "alpha_metric",
     "alpha_pair_form",
     "eta_metric",
@@ -155,9 +154,8 @@ def delta_metric(domain, x, y) -> float:
     """Boundary-pair (Seittenranta) metric log(1 + sup |p,x,q,y|).
 
     On the ball and the half-space the supremum reproduces the hyperbolic
-    metric exactly and rho is returned directly; the numerical supremum
-    is kept separately in :func:`delta_pair_form` as a cross-check.  On a
-    finite complement the boundary is a finite point set (plus infinity
+    metric exactly (Seittenranta 1999) and rho is returned directly.  On
+    a finite complement the boundary is a finite point set (plus infinity
     when flagged) and the supremum is an exact maximum.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
@@ -324,114 +322,6 @@ def triangular_ratio(domain, x, y) -> float:
     else:
         v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
     return min(v, 1.0)
-
-
-# delta_pair_form's grid points per boundary parameter and ascent rounds
-_DELTA_COARSE = 192
-_DELTA_ROUNDS = 14
-
-
-def delta_pair_form(domain, x, y) -> float:
-    """Boundary-pair metric via direct two-parameter optimization.
-
-    Cross-check for the identity delta == rho on the ball and half-space;
-    on finite complements it repeats the exact maximum of
-    :func:`delta_metric`.  The two boundary parameters are optimized on a
-    coarse product grid followed by coordinate-ascent golden refinement.
-    """
-    if isinstance(domain, FiniteComplement):
-        return delta_metric(domain, x, y)
-    x, y = _pair(domain, x, y)
-    if (x == y).all():
-        return 0.0
-    r = _sep(x, y)
-    if isinstance(domain, UnitBall):
-        best = _delta_grid_ball(domain, x, y, r)
-    else:
-        best = _delta_grid_halfspace(domain, x, y, r)
-    return math.log1p(best)
-
-
-def _coordinate_ascent(g, t0, s0, widths):
-    from .geometry import _golden_max
-
-    t, s = t0, s0
-    best = g(t, s)
-    wt, ws = widths
-    for _ in range(_DELTA_ROUNDS):
-        t, v = _golden_max(lambda a: g(a, s), t - wt, t + wt, 1e-13 * max(1.0, abs(t)))
-        best = max(best, v)
-        s, v = _golden_max(lambda a: g(t, a), s - ws, s + ws, 1e-13 * max(1.0, abs(s)))
-        best = max(best, v)
-        # diagonal passes keep the ascent moving along coupled ridges,
-        # where pure coordinate steps stall
-        u, v = _golden_max(lambda a: g(t + a * wt, s + a * ws), -1.0, 1.0, 1e-13)
-        t, s = t + u * wt, s + u * ws
-        best = max(best, v)
-        u, v = _golden_max(lambda a: g(t + a * wt, s - a * ws), -1.0, 1.0, 1e-13)
-        t, s = t + u * wt, s - u * ws
-        best = max(best, v)
-        wt *= 0.5
-        ws *= 0.5
-    return best
-
-
-def _delta_grid_ball(domain, x, y, r):
-    from .geometry import _plane_basis, circle_distance, circle_gauge
-
-    u1, u2 = _plane_basis(x, y)
-    rx, tx = circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2)))
-    ry, ty = circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2)))
-    th = np.linspace(-math.pi, math.pi, _DELTA_COARSE, endpoint=False)
-    dpx = np.maximum(circle_distance(rx, tx, th), 1e-300)
-    dqy = np.maximum(circle_distance(ry, ty, th), 1e-300)
-    # |p - q| = 2 |sin((t - s)/2)| for p, q on the unit circle of the plane
-    dpq = 2.0 * np.abs(np.sin(0.5 * (th[:, None] - th[None, :])))
-    grid = (dpq * r) / (dpx[:, None] * dqy[None, :])
-    i, k = np.unravel_index(int(np.argmax(grid)), grid.shape)
-
-    def g(t, s):
-        dp = max(float(circle_distance(rx, tx, t)), 1e-300)
-        dq = max(float(circle_distance(ry, ty, s)), 1e-300)
-        return 2.0 * abs(math.sin(0.5 * (t - s))) * r / (dp * dq)
-
-    h = 2.0 * math.pi / _DELTA_COARSE
-    best = _coordinate_ascent(g, float(th[i]), float(th[k]), (h, h))
-    # peaks hide near the boundary projections of x and y when they are
-    # close to the sphere; seed a second ascent there
-    if rx > 1e-12 and ry > 1e-12:
-        best = max(best, _coordinate_ascent(g, tx, ty, (h, h)))
-    return max(best, float(grid[i, k]))
-
-
-def _delta_grid_halfspace(domain, x, y, r):
-    hx, hy = float(x[-1]), float(y[-1])
-    horiz = y - x
-    horiz[-1] = 0.0
-    ell = math.sqrt(np.dot(horiz, horiz))
-    scale = ell + hx + hy
-    th = -math.pi + (np.arange(_DELTA_COARSE) + 0.5) * (2.0 * math.pi / _DELTA_COARSE)
-    taus = scale * np.tan(0.5 * th)
-    dpx = np.hypot(taus, hx)
-    dqy = np.hypot(taus - ell, hy)
-    dpq = np.abs(taus[:, None] - taus[None, :])
-    grid = (dpq * r) / (dpx[:, None] * dqy[None, :])
-    i, k = np.unravel_index(int(np.argmax(grid)), grid.shape)
-
-    def g(t, s):
-        return abs(t - s) * r / (math.hypot(t, hx) * math.hypot(s - ell, hy))
-
-    # grid cells widen like scale*(1 + (tau/scale)^2); ascent windows must
-    # span at least one cell or far-out peaks stay out of reach
-    step = 2.0 * math.pi / _DELTA_COARSE
-    wt = max(abs(taus[i]) * 0.05, hx, 0.6 * scale * (1.0 + (taus[i] / scale) ** 2) * step)
-    ws = max(abs(taus[k]) * 0.05, hy, 0.6 * scale * (1.0 + (taus[k] / scale) ** 2) * step)
-    best = _coordinate_ascent(g, float(taus[i]), float(taus[k]), (wt, ws))
-    best = max(best, _coordinate_ascent(g, 0.0, ell, (4.0 * hx, 4.0 * hy)))
-    best = max(best, float(grid[i, k]))
-    # one boundary entry at infinity: the surviving factors peak at the
-    # projections of x and y
-    return max(best, r / hx, r / hy)
 
 
 _DISPATCH = {

@@ -307,7 +307,6 @@ class InequalityCase:
     condition: str = ""
     sampler: str = "pair"
     map_family: str | None = None
-    requires_convex: bool = False
     grid: tuple[float, float] | None = None
     notes: str = ""
 
@@ -323,7 +322,6 @@ class SharpnessProbe:
     expected_limit: float
     tolerance: float
     evaluate: Callable[[float], float]
-    monotone_required: bool = False
 
 
 @dataclass(frozen=True)
@@ -540,7 +538,7 @@ def catalog() -> Catalog:
         return A(domain, smp.x, smp.y), J(domain, smp.x, smp.y)
 
     add("T-ALJ", "Apollonian metric below the distance-ratio metric on convex domains",
-        "alpha <= j", convex2, ev_alj, requires_convex=True, condition="convex domains only",
+        "alpha <= j", convex2, ev_alj, condition="convex domains only",
         notes="known counterexample: alpha(0, e1/2) = log 3 > log 2 = j on the ball, "
         "because alpha = rho >= j on the ball and the half-space")
 
@@ -664,7 +662,7 @@ def catalog() -> Catalog:
 
     add("T-ALPHA-U-CONVEX", "multiplicative Apollonian bound for u on convex domains",
         "u <= 3*alpha", convex2, ev_alpha_u_convex, constant=3.0,
-        requires_convex=True, condition="convex domains only")
+        condition="convex domains only")
 
     def ev_alpha_forms(domain, smp):
         pair = alpha_pair_form(domain, smp.x, smp.y)
@@ -805,7 +803,7 @@ def catalog() -> Catalog:
         "P5", "one-sided family in punctured space driving u down to the half-Apollonian metric",
         "x = 0, y = t*e1 in space punctured at e1, t -> 1-",
         "ratio", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 7)),
-        1.0, 5e-2, p5_eval, monotone_required=True))
+        1.0, 5e-2, p5_eval))
 
     def p6_eval(t):
         return U(punct0, t * e1, -t * e1)
@@ -836,7 +834,7 @@ def catalog() -> Catalog:
         "P8", "ball automorphisms attaining the multiplicative distortion factor 3",
         "f centered at t*e1 applied to x = (1-t)*e1, y = -(1-t)*e1, t -> 1-",
         "ratio", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 7)),
-        3.0, 5e-2, p8_eval, monotone_required=True))
+        3.0, 5e-2, p8_eval))
 
     cay = cayley_map(n)
 
@@ -934,7 +932,6 @@ def check_case(
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     slack: float = DEFAULT_SLACK,
-    domain_override=None,
 ) -> CaseResult:
     """Run one catalog case on freshly sampled configurations.
 
@@ -947,18 +944,7 @@ def check_case(
         raise ParameterError("n_samples must be >= 1")
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
-    if case.sampler == "grid":
-        if domain_override is not None:
-            raise ConfigurationError(f"case {case.case_id} takes no domain")
-        domains: tuple = (None,)
-    else:
-        domains = (domain_override,) if domain_override is not None else case.domains
-        if case.requires_convex:
-            for d in domains:
-                if not d.convex:
-                    raise ConfigurationError(
-                        f"case {case.case_id} applies to convex domains only; got {d!r}"
-                    )
+    domains = (None,) if case.sampler == "grid" else case.domains
 
     started = time.perf_counter()
     violations = 0
@@ -1011,7 +997,8 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     Reports the estimate at each point, the deviation of the final
     estimate from the expected sharp constant, and whether the deviation
     is non-increasing over the last three points (deviations at the
-    noise floor count as converged).
+    noise floor count as converged).  Every probe must be monotone in
+    that sense to pass, as well as end within its tolerance.
     """
     schedule = tuple(float(t) for t in (schedule_overrides or probe.schedule))
     if len(schedule) < 4:

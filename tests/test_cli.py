@@ -75,6 +75,18 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "metric, x, y", [("u", "0,1e200", "1e200,1e200"), ("rho", "0,1e100", "1e100,1e100")]
+    )
+    def test_overflow_exits_2(self, capsys, metric, x, y):
+        # squared coordinates overflow: u comes out nan and rho inf
+        code, out, err = run(
+            capsys, "eval", "--domain", "halfspace", "--metric", metric, "-x", x, "-y", y
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {metric} evaluates to ")
+        assert "too large" in err and "double precision" in err
+
     def test_no_infinity_boundary_changes_the_domain(self, capsys):
         args = ["--metric", "delta", "-x", "0,0,0", "-y", "2,0,0"]
         code, out, _ = run(

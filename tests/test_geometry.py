@@ -18,8 +18,6 @@ from hypmetrics.geometry import (
     UpperHalfSpace,
     as_point,
     boundary_sup,
-    circle_distance,
-    circle_gauge,
     cross_ratio,
     distance_to_boundary,
     is_infinity,
@@ -161,36 +159,23 @@ class TestCrossRatio:
         assert cross_ratio(p, x, q, y) == pytest.approx(cross_ratio(q, y, p, x), rel=1e-14)
 
 
-def test_circle_distance_matches_euclidean():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a, b = rng.uniform(-1, 1, 2)
-        r0, t0 = circle_gauge(a, b)
-        theta = rng.uniform(-math.pi, math.pi)
-        p = np.array([math.cos(theta), math.sin(theta)])
-        direct = np.linalg.norm(p - np.array([a, b]))
-        assert float(circle_distance(r0, t0, theta)) == pytest.approx(direct, abs=1e-14)
-
-
-def test_circle_distance_near_boundary_precision():
-    # the factored form must not lose digits when the point hugs the circle
-    r0, t0 = 1.0 - 1e-9, 0.3
-    assert float(circle_distance(r0, t0, t0)) == pytest.approx(1e-9, rel=1e-12)
-
-
 class TestDistancePairFunctional:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             DistancePairFunctional("nope", E1, -E1)
 
     def test_scalar_array_agreement(self):
+        # boundary_sup scans with form() on arrays and refines with it on
+        # floats, so both must give the same bits
         x, y = 0.3 * E1, -0.2 * E3
+        p = np.array([[0.6, 0.8, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, -0.8]])
         for kind in DistancePairFunctional.KINDS:
             f = DistancePairFunctional(kind, x, y, scale=0.7)
-            p = np.array([0.6, 0.8, 0.0])
-            dx = float(np.linalg.norm(p - x))
-            dy = float(np.linalg.norm(p - y))
-            assert float(f(p)) == pytest.approx(f.scalar_form()(dx, dy), rel=1e-15)
+            values = f(p)
+            for row, v in zip(p, values):
+                dx = float(np.linalg.norm(row - x))
+                dy = float(np.linalg.norm(row - y))
+                assert f.form(dx, dy) == float(v)
 
 
 class TestBoundarySup:

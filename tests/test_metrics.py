@@ -18,7 +18,6 @@ from hypmetrics.metrics import (
     alpha_pair_form,
     cassinian,
     delta_metric,
-    delta_pair_form,
     eta_metric,
     evaluable_metrics,
     evaluate_metric,
@@ -208,20 +207,66 @@ class TestDelta:
             delta_metric(d, O, 0.5 * E3)
 
     def test_pair_form_tracks_rho(self):
+        # delta_metric returns rho on these domains; the reference takes the
+        # supremum over boundary pairs itself
         rng = np.random.default_rng(14)
-        for _ in range(10):
-            x = rng.uniform(-0.55, 0.55, 3)
-            y = rng.uniform(-0.55, 0.55, 3)
-            assert delta_pair_form(BALL, x, y) == pytest.approx(rho(BALL, x, y), abs=1e-9)
+        pairs = [
+            (BALL, rng.uniform(-0.55, 0.55, 3), rng.uniform(-0.55, 0.55, 3)) for _ in range(10)
+        ]
         for _ in range(10):
             x = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-1, 1)])
             y = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-1, 1)])
-            assert delta_pair_form(HALF, x, y) == pytest.approx(rho(HALF, x, y), abs=1e-8)
+            pairs.append((HALF, x, y))
+        # a vertical pair: its geodesic ends at infinity
+        pairs.append((HALF, np.array([0.3, -0.2, 0.5]), np.array([0.3, -0.2, 4.0])))
+        for d, x, y in pairs:
+            ref = _delta_pair_sup(d, x, y)
+            assert delta_metric(d, x, y) == pytest.approx(ref, rel=0, abs=1e-12)
 
-    def test_pair_form_is_exact_on_finite_complements(self):
-        d = FiniteComplement(3, [O, 2.0 * E1])
-        x, y = 0.5 * E1, 1.5 * E1
-        assert delta_pair_form(d, x, y) == delta_metric(d, x, y)
+
+def _delta_pair_sup(domain, x, y, n=201, rounds=10):
+    """log(1 + sup |p,x,q,y|) over boundary pairs (p, q) of the ball or the
+    half-space: a dense grid over two boundary parameters, zoomed in
+    around its argmax round after round.
+
+    On the ball p and q run over the unit circle of the plane through 0,
+    x and y (x on its real axis); on the half-space they run over the
+    boundary line through the feet of x and y, as tau = scale*tan(t/2),
+    and the pairs with one entry at infinity add r/h_x and r/h_y.
+    """
+    r = float(np.linalg.norm(x - y))
+    if isinstance(domain, UnitBall):
+        nx = float(np.linalg.norm(x))
+        a = float(np.dot(y, x)) / nx
+        zx, zy = nx, complex(a, float(np.linalg.norm(y - a * x / nx)))
+
+        def cross(t, s):
+            p, q = np.exp(1j * t), np.exp(1j * s)
+            return np.abs(p - q) * r / (np.abs(p - zx) * np.abs(q - zy))
+
+        best = 0.0
+    else:
+        hx, hy = float(x[-1]), float(y[-1])
+        ell = float(np.linalg.norm((y - x)[:-1]))
+        scale = ell + hx + hy
+
+        def cross(t, s):
+            tau, sig = scale * np.tan(0.5 * t), scale * np.tan(0.5 * s)
+            return np.abs(tau - sig) * r / (np.hypot(tau, hx) * np.hypot(sig - ell, hy))
+
+        best = max(r / hx, r / hy)
+    g = np.linspace(-1.0, 1.0, n)
+    t0 = s0 = 0.0
+    w = math.pi
+    for _ in range(rounds):
+        t, s = t0 + w * g, s0 + w * g
+        v = cross(t[:, None], s[None, :])
+        i, k = np.unravel_index(int(np.argmax(v)), v.shape)
+        best = max(best, float(v[i, k]))
+        t0, s0 = float(t[i]), float(s[k])
+        # the next window spans two cells on each side of the argmax
+        w *= 4.0 / (n - 1)
+    return math.log1p(best)
 
 
 @pytest.mark.parametrize("infinity", [True, False])
