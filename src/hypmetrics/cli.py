@@ -156,10 +156,16 @@ def _cmd_eval(args) -> int:
             dim, removed, includes_infinity_boundary=not args.no_infinity_boundary
         )
     # squared coordinates beyond about 1e154 overflow, and so do ratios
-    # over subnormal boundary distances; the non-finite value is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = evaluate_metric(domain, args.metric, x, y)
-    if not np.isfinite(value):
+    # over subnormal boundary distances; products of two tiny heights or
+    # distances underflow to 0 and raise in a division instead.  Either
+    # way the value is rejected
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = evaluate_metric(domain, args.metric, x, y)
+        finite = bool(np.isfinite(value))
+    except ArithmeticError as exc:
+        value, finite = f"a {type(exc).__name__}", False
+    if not finite:
         raise ParameterError(
             f"{args.metric} evaluates to {value} at these points: their coordinates are "
             "too large (or a distance to the boundary too small) for double precision"

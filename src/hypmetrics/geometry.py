@@ -37,6 +37,7 @@ __all__ = [
     "INFINITY",
     "is_infinity",
     "as_point",
+    "same_point",
     "UnitBall",
     "UpperHalfSpace",
     "FiniteComplement",
@@ -142,11 +143,21 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ParameterError(f"point has non-finite coordinates: {arr.tolist()}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
     return arr
+
+
+def same_point(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two finite points of one dimension are equal coordinatewise.
+
+    IEEE ``==`` on Python floats, so -0.0 equals 0.0; comparing the
+    ``tolist()`` copies is several times cheaper than a numpy reduction
+    on a handful of coordinates.
+    """
+    return x.tolist() == y.tolist()
 
 
 def _dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -217,8 +228,10 @@ class FiniteComplement:
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
         pts = np.array(pts)
-        same = (pts[:, None, :] == pts[None, :, :]).all(axis=-1)
-        if np.triu(same, k=1).any():
+        # membership compares Python floats, like same_point; -0.0 and 0.0
+        # hash alike, so the set finds duplicates under the same equality
+        self._removed_rows = pts.tolist()
+        if len(set(map(tuple, self._removed_rows))) < len(pts):
             raise ParameterError("removed points must be pairwise distinct")
         pts.setflags(write=False)
         self.dim = dim
@@ -226,7 +239,7 @@ class FiniteComplement:
         self.includes_infinity_boundary = bool(includes_infinity_boundary)
 
     def contains(self, x) -> bool:
-        return not (self.removed == x).all(axis=1).any()
+        return np.asarray(x, dtype=float).tolist() not in self._removed_rows
 
     def distances(self, x) -> np.ndarray:
         """|p - x| for each removed point p, in order; ``x`` may carry

@@ -28,6 +28,7 @@ from .geometry import (
     _canonical_pair,
     boundary_sup,
     require_member,
+    same_point,
 )
 
 __all__ = [
@@ -78,7 +79,7 @@ def u_metric(domain, x, y) -> float:
     with d the distance to the boundary.
     """
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     dx = domain.distance_to_boundary(x)
     dy = domain.distance_to_boundary(y)
@@ -89,7 +90,7 @@ def u_metric(domain, x, y) -> float:
 def rho(domain, x, y) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UnitBall):
@@ -133,7 +134,7 @@ def j_tilde(domain, x, y) -> float:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     dx = domain.distance_to_boundary(x)
@@ -144,7 +145,7 @@ def j_tilde(domain, x, y) -> float:
 def j_metric(domain, x, y) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     return math.log1p(r / min(domain.distance_to_boundary(x), domain.distance_to_boundary(y)))
@@ -166,7 +167,7 @@ def delta_metric(domain, x, y) -> float:
             "or the infinity flag)"
         )
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
     # leaves |x-y| over the other entry's distance
@@ -191,7 +192,7 @@ def alpha_metric(domain, x, y) -> float:
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
         return rho(domain, x, y)
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     # log is monotone, so each factor takes it once, of its largest ratio
     dpx = domain.distances(x)
@@ -215,7 +216,7 @@ def alpha_pair_form(domain, x, y) -> float:
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
         return rho(domain, x, y)
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
     # monotone, so it is taken once, of the largest ratio
@@ -238,7 +239,7 @@ def eta_metric(domain, x, y) -> float:
     ball; (|x-y| + sqrt(|x-y|^2 + 4 x_n y_n)) / (2 y_n) on the half-space.
     """
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UnitBall):
@@ -266,7 +267,7 @@ def cassinian(domain, x, y) -> float:
     value over the real roots and both feet.
     """
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, FiniteComplement):
@@ -309,7 +310,7 @@ def triangular_ratio(domain, x, y) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary)."""
     x, y = _pair(domain, x, y)
-    if (x == y).all():
+    if same_point(x, y):
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, UpperHalfSpace):

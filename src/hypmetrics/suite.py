@@ -11,9 +11,12 @@ bounds keep their two sides as-is.  Every probe drives a parametric
 family toward a limit that attains a sharp constant and records the
 convergence table.
 
-Determinism contract: sample k of a case uses an RNG stream derived from
-(seed, case id, k) alone, so results do not depend on execution order or
-parallelism.
+Determinism contract: sample k of a case draws from a Philox stream
+keyed by (seed, case id, k) alone and started at counter 0, so results
+do not depend on execution order or on how samples are split across
+processes.  Each process re-keys one generator for every sample; a
+sample is built completely from its stream before the next stream is
+keyed, so the generator is never shared between threads.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     is_infinity,
+    same_point,
     sup_refinement,
 )
 from .metrics import (
@@ -132,10 +136,38 @@ def _round12(v):
 # Deterministic sampling
 
 
+@lru_cache(maxsize=1)
+def _philox() -> np.random.Generator:
+    # built on first use, not at import: loading numpy.random takes
+    # 12-14 ms, which importing the package and building the catalog
+    # otherwise never pay
+    return np.random.Generator(np.random.Philox(0))
+
+
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
+    """The Philox stream of sample k of a case: keyed by the first 16
+    bytes of SHA-256("seed:case_id:k"), at counter 0.
+
+    Philox is counter-based, so re-keying one generator and clearing its
+    counter and buffers gives the draws of a fresh
+    ``Generator(Philox(key=key))`` without the OS-entropy seeding that
+    construction pays for.  The returned generator is process state,
+    valid until the next call; not thread-safe, like sup_refinement.
+    """
     digest = hashlib.sha256(f"{seed}:{case_id}:{k}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    rng = _philox()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -179,7 +211,7 @@ def sample_pair(domain, rng: np.random.Generator):
     x = sample_point(domain, rng)
     while True:
         y = sample_point(domain, rng)
-        if not (x == y).all():
+        if not same_point(x, y):
             return x, y
 
 
@@ -210,7 +242,7 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
             continue
         signs = np.where(flips, -1.0, 1.0)
         y = anchor + w * signs
-        if domain.contains(y) and domain.contains(x) and not (x == y).all():
+        if domain.contains(y) and domain.contains(x) and not same_point(x, y):
             return x, y
     return sample_pair(domain, rng)
 
@@ -283,7 +315,7 @@ def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> S
             x, y = sample_pair(domain, rng)
             fx = f.apply(x)
             fy = f.apply(y)
-            if is_infinity(fx) or is_infinity(fy) or (fx == fy).all():
+            if is_infinity(fx) or is_infinity(fy) or same_point(fx, fy):
                 continue
             if not (fd.contains(fx) and fd.contains(fy)):
                 continue

@@ -76,10 +76,18 @@ class TestEval:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "metric, x, y", [("u", "0,1e200", "1e200,1e200"), ("rho", "0,1e100", "1e100,1e100")]
+        "metric, x, y",
+        [
+            ("u", "0,1e200", "1e200,1e200"),
+            ("rho", "0,1e100", "1e100,1e100"),
+            ("u", "0,0,1e-200", "1,0,1e-200"),
+            ("rho", "0,0,1e-200", "1,0,1e-200"),
+        ],
     )
     def test_overflow_exits_2(self, capsys, metric, x, y):
-        # squared coordinates overflow: u comes out nan and rho inf
+        # squared coordinates overflow: u comes out nan and rho inf; the
+        # products d(x) d(y) and 2 x_n y_n of heights 1e-200 underflow to
+        # 0 and raise ZeroDivisionError
         code, out, err = run(
             capsys, "eval", "--domain", "halfspace", "--metric", metric, "-x", x, "-y", y
         )

@@ -1,5 +1,6 @@
 """Tests for points, domains, cross-ratio, and the boundary supremum engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypmetrics.geometry import (
     distance_to_boundary,
     is_infinity,
     require_member,
+    same_point,
     sup_refinement,
 )
 from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric
@@ -298,9 +300,18 @@ class TestBoundarySup:
 
 
 class TestDirectCallsMatchNumpyWrappers:
-    """The per-point path computes norms as math.sqrt(np.dot(v, v)) and
-    equality as (x == y).all(); both must give the bits of the numpy
-    wrappers they replace, in the regimes the sampler stresses."""
+    """The per-point path computes norms as math.sqrt(np.dot(v, v)), and
+    finiteness, equality and finite-complement membership on Python
+    floats; each must decide as the numpy expression it replaces, in the
+    regimes the sampler stresses and on IEEE edge coordinates."""
+
+    # signed zeros, infinities, nan, the smallest subnormal, the smallest
+    # normal and values near the top of the range
+    TINY = 2.2250738585072014e-308
+    EDGE = (0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, TINY, 1e308, -1e308)
+    EDGE_POINTS = [np.array(c) for c in itertools.product(EDGE, repeat=2)] + [
+        np.array([c, -c, 1.0]) for c in EDGE
+    ]
 
     @staticmethod
     def _ball_points(n):
@@ -365,4 +376,33 @@ class TestDirectCallsMatchNumpyWrappers:
     )
     def test_equality(self, x, y):
         x, y = np.array(x), np.array(y)
-        assert bool((x == y).all()) == np.array_equal(x, y)
+        assert same_point(x, y) == np.array_equal(x, y) == bool((x == y).all())
+
+    def test_finiteness_on_edge_coordinates(self):
+        for a in self.EDGE_POINTS:
+            try:
+                as_point(a)
+                accepted = True
+            except ParameterError:
+                accepted = False
+            assert accepted == bool(np.isfinite(a).all()), a
+
+    def test_equality_on_edge_coordinates(self):
+        for x, y in itertools.product(self.EDGE_POINTS, repeat=2):
+            if x.size == y.size:
+                assert same_point(x, y) == np.array_equal(x, y), (x, y)
+        # nan is unequal to itself, as in numpy
+        nan = np.array([math.nan, 0.0])
+        assert not same_point(nan, nan)
+
+    def test_membership_on_edge_coordinates(self):
+        removed = [[0.0, -0.0], [5e-324, 1e308], [-1e308, self.TINY], [1.0, -0.0]]
+        c = FiniteComplement(2, removed)
+        assert c.removed.tolist() == removed
+        for x in (p for p in self.EDGE_POINTS if p.size == 2):
+            assert c.contains(x) == (not (c.removed == x).all(axis=1).any()), x
+        assert not c.contains(np.array([-0.0, 0.0]))
+        assert not c.contains([1.0, 0.0])
+        # duplicates are found under the same equality
+        with pytest.raises(ParameterError, match="pairwise distinct"):
+            FiniteComplement(2, [[0.0, 1.0], [-0.0, 1.0]])

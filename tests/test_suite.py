@@ -1,7 +1,12 @@
 """Tests for the verification suite: sampling, case running, probes, reports."""
 
+import hashlib
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +49,48 @@ class TestSampling:
         c = _stream(42, "OTHER", 0).random()
         d = _stream(43, "CASE", 0).random()
         assert len({a, b, c, d}) == 4
+
+    @staticmethod
+    def _draws(rng):
+        # every draw kind the sampler makes, and a closing int32 draw that
+        # leaves half a word cached (has_uint32 = 1) for the next stream
+        return [
+            rng.random(),
+            int(rng.integers(3)),
+            int(rng.integers(1, 7)),
+            rng.uniform(-6.0, 0.5),
+            rng.standard_normal(5).tolist(),
+            rng.random(3).tolist(),
+            int(rng.integers(0, 2**31 - 1, dtype=np.int32)),
+        ]
+
+    def test_stream_matches_a_fresh_philox(self):
+        # consecutive streams share one generator; each must start from
+        # counter 0 with empty buffers whatever the previous one left
+        grid = itertools.product((0, 42, 2**40 + 3), ("AX-J", "T-ALJ", "P5"), (0, 1, 9999))
+        for seed, case_id, k in grid:
+            rng = _stream(seed, case_id, k)
+            got = self._draws(rng)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            digest = hashlib.sha256(f"{seed}:{case_id}:{k}".encode()).digest()
+            key = np.frombuffer(digest[:16], dtype=np.uint64)
+            assert got == self._draws(np.random.Generator(np.random.Philox(key=key)))
+
+    def test_catalog_leaves_numpy_random_unloaded(self):
+        # loading numpy.random takes 12-14 ms, which the import and the
+        # catalog never need; the generator is built on the first stream
+        code = "import sys, hypmetrics; hypmetrics.catalog(); print('numpy.random' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(geo.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("domain", [BALL, HALF, PUNCT])
     def test_sample_point_membership(self, domain):
