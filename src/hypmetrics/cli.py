@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 
 import numpy as np
@@ -40,6 +41,32 @@ from .suite import (
 )
 
 _FORMATS = ("json", "csv", "text")
+_NEGATIVE_LEAD = re.compile(r"-\.?\d")
+
+
+def _takes_a_list(option: str) -> bool:
+    """Whether ``option`` names one whose value is a comma-separated list
+    of numbers; argparse also accepts unambiguous abbreviations of long
+    options, such as ``--sched``."""
+    return option in ("-x", "-y") or (
+        len(option) > 2 and ("--remove".startswith(option) or "--schedule".startswith(option))
+    )
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Spell ``-x -0.5,0`` as ``-x=-0.5,0``.
+
+    argparse reads a token that starts with "-" and is not a plain
+    negative number as an option, so a list whose first value is
+    negative would leave its option without an argument.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and _NEGATIVE_LEAD.match(token) and _takes_a_list(out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -264,7 +291,8 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_negative_lists(argv))
     try:
         _check_out(getattr(args, "out", None))
         if args.command == "eval":

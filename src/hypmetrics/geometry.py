@@ -1,26 +1,30 @@
 """Extended Euclidean geometry: finite points plus a point at infinity,
-the three canonical domains, the absolute cross-ratio, and a boundary
-supremum engine.
+the three canonical domains, the absolute cross-ratio, and the boundary
+suprema of the ball.
 
 Every metric in this package is either a closed-form expression or a
 supremum of a functional over the domain boundary; on a finite
-complement such a supremum is a maximum over the removed points.  The
-supremum engine serves the two suprema that have neither, both on the
-ball: the Cassinian metric and s.  (The half-space Cassinian metric is a
-cubic root solve in :mod:`hypmetrics.metrics`.)  It uses the rotational
-symmetry of the ball to reduce the search to one parameter, the angle on
-a great circle: a coarse scan locates candidate brackets and
-golden-section refinement polishes each of them.  Each value it returns
-is the functional at one boundary point, so it is a lower bound on the
-supremum up to the rounding of 1 - |x| (and of the angles in the plane),
-amplified by 1/d with d the distance to the sphere: for a pair 1e-6 from
-the sphere and 1e-6 apart the Cassinian metric comes out 1.05e-10
-relative above its true value.  Callers treat it as the supremum.
+complement such a supremum is a maximum over the removed points.
+:func:`boundary_sup` serves the two suprema that have neither, both on
+the ball: the Cassinian metric and s.  (The half-space Cassinian metric
+is a cubic root solve in :mod:`hypmetrics.metrics`.)  Both use the
+rotational symmetry of the ball to reduce to one parameter, the angle on
+a great circle.  The Cassinian metric is a root solve: the quartic whose
+roots are the critical points of the product of distances locates each
+minimum, and Newton's method polishes it.  s is the one search left, the
+supremum engine: a coarse scan locates candidate brackets and
+golden-section refinement polishes each of them.  Each value either
+returns is the functional at one boundary point, so it is a lower bound
+on the supremum up to the rounding of 1 - |x| (and of the angles in the
+plane), amplified by 1/d with d the distance to the sphere: for a pair
+1e-6 from the sphere and 1e-6 apart the Cassinian metric comes out
+1.05e-10 relative above its true value.  Callers treat it as the
+supremum.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
-domain methods, the closed forms and the supremum engine take trusted
-float arrays of the domain's dimension.
+domain methods, the closed forms and boundary_sup take trusted float
+arrays of the domain's dimension.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class EngineSetting(NamedTuple):
 
 
 # The engine's only two settings, echoed into every report: SCAN for every
-# supremum, RECHECK for borderline violations under sup_refinement().
+# search (s on the ball), RECHECK for borderline violations under
+# sup_refinement().  The Cassinian root solve has no setting.
 SCAN = EngineSetting(1024, 1e-12)
 RECHECK = EngineSetting(8192, 1e-13)
 _setting = SCAN
@@ -304,7 +309,7 @@ def cross_ratio(p, x, q, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary supremum engine
+# Boundary suprema of the ball
 
 
 @dataclass
@@ -324,8 +329,10 @@ class DistancePairFunctional:
     they lie in its domain.  Instances are callables on boundary points
     (vectorized over leading axes).  ``form(dx, dy)`` is the value from the
     two distances, on floats and arrays alike; boundary_sup evaluates the
-    scan and the refinement through it, directly in distance coordinates,
-    which is both faster and free of point reconstruction error.
+    inv_sum scan and refinement through it, directly in distance
+    coordinates, which is both faster and free of point reconstruction
+    error.  The inv_product root solve returns scale / sqrt of the least
+    product of squared distances.
 
     Kinds:
       inv_product         scale / (|p-x| |p-y|)
@@ -442,7 +449,9 @@ def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, Boun
 
     The points ``f.x`` and ``f.y`` must lie in the ball; they also supply
     the symmetry plane of the reduction.  Every other domain raises
-    ParameterError: its suprema are formulas or exact maxima.
+    ParameterError: its suprema are formulas or exact maxima.  The
+    inv_product kind is a root solve that ignores SCAN and RECHECK; the
+    inv_sum kind is searched at the engine's current setting.
     """
     for name, p in (("x", f.x), ("y", f.y)):
         if not domain.contains(p):
@@ -450,6 +459,8 @@ def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, Boun
 
     if not isinstance(domain, UnitBall):
         raise ParameterError(f"boundary_sup searches the ball only, got {domain!r}")
+    if f.kind == "inv_product":
+        return _least_product_ball(f)
     return _sup_ball(f, *_setting)
 
 
@@ -482,11 +493,168 @@ def _circ_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
+def _plane_polar(x: np.ndarray, y: np.ndarray):
+    """Basis (u1, u2) of the plane through 0, x and y, built from the
+    canonical pair, and the polar data of x and of y in it."""
+    u1, u2 = _plane_basis(*_canonical_pair(x, y))
+    return (
+        u1,
+        u2,
+        circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2))),
+        circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2))),
+    )
+
+
+def _horner(c, t: float) -> float:
+    v = 0.0
+    for a in reversed(c):
+        v = v * t + a
+    return v
+
+
+def _sign_changes(c, lo: float, hi: float, tol: float) -> list[float]:
+    """Points of (lo, hi) where the polynomial sum c[k] t^k changes sign,
+    increasing.
+
+    The roots of the derivative cut [lo, hi] into monotone pieces, each
+    with at most one sign change, found by Newton's method kept inside
+    its piece.  No step divides by the leading coefficient, so a degree
+    that drops (a leading coefficient of 0) needs no special case.
+    """
+    if len(c) == 2:
+        t = -c[0] / c[1] if c[1] != 0.0 else lo
+        return [t] if lo < t < hi else []
+    dc = [k * c[k] for k in range(1, len(c))]
+    knots = [lo, *_sign_changes(dc, lo, hi, tol), hi]
+    out = []
+    pa = _horner(c, lo)
+    for a, b in zip(knots, knots[1:]):
+        pb = _horner(c, b)
+        if (pa < 0.0) != (pb < 0.0):
+            rising = pa < 0.0
+            t = a - pa * (b - a) / (pb - pa)
+            for _ in range(100):
+                p = _horner(c, t)
+                if (p < 0.0) == rising:
+                    a = t
+                else:
+                    b = t
+                dp = _horner(dc, t)
+                step = p / dp if dp != 0.0 else math.inf
+                if abs(step) <= tol:
+                    t -= step
+                    break
+                t -= step
+                if not a < t < b:
+                    t = 0.5 * (a + b)
+                if b - a <= tol:
+                    break
+            out.append(t)
+        pa = pb
+    return out
+
+
+def _least_product_ball(f):
+    """sup of scale / (|p-x| |p-y|) over the unit sphere, from the
+    critical points of the product on a great circle.
+
+    In the plane through 0, x and y the squared distance from the circle
+    point at angle theta to a point of polar data (r, t) is D(theta) =
+    (1-r)^2 + 4 r sin^2((theta-t)/2).  D_x D_y is least on the closed short
+    arc between t_x and t_y: a point off it is dominated by an arc point
+    no farther from either.  With phi = theta - t_m, t_m the midpoint of
+    the arc, and u = tan(phi/2), each (1+u^2) D is A u^2 + B u + C with
+    delta = t - t_m, A = (1+r)^2 - 4r sin^2(delta/2), B = -4r sin(delta),
+    C = (1-r)^2 + 4r sin^2(delta/2).  For G = (1+u^2)^2 D_x D_y = sum
+    g_k u^k, (1+u^2)^3 times the u-derivative of D_x D_y is the quartic
+    -g3 u^4 + (4g4 - 2g2) u^3 + 3(g3 - g1) u^2 + (2g2 - 4g0) u + g1, so
+    D_x D_y has a minimum in each piece of the arc where that quartic
+    rises through 0.  The quartic only locates the pieces: in each one
+    Newton's method on d/dphi log(D_x D_y), kept inside the piece, finds
+    the minimum of the sin^2 form itself, the form every candidate is
+    valued in.  The least of those minima and of both arc ends (the
+    anchors t_x and t_y) wins.
+
+    Everything is computed from the canonical pair, so swapping x and y
+    gives the same bits.
+    """
+    a, b = _canonical_pair(f.x, f.y)
+    u1, u2, (ra, ta), (rb, tb) = _plane_polar(a, b)
+    gap = tb - ta
+    if gap > math.pi:
+        gap -= 2.0 * math.pi
+    elif gap < -math.pi:
+        gap += 2.0 * math.pi
+    w = 0.5 * gap  # a sits at phi = -w, b at phi = +w
+    half = abs(w)
+    oma, fa4 = (1.0 - ra) ** 2, 4.0 * ra
+    omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
+    sin, cos = math.sin, math.cos
+
+    def product(phi: float) -> float:
+        sa = sin(0.5 * (phi + w))
+        sb = sin(0.5 * (phi - w))
+        return (oma + fa4 * sa * sa) * (omb + fb4 * sb * sb)
+
+    candidates = [(product(-w), -w), (product(w), w)]
+    umax = math.tan(0.5 * half)
+    if umax > 0.0:
+        s2, sw = sin(0.5 * w) ** 2, sin(w)
+        Aa, Ba, Ca = (1.0 + ra) ** 2 - fa4 * s2, fa4 * sw, oma + fa4 * s2
+        Ab, Bb, Cb = (1.0 + rb) ** 2 - fb4 * s2, -fb4 * sw, omb + fb4 * s2
+        g4, g0 = Aa * Ab, Ca * Cb
+        g3 = Aa * Bb + Ba * Ab
+        g2 = Aa * Cb + Ba * Bb + Ca * Ab
+        g1 = Ba * Cb + Ca * Bb
+        c = (g1, 2.0 * g2 - 4.0 * g0, 3.0 * (g3 - g1), 4.0 * g4 - 2.0 * g2, -g3)
+        # the knots need only the quartic's sign between them, and Newton
+        # converges quadratically, so a loose step tolerance suffices
+        knots = _sign_changes([k * c[k] for k in range(1, 5)], -umax, umax, 1e-6 * umax)
+        us = [-umax, *knots, umax]
+        phis = [-half, *(2.0 * math.atan(k) for k in knots), half]
+        tol = 1e-12 * half
+        pa = _horner(c, -umax)
+        for i in range(len(us) - 1):
+            pb = _horner(c, us[i + 1])
+            if pa < 0.0 <= pb:
+                lo, hi = phis[i], phis[i + 1]
+                ua, ub = us[i], us[i + 1]
+                phi = 2.0 * math.atan(ua - pa * (ub - ua) / (pb - pa))
+                for _ in range(100):
+                    sa, ca = sin(0.5 * (phi + w)), cos(0.5 * (phi + w))
+                    sb, cb = sin(0.5 * (phi - w)), cos(0.5 * (phi - w))
+                    da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
+                    candidates.append((da * db, phi))
+                    # D' = 2r sin(phi - delta), D'' = 2r cos(phi - delta)
+                    ga, gb = fa4 * sa * ca / da, fb4 * sb * cb / db
+                    slope = ga + gb
+                    curve = (0.5 * fa4 * (ca * ca - sa * sa) / da - ga * ga) + (
+                        0.5 * fb4 * (cb * cb - sb * sb) / db - gb * gb
+                    )
+                    if slope < 0.0:
+                        lo = phi
+                    else:
+                        hi = phi
+                    step = slope / curve if curve > 0.0 else math.inf
+                    if abs(step) <= tol:
+                        phi -= step
+                        candidates.append((product(phi), phi))
+                        break
+                    phi -= step
+                    if not lo < phi < hi:
+                        phi = 0.5 * (lo + hi)
+                    if hi - lo <= tol:
+                        break
+            pa = pb
+    least, phi = min(candidates)
+    v = f.scale / math.sqrt(least)
+    theta = ta + w + phi
+    return v, BoundaryWitness(math.cos(theta) * u1 + math.sin(theta) * u2, v)
+
+
 def _sup_ball(f, coarse, param_tol):
     x, y = f.x, f.y
-    u1, u2 = _plane_basis(*_canonical_pair(x, y))
-    rx, tx = circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2)))
-    ry, ty = circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2)))
+    u1, u2, (rx, tx), (ry, ty) = _plane_polar(x, y)
 
     thetas, s05, c05 = _coarse_circle(coarse)
     omx, fx4 = (1.0 - rx) ** 2, 4.0 * rx

@@ -5,10 +5,11 @@ All metrics share the signature ``metric(domain, x, y) -> float`` with
 x, y interior points.  Closed forms, including most suprema, are
 evaluated directly; on finite complements suprema are exact maxima.  The
 Cassinian metric on the half-space is the largest of its values at the
-feet of x and y and at the real roots of one cubic.  Only the Cassinian
-metric and s on the ball are searched, by
-:func:`hypmetrics.geometry.boundary_sup`.  rho exists only on the ball
-and the half-space, where delta and alpha coincide with it.
+feet of x and y and at the real roots of one cubic; on the ball,
+:func:`hypmetrics.geometry.boundary_sup` takes it from the minima that a
+quartic locates on a great circle.  Only s on the ball is searched, by
+the same function.  rho exists only on the ball and the half-space,
+where delta and alpha coincide with it.
 """
 
 from __future__ import annotations
@@ -264,7 +265,12 @@ def cassinian(domain, x, y) -> float:
     tau = l and heights h_x, h_y, its square g(tau) = (tau^2 + h_x^2)
     ((tau-l)^2 + h_y^2) has the critical points 2 tau^3 - 3 l tau^2 +
     (l^2 + h_x^2 + h_y^2) tau - l h_x^2 = 0; the metric is the largest
-    value over the real roots and both feet.
+    value over the real roots and both feet.  On the ball the product is
+    least on the short arc between the projections of x and y onto the
+    great circle through them; a quartic in u = tan of half the angle
+    from the arc's midpoint locates its minima there, Newton's method
+    polishes each, and the metric is the largest value over those minima
+    and both projections (see :func:`hypmetrics.geometry.boundary_sup`).
     """
     x, y = _pair(domain, x, y)
     if same_point(x, y):

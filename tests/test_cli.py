@@ -124,6 +124,38 @@ class TestEval:
         assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["eval", "--domain", "ball", "-x", "-0.5,0", "-y", "0.2,0"],
+         ["eval", "--domain", "ball", "-x=-0.5,0", "-y", "0.2,0"]),
+        (["eval", "--domain", "ball", "-x", "0.2,0", "-y", "-.5,-0.25"],
+         ["eval", "--domain", "ball", "-x", "0.2,0", "-y=-.5,-0.25"]),
+        (["eval", "--domain", "complement", "--remove", "-1,0", "--rem", "-2e-1,3",
+          "--metric", "cassinian", "-x", "0,0", "-y", "2,0"],
+         ["eval", "--domain", "complement", "--remove=-1,0", "--rem=-2e-1,3",
+          "--metric", "cassinian", "-x", "0,0", "-y", "2,0"]),
+        (["probe", "--id", "P6", "--schedule", "-0.1,-0.5,-1,-2"],
+         ["probe", "--id", "P6", "--schedule=-0.1,-0.5,-1,-2"]),
+        (["probe", "--id", "P6", "--sched", "-0.1,-0.5,-1,-2"],
+         ["probe", "--id", "P6", "--sched=-0.1,-0.5,-1,-2"]),
+    ],
+)
+def test_lists_may_start_with_a_negative_value(capsys, argv, joined):
+    # argparse alone reads "-0.5,0" as an option and exits 2 with
+    # "expected one argument"; the spelling "-x=-0.5,0" always worked
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *joined) == (0, out, "")
+
+
+def test_an_option_name_is_not_taken_as_a_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--domain", "ball", "-x", "-y", "0.5,0"])
+    assert exc.value.code == 2
+    assert "argument -x: expected one argument" in capsys.readouterr().err
+
+
 class TestCachedParser:
     """main() builds its parser once; no call may see another's arguments."""
 

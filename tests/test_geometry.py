@@ -180,6 +180,53 @@ class TestDistancePairFunctional:
                 assert f.form(dx, dy) == float(v)
 
 
+def _least_product_scan(x, y, rounds=12):
+    """Least |p-x| |p-y| over the unit circle of the plane through 0, x
+    and y: a 2^16-point scan of the whole circle, zoomed around its
+    argmin.  Distances are Euclidean, independent of the sin^2 form."""
+    e1 = x if np.linalg.norm(x) > 0 else y
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = y - (y @ e1) * e1
+    if np.linalg.norm(e2) < 1e-12:
+        e2 = np.roll(e1, 1) - (np.roll(e1, 1) @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+
+    def products(th):
+        p = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
+        return np.linalg.norm(p - x, axis=1) * np.linalg.norm(p - y, axis=1)
+
+    th = np.linspace(-math.pi, math.pi, 2**16, endpoint=False)
+    h = th[1] - th[0]
+    for _ in range(rounds):
+        v = products(th)
+        c = th[np.argmin(v)]
+        th = np.linspace(c - 2.0 * h, c + 2.0 * h, 201)
+        h = th[1] - th[0]
+    return float(np.min(products(th)))
+
+
+_V = np.array([-0.9920662471377072, -0.07024627560503027, 0.10424980601769739])
+_V /= np.linalg.norm(_V)
+_A = 0.4
+# name: (x, y, least product of distances or None for the scan)
+BALL_PAIRS = {
+    "x-at-origin": ([0.0, 0.0, 0.0], (0.6 * _V).tolist(), 0.4),
+    "y-at-origin": ((0.6 * _V).tolist(), [0.0, 0.0, 0.0], 0.4),
+    "collinear-same-side": ((0.3 * _V).tolist(), (0.8 * _V).tolist(), 0.7 * 0.2),
+    # the short arc is a half circle either way; both halves give the same
+    # least product, at the projection of the outer point
+    "collinear-opposite-sides": ((0.3 * _V).tolist(), (-0.8 * _V).tolist(), 1.3 * 0.2),
+    "equal-norms": ([0.9 * math.cos(_A), 0.9 * math.sin(_A)], [0.9 * math.cos(_A), -0.9 * math.sin(_A)], None),
+    "equal-norms-near-the-sphere": (
+        [(1 - 1e-6) * math.cos(1e-6), (1 - 1e-6) * math.sin(1e-6)],
+        [(1 - 1e-6) * math.cos(1e-6), -(1 - 1e-6) * math.sin(1e-6)],
+        None,
+    ),
+    "sharp-minimum": ([0.5999994, 0.7999992, 0.0], [0.5999986000005, 0.7999997999990001, 0.0], None),
+    "dimension-5": ([0.3, -0.5, 0.2, 0.6, -0.1], [-0.4, 0.1, 0.5, -0.2, 0.55], None),
+}
+
+
 class TestBoundarySup:
     def test_finite_complements_are_not_searched(self):
         # nor the half-space: their suprema are exact maxima or formulas
@@ -216,6 +263,7 @@ class TestBoundarySup:
             boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), -E1))
 
     def test_ball_sup_against_dense_scan(self):
+        # the search (inv_sum) and the root solve (inv_product) alike
         b = UnitBall(3)
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -224,17 +272,19 @@ class TestBoundarySup:
             if np.linalg.norm(x) >= 1 or np.linalg.norm(y) >= 1:
                 continue
             scale = float(np.linalg.norm(x - y))
-            f = DistancePairFunctional("inv_sum", x, y, scale=scale)
-            v, w = boundary_sup(b, f)
-            # engine must dominate a dense independent scan of the sphere
             ph = rng.uniform(0, 2 * math.pi, 4000)
             ct = rng.uniform(-1, 1, 4000)
             st = np.sqrt(1 - ct * ct)
             pts = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-            brute = float(np.max(f(pts)))
-            assert v >= brute - 1e-12
-            assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-9)
-            assert float(f(w.point)) == pytest.approx(v, rel=1e-12)
+            for kind in DistancePairFunctional.KINDS:
+                f = DistancePairFunctional(kind, x, y, scale=scale)
+                v, w = boundary_sup(b, f)
+                # the supremum must dominate a dense independent scan of the sphere
+                brute = float(np.max(f(pts)))
+                assert v >= brute - 1e-12
+                assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-9)
+                assert float(f(w.point)) == pytest.approx(v, rel=1e-12)
+                assert w.value == v
 
     def test_halfspace_sup_against_dense_scan(self):
         # the half-space Cassinian metric is a cubic root solve, not a search
@@ -263,6 +313,30 @@ class TestBoundarySup:
             for f in (DistancePairFunctional("inv_product", x, y), DistancePairFunctional("inv_product", y, x)):
                 assert boundary_sup(b, f)[0] == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("pair", sorted(BALL_PAIRS))
+    def test_ball_cassinian_on_special_pairs(self, pair):
+        x, y, exact = BALL_PAIRS[pair]
+        x, y = np.array(x), np.array(y)
+        b = UnitBall(x.size)
+        scale = float(np.linalg.norm(x - y))
+        want = scale / (_least_product_scan(x, y) if exact is None else exact)
+        f = DistancePairFunctional("inv_product", x, y, scale=scale)
+        v, w = boundary_sup(b, f)
+        assert v == pytest.approx(want, rel=1e-9)
+        assert boundary_sup(b, DistancePairFunctional("inv_product", y, x, scale=scale))[0] == v
+        assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-12)
+        assert float(f(w.point)) == pytest.approx(v, rel=1e-9)
+
+    def test_ball_cassinian_is_rotation_invariant(self):
+        # a planar pair turned into dimension 5 keeps its value
+        rng = np.random.default_rng(15)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        for x, y in ((E1[:2] * 0.7, np.array([-0.2, 0.65])), (np.array([0.5999994, 0.7999992]),
+                                                             np.array([0.5999986000005, 0.7999997999990001]))):
+            planar = cassinian(UnitBall(2), x, y)
+            turned = cassinian(UnitBall(5), q[:, :2] @ x, q[:, :2] @ y)
+            assert turned == pytest.approx(planar, rel=1e-9)
+
     def test_argument_order_is_immaterial(self):
         b = UnitBall(3)
         rng = np.random.default_rng(12)
@@ -277,6 +351,30 @@ class TestBoundarySup:
             # one ulp from the flipped product
             assert v1 == pytest.approx(v2, rel=5e-16)
 
+    def test_the_least_product_is_solved_not_searched(self, monkeypatch):
+        # inv_product (the Cassinian metric) is a root solve that ignores
+        # SCAN and RECHECK; only inv_sum reaches the scan-and-golden search
+        import hypmetrics.geometry as geo
+
+        kinds = []
+        sup_ball = geo._sup_ball
+
+        def recording(f, *setting):
+            kinds.append(f.kind)
+            return sup_ball(f, *setting)
+
+        monkeypatch.setattr(geo, "_sup_ball", recording)
+        b = UnitBall(3)
+        x, y = np.array([0.5, 0.0, 0.1]), np.array([0.0, -0.5, 0.3])
+        f = DistancePairFunctional("inv_product", x, y)
+        v = boundary_sup(b, f)
+        with sup_refinement():
+            assert boundary_sup(b, f)[0] == v[0]
+        cassinian(b, x, y)
+        assert kinds == []
+        boundary_sup(b, DistancePairFunctional("inv_sum", x, y))
+        assert kinds == ["inv_sum"]
+
     def test_sup_refinement_swaps_and_restores_knobs(self, monkeypatch):
         import hypmetrics.geometry as geo
 
@@ -289,7 +387,7 @@ class TestBoundarySup:
             return sup_ball(f, *setting)
 
         monkeypatch.setattr(geo, "_sup_ball", recording)
-        f = DistancePairFunctional("inv_product", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
+        f = DistancePairFunctional("inv_sum", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
         boundary_sup(UnitBall(2), f)
         with sup_refinement():
             boundary_sup(UnitBall(2), f)

@@ -12,7 +12,9 @@ over the boundary is the ratio at which the Apollonian sphere around y
 first touches the boundary.  Then eta = log max(lambda(x, y),
 lambda(y, x)) and alpha = log lambda(x, y) + log lambda(y, x).  The
 half-space Cassinian metric takes the least product of distances over
-the real roots of a cubic, found by ``polyroots``, and the two feet.
+the real roots of a cubic, found by ``polyroots``, and the two feet; the
+ball Cassinian metric over the arguments of the roots of a quartic in
+the complex plane through 0, x and y, and the projections of x and y.
 
 Tolerance: 1e-12 relative plus 8 eps absolute, the absolute term
 multiplied on the ball by (1 + 1/d(x) + 1/d(y)), since 1 - |x| inherits
@@ -83,6 +85,33 @@ def _least_foot_product(x, y):
     return min((t * t + hx * hx) * ((t - ell) ** 2 + hy * hy) for t in taus)
 
 
+def _ball_least_product(x, y):
+    """Least |p-x|^2 |p-y|^2 over the unit sphere, x and y in mpmath.
+
+    In the plane through 0, x and y take x = |x| and y = |y| e^{i gamma}
+    as complex numbers, gamma from |x ^ y|.  For |z| = 1, |z-x|^2 |z-y|^2
+    = Q(z) / z^2 with Q(z) = (conj(x) z^2 - (1+|x|^2) z + x) (conj(y) z^2 -
+    (1+|y|^2) z + y), so its critical points on the circle are roots of
+    z Q'(z) - 2 Q(z).  The arguments of all four roots and the two anchors
+    (the projections of x and y) are the candidates.
+    """
+    n = len(x)
+    wedge = MP.sqrt(MP.fsum((x[i] * y[j] - x[j] * y[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
+    gamma = MP.atan2(wedge, MP.fsum(p * q for p, q in zip(x, y)))
+    a = MP.mpc(_norm(x))
+    b = _norm(y) * MP.expj(gamma)
+    q = [MP.mpc(0)] * 5  # coefficients of Q, highest degree first
+    for i, c1 in enumerate((MP.conj(a), -(1 + abs(a) ** 2), a)):
+        for j, c2 in enumerate((MP.conj(b), -(1 + abs(b) ** 2), b)):
+            q[i + j] += c1 * c2
+    # z Q' - 2 Q has the coefficients (k - 2) q_k; a zero point drops the degree
+    poly = [(2 - i) * c for i, c in enumerate(q)]
+    while poly[0] == 0:
+        poly.pop(0)
+    thetas = [MP.zero, gamma] + [MP.arg(z) for z in MP.polyroots(poly, maxsteps=400, extraprec=300)]
+    return min(abs(MP.expj(t) - a) ** 2 * abs(MP.expj(t) - b) ** 2 for t in thetas)
+
+
 def reference(domain, name, x, y):
     x, y = _mp(x), _mp(y)
     r = _dist(x, y)
@@ -105,6 +134,8 @@ def reference(domain, name, x, y):
     if name == "cassinian":
         if isinstance(domain, UpperHalfSpace):
             return r / MP.sqrt(_least_foot_product(x, y))
+        if isinstance(domain, UnitBall):
+            return r / MP.sqrt(_ball_least_product(x, y))
         return max(r / (a * b) for a, b in zip(dxs, dys))
     if name == "triangular":
         if isinstance(domain, UpperHalfSpace):
@@ -199,13 +230,27 @@ def test_metric_meets_its_50_digit_reference(domain, name):
         assert evaluate_metric(domain, name, y, x) == got, (name, x.tolist(), y.tolist())
 
 
+@pytest.mark.parametrize("domain", [UnitBall(2), UnitBall(3)], ids=repr)
+def test_ball_cassinian_meets_its_50_digit_reference(domain):
+    # compared on the log scale, where the tolerance's 1/d amplification
+    # applies: the value ~ 1/(d(x) d(y)) carries the relative rounding of
+    # 1 - |x| and 1 - |y|
+    for x, y in _pairs(domain):
+        got = evaluate_metric(domain, "cassinian", x, y)
+        want = MP.log(reference(domain, "cassinian", x, y))
+        assert abs(float(MP.log(got) - want)) <= tolerance(domain, x, y, float(want)), (
+            x.tolist(), y.tolist(), got, float(MP.exp(want))
+        )
+        assert evaluate_metric(domain, "cassinian", y, x) == got, (x.tolist(), y.tolist())
+
+
 def test_cassinian_at_a_sharp_ball_minimum():
     # both points 1e-6 from the sphere and 1e-6 apart: the product of
-    # distances has a sharp minimum between the two poles, which a root
-    # solve of the ball quartic must reproduce before it replaces the
-    # search.  The value ~ 1/(d(x) d(y)) carries the relative rounding of
-    # 1 - |x|, so it is compared on the log scale, where the tolerance's
-    # 1/d amplification applies.
+    # distances has a sharp minimum between the two poles, where a plain
+    # root solve of the quartic (np.roots plus both anchors) gives 707106.25.
+    # The value ~ 1/(d(x) d(y)) carries the relative rounding of 1 - |x|,
+    # so it is compared on the log scale, where the tolerance's 1/d
+    # amplification applies.
     ball = UnitBall(3)
     x = np.array([0.5999994, 0.7999992, 0.0])
     y = np.array([0.5999986000005, 0.7999997999990001, 0.0])
