@@ -9,17 +9,16 @@ complement such a supremum is a maximum over the removed points.
 the ball: the Cassinian metric and s.  (The half-space Cassinian metric
 is a cubic root solve in :mod:`hypmetrics.metrics`.)  Both use the
 rotational symmetry of the ball to reduce to one parameter, the angle on
-a great circle.  The Cassinian metric is a root solve: the quartic whose
-roots are the critical points of the product of distances locates each
-minimum, and Newton's method polishes it.  s is the one search left, the
-supremum engine: a coarse scan locates candidate brackets and
-golden-section refinement polishes each of them.  Each value either
-returns is the functional at one boundary point, so it is a lower bound
-on the supremum up to the rounding of 1 - |x| (and of the angles in the
-plane), amplified by 1/d with d the distance to the sphere: for a pair
-1e-6 from the sphere and 1e-6 apart the Cassinian metric comes out
-1.05e-10 relative above its true value.  Callers treat it as the
-supremum.
+a great circle, and both are root solves by one arc solver: a quartic
+whose roots are the critical points of the product of distances (the
+Cassinian metric) or of their sum (s, the Ptolemy-Alhazen quartic of
+mirror reflection) locates each minimum, and Newton's method polishes
+it.  Nothing in the package is searched.  Each value is the functional at
+one boundary point, so it is a lower bound on the supremum up to the
+rounding of 1 - |x| (and of the angles in the plane), amplified by 1/d
+with d the distance to the sphere: for a pair 1e-6 from the sphere and
+1e-6 apart the Cassinian metric comes out 1.05e-10 relative above its
+true value.  Callers treat it as the supremum.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -29,7 +28,6 @@ arrays of the domain's dimension.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -60,29 +58,21 @@ __all__ = [
     "ParameterError",
 ]
 
-_MAX_BRACKETS = 4
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# across one coarse cell clear of both distance poles a functional rises
-# by well under a factor exp(2.5) (its log-derivative is O(1/gap) there),
-# so a bracket sampled below this fraction of the incumbent cannot win
-_BRACKET_FLOOR = math.exp(-2.5)
-# refinement windows stop once the remaining width cannot move the value
-# by more than ~(factor * param_tol)^2 at the local curvature scale
-# (1/d^2 near a pole at boundary distance d, 1/cell^2 elsewhere); tied to
-# param_tol so the recheck setting tightens it too
-_ADAPTIVE_TOL_FACTOR = 1e5
 
 
 class EngineSetting(NamedTuple):
-    """Coarse scan density and refinement tolerance of the supremum engine."""
+    """Coarse scan density and refinement tolerance of the retired
+    supremum engine."""
 
     coarse_samples: int
     param_tol: float
 
 
-# The engine's only two settings, echoed into every report: SCAN for every
-# search (s on the ball), RECHECK for borderline violations under
-# sup_refinement().  The Cassinian root solve has no setting.
+# The retired engine's two settings, still echoed into every report's
+# engine record: SCAN by default, RECHECK under sup_refinement(), which the
+# recheck of borderline violations enters.  No computation reads them; both
+# ball suprema are root solves.
 SCAN = EngineSetting(1024, 1e-12)
 RECHECK = EngineSetting(8192, 1e-13)
 _setting = SCAN
@@ -324,15 +314,12 @@ class DistancePairFunctional:
     """Boundary functional that depends on p only through |p-x| and |p-y|.
 
     The metric suprema with no closed form have this shape: the Cassinian
-    metric and s on the ball.  ``x`` and
-    ``y`` are trusted float arrays; :func:`boundary_sup` checks only that
-    they lie in its domain.  Instances are callables on boundary points
-    (vectorized over leading axes).  ``form(dx, dy)`` is the value from the
-    two distances, on floats and arrays alike; boundary_sup evaluates the
-    inv_sum scan and refinement through it, directly in distance
-    coordinates, which is both faster and free of point reconstruction
-    error.  The inv_product root solve returns scale / sqrt of the least
-    product of squared distances.
+    metric and s on the ball.  ``x`` and ``y`` are trusted float arrays;
+    :func:`boundary_sup` checks only that they lie in its domain.
+    Instances are callables on boundary points (vectorized over leading
+    axes).  ``form(dx, dy)`` is the value from the two distances, on floats
+    and arrays alike.  boundary_sup solves for the least product or sum of
+    the distances and returns scale over it.
 
     Kinds:
       inv_product         scale / (|p-x| |p-y|)
@@ -361,6 +348,7 @@ class DistancePairFunctional:
         return self.form(dx, dy)
 
 
+# no caller in the package; kept only because perfbench/tracing.py binds it by name
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
     """Golden-section maximization; returns (arg, value) of the best evaluation."""
     a, b = lo, hi
@@ -390,28 +378,6 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
             d = a + _INVPHI * (b - a)
             fd = fn(d)
     return best_t, best_v
-
-
-def _bracket_indices(values: np.ndarray) -> list[int]:
-    """Indices of local maxima of a circular coarse scan, best first, capped."""
-    v = values
-    rise = np.empty(len(v), dtype=bool)
-    rise[1:] = v[1:] >= v[:-1]
-    rise[0] = v[0] >= v[-1]
-    fall = np.empty(len(v), dtype=bool)
-    fall[:-1] = v[:-1] >= v[1:]
-    fall[-1] = v[-1] >= v[0]
-    idx = np.flatnonzero(rise & fall)
-    if idx.size == 0:
-        idx = np.array([int(np.argmax(v))])
-    order = idx[np.argsort(v[idx])[::-1]]
-    picked: list[int] = []
-    for i in order:
-        if all(min(abs(i - j), len(v) - abs(i - j)) > 1 for j in picked):
-            picked.append(int(i))
-        if len(picked) >= _MAX_BRACKETS:
-            break
-    return picked
 
 
 def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,19 +415,17 @@ def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, Boun
 
     The points ``f.x`` and ``f.y`` must lie in the ball; they also supply
     the symmetry plane of the reduction.  Every other domain raises
-    ParameterError: its suprema are formulas or exact maxima.  The
-    inv_product kind is a root solve that ignores SCAN and RECHECK; the
-    inv_sum kind is searched at the engine's current setting.
+    ParameterError: its suprema are formulas or exact maxima.  Both kinds
+    are root solves (see :func:`_solve_ball`); neither reads SCAN or
+    RECHECK.
     """
     for name, p in (("x", f.x), ("y", f.y)):
         if not domain.contains(p):
             raise DomainMembershipError(f"{name} {p.tolist()} is not in {domain!r}")
 
     if not isinstance(domain, UnitBall):
-        raise ParameterError(f"boundary_sup searches the ball only, got {domain!r}")
-    if f.kind == "inv_product":
-        return _least_product_ball(f)
-    return _sup_ball(f, *_setting)
+        raise ParameterError(f"boundary_sup solves on the ball only, got {domain!r}")
+    return _solve_ball(f)
 
 
 def circle_gauge(a: float, b: float):
@@ -476,21 +440,9 @@ def circle_gauge(a: float, b: float):
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
     """Order a pair by raw bytes so that a computation from the ordered
-    pair (a search parametrization, the half-space Cassinian cubic) gives
+    pair (the ball root solve, the half-space Cassinian cubic) gives
     the same bits for (x, y) and (y, x)."""
     return (x, y) if x.tobytes() <= y.tobytes() else (y, x)
-
-
-# the coarse grid depends only on the sample count, so its trig is shared
-@functools.cache
-def _coarse_circle(coarse: int):
-    thetas = np.linspace(-math.pi, math.pi, coarse, endpoint=False)
-    return thetas, np.sin(0.5 * thetas), np.cos(0.5 * thetas)
-
-
-def _circ_gap(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
 
 
 def _plane_polar(x: np.ndarray, y: np.ndarray):
@@ -554,26 +506,41 @@ def _sign_changes(c, lo: float, hi: float, tol: float) -> list[float]:
     return out
 
 
-def _least_product_ball(f):
-    """sup of scale / (|p-x| |p-y|) over the unit sphere, from the
-    critical points of the product on a great circle.
+def _solve_ball(f):
+    """sup of f over the unit sphere, from the critical points of its
+    distance functional on a great circle.
 
     In the plane through 0, x and y the squared distance from the circle
     point at angle theta to a point of polar data (r, t) is D(theta) =
-    (1-r)^2 + 4 r sin^2((theta-t)/2).  D_x D_y is least on the closed short
-    arc between t_x and t_y: a point off it is dominated by an arc point
-    no farther from either.  With phi = theta - t_m, t_m the midpoint of
-    the arc, and u = tan(phi/2), each (1+u^2) D is A u^2 + B u + C with
-    delta = t - t_m, A = (1+r)^2 - 4r sin^2(delta/2), B = -4r sin(delta),
-    C = (1-r)^2 + 4r sin^2(delta/2).  For G = (1+u^2)^2 D_x D_y = sum
-    g_k u^k, (1+u^2)^3 times the u-derivative of D_x D_y is the quartic
-    -g3 u^4 + (4g4 - 2g2) u^3 + 3(g3 - g1) u^2 + (2g2 - 4g0) u + g1, so
-    D_x D_y has a minimum in each piece of the arc where that quartic
-    rises through 0.  The quartic only locates the pieces: in each one
-    Newton's method on d/dphi log(D_x D_y), kept inside the piece, finds
-    the minimum of the sin^2 form itself, the form every candidate is
-    valued in.  The least of those minima and of both arc ends (the
-    anchors t_x and t_y) wins.
+    (1-r)^2 + 4 r sin^2((theta-t)/2).  Both D_x D_y (inv_product) and
+    sqrt(D_x) + sqrt(D_y) (inv_sum) are least on the closed short arc
+    between t_x and t_y: a point off it is dominated by an arc point no
+    farther from either.  Take phi = theta - t_m, t_m the midpoint of the
+    arc, so that x sits at phi = -w and y at +w, and u = tan(phi/2).  On
+    the arc a quartic c(u) has the sign of the phi-derivative:
+
+    - inv_product: each (1+u^2) D is A u^2 + B u + C with delta = t - t_m,
+      A = (1+r)^2 - 4r sin^2(delta/2), B = -4r sin(delta) and C = (1-r)^2
+      + 4r sin^2(delta/2).  For G = (1+u^2)^2 D_x D_y = sum g_k u^k, c is
+      (1+u^2)^3 times the u-derivative of D_x D_y: -g3 u^4 + (4g4 - 2g2)
+      u^3 + 3(g3 - g1) u^2 + (2g2 - 4g0) u + g1.
+    - inv_sum: with x = r_x e^{-iw} and y = r_y e^{iw} as complex numbers,
+      the mirror-reflection points z = e^{i phi} are the roots of
+      conj(x y) z^4 - conj(x + y) z^3 + (x + y) z - x y (Fujimura, Hariri,
+      Mocanu and Vuorinen, "The Ptolemy-Alhazen problem and spherical
+      mirror reflection", CMFT 19 (2019)); over z^2 it reads Im(conj(x y)
+      z^2) = Im(conj(x + y) z).  Times -(1+u^2)^2 that is c = Q + (P-R) u
+      + (P+R) u^3 - Q u^4 with P = 2(r_x + r_y) cos w, Q = (r_x - r_y)
+      sin w and R = 4 r_x r_y.  Off the sum's critical points its roots
+      are those of the difference of the distances, which has none inside
+      the short arc.
+
+    The functional has a minimum in each piece of the arc where c rises
+    through 0.  The quartic only locates the pieces: in each one Newton's
+    method on the phi-derivative of log(D_x D_y), or of sqrt(D_x) +
+    sqrt(D_y), kept inside the piece, finds the minimum of the sin^2 form
+    itself, the form every candidate is valued in.  The least of those
+    minima and of both arc ends (the anchors t_x and t_y) wins.
 
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
@@ -589,24 +556,33 @@ def _least_product_ball(f):
     half = abs(w)
     oma, fa4 = (1.0 - ra) ** 2, 4.0 * ra
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
-    sin, cos = math.sin, math.cos
+    product = f.kind == "inv_product"
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
 
-    def product(phi: float) -> float:
-        sa = sin(0.5 * (phi + w))
-        sb = sin(0.5 * (phi - w))
-        return (oma + fa4 * sa * sa) * (omb + fb4 * sb * sb)
+    def value(phi: float) -> float:
+        sa, sb = sin(0.5 * (phi + w)), sin(0.5 * (phi - w))
+        da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
+        return da * db if product else sqrt(da) + sqrt(db)
 
-    candidates = [(product(-w), -w), (product(w), w)]
+    candidates = [(value(-w), -w), (value(w), w)]
     umax = math.tan(0.5 * half)
     if umax > 0.0:
         s2, sw = sin(0.5 * w) ** 2, sin(w)
-        Aa, Ba, Ca = (1.0 + ra) ** 2 - fa4 * s2, fa4 * sw, oma + fa4 * s2
-        Ab, Bb, Cb = (1.0 + rb) ** 2 - fb4 * s2, -fb4 * sw, omb + fb4 * s2
-        g4, g0 = Aa * Ab, Ca * Cb
-        g3 = Aa * Bb + Ba * Ab
-        g2 = Aa * Cb + Ba * Bb + Ca * Ab
-        g1 = Ba * Cb + Ca * Bb
-        c = (g1, 2.0 * g2 - 4.0 * g0, 3.0 * (g3 - g1), 4.0 * g4 - 2.0 * g2, -g3)
+        if product:
+            Aa, Ba, Ca = (1.0 + ra) ** 2 - fa4 * s2, fa4 * sw, oma + fa4 * s2
+            Ab, Bb, Cb = (1.0 + rb) ** 2 - fb4 * s2, -fb4 * sw, omb + fb4 * s2
+            g4, g0 = Aa * Ab, Ca * Cb
+            g3 = Aa * Bb + Ba * Ab
+            g2 = Aa * Cb + Ba * Bb + Ca * Ab
+            g1 = Ba * Cb + Ca * Bb
+            c = (g1, 2.0 * g2 - 4.0 * g0, 3.0 * (g3 - g1), 4.0 * g4 - 2.0 * g2, -g3)
+        else:
+            # P - R = 2(r_x (1-r_y) + r_y (1-r_x)) - 4 (r_x + r_y) sin^2(w/2)
+            # without the cancellation of 2(r_x + r_y) cos w - 4 r_x r_y
+            q = (ra - rb) * sw
+            pmr = 2.0 * (ra * (1.0 - rb) + rb * (1.0 - ra)) - 4.0 * (ra + rb) * s2
+            ppr = 4.0 * ra * rb + 2.0 * (ra + rb) * (1.0 - 2.0 * s2)
+            c = (q, pmr, 0.0, ppr, -q)
         # the knots need only the quartic's sign between them, and Newton
         # converges quadratically, so a loose step tolerance suffices
         knots = _sign_changes([k * c[k] for k in range(1, 5)], -umax, umax, 1e-6 * umax)
@@ -624,13 +600,19 @@ def _least_product_ball(f):
                     sa, ca = sin(0.5 * (phi + w)), cos(0.5 * (phi + w))
                     sb, cb = sin(0.5 * (phi - w)), cos(0.5 * (phi - w))
                     da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
-                    candidates.append((da * db, phi))
                     # D' = 2r sin(phi - delta), D'' = 2r cos(phi - delta)
-                    ga, gb = fa4 * sa * ca / da, fb4 * sb * cb / db
-                    slope = ga + gb
-                    curve = (0.5 * fa4 * (ca * ca - sa * sa) / da - ga * ga) + (
-                        0.5 * fb4 * (cb * cb - sb * sb) / db - gb * gb
-                    )
+                    d1a, d1b = fa4 * sa * ca, fb4 * sb * cb
+                    d2a, d2b = 0.5 * fa4 * (ca * ca - sa * sa), 0.5 * fb4 * (cb * cb - sb * sb)
+                    if product:  # Newton on d/dphi log(D_x D_y)
+                        ga, gb = d1a / da, d1b / db
+                        candidates.append((da * db, phi))
+                        slope = ga + gb
+                        curve = (d2a / da - ga * ga) + (d2b / db - gb * gb)
+                    else:  # on d/dphi (sqrt(D_x) + sqrt(D_y))
+                        qa, qb = sqrt(da), sqrt(db)
+                        candidates.append((qa + qb, phi))
+                        slope = 0.5 * (d1a / qa + d1b / qb)
+                        curve = 0.5 * ((d2a - 0.5 * d1a * d1a / da) / qa + (d2b - 0.5 * d1b * d1b / db) / qb)
                     if slope < 0.0:
                         lo = phi
                     else:
@@ -638,7 +620,7 @@ def _least_product_ball(f):
                     step = slope / curve if curve > 0.0 else math.inf
                     if abs(step) <= tol:
                         phi -= step
-                        candidates.append((product(phi), phi))
+                        candidates.append((value(phi), phi))
                         break
                     phi -= step
                     if not lo < phi < hi:
@@ -647,55 +629,6 @@ def _least_product_ball(f):
                         break
             pa = pb
     least, phi = min(candidates)
-    v = f.scale / math.sqrt(least)
+    v = f.scale / (sqrt(least) if product else least)
     theta = ta + w + phi
     return v, BoundaryWitness(math.cos(theta) * u1 + math.sin(theta) * u2, v)
-
-
-def _sup_ball(f, coarse, param_tol):
-    x, y = f.x, f.y
-    u1, u2, (rx, tx), (ry, ty) = _plane_polar(x, y)
-
-    thetas, s05, c05 = _coarse_circle(coarse)
-    omx, fx4 = (1.0 - rx) ** 2, 4.0 * rx
-    omy, fy4 = (1.0 - ry) ** 2, 4.0 * ry
-    half = s05 * math.cos(0.5 * tx) - c05 * math.sin(0.5 * tx)
-    dxv = np.sqrt(omx + fx4 * half * half)
-    half = s05 * math.cos(0.5 * ty) - c05 * math.sin(0.5 * ty)
-    dyv = np.sqrt(omy + fy4 * half * half)
-    form = f.form
-    values = form(dxv, dyv)
-
-    sin, sqrt = math.sin, math.sqrt
-
-    def eval_scalar(theta: float) -> float:
-        sx = sin(0.5 * (theta - tx))
-        sy = sin(0.5 * (theta - ty))
-        return form(sqrt(omx + fx4 * sx * sx), sqrt(omy + fy4 * sy * sy))
-
-    h = 2.0 * math.pi / coarse
-    i0 = int(np.argmax(values))
-    best_v = float(values[i0])
-    best_theta = float(thetas[i0])
-
-    # anchors first: boundary projections of x and y, where sharp peaks
-    # live; the widened window also covers any coarse bracket deduped below
-    anchors = [(r0, t0) for (r0, t0) in ((rx, tx), (ry, ty)) if r0 > 1e-12]
-    for r0, t0 in anchors:
-        tol = max(param_tol, (1.0 - r0) * param_tol * _ADAPTIVE_TOL_FACTOR)
-        t, v = _golden_max(eval_scalar, t0 - 3.0 * h, t0 + 3.0 * h, tol)
-        if v > best_v:
-            best_v, best_theta = v, t
-
-    bracket_tol = max(param_tol, h * param_tol * _ADAPTIVE_TOL_FACTOR)
-    for i in _bracket_indices(values):
-        c0 = float(thetas[i])
-        if any(_circ_gap(c0, t0) <= 2.0 * h for _, t0 in anchors):
-            continue  # peak already inside an anchor window
-        if float(values[i]) < best_v * _BRACKET_FLOOR:
-            continue  # provably cannot reach the incumbent
-        t, v = _golden_max(eval_scalar, c0 - h, c0 + h, bracket_tol)
-        if v > best_v:
-            best_v, best_theta = v, t
-    witness = math.cos(best_theta) * u1 + math.sin(best_theta) * u2
-    return best_v, BoundaryWitness(witness, best_v)

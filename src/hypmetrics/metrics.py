@@ -7,9 +7,10 @@ evaluated directly; on finite complements suprema are exact maxima.  The
 Cassinian metric on the half-space is the largest of its values at the
 feet of x and y and at the real roots of one cubic; on the ball,
 :func:`hypmetrics.geometry.boundary_sup` takes it from the minima that a
-quartic locates on a great circle.  Only s on the ball is searched, by
-the same function.  rho exists only on the ball and the half-space,
-where delta and alpha coincide with it.
+quartic locates on a great circle, and s on the ball likewise, from the
+Ptolemy-Alhazen quartic of mirror reflection.  Nothing is searched.  rho
+exists only on the ball and the half-space, where delta and alpha
+coincide with it.
 """
 
 from __future__ import annotations
@@ -314,7 +315,18 @@ def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
 
 def triangular_ratio(domain, x, y) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
-    [0, 1] (1 exactly when the segment xy meets the boundary)."""
+    [0, 1] (1 exactly when the segment xy meets the boundary).
+
+    On the half-space the least sum is |x - mirror(y)|; on finite
+    complements it is a minimum over the removed points.  On the ball the
+    sum is least on the short arc between the projections of x and y onto
+    the great circle through them, at an arc end or at a reflection
+    point, a root of the Ptolemy-Alhazen quartic; a quartic in u = tan of
+    half the angle from the arc's midpoint locates the minima there,
+    Newton's method polishes each, and the metric is the largest value
+    over those minima and both projections (see
+    :func:`hypmetrics.geometry.boundary_sup`).
+    """
     x, y = _pair(domain, x, y)
     if same_point(x, y):
         return 0.0

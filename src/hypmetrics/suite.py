@@ -94,8 +94,9 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 42
 DEFAULT_SLACK = 1e-9
 
-# hits within this band of the supremum search's noise are rechecked at
-# the engine's RECHECK setting before they are counted
+# hits within this band are re-evaluated under sup_refinement() before
+# they are counted; no supremum reads the engine setting, so the
+# re-evaluation returns the same values
 _RECHECK_BAND = 1e-3
 
 # the engine settings echoed into every report record
@@ -967,10 +968,10 @@ def check_case(
 ) -> CaseResult:
     """Run one catalog case on freshly sampled configurations.
 
-    A sample violates when lhs > rhs*(1+slack) + slack; hits inside the
-    supremum search's noise band are re-evaluated under a finer search
-    before being counted, so degenerate configurations do not raise
-    false alarms.
+    A sample violates when lhs > rhs*(1+slack) + slack; hits inside
+    ``_RECHECK_BAND`` are re-evaluated under ``sup_refinement()`` before
+    being counted.  No supremum reads the engine setting, so the recheck
+    reproduces the first evaluation.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")

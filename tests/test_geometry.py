@@ -1,4 +1,4 @@
-"""Tests for points, domains, cross-ratio, and the boundary supremum engine."""
+"""Tests for points, domains, cross-ratio, and the boundary suprema of the ball."""
 
 import itertools
 import math
@@ -13,8 +13,6 @@ from hypmetrics.geometry import (
     FiniteComplement,
     INFINITY,
     ParameterError,
-    RECHECK,
-    SCAN,
     UnitBall,
     UpperHalfSpace,
     as_point,
@@ -26,7 +24,7 @@ from hypmetrics.geometry import (
     same_point,
     sup_refinement,
 )
-from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric
+from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric, triangular_ratio
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -167,8 +165,9 @@ class TestDistancePairFunctional:
             DistancePairFunctional("nope", E1, -E1)
 
     def test_scalar_array_agreement(self):
-        # boundary_sup scans with form() on arrays and refines with it on
-        # floats, so both must give the same bits
+        # form() on the two distances of a float pair gives the bits the
+        # vectorized call gives on the boundary points, so a witness may be
+        # checked either way
         x, y = 0.3 * E1, -0.2 * E3
         p = np.array([[0.6, 0.8, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, -0.8]])
         for kind in DistancePairFunctional.KINDS:
@@ -180,10 +179,11 @@ class TestDistancePairFunctional:
                 assert f.form(dx, dy) == float(v)
 
 
-def _least_product_scan(x, y, rounds=12):
-    """Least |p-x| |p-y| over the unit circle of the plane through 0, x
-    and y: a 2^16-point scan of the whole circle, zoomed around its
-    argmin.  Distances are Euclidean, independent of the sin^2 form."""
+def _least_scan(x, y, kind, rounds=12):
+    """Least |p-x| |p-y| (inv_product) or |p-x| + |p-y| (inv_sum) over the
+    unit circle of the plane through 0, x and y: a 2^16-point scan of the
+    whole circle, zoomed around its argmin.  Distances are Euclidean,
+    independent of the sin^2 form."""
     e1 = x if np.linalg.norm(x) > 0 else y
     e1 = e1 / np.linalg.norm(e1)
     e2 = y - (y @ e1) * e1
@@ -191,39 +191,47 @@ def _least_product_scan(x, y, rounds=12):
         e2 = np.roll(e1, 1) - (np.roll(e1, 1) @ e1) * e1
     e2 /= np.linalg.norm(e2)
 
-    def products(th):
+    combine = np.multiply if kind == "inv_product" else np.add
+
+    def values(th):
         p = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
-        return np.linalg.norm(p - x, axis=1) * np.linalg.norm(p - y, axis=1)
+        return combine(np.linalg.norm(p - x, axis=1), np.linalg.norm(p - y, axis=1))
 
     th = np.linspace(-math.pi, math.pi, 2**16, endpoint=False)
     h = th[1] - th[0]
     for _ in range(rounds):
-        v = products(th)
+        v = values(th)
         c = th[np.argmin(v)]
         th = np.linspace(c - 2.0 * h, c + 2.0 * h, 201)
         h = th[1] - th[0]
-    return float(np.min(products(th)))
+    return float(np.min(values(th)))
 
 
 _V = np.array([-0.9920662471377072, -0.07024627560503027, 0.10424980601769739])
 _V /= np.linalg.norm(_V)
 _A = 0.4
-# name: (x, y, least product of distances or None for the scan)
+# name: (x, y, {kind: least product or sum of distances}); a kind left
+# out is compared with the scan
 BALL_PAIRS = {
-    "x-at-origin": ([0.0, 0.0, 0.0], (0.6 * _V).tolist(), 0.4),
-    "y-at-origin": ((0.6 * _V).tolist(), [0.0, 0.0, 0.0], 0.4),
-    "collinear-same-side": ((0.3 * _V).tolist(), (0.8 * _V).tolist(), 0.7 * 0.2),
+    # with one point at 0 the least sum is 1 + (1 - |p|), p the other point
+    "x-at-origin": ([0.0, 0.0, 0.0], (0.6 * _V).tolist(), {"inv_product": 0.4, "inv_sum": 1.4}),
+    "y-at-origin": ((0.6 * _V).tolist(), [0.0, 0.0, 0.0], {"inv_product": 0.4, "inv_sum": 1.4}),
+    "collinear-same-side": ((0.3 * _V).tolist(), (0.8 * _V).tolist(), {"inv_product": 0.7 * 0.2, "inv_sum": 0.9}),
     # the short arc is a half circle either way; both halves give the same
-    # least product, at the projection of the outer point
-    "collinear-opposite-sides": ((0.3 * _V).tolist(), (-0.8 * _V).tolist(), 1.3 * 0.2),
-    "equal-norms": ([0.9 * math.cos(_A), 0.9 * math.sin(_A)], [0.9 * math.cos(_A), -0.9 * math.sin(_A)], None),
+    # least product and sum, at the projection of the outer point
+    "collinear-opposite-sides": (
+        (0.3 * _V).tolist(),
+        (-0.8 * _V).tolist(),
+        {"inv_product": 1.3 * 0.2, "inv_sum": 1.5},
+    ),
+    "equal-norms": ([0.9 * math.cos(_A), 0.9 * math.sin(_A)], [0.9 * math.cos(_A), -0.9 * math.sin(_A)], {}),
     "equal-norms-near-the-sphere": (
         [(1 - 1e-6) * math.cos(1e-6), (1 - 1e-6) * math.sin(1e-6)],
         [(1 - 1e-6) * math.cos(1e-6), -(1 - 1e-6) * math.sin(1e-6)],
-        None,
+        {},
     ),
-    "sharp-minimum": ([0.5999994, 0.7999992, 0.0], [0.5999986000005, 0.7999997999990001, 0.0], None),
-    "dimension-5": ([0.3, -0.5, 0.2, 0.6, -0.1], [-0.4, 0.1, 0.5, -0.2, 0.55], None),
+    "sharp-minimum": ([0.5999994, 0.7999992, 0.0], [0.5999986000005, 0.7999997999990001, 0.0], {}),
+    "dimension-5": ([0.3, -0.5, 0.2, 0.6, -0.1], [-0.4, 0.1, 0.5, -0.2, 0.55], {}),
 }
 
 
@@ -263,7 +271,7 @@ class TestBoundarySup:
             boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), -E1))
 
     def test_ball_sup_against_dense_scan(self):
-        # the search (inv_sum) and the root solve (inv_product) alike
+        # both root solves, inv_product and inv_sum
         b = UnitBall(3)
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -315,17 +323,36 @@ class TestBoundarySup:
 
     @pytest.mark.parametrize("pair", sorted(BALL_PAIRS))
     def test_ball_cassinian_on_special_pairs(self, pair):
+        # and s: both kinds of ball supremum
         x, y, exact = BALL_PAIRS[pair]
         x, y = np.array(x), np.array(y)
         b = UnitBall(x.size)
         scale = float(np.linalg.norm(x - y))
-        want = scale / (_least_product_scan(x, y) if exact is None else exact)
-        f = DistancePairFunctional("inv_product", x, y, scale=scale)
-        v, w = boundary_sup(b, f)
-        assert v == pytest.approx(want, rel=1e-9)
-        assert boundary_sup(b, DistancePairFunctional("inv_product", y, x, scale=scale))[0] == v
-        assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-12)
-        assert float(f(w.point)) == pytest.approx(v, rel=1e-9)
+        for kind in DistancePairFunctional.KINDS:
+            want = scale / (exact[kind] if kind in exact else _least_scan(x, y, kind))
+            f = DistancePairFunctional(kind, x, y, scale=scale)
+            v, w = boundary_sup(b, f)
+            assert v == pytest.approx(want, rel=1e-9), kind
+            swapped, ws = boundary_sup(b, DistancePairFunctional(kind, y, x, scale=scale))
+            assert swapped == v and np.array_equal(ws.point, w.point), kind
+            assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-12)
+            assert float(f(w.point)) == pytest.approx(v, rel=1e-9), kind
+            assert w.value == v
+
+    def test_ball_triangular_ratio_is_rotation_invariant(self):
+        # a planar pair turned into dimension 5 keeps its value
+        rng = np.random.default_rng(16)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        pairs = [
+            (E1[:2] * 0.7, np.array([-0.2, 0.65])),
+            (np.array([0.5999994, 0.7999992]), np.array([0.5999986000005, 0.7999997999990001])),
+            (np.array([0.0, 0.0]), np.array([0.3, -0.5])),
+            (np.array([0.9, 0.1]), np.array([-0.85, -0.3])),
+        ]
+        for x, y in pairs:
+            planar = triangular_ratio(UnitBall(2), x, y)
+            turned = triangular_ratio(UnitBall(5), q[:, :2] @ x, q[:, :2] @ y)
+            assert turned == pytest.approx(planar, rel=1e-9)
 
     def test_ball_cassinian_is_rotation_invariant(self):
         # a planar pair turned into dimension 5 keeps its value
@@ -345,56 +372,43 @@ class TestBoundarySup:
             y = rng.uniform(-0.9, 0.9, 3)
             if np.linalg.norm(x) >= 1 or np.linalg.norm(y) >= 1:
                 continue
-            v1, _ = boundary_sup(b, DistancePairFunctional("inv_product", x, y))
-            v2, _ = boundary_sup(b, DistancePairFunctional("inv_product", y, x))
-            # both orders probe the same boundary points; the residual is
-            # one ulp from the flipped product
-            assert v1 == pytest.approx(v2, rel=5e-16)
+            # both orders solve from the canonical pair, so they agree bit
+            # for bit
+            for kind in DistancePairFunctional.KINDS:
+                v1, _ = boundary_sup(b, DistancePairFunctional(kind, x, y))
+                v2, _ = boundary_sup(b, DistancePairFunctional(kind, y, x))
+                assert v1 == v2, kind
 
-    def test_the_least_product_is_solved_not_searched(self, monkeypatch):
-        # inv_product (the Cassinian metric) is a root solve that ignores
-        # SCAN and RECHECK; only inv_sum reaches the scan-and-golden search
+    def test_no_ball_supremum_is_searched(self, monkeypatch):
+        # both kinds are root solves that read neither SCAN nor RECHECK,
+        # through boundary_sup and the metrics alike
         import hypmetrics.geometry as geo
 
-        kinds = []
-        sup_ball = geo._sup_ball
+        def refuse(*args):
+            raise AssertionError("golden-section search reached")
 
-        def recording(f, *setting):
-            kinds.append(f.kind)
-            return sup_ball(f, *setting)
-
-        monkeypatch.setattr(geo, "_sup_ball", recording)
+        monkeypatch.setattr(geo, "_golden_max", refuse)
         b = UnitBall(3)
         x, y = np.array([0.5, 0.0, 0.1]), np.array([0.0, -0.5, 0.3])
-        f = DistancePairFunctional("inv_product", x, y)
-        v = boundary_sup(b, f)
+        outside = [boundary_sup(b, DistancePairFunctional(kind, x, y))[0] for kind in DistancePairFunctional.KINDS]
+        outside += [cassinian(b, x, y), triangular_ratio(b, x, y)]
         with sup_refinement():
-            assert boundary_sup(b, f)[0] == v[0]
-        cassinian(b, x, y)
-        assert kinds == []
-        boundary_sup(b, DistancePairFunctional("inv_sum", x, y))
-        assert kinds == ["inv_sum"]
+            inside = [boundary_sup(b, DistancePairFunctional(kind, x, y))[0] for kind in DistancePairFunctional.KINDS]
+            inside += [cassinian(b, x, y), triangular_ratio(b, x, y)]
+        assert inside == outside
 
-    def test_sup_refinement_swaps_and_restores_knobs(self, monkeypatch):
+    def test_sup_refinement_swaps_and_restores_knobs(self):
         import hypmetrics.geometry as geo
 
-        assert (SCAN, RECHECK) == ((1024, 1e-12), (8192, 1e-13))
-        seen = []
-        sup_ball = geo._sup_ball
-
-        def recording(f, *setting):
-            seen.append(setting)
-            return sup_ball(f, *setting)
-
-        monkeypatch.setattr(geo, "_sup_ball", recording)
-        f = DistancePairFunctional("inv_sum", np.array([0.5, 0.0]), np.array([0.0, 0.5]))
-        boundary_sup(UnitBall(2), f)
+        assert (geo.SCAN, geo.RECHECK) == ((1024, 1e-12), (8192, 1e-13))
+        assert geo._setting is geo.SCAN
         with sup_refinement():
-            boundary_sup(UnitBall(2), f)
+            assert geo._setting is geo.RECHECK
+        assert geo._setting is geo.SCAN
         with pytest.raises(RuntimeError), sup_refinement():
+            assert geo._setting is geo.RECHECK
             raise RuntimeError
-        boundary_sup(UnitBall(2), f)
-        assert seen == [SCAN, RECHECK, SCAN]
+        assert geo._setting is geo.SCAN
 
 
 class TestDirectCallsMatchNumpyWrappers:

@@ -14,7 +14,8 @@ lambda(y, x)) and alpha = log lambda(x, y) + log lambda(y, x).  The
 half-space Cassinian metric takes the least product of distances over
 the real roots of a cubic, found by ``polyroots``, and the two feet; the
 ball Cassinian metric over the arguments of the roots of a quartic in
-the complex plane through 0, x and y, and the projections of x and y.
+the complex plane through 0, x and y, and the projections of x and y;
+s on the ball likewise, over the roots of the Ptolemy-Alhazen quartic.
 
 Tolerance: 1e-12 relative plus 8 eps absolute, the absolute term
 multiplied on the ball by (1 + 1/d(x) + 1/d(y)), since 1 - |x| inherits
@@ -85,6 +86,15 @@ def _least_foot_product(x, y):
     return min((t * t + hx * hx) * ((t - ell) ** 2 + hy * hy) for t in taus)
 
 
+def _plane_pair(x, y):
+    """x and y as the complex numbers |x| and |y| e^{i gamma} of the plane
+    through 0, x and y, with gamma from |x ^ y|."""
+    n = len(x)
+    wedge = MP.sqrt(MP.fsum((x[i] * y[j] - x[j] * y[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
+    gamma = MP.atan2(wedge, MP.fsum(p * q for p, q in zip(x, y)))
+    return MP.mpc(_norm(x)), _norm(y) * MP.expj(gamma), gamma
+
+
 def _ball_least_product(x, y):
     """Least |p-x|^2 |p-y|^2 over the unit sphere, x and y in mpmath.
 
@@ -95,11 +105,7 @@ def _ball_least_product(x, y):
     z Q'(z) - 2 Q(z).  The arguments of all four roots and the two anchors
     (the projections of x and y) are the candidates.
     """
-    n = len(x)
-    wedge = MP.sqrt(MP.fsum((x[i] * y[j] - x[j] * y[i]) ** 2 for i in range(n) for j in range(i + 1, n)))
-    gamma = MP.atan2(wedge, MP.fsum(p * q for p, q in zip(x, y)))
-    a = MP.mpc(_norm(x))
-    b = _norm(y) * MP.expj(gamma)
+    a, b, gamma = _plane_pair(x, y)
     q = [MP.mpc(0)] * 5  # coefficients of Q, highest degree first
     for i, c1 in enumerate((MP.conj(a), -(1 + abs(a) ** 2), a)):
         for j, c2 in enumerate((MP.conj(b), -(1 + abs(b) ** 2), b)):
@@ -110,6 +116,24 @@ def _ball_least_product(x, y):
         poly.pop(0)
     thetas = [MP.zero, gamma] + [MP.arg(z) for z in MP.polyroots(poly, maxsteps=400, extraprec=300)]
     return min(abs(MP.expj(t) - a) ** 2 * abs(MP.expj(t) - b) ** 2 for t in thetas)
+
+
+def _ball_least_sum(x, y):
+    """Least |p-x| + |p-y| over the unit sphere, x and y in mpmath.
+
+    With x and y complex numbers as in ``_ball_least_product``, the
+    points z of the unit circle where the sum is critical reflect the ray
+    from x into the ray to y; they are roots of the Ptolemy-Alhazen
+    quartic conj(x y) z^4 - conj(x + y) z^3 + (x + y) z - x y.  The
+    arguments of all its roots and the two anchors are the candidates.
+    """
+    a, b, gamma = _plane_pair(x, y)
+    # highest degree first; a zero point drops the degree
+    poly = [MP.conj(a * b), -MP.conj(a + b), MP.mpc(0), a + b, -a * b]
+    while poly[0] == 0:
+        poly.pop(0)
+    thetas = [MP.zero, gamma] + [MP.arg(z) for z in MP.polyroots(poly, maxsteps=400, extraprec=300)]
+    return min(abs(MP.expj(t) - a) + abs(MP.expj(t) - b) for t in thetas)
 
 
 def reference(domain, name, x, y):
@@ -140,6 +164,8 @@ def reference(domain, name, x, y):
     if name == "triangular":
         if isinstance(domain, UpperHalfSpace):
             return r / _dist(x, y[:-1] + [-y[-1]])
+        if isinstance(domain, UnitBall):
+            return r / _ball_least_sum(x, y)
         return min(MP.one, max(r / (a + b) for a, b in zip(dxs, dys)))
     raise KeyError(name)
 
@@ -242,6 +268,19 @@ def test_ball_cassinian_meets_its_50_digit_reference(domain):
             x.tolist(), y.tolist(), got, float(MP.exp(want))
         )
         assert evaluate_metric(domain, "cassinian", y, x) == got, (x.tolist(), y.tolist())
+
+
+@pytest.mark.parametrize("domain", [UnitBall(2), UnitBall(3)], ids=repr)
+def test_ball_triangular_meets_its_50_digit_reference(domain):
+    # on the log scale, like the Cassinian metric: for a pair near the
+    # sphere s ~ |x-y| / (d(x) + d(y)) carries the rounding of 1 - |x|
+    for x, y in _pairs(domain):
+        got = evaluate_metric(domain, "triangular", x, y)
+        want = MP.log(reference(domain, "triangular", x, y))
+        assert abs(float(MP.log(got) - want)) <= tolerance(domain, x, y, float(want)), (
+            x.tolist(), y.tolist(), got, float(MP.exp(want))
+        )
+        assert evaluate_metric(domain, "triangular", y, x) == got, (x.tolist(), y.tolist())
 
 
 def test_cassinian_at_a_sharp_ball_minimum():
