@@ -11,18 +11,15 @@ constant.
 
 from .geometry import (
     BoundaryCardinalityError,
-    BoundaryWitness,
     DomainMembershipError,
     FiniteComplement,
     INFINITY,
     ParameterError,
     UnitBall,
     UpperHalfSpace,
-    boundary_sup,
     cross_ratio,
     distance_to_boundary,
     is_infinity,
-    sup_refinement,
 )
 from .metrics import (
     MetricId,
@@ -36,7 +33,6 @@ from .metrics import (
     j_metric,
     j_tilde,
     rho,
-    rho_axial,
     triangular_ratio,
     u_metric,
 )

@@ -1,24 +1,25 @@
 """Extended Euclidean geometry: finite points plus a point at infinity,
 the three canonical domains, the absolute cross-ratio, and the boundary
-suprema of the ball.
+root solver of the ball.
 
 Every metric in this package is either a closed-form expression or a
 supremum of a functional over the domain boundary; on a finite
 complement such a supremum is a maximum over the removed points.
 :func:`boundary_sup` serves the two suprema that have neither, both on
-the ball: the Cassinian metric and s.  (The half-space Cassinian metric
-is a cubic root solve in :mod:`hypmetrics.metrics`.)  Both use the
-rotational symmetry of the ball to reduce to one parameter, the angle on
-a great circle, and both are root solves by one arc solver: a quartic
-whose roots are the critical points of the product of distances (the
-Cassinian metric) or of their sum (s, the Ptolemy-Alhazen quartic of
-mirror reflection) locates each minimum, and Newton's method polishes
-it.  Nothing in the package is searched.  Each value is the functional at
-one boundary point, so it is a lower bound on the supremum up to the
-rounding of 1 - |x| (and of the angles in the plane), amplified by 1/d
-with d the distance to the sphere: for a pair 1e-6 from the sphere and
-1e-6 apart the Cassinian metric comes out 1.05e-10 relative above its
-true value.  Callers treat it as the supremum.
+the ball: it returns the least product |p-x| |p-y| (for the Cassinian
+metric) or the least sum |p-x| + |p-y| (for s) over the unit sphere,
+and the point p that attains it.  (The half-space Cassinian metric is a
+cubic root solve in :mod:`hypmetrics.metrics`.)  The rotational
+symmetry of the ball reduces both to one parameter, the angle on a
+great circle, and both are root solves: a quartic whose roots are the
+critical points of the product of distances or of their sum (the
+Ptolemy-Alhazen quartic of mirror reflection) locates each minimum, and
+Newton's method polishes it.  Nothing in the package is searched.  The
+least value is the distance form at one boundary point, so it is an
+upper bound on the true minimum up to the rounding of 1 - |x| (and of
+the angles in the plane), amplified by 1/d with d the distance to the
+sphere: for a pair 1e-6 from the sphere and 1e-6 apart the Cassinian
+metric comes out 1.05e-10 relative above its true value.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -29,9 +30,8 @@ arrays of the domain's dimension.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -46,47 +46,10 @@ __all__ = [
     "Domain",
     "distance_to_boundary",
     "cross_ratio",
-    "BoundaryWitness",
-    "DistancePairFunctional",
-    "boundary_sup",
-    "EngineSetting",
-    "SCAN",
-    "RECHECK",
-    "sup_refinement",
     "DomainMembershipError",
     "BoundaryCardinalityError",
     "ParameterError",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class EngineSetting(NamedTuple):
-    """Coarse scan density and refinement tolerance of the retired
-    supremum engine."""
-
-    coarse_samples: int
-    param_tol: float
-
-
-# The retired engine's two settings, still echoed into every report's
-# engine record: SCAN by default, RECHECK under sup_refinement(), which the
-# recheck of borderline violations enters.  No computation reads them; both
-# ball suprema are root solves.
-SCAN = EngineSetting(1024, 1e-12)
-RECHECK = EngineSetting(8192, 1e-13)
-_setting = SCAN
-
-
-@contextmanager
-def sup_refinement():
-    """Run the enclosed suprema at RECHECK; process state, so not thread-safe."""
-    global _setting
-    saved, _setting = _setting, RECHECK
-    try:
-        yield
-    finally:
-        _setting = saved
 
 
 class DomainMembershipError(ValueError):
@@ -277,6 +240,7 @@ def distance_to_boundary(domain: Domain, x) -> float:
 # Cross-ratio
 
 
+# perfbench/tracing.py wraps this as a layer that reads 0 until ROADMAP item 1 retires it
 def cross_ratio(p, x, q, y) -> float:
     """Absolute cross-ratio |p,x,q,y| = |p-q| |x-y| / (|p-x| |q-y|).
 
@@ -299,56 +263,13 @@ def cross_ratio(p, x, q, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary suprema of the ball
+# Boundary root solver of the ball
 
 
-@dataclass
-class BoundaryWitness:
-    """Boundary point realizing (up to refinement tolerance) a supremum."""
-
-    point: np.ndarray
-    value: float
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class DistancePairFunctional:
-    """Boundary functional that depends on p only through |p-x| and |p-y|.
-
-    The metric suprema with no closed form have this shape: the Cassinian
-    metric and s on the ball.  ``x`` and ``y`` are trusted float arrays;
-    :func:`boundary_sup` checks only that they lie in its domain.
-    Instances are callables on boundary points (vectorized over leading
-    axes).  ``form(dx, dy)`` is the value from the two distances, on floats
-    and arrays alike.  boundary_sup solves for the least product or sum of
-    the distances and returns scale over it.
-
-    Kinds:
-      inv_product         scale / (|p-x| |p-y|)
-      inv_sum             scale / (|p-x| + |p-y|)
-    """
-
-    KINDS = ("inv_product", "inv_sum")
-    __slots__ = ("kind", "x", "y", "scale", "form")
-
-    def __init__(self, kind: str, x: np.ndarray, y: np.ndarray, scale: float = 1.0):
-        if kind not in self.KINDS:
-            raise ParameterError(f"unknown functional kind {kind!r}")
-        self.kind = kind
-        self.x = x
-        self.y = y
-        s = self.scale = float(scale)
-        if kind == "inv_product":
-            self.form = lambda dx, dy: s / (dx * dy)
-        else:
-            self.form = lambda dx, dy: s / (dx + dy)
-
-    def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        dx = np.linalg.norm(p - self.x, axis=-1)
-        dy = np.linalg.norm(p - self.y, axis=-1)
-        return self.form(dx, dy)
-
-
-# no caller in the package; kept only because perfbench/tracing.py binds it by name
+# no caller; perfbench/tracing.py wraps this name; kept until ROADMAP item 1 revises it
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
     """Golden-section maximization; returns (arg, value) of the best evaluation."""
     a, b = lo, hi
@@ -409,52 +330,11 @@ def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u1, u2
 
 
-def boundary_sup(domain: Domain, f: DistancePairFunctional) -> tuple[float, BoundaryWitness]:
-    """Supremum of ``f`` over the boundary sphere of the ball, with a
-    witness.
-
-    The points ``f.x`` and ``f.y`` must lie in the ball; they also supply
-    the symmetry plane of the reduction.  Every other domain raises
-    ParameterError: its suprema are formulas or exact maxima.  Both kinds
-    are root solves (see :func:`_solve_ball`); neither reads SCAN or
-    RECHECK.
-    """
-    for name, p in (("x", f.x), ("y", f.y)):
-        if not domain.contains(p):
-            raise DomainMembershipError(f"{name} {p.tolist()} is not in {domain!r}")
-
-    if not isinstance(domain, UnitBall):
-        raise ParameterError(f"boundary_sup solves on the ball only, got {domain!r}")
-    return _solve_ball(f)
-
-
-def circle_gauge(a: float, b: float):
-    """Polar data (radius, angle) of a plane point with coordinates (a, b).
-
-    The distance from that point to the unit-circle point at angle theta
-    is sqrt((1-r)^2 + 4 r sin^2((theta-t0)/2)); unlike the raw law of
-    cosines this form has no cancellation when the point hugs the circle.
-    """
-    return math.hypot(a, b), math.atan2(b, a)
-
-
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
     """Order a pair by raw bytes so that a computation from the ordered
     pair (the ball root solve, the half-space Cassinian cubic) gives
     the same bits for (x, y) and (y, x)."""
     return (x, y) if x.tobytes() <= y.tobytes() else (y, x)
-
-
-def _plane_polar(x: np.ndarray, y: np.ndarray):
-    """Basis (u1, u2) of the plane through 0, x and y, built from the
-    canonical pair, and the polar data of x and of y in it."""
-    u1, u2 = _plane_basis(*_canonical_pair(x, y))
-    return (
-        u1,
-        u2,
-        circle_gauge(float(np.dot(x, u1)), float(np.dot(x, u2))),
-        circle_gauge(float(np.dot(y, u1)), float(np.dot(y, u2))),
-    )
 
 
 def _horner(c, t: float) -> float:
@@ -468,14 +348,23 @@ def _sign_changes(c, lo: float, hi: float, tol: float) -> list[float]:
     """Points of (lo, hi) where the polynomial sum c[k] t^k changes sign,
     increasing.
 
-    The roots of the derivative cut [lo, hi] into monotone pieces, each
-    with at most one sign change, found by Newton's method kept inside
-    its piece.  No step divides by the leading coefficient, so a degree
-    that drops (a leading coefficient of 0) needs no special case.
+    A line or a quadratic has its roots in closed form.  Above that, the
+    roots of the derivative cut [lo, hi] into monotone pieces, each with
+    at most one sign change, found by Newton's method kept inside its
+    piece.  No Newton step divides by the leading coefficient, so a
+    degree that drops (a leading coefficient of 0) needs no special case.
     """
     if len(c) == 2:
         t = -c[0] / c[1] if c[1] != 0.0 else lo
         return [t] if lo < t < hi else []
+    if len(c) == 3 and c[2] != 0.0:
+        disc = c[1] * c[1] - 4.0 * c[2] * c[0]
+        if disc <= 0.0:
+            return []
+        # the root of larger magnitude first, the other from the product
+        # of the roots, so that neither cancels
+        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1]))
+        return sorted(t for t in (q / c[2], c[0] / q) if lo < t < hi)
     dc = [k * c[k] for k in range(1, len(c))]
     knots = [lo, *_sign_changes(dc, lo, hi, tol), hi]
     out = []
@@ -506,25 +395,27 @@ def _sign_changes(c, lo: float, hi: float, tol: float) -> list[float]:
     return out
 
 
-def _solve_ball(f):
-    """sup of f over the unit sphere, from the critical points of its
-    distance functional on a great circle.
+# perfbench/tracing.py wraps this name in metrics; kept until ROADMAP item 1 revises it
+def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
+    """Least |p-x| |p-y| (kind "product") or |p-x| + |p-y| (kind "sum")
+    over the unit sphere, and the point p that attains it, for trusted
+    points x, y of the unit ball.
 
     In the plane through 0, x and y the squared distance from the circle
     point at angle theta to a point of polar data (r, t) is D(theta) =
-    (1-r)^2 + 4 r sin^2((theta-t)/2).  Both D_x D_y (inv_product) and
-    sqrt(D_x) + sqrt(D_y) (inv_sum) are least on the closed short arc
+    (1-r)^2 + 4 r sin^2((theta-t)/2).  Both D_x D_y (product) and
+    sqrt(D_x) + sqrt(D_y) (sum) are least on the closed short arc
     between t_x and t_y: a point off it is dominated by an arc point no
     farther from either.  Take phi = theta - t_m, t_m the midpoint of the
     arc, so that x sits at phi = -w and y at +w, and u = tan(phi/2).  On
     the arc a quartic c(u) has the sign of the phi-derivative:
 
-    - inv_product: each (1+u^2) D is A u^2 + B u + C with delta = t - t_m,
+    - product: each (1+u^2) D is A u^2 + B u + C with delta = t - t_m,
       A = (1+r)^2 - 4r sin^2(delta/2), B = -4r sin(delta) and C = (1-r)^2
       + 4r sin^2(delta/2).  For G = (1+u^2)^2 D_x D_y = sum g_k u^k, c is
       (1+u^2)^3 times the u-derivative of D_x D_y: -g3 u^4 + (4g4 - 2g2)
       u^3 + 3(g3 - g1) u^2 + (2g2 - 4g0) u + g1.
-    - inv_sum: with x = r_x e^{-iw} and y = r_y e^{iw} as complex numbers,
+    - sum: with x = r_x e^{-iw} and y = r_y e^{iw} as complex numbers,
       the mirror-reflection points z = e^{i phi} are the roots of
       conj(x y) z^4 - conj(x + y) z^3 + (x + y) z - x y (Fujimura, Hariri,
       Mocanu and Vuorinen, "The Ptolemy-Alhazen problem and spherical
@@ -545,8 +436,14 @@ def _solve_ball(f):
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
     """
-    a, b = _canonical_pair(f.x, f.y)
-    u1, u2, (ra, ta), (rb, tb) = _plane_polar(a, b)
+    a, b = _canonical_pair(x, y)
+    u1, u2 = _plane_basis(a, b)
+
+    def polar(p):
+        c, s = float(np.dot(p, u1)), float(np.dot(p, u2))
+        return math.hypot(c, s), math.atan2(s, c)
+
+    (ra, ta), (rb, tb) = polar(a), polar(b)
     gap = tb - ta
     if gap > math.pi:
         gap -= 2.0 * math.pi
@@ -556,7 +453,7 @@ def _solve_ball(f):
     half = abs(w)
     oma, fa4 = (1.0 - ra) ** 2, 4.0 * ra
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
-    product = f.kind == "inv_product"
+    product = kind == "product"
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
 
     def value(phi: float) -> float:
@@ -629,6 +526,5 @@ def _solve_ball(f):
                         break
             pa = pb
     least, phi = min(candidates)
-    v = f.scale / (sqrt(least) if product else least)
     theta = ta + w + phi
-    return v, BoundaryWitness(math.cos(theta) * u1 + math.sin(theta) * u2, v)
+    return sqrt(least) if product else least, math.cos(theta) * u1 + math.sin(theta) * u2

@@ -5,12 +5,12 @@ All metrics share the signature ``metric(domain, x, y) -> float`` with
 x, y interior points.  Closed forms, including most suprema, are
 evaluated directly; on finite complements suprema are exact maxima.  The
 Cassinian metric on the half-space is the largest of its values at the
-feet of x and y and at the real roots of one cubic; on the ball,
-:func:`hypmetrics.geometry.boundary_sup` takes it from the minima that a
-quartic locates on a great circle, and s on the ball likewise, from the
-Ptolemy-Alhazen quartic of mirror reflection.  Nothing is searched.  rho
-exists only on the ball and the half-space, where delta and alpha
-coincide with it.
+feet of x and y and at the real roots of one cubic; on the ball, the
+root solver :func:`hypmetrics.geometry.boundary_sup` gives the least
+product of distances from the minima that a quartic locates on a great
+circle, and the least sum for s likewise, from the Ptolemy-Alhazen
+quartic of mirror reflection.  Nothing is searched.  rho exists only on
+the ball and the half-space, where delta and alpha coincide with it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .geometry import (
     BoundaryCardinalityError,
-    DistancePairFunctional,
     FiniteComplement,
     ParameterError,
     UnitBall,
@@ -37,7 +36,6 @@ __all__ = [
     "MetricId",
     "u_metric",
     "rho",
-    "rho_axial",
     "j_tilde",
     "j_metric",
     "delta_metric",
@@ -107,28 +105,6 @@ def rho(domain, x, y) -> float:
         r2 = r * r
         return math.log1p((r2 + math.sqrt(r2 * r2 + 2.0 * h * r2)) / h)
     raise ParameterError("rho is defined on the unit ball and the upper half-space only")
-
-
-def rho_axial(domain, a: float, b: float) -> float:
-    """Hyperbolic distance between two points of the distinguished axis.
-
-    For the ball the points are a*e1 and b*e1 with -1 < a, b < 1; for the
-    half-space they are a*en and b*en with a, b > 0.  Closed forms, used
-    as independent references for :func:`rho`.
-    """
-    a = float(a)
-    b = float(b)
-    if isinstance(domain, UnitBall):
-        if not (-1.0 < a < 1.0 and -1.0 < b < 1.0):
-            raise ParameterError("axial ball coordinates must lie in (-1, 1)")
-        lo, hi = min(a, b), max(a, b)
-        return math.log(((1.0 + hi) / (1.0 - hi)) * ((1.0 - lo) / (1.0 + lo)))
-    if isinstance(domain, UpperHalfSpace):
-        if not (a > 0.0 and b > 0.0):
-            raise ParameterError("axial half-space heights must be positive")
-        lo, hi = min(a, b), max(a, b)
-        return math.log(hi / lo)
-    raise ParameterError("rho_axial is defined on the unit ball and the upper half-space only")
 
 
 def j_tilde(domain, x, y) -> float:
@@ -270,8 +246,9 @@ def cassinian(domain, x, y) -> float:
     least on the short arc between the projections of x and y onto the
     great circle through them; a quartic in u = tan of half the angle
     from the arc's midpoint locates its minima there, Newton's method
-    polishes each, and the metric is the largest value over those minima
-    and both projections (see :func:`hypmetrics.geometry.boundary_sup`).
+    polishes each, and the metric is |x-y| over the least product over
+    those minima and both projections (see
+    :func:`hypmetrics.geometry.boundary_sup`).
     """
     x, y = _pair(domain, x, y)
     if same_point(x, y):
@@ -294,8 +271,8 @@ def cassinian(domain, x, y) -> float:
         q = el * (eb * eb - ea * ea) / 4.0
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
         return max(r / (math.hypot(t, ha) * math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
-    v, _ = boundary_sup(domain, DistancePairFunctional("inv_product", x, y, scale=r))
-    return v
+    least, _ = boundary_sup(x, y, "product")
+    return r / least
 
 
 def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
@@ -323,8 +300,8 @@ def triangular_ratio(domain, x, y) -> float:
     the great circle through them, at an arc end or at a reflection
     point, a root of the Ptolemy-Alhazen quartic; a quartic in u = tan of
     half the angle from the arc's midpoint locates the minima there,
-    Newton's method polishes each, and the metric is the largest value
-    over those minima and both projections (see
+    Newton's method polishes each, and the metric is |x-y| over the least
+    sum over those minima and both projections (see
     :func:`hypmetrics.geometry.boundary_sup`).
     """
     x, y = _pair(domain, x, y)
@@ -339,7 +316,8 @@ def triangular_ratio(domain, x, y) -> float:
     if isinstance(domain, FiniteComplement):
         v = float(np.max(r / (domain.distances(x) + domain.distances(y))))
     else:
-        v, _ = boundary_sup(domain, DistancePairFunctional("inv_sum", x, y, scale=r))
+        least, _ = boundary_sup(x, y, "sum")
+        v = r / least
     return min(v, 1.0)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "Orthogonal",
     "SphereInversion",
     "MobiusMap",
-    "compose",
     "ball_automorphism",
     "cayley_map",
     "inversion_unit",
@@ -169,11 +168,6 @@ class MobiusMap:
     def __repr__(self) -> str:
         names = ", ".join(type(g).__name__ for g in self.generators)
         return f"MobiusMap([{names}])"
-
-
-def compose(f: MobiusMap, g: MobiusMap) -> MobiusMap:
-    """Composition f after g: apply(compose(f, g), x) == f(g(x))."""
-    return MobiusMap(g.generators + f.generators)
 
 
 def ball_automorphism(a) -> MobiusMap:

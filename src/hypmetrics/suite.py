@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -36,13 +37,10 @@ from .geometry import (
     DomainMembershipError,
     FiniteComplement,
     ParameterError,
-    RECHECK,
-    SCAN,
     UnitBall,
     UpperHalfSpace,
     is_infinity,
     same_point,
-    sup_refinement,
 )
 from .metrics import (
     alpha_metric,
@@ -94,19 +92,6 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 42
 DEFAULT_SLACK = 1e-9
 
-# hits within this band are re-evaluated under sup_refinement() before
-# they are counted; no supremum reads the engine setting, so the
-# re-evaluation returns the same values
-_RECHECK_BAND = 1e-3
-
-# the engine settings echoed into every report record
-_ENGINE = {
-    "coarse_samples": SCAN.coarse_samples,
-    "param_tol": SCAN.param_tol,
-    "recheck_coarse_samples": RECHECK.coarse_samples,
-    "recheck_param_tol": RECHECK.param_tol,
-}
-
 # deviations at or below this are numerically indistinguishable from the
 # limit: mapped near-boundary configurations carry ~eps/d(x) noise, so a
 # converged tail may wobble around 1e-10 without breaking monotonicity
@@ -156,7 +141,7 @@ def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
     counter and buffers gives the draws of a fresh
     ``Generator(Philox(key=key))`` without the OS-entropy seeding that
     construction pays for.  The returned generator is process state,
-    valid until the next call; not thread-safe, like sup_refinement.
+    valid until the next call, so not thread-safe.
     """
     digest = hashlib.sha256(f"{seed}:{case_id}:{k}".encode()).digest()
     rng = _philox()
@@ -398,7 +383,6 @@ class CaseResult:
             "seed": self.seed,
             "pass": self.passed,
             "wall_time": _round12(self.wall_time),
-            "engine": dict(_ENGINE),
             "notes": self.notes,
             "violation_samples": self.violation_samples,
         }
@@ -427,7 +411,6 @@ class ProbeResult:
             "seed": None,
             "pass": self.passed,
             "wall_time": _round12(self.wall_time),
-            "engine": dict(_ENGINE),
             "notes": self.notes,
             "schedule": [_round12(t) for t in self.schedule],
             "estimates": [_round12(v) for v in self.estimates],
@@ -960,6 +943,13 @@ def _sample_summary(domain, smp: Sample, index: int, lhs: float, rhs: float) -> 
     return rec
 
 
+# no caller; perfbench/tracing.py wraps this name; kept until ROADMAP item 1 revises it
+@contextmanager
+def sup_refinement():
+    """A context that does nothing: no computation reads an engine setting."""
+    yield
+
+
 def check_case(
     case: InequalityCase,
     n_samples: int = DEFAULT_SAMPLES,
@@ -968,10 +958,9 @@ def check_case(
 ) -> CaseResult:
     """Run one catalog case on freshly sampled configurations.
 
-    A sample violates when lhs > rhs*(1+slack) + slack; hits inside
-    ``_RECHECK_BAND`` are re-evaluated under ``sup_refinement()`` before
-    being counted.  No supremum reads the engine setting, so the recheck
-    reproduces the first evaluation.
+    A sample violates when lhs > rhs*(1+slack) + slack.  Each sample is
+    evaluated once: every metric is a formula, an exact maximum or a root
+    solve, so a second evaluation could only repeat the first.
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be >= 1")
@@ -997,13 +986,9 @@ def check_case(
                 smp = _build_sample(case, domain, _stream(seed, case.case_id, k))
             lhs, rhs = case.evaluate(domain, smp)
             if _violates(lhs, rhs, slack):
-                if not _violates(lhs, rhs, _RECHECK_BAND):
-                    with sup_refinement():
-                        lhs, rhs = case.evaluate(domain, smp)
-                if _violates(lhs, rhs, slack):
-                    violations += 1
-                    if len(retained) < 10:
-                        retained.append(_sample_summary(domain, smp, k, lhs, rhs))
+                violations += 1
+                if len(retained) < 10:
+                    retained.append(_sample_summary(domain, smp, k, lhs, rhs))
             if not math.isinf(rhs):
                 gap = lhs - rhs
                 if max_slack is None or gap > max_slack:

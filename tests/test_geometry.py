@@ -8,7 +8,6 @@ import pytest
 
 from hypmetrics.geometry import (
     BoundaryCardinalityError,
-    DistancePairFunctional,
     DomainMembershipError,
     FiniteComplement,
     INFINITY,
@@ -22,7 +21,6 @@ from hypmetrics.geometry import (
     is_infinity,
     require_member,
     same_point,
-    sup_refinement,
 )
 from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric, triangular_ratio
 
@@ -159,28 +157,18 @@ class TestCrossRatio:
         assert cross_ratio(p, x, q, y) == pytest.approx(cross_ratio(q, y, p, x), rel=1e-14)
 
 
-class TestDistancePairFunctional:
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            DistancePairFunctional("nope", E1, -E1)
+KINDS = ("product", "sum")
 
-    def test_scalar_array_agreement(self):
-        # form() on the two distances of a float pair gives the bits the
-        # vectorized call gives on the boundary points, so a witness may be
-        # checked either way
-        x, y = 0.3 * E1, -0.2 * E3
-        p = np.array([[0.6, 0.8, 0.0], [0.0, -1.0, 0.0], [0.0, 0.6, -0.8]])
-        for kind in DistancePairFunctional.KINDS:
-            f = DistancePairFunctional(kind, x, y, scale=0.7)
-            values = f(p)
-            for row, v in zip(p, values):
-                dx = float(np.linalg.norm(row - x))
-                dy = float(np.linalg.norm(row - y))
-                assert f.form(dx, dy) == float(v)
+
+def _distance_form(kind, p, x, y):
+    """|p-x| |p-y| (product) or |p-x| + |p-y| (sum), over the leading axes
+    of p: the quantity boundary_sup minimizes, in plain numpy."""
+    combine = np.multiply if kind == "product" else np.add
+    return combine(np.linalg.norm(p - x, axis=-1), np.linalg.norm(p - y, axis=-1))
 
 
 def _least_scan(x, y, kind, rounds=12):
-    """Least |p-x| |p-y| (inv_product) or |p-x| + |p-y| (inv_sum) over the
+    """Least |p-x| |p-y| (product) or |p-x| + |p-y| (sum) over the
     unit circle of the plane through 0, x and y: a 2^16-point scan of the
     whole circle, zoomed around its argmin.  Distances are Euclidean,
     independent of the sin^2 form."""
@@ -191,11 +179,8 @@ def _least_scan(x, y, kind, rounds=12):
         e2 = np.roll(e1, 1) - (np.roll(e1, 1) @ e1) * e1
     e2 /= np.linalg.norm(e2)
 
-    combine = np.multiply if kind == "inv_product" else np.add
-
     def values(th):
-        p = np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
-        return combine(np.linalg.norm(p - x, axis=1), np.linalg.norm(p - y, axis=1))
+        return _distance_form(kind, np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2, x, y)
 
     th = np.linspace(-math.pi, math.pi, 2**16, endpoint=False)
     h = th[1] - th[0]
@@ -214,15 +199,15 @@ _A = 0.4
 # out is compared with the scan
 BALL_PAIRS = {
     # with one point at 0 the least sum is 1 + (1 - |p|), p the other point
-    "x-at-origin": ([0.0, 0.0, 0.0], (0.6 * _V).tolist(), {"inv_product": 0.4, "inv_sum": 1.4}),
-    "y-at-origin": ((0.6 * _V).tolist(), [0.0, 0.0, 0.0], {"inv_product": 0.4, "inv_sum": 1.4}),
-    "collinear-same-side": ((0.3 * _V).tolist(), (0.8 * _V).tolist(), {"inv_product": 0.7 * 0.2, "inv_sum": 0.9}),
+    "x-at-origin": ([0.0, 0.0, 0.0], (0.6 * _V).tolist(), {"product": 0.4, "sum": 1.4}),
+    "y-at-origin": ((0.6 * _V).tolist(), [0.0, 0.0, 0.0], {"product": 0.4, "sum": 1.4}),
+    "collinear-same-side": ((0.3 * _V).tolist(), (0.8 * _V).tolist(), {"product": 0.7 * 0.2, "sum": 0.9}),
     # the short arc is a half circle either way; both halves give the same
     # least product and sum, at the projection of the outer point
     "collinear-opposite-sides": (
         (0.3 * _V).tolist(),
         (-0.8 * _V).tolist(),
-        {"inv_product": 1.3 * 0.2, "inv_sum": 1.5},
+        {"product": 1.3 * 0.2, "sum": 1.5},
     ),
     "equal-norms": ([0.9 * math.cos(_A), 0.9 * math.sin(_A)], [0.9 * math.cos(_A), -0.9 * math.sin(_A)], {}),
     "equal-norms-near-the-sphere": (
@@ -236,11 +221,18 @@ BALL_PAIRS = {
 
 
 class TestBoundarySup:
-    def test_finite_complements_are_not_searched(self):
-        # nor the half-space: their suprema are exact maxima or formulas
+    def test_finite_complements_are_not_searched(self, monkeypatch):
+        # nor the half-space: their suprema are exact maxima or formulas,
+        # and the metrics reach the ball root solver on the ball only
+        import hypmetrics.metrics as met
+
+        def refuse(*args):
+            raise AssertionError("ball root solver reached")
+
+        monkeypatch.setattr(met, "boundary_sup", refuse)
         for d in (FiniteComplement(3, [E1, -E1]), UpperHalfSpace(3)):
-            with pytest.raises(ParameterError, match="ball only"):
-                boundary_sup(d, DistancePairFunctional("inv_sum", 0.5 * E3, E3))
+            assert cassinian(d, 0.5 * E3, E3) > 0.0
+            assert triangular_ratio(d, 0.5 * E3, E3) > 0.0
 
     def test_finite_complement_exact_max(self):
         d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
@@ -262,17 +254,17 @@ class TestBoundarySup:
         assert alpha_pair_form(without, x, y) == 0.0
 
     def test_membership_is_enforced(self):
+        # by the metrics, before the solver, which takes trusted points
         b = UnitBall(3)
-        f = DistancePairFunctional("inv_sum", 2.0 * E1, 0.5 * E1, scale=1.0)
-        with pytest.raises(DomainMembershipError, match=r"^x \[2\.0, 0\.0, 0\.0\] is not in UnitBall"):
-            boundary_sup(b, f)
+        for metric in (cassinian, triangular_ratio):
+            with pytest.raises(DomainMembershipError, match=r"^x \[2\.0, 0\.0, 0\.0\] is not in UnitBall"):
+                metric(b, 2.0 * E1, 0.5 * E1)
         d = FiniteComplement(3, [E1, -E1], includes_infinity_boundary=False)
         with pytest.raises(DomainMembershipError):
-            boundary_sup(d, DistancePairFunctional("inv_sum", np.zeros(3), -E1))
+            triangular_ratio(d, np.zeros(3), -E1)
 
     def test_ball_sup_against_dense_scan(self):
-        # both root solves, inv_product and inv_sum
-        b = UnitBall(3)
+        # both root solves, product and sum
         rng = np.random.default_rng(9)
         for _ in range(10):
             x = rng.uniform(-0.6, 0.6, 3)
@@ -284,15 +276,13 @@ class TestBoundarySup:
             ct = rng.uniform(-1, 1, 4000)
             st = np.sqrt(1 - ct * ct)
             pts = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
-            for kind in DistancePairFunctional.KINDS:
-                f = DistancePairFunctional(kind, x, y, scale=scale)
-                v, w = boundary_sup(b, f)
+            for kind in KINDS:
+                least, w = boundary_sup(x, y, kind)
                 # the supremum must dominate a dense independent scan of the sphere
-                brute = float(np.max(f(pts)))
-                assert v >= brute - 1e-12
-                assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-9)
-                assert float(f(w.point)) == pytest.approx(v, rel=1e-12)
-                assert w.value == v
+                brute = float(np.max(scale / _distance_form(kind, pts, x, y)))
+                assert scale / least >= brute - 1e-12
+                assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
+                assert float(_distance_form(kind, w, x, y)) == pytest.approx(least, rel=1e-12)
 
     def test_halfspace_sup_against_dense_scan(self):
         # the half-space Cassinian metric is a cubic root solve, not a search
@@ -301,43 +291,37 @@ class TestBoundarySup:
         for _ in range(10):
             x = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
             y = np.array([rng.normal(), rng.normal(), 10 ** rng.uniform(-2, 1)])
-            f = DistancePairFunctional("inv_product", x, y, scale=float(np.linalg.norm(x - y)))
             v = cassinian(h, x, y)
             g = rng.normal(size=(4000, 2)) * 5.0
             pts = np.concatenate([g, np.zeros((4000, 1))], axis=1)
-            brute = float(np.max(f(pts)))
+            brute = float(np.max(float(np.linalg.norm(x - y)) / _distance_form("product", pts, x, y)))
             assert v >= brute - 1e-12
 
     def test_pairs_collinear_with_the_origin(self):
         # any plane through such a pair will do; a basis built from
         # rounding residue distorted it and missed the peak by 10^5
-        b = UnitBall(3)
         v = np.array([-0.9920662471377072, -0.07024627560503027, 0.10424980601769739])
         v /= np.linalg.norm(v)
         for x, y in ((np.zeros(3), (1.0 - 1e-6) * v), (0.3 * v, -0.6 * v), (-0.0 * v, 0.5 * v)):
             # the product of distances is least at the outer point's projection
             p = v if y @ v > 0 else -v
-            exact = 1.0 / float(np.linalg.norm(p - x) * np.linalg.norm(p - y))
-            for f in (DistancePairFunctional("inv_product", x, y), DistancePairFunctional("inv_product", y, x)):
-                assert boundary_sup(b, f)[0] == pytest.approx(exact, rel=1e-9)
+            exact = float(np.linalg.norm(p - x) * np.linalg.norm(p - y))
+            for a, c in ((x, y), (y, x)):
+                assert boundary_sup(a, c, "product")[0] == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("pair", sorted(BALL_PAIRS))
     def test_ball_cassinian_on_special_pairs(self, pair):
         # and s: both kinds of ball supremum
         x, y, exact = BALL_PAIRS[pair]
         x, y = np.array(x), np.array(y)
-        b = UnitBall(x.size)
-        scale = float(np.linalg.norm(x - y))
-        for kind in DistancePairFunctional.KINDS:
-            want = scale / (exact[kind] if kind in exact else _least_scan(x, y, kind))
-            f = DistancePairFunctional(kind, x, y, scale=scale)
-            v, w = boundary_sup(b, f)
-            assert v == pytest.approx(want, rel=1e-9), kind
-            swapped, ws = boundary_sup(b, DistancePairFunctional(kind, y, x, scale=scale))
-            assert swapped == v and np.array_equal(ws.point, w.point), kind
-            assert np.linalg.norm(w.point) == pytest.approx(1.0, abs=1e-12)
-            assert float(f(w.point)) == pytest.approx(v, rel=1e-9), kind
-            assert w.value == v
+        for kind in KINDS:
+            want = exact[kind] if kind in exact else _least_scan(x, y, kind)
+            least, w = boundary_sup(x, y, kind)
+            assert least == pytest.approx(want, rel=1e-9), kind
+            swapped, ws = boundary_sup(y, x, kind)
+            assert swapped == least and np.array_equal(ws, w), kind
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+            assert float(_distance_form(kind, w, x, y)) == pytest.approx(least, rel=1e-9), kind
 
     def test_ball_triangular_ratio_is_rotation_invariant(self):
         # a planar pair turned into dimension 5 keeps its value
@@ -365,7 +349,6 @@ class TestBoundarySup:
             assert turned == pytest.approx(planar, rel=1e-9)
 
     def test_argument_order_is_immaterial(self):
-        b = UnitBall(3)
         rng = np.random.default_rng(12)
         for _ in range(20):
             x = rng.uniform(-0.9, 0.9, 3)
@@ -374,14 +357,12 @@ class TestBoundarySup:
                 continue
             # both orders solve from the canonical pair, so they agree bit
             # for bit
-            for kind in DistancePairFunctional.KINDS:
-                v1, _ = boundary_sup(b, DistancePairFunctional(kind, x, y))
-                v2, _ = boundary_sup(b, DistancePairFunctional(kind, y, x))
-                assert v1 == v2, kind
+            for kind in KINDS:
+                assert boundary_sup(x, y, kind)[0] == boundary_sup(y, x, kind)[0], kind
 
     def test_no_ball_supremum_is_searched(self, monkeypatch):
-        # both kinds are root solves that read neither SCAN nor RECHECK,
-        # through boundary_sup and the metrics alike
+        # both kinds are root solves, through boundary_sup and the metrics
+        # alike, and each metric is |x-y| over the solver's least value
         import hypmetrics.geometry as geo
 
         def refuse(*args):
@@ -390,25 +371,9 @@ class TestBoundarySup:
         monkeypatch.setattr(geo, "_golden_max", refuse)
         b = UnitBall(3)
         x, y = np.array([0.5, 0.0, 0.1]), np.array([0.0, -0.5, 0.3])
-        outside = [boundary_sup(b, DistancePairFunctional(kind, x, y))[0] for kind in DistancePairFunctional.KINDS]
-        outside += [cassinian(b, x, y), triangular_ratio(b, x, y)]
-        with sup_refinement():
-            inside = [boundary_sup(b, DistancePairFunctional(kind, x, y))[0] for kind in DistancePairFunctional.KINDS]
-            inside += [cassinian(b, x, y), triangular_ratio(b, x, y)]
-        assert inside == outside
-
-    def test_sup_refinement_swaps_and_restores_knobs(self):
-        import hypmetrics.geometry as geo
-
-        assert (geo.SCAN, geo.RECHECK) == ((1024, 1e-12), (8192, 1e-13))
-        assert geo._setting is geo.SCAN
-        with sup_refinement():
-            assert geo._setting is geo.RECHECK
-        assert geo._setting is geo.SCAN
-        with pytest.raises(RuntimeError), sup_refinement():
-            assert geo._setting is geo.RECHECK
-            raise RuntimeError
-        assert geo._setting is geo.SCAN
+        r = math.sqrt(np.dot(x - y, x - y))
+        assert cassinian(b, x, y) == r / boundary_sup(x, y, "product")[0]
+        assert triangular_ratio(b, x, y) == r / boundary_sup(x, y, "sum")[0]
 
 
 class TestDirectCallsMatchNumpyWrappers:

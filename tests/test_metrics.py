@@ -24,11 +24,20 @@ from hypmetrics.metrics import (
     j_metric,
     j_tilde,
     rho,
-    rho_axial,
     triangular_ratio,
     u_metric,
 )
 from hypmetrics.suite import sample_pair
+
+
+def rho_axial(domain, a, b):
+    """Hyperbolic distance between a*e1 and b*e1 in the ball, or between
+    a*en and b*en in the half-space: a closed-form reference for rho."""
+    lo, hi = min(a, b), max(a, b)
+    if isinstance(domain, UnitBall):
+        return math.log(((1.0 + hi) / (1.0 - hi)) * ((1.0 - lo) / (1.0 + lo)))
+    return math.log(hi / lo)
+
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -145,14 +154,6 @@ class TestRho:
             assert rho(BALL, a * E1, b * E1) == pytest.approx(rho_axial(BALL, a, b), abs=1e-12)
         for a, b in [(0.2, 5.0), (1.0, 1.5)]:
             assert rho(HALF, a * E3, b * E3) == pytest.approx(rho_axial(HALF, a, b), abs=1e-12)
-
-    def test_axial_domain_validation(self):
-        with pytest.raises(ParameterError):
-            rho_axial(BALL, -1.0, 0.5)
-        with pytest.raises(ParameterError):
-            rho_axial(HALF, 0.0, 1.0)
-        with pytest.raises(ParameterError):
-            rho_axial(PUNCT, 0.1, 0.2)
 
     def test_near_boundary_precision(self):
         # the factored (1-|x|)(1+|x|) form stays accurate at distance 1e-12

@@ -23,7 +23,6 @@ from hypmetrics.mobius import (
     Translation,
     ball_automorphism,
     cayley_map,
-    compose,
     inversion_unit,
     map_domain,
 )
@@ -94,7 +93,7 @@ class TestMobiusMap:
     def test_composition_order(self):
         f = MobiusMap([Scaling(2.0)])
         g = MobiusMap([Translation(E1)])
-        h = compose(f, g)  # f after g
+        h = MobiusMap(g.generators + f.generators)  # f after g
         assert np.allclose(h.apply(np.zeros(3)), 2.0 * E1)
 
     def test_inverse_round_trip(self):
