@@ -204,6 +204,26 @@ class TestCheckCase:
         assert len(seen) == 3 and len(set(map(tuple, seen))) == 3
         assert rec.violations == 3
 
+    def test_gross_violations_skip_the_recheck(self):
+        # no violation is ever re-evaluated: one call per sample, all counted
+        seen = []
+
+        def evaluate(domain, smp):
+            seen.append(smp.x.tolist())
+            return 5.0, 1.0
+
+        rigged = InequalityCase(
+            case_id="RIG-GROSS",
+            paper_ref="none",
+            formula="grossly",
+            domains=(BALL,),
+            evaluate=evaluate,
+        )
+        rec = check_case(rigged, n_samples=3, seed=1)
+        assert len(seen) == 3 and len(set(map(tuple, seen))) == 3
+        assert rec.violations == 3
+        assert rec.max_slack == pytest.approx(4.0)
+
     def test_vacuous_comparisons_do_not_enter_max_slack(self):
         rigged = InequalityCase(
             case_id="RIG-VACUOUS",
