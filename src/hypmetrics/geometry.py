@@ -10,16 +10,19 @@ the ball: it returns the least product |p-x| |p-y| (for the Cassinian
 metric) or the least sum |p-x| + |p-y| (for s) over the unit sphere,
 and the point p that attains it.  (The half-space Cassinian metric is a
 cubic root solve in :mod:`hypmetrics.metrics`.)  The rotational
-symmetry of the ball reduces both to one parameter, the angle on a
-great circle, and both are root solves: a quartic whose roots are the
+symmetry of the ball reduces both to three floats (the two norms and
+half the angle between the points) and one parameter, the angle on a
+great circle.  Both are root solves: the roots of a quartic are the
 critical points of the product of distances or of their sum (the
-Ptolemy-Alhazen quartic of mirror reflection) locates each minimum, and
-Newton's method polishes it.  Nothing in the package is searched.  The
-least value is the distance form at one boundary point, so it is an
-upper bound on the true minimum up to the rounding of 1 - |x| (and of
-the angles in the plane), amplified by 1/d with d the distance to the
-sphere: for a pair 1e-6 from the sphere and 1e-6 apart the Cassinian
-metric comes out 1.05e-10 relative above its true value.
+Ptolemy-Alhazen quartic of mirror reflection), its derivative's roots
+(a closed-form cubic, :func:`_cubic_roots`) split the arc into pieces,
+Newton's method on the quartic finds each minimum's root, and Newton's
+method on the distance form polishes it.  Nothing in the package is
+searched.  The least value is the distance form at one boundary point,
+so it is an upper bound on the true minimum up to the rounding of
+1 - |x|, amplified by 1/d with d the distance to the sphere: for a pair
+1e-6 from the sphere and 1e-6 apart the Cassinian metric comes out
+3.6e-11 relative above its true value.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -30,6 +33,7 @@ arrays of the domain's dimension.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -301,33 +305,28 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
     return best_t, best_v
 
 
-def _plane_basis(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of a 2-plane through the origin containing x and y."""
-    n = x.size
-
-    def unit_or_none(v):
-        nv = math.sqrt(np.dot(v, v))
-        return v / nv if nv > 1e-300 else None
-
-    u1 = unit_or_none(x)
-    if u1 is None:
-        u1 = unit_or_none(y)
-    if u1 is None:
-        u1 = np.zeros(n)
-        u1[0] = 1.0
-    w = y - float(np.dot(y, u1)) * u1
-    # projected twice: for y collinear with x (or x = 0) w is rounding
-    # residue, which one projection leaves far from orthogonal to u1
-    w -= float(np.dot(w, u1)) * u1
-    u2 = unit_or_none(w)
-    if u2 is None:
+def _plane_basis(x: list, y: list) -> tuple[list, list]:
+    """Orthonormal basis (u1, u2) of a 2-plane through the origin that
+    contains the points x and y, given as lists of floats: u1 along x
+    (along y when x = 0), and y at an angle in [0, pi] from u1."""
+    n = len(x)
+    nx = math.hypot(*x)
+    if nx == 0.0:
+        x, nx = y, math.hypot(*y)
+    u1 = [c / nx for c in x] if nx > 0.0 else [1.0] + [0.0] * (n - 1)
+    # projected twice: for y collinear with x (or x = 0) the remainder is
+    # rounding residue, which one projection leaves far from orthogonal to u1
+    v = y
+    for _ in range(2):
+        d = sum(map(operator.mul, v, u1))
+        v = [q - d * p for p, q in zip(u1, v)]
+    nv = math.hypot(*v)
+    if nv == 0.0:
         # x, y collinear: any direction orthogonal to u1 completes the plane
-        k = int(np.argmin(np.abs(u1)))
-        e = np.zeros(n)
-        e[k] = 1.0
-        w = e - float(np.dot(e, u1)) * u1
-        u2 = w / math.sqrt(np.dot(w, w))
-    return u1, u2
+        k = min(range(n), key=lambda i: abs(u1[i]))
+        v = [float(i == k) - u1[k] * p for i, p in enumerate(u1)]
+        nv = math.hypot(*v)
+    return u1, [c / nv for c in v]
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
@@ -337,62 +336,68 @@ def _canonical_pair(x: np.ndarray, y: np.ndarray):
     return (x, y) if x.tobytes() <= y.tobytes() else (y, x)
 
 
-def _horner(c, t: float) -> float:
-    v = 0.0
-    for a in reversed(c):
-        v = v * t + a
-    return v
+def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
+    """Real roots of t^3 + p t + q = 0 (Cardano, or the trigonometric
+    form when all three are real)."""
+    d = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if d > 0.0:
+        # the two cube roots are c and -p/(3c); c takes the sign that adds magnitudes
+        c = -math.copysign((0.5 * abs(q) + math.sqrt(d)) ** (1.0 / 3.0), q)
+        return (c - p / (3.0 * c),)
+    if p >= 0.0:
+        return (0.0,)  # with d <= 0 only p = q = 0 gets here
+    m = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
+    turn = 2.0 * math.pi
+    return m * math.cos(phi / 3.0), m * math.cos((phi - turn) / 3.0), m * math.cos((phi - 2.0 * turn) / 3.0)
 
 
-def _sign_changes(c, lo: float, hi: float, tol: float) -> list[float]:
-    """Points of (lo, hi) where the polynomial sum c[k] t^k changes sign,
-    increasing.
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list[float]:
+    """Real roots of c0 + c1 t + c2 t^2, with c2 = 0 allowed."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    # the root of larger magnitude first, the other from the product of
+    # the roots, so that neither cancels
+    h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    if h == 0.0:
+        return [0.0, 0.0]
+    return [t for t in (h / c2, c0 / h) if math.isfinite(t)]
 
-    A line or a quadratic has its roots in closed form.  Above that, the
-    roots of the derivative cut [lo, hi] into monotone pieces, each with
-    at most one sign change, found by Newton's method kept inside its
-    piece.  No Newton step divides by the leading coefficient, so a
-    degree that drops (a leading coefficient of 0) needs no special case.
+
+def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
+    """Real roots of c0 + c1 t + c2 t^2 + c3 t^3, a multiple root listed
+    as often as it is found.
+
+    The depressed form of t = s - c2 / (3 c3) gives the root t1 of
+    largest magnitude, which the shift leaves accurate, and one Newton
+    step on the cubic polishes it.  The other two are the roots of the
+    quadratic left by dividing out t - t1, from the constant term when t1
+    is the largest root and from the leading term otherwise, so small
+    roots stay accurate where the shift alone would lose eps (c2 / c3)^2
+    of them.  A leading coefficient at most 1e-50 of the others, 0
+    included, is dropped so that nothing overflows; a root beyond about
+    1e16 in magnitude may then be lost.
     """
-    if len(c) == 2:
-        t = -c[0] / c[1] if c[1] != 0.0 else lo
-        return [t] if lo < t < hi else []
-    if len(c) == 3 and c[2] != 0.0:
-        disc = c[1] * c[1] - 4.0 * c[2] * c[0]
-        if disc <= 0.0:
-            return []
-        # the root of larger magnitude first, the other from the product
-        # of the roots, so that neither cancels
-        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1]))
-        return sorted(t for t in (q / c[2], c[0] / q) if lo < t < hi)
-    dc = [k * c[k] for k in range(1, len(c))]
-    knots = [lo, *_sign_changes(dc, lo, hi, tol), hi]
-    out = []
-    pa = _horner(c, lo)
-    for a, b in zip(knots, knots[1:]):
-        pb = _horner(c, b)
-        if (pa < 0.0) != (pb < 0.0):
-            rising = pa < 0.0
-            t = a - pa * (b - a) / (pb - pa)
-            for _ in range(100):
-                p = _horner(c, t)
-                if (p < 0.0) == rising:
-                    a = t
-                else:
-                    b = t
-                dp = _horner(dc, t)
-                step = p / dp if dp != 0.0 else math.inf
-                if abs(step) <= tol:
-                    t -= step
-                    break
-                t -= step
-                if not a < t < b:
-                    t = 0.5 * (a + b)
-                if b - a <= tol:
-                    break
-            out.append(t)
-        pa = pb
-    return out
+    if abs(c3) <= 1e-50 * max(abs(c0), abs(c1), abs(c2)):
+        return _quadratic_roots(c0, c1, c2)
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    p = c - b * b / 3.0
+    q = d - b * (c - 2.0 * b * b / 9.0) / 3.0
+    t = max([s - b / 3.0 for s in _depressed_cubic_roots(p, q)], key=abs)
+    # kept only if it lowers |cubic|: next to a multiple root it may not
+    ft, slope = ((c3 * t + c2) * t + c1) * t + c0, (3.0 * c3 * t + 2.0 * c2) * t + c1
+    if slope != 0.0:
+        u = t - ft / slope
+        if abs(((c3 * u + c2) * u + c1) * u + c0) < abs(ft):
+            t = u
+    if abs(c3 * t * t * t) > abs(c0):
+        k = c1 + c0 / t
+        return [t, *_quadratic_roots(c0, k, c2 + k / t)]
+    k = c2 + c3 * t
+    return [t, *_quadratic_roots(c1 + k * t, k, c3)]
 
 
 # perfbench/tracing.py wraps this name in metrics; kept until ROADMAP item 1 revises it
@@ -407,8 +412,10 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
     sqrt(D_x) + sqrt(D_y) (sum) are least on the closed short arc
     between t_x and t_y: a point off it is dominated by an arc point no
     farther from either.  Take phi = theta - t_m, t_m the midpoint of the
-    arc, so that x sits at phi = -w and y at +w, and u = tan(phi/2).  On
-    the arc a quartic c(u) has the sign of the phi-derivative:
+    arc, so that x sits at phi = -w and y at +w, and u = tan(phi/2); w
+    is Kahan's atan2(|x r_y - y r_x|, |x r_y + y r_x|), so the values need
+    no basis of the plane.  On the arc a quartic c(u) has the sign of the
+    phi-derivative:
 
     - product: each (1+u^2) D is A u^2 + B u + C with delta = t - t_m,
       A = (1+r)^2 - 4r sin^2(delta/2), B = -4r sin(delta) and C = (1-r)^2
@@ -426,31 +433,27 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
       are those of the difference of the distances, which has none inside
       the short arc.
 
-    The functional has a minimum in each piece of the arc where c rises
-    through 0.  The quartic only locates the pieces: in each one Newton's
-    method on the phi-derivative of log(D_x D_y), or of sqrt(D_x) +
-    sqrt(D_y), kept inside the piece, finds the minimum of the sin^2 form
-    itself, the form every candidate is valued in.  The least of those
-    minima and of both arc ends (the anchors t_x and t_y) wins.
+    The roots of the cubic c' (:func:`_cubic_roots`) cut the arc into
+    pieces where c is monotone, and the functional has a minimum in each
+    piece where c rises through 0.  Newton's method on c, kept inside the
+    piece, finds its root u; from phi = 2 atan(u), Newton's method on the
+    phi-derivative of log(D_x D_y), or of sqrt(D_x) + sqrt(D_y), finds
+    the minimum of the sin^2 form itself, the form every candidate is
+    valued in.  The least of those minima and of both arc ends (the
+    anchors t_x and t_y) wins; only its point is built, in the basis of
+    :func:`_plane_basis`.
 
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
     """
     a, b = _canonical_pair(x, y)
-    u1, u2 = _plane_basis(a, b)
-
-    def polar(p):
-        c, s = float(np.dot(p, u1)), float(np.dot(p, u2))
-        return math.hypot(c, s), math.atan2(s, c)
-
-    (ra, ta), (rb, tb) = polar(a), polar(b)
-    gap = tb - ta
-    if gap > math.pi:
-        gap -= 2.0 * math.pi
-    elif gap < -math.pi:
-        gap += 2.0 * math.pi
-    w = 0.5 * gap  # a sits at phi = -w, b at phi = +w
-    half = abs(w)
+    al, bl = a.tolist(), b.tolist()
+    ra, rb = math.hypot(*al), math.hypot(*bl)
+    # a sits at phi = -w, b at phi = +w; w = 0 when a or b is 0
+    w = math.atan2(
+        math.hypot(*[p * rb - q * ra for p, q in zip(al, bl)]),
+        math.hypot(*[p * rb + q * ra for p, q in zip(al, bl)]),
+    )
     oma, fa4 = (1.0 - ra) ** 2, 4.0 * ra
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
     product = kind == "product"
@@ -462,7 +465,7 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
         return da * db if product else sqrt(da) + sqrt(db)
 
     candidates = [(value(-w), -w), (value(w), w)]
-    umax = math.tan(0.5 * half)
+    umax = math.tan(0.5 * w)
     if umax > 0.0:
         s2, sw = sin(0.5 * w) ** 2, sin(w)
         if product:
@@ -472,27 +475,45 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
             g3 = Aa * Bb + Ba * Ab
             g2 = Aa * Cb + Ba * Bb + Ca * Ab
             g1 = Ba * Cb + Ca * Bb
-            c = (g1, 2.0 * g2 - 4.0 * g0, 3.0 * (g3 - g1), 4.0 * g4 - 2.0 * g2, -g3)
+            c0, c1, c2, c3, c4 = g1, 2.0 * g2 - 4.0 * g0, 3.0 * (g3 - g1), 4.0 * g4 - 2.0 * g2, -g3
         else:
             # P - R = 2(r_x (1-r_y) + r_y (1-r_x)) - 4 (r_x + r_y) sin^2(w/2)
             # without the cancellation of 2(r_x + r_y) cos w - 4 r_x r_y
             q = (ra - rb) * sw
             pmr = 2.0 * (ra * (1.0 - rb) + rb * (1.0 - ra)) - 4.0 * (ra + rb) * s2
             ppr = 4.0 * ra * rb + 2.0 * (ra + rb) * (1.0 - 2.0 * s2)
-            c = (q, pmr, 0.0, ppr, -q)
-        # the knots need only the quartic's sign between them, and Newton
-        # converges quadratically, so a loose step tolerance suffices
-        knots = _sign_changes([k * c[k] for k in range(1, 5)], -umax, umax, 1e-6 * umax)
+            c0, c1, c2, c3, c4 = q, pmr, 0.0, ppr, -q
+
+        def quartic(u: float) -> float:
+            return (((c4 * u + c3) * u + c2) * u + c1) * u + c0
+
+        knots = sorted([t for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4) if -umax < t < umax])
         us = [-umax, *knots, umax]
-        phis = [-half, *(2.0 * math.atan(k) for k in knots), half]
-        tol = 1e-12 * half
-        pa = _horner(c, -umax)
+        phis = [-w, *(2.0 * math.atan(k) for k in knots), w]
+        tol = 1e-12 * w
+        pa = quartic(-umax)
         for i in range(len(us) - 1):
-            pb = _horner(c, us[i + 1])
+            pb = quartic(us[i + 1])
             if pa < 0.0 <= pb:
+                # Newton on the quartic, kept inside the piece; it converges
+                # quadratically, so a step of 1e-8 leaves the root to rounding
+                lo, hi = us[i], us[i + 1]
+                u = lo - pa * (hi - lo) / (pb - pa)
+                for _ in range(8):
+                    p = quartic(u)
+                    if p < 0.0:
+                        lo = u
+                    else:
+                        hi = u
+                    dp = ((4.0 * c4 * u + 3.0 * c3) * u + 2.0 * c2) * u + c1
+                    step = p / dp if dp > 0.0 else math.inf
+                    u -= step
+                    if abs(step) <= 1e-8 * umax:
+                        break
+                    if not lo < u < hi:
+                        u = 0.5 * (lo + hi)
                 lo, hi = phis[i], phis[i + 1]
-                ua, ub = us[i], us[i + 1]
-                phi = 2.0 * math.atan(ua - pa * (ub - ua) / (pb - pa))
+                phi = 2.0 * math.atan(u)
                 for _ in range(100):
                     sa, ca = sin(0.5 * (phi + w)), cos(0.5 * (phi + w))
                     sb, cb = sin(0.5 * (phi - w)), cos(0.5 * (phi - w))
@@ -526,5 +547,6 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
                         break
             pa = pb
     least, phi = min(candidates)
-    theta = ta + w + phi
-    return sqrt(least) if product else least, math.cos(theta) * u1 + math.sin(theta) * u2
+    u1, u2 = _plane_basis(al, bl)
+    ct, st = math.cos(w + phi), math.sin(w + phi)
+    return sqrt(least) if product else least, np.array([ct * p + st * q for p, q in zip(u1, u2)])

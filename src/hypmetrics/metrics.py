@@ -27,6 +27,7 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _canonical_pair,
+    _depressed_cubic_roots,
     boundary_sup,
     require_member,
     same_point,
@@ -242,13 +243,9 @@ def cassinian(domain, x, y) -> float:
     tau = l and heights h_x, h_y, its square g(tau) = (tau^2 + h_x^2)
     ((tau-l)^2 + h_y^2) has the critical points 2 tau^3 - 3 l tau^2 +
     (l^2 + h_x^2 + h_y^2) tau - l h_x^2 = 0; the metric is the largest
-    value over the real roots and both feet.  On the ball the product is
-    least on the short arc between the projections of x and y onto the
-    great circle through them; a quartic in u = tan of half the angle
-    from the arc's midpoint locates its minima there, Newton's method
-    polishes each, and the metric is |x-y| over the least product over
-    those minima and both projections (see
-    :func:`hypmetrics.geometry.boundary_sup`).
+    value over the real roots and both feet.  On the ball it is |x-y|
+    over the least product that :func:`hypmetrics.geometry.boundary_sup`
+    solves for.
     """
     x, y = _pair(domain, x, y)
     if same_point(x, y):
@@ -275,34 +272,15 @@ def cassinian(domain, x, y) -> float:
     return r / least
 
 
-def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
-    """Real roots of t^3 + p t + q = 0 (Cardano, or the trigonometric
-    form when all three are real)."""
-    d = (0.5 * q) ** 2 + (p / 3.0) ** 3
-    if d > 0.0:
-        # the two cube roots are c and -p/(3c); c takes the sign that adds magnitudes
-        c = -math.copysign((0.5 * abs(q) + math.sqrt(d)) ** (1.0 / 3.0), q)
-        return (c - p / (3.0 * c),)
-    if p >= 0.0:
-        return (0.0,)  # with d <= 0 only p = q = 0 gets here
-    m = 2.0 * math.sqrt(-p / 3.0)
-    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m))))
-    return tuple(m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3))
-
-
 def triangular_ratio(domain, x, y) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary).
 
     On the half-space the least sum is |x - mirror(y)|; on finite
-    complements it is a minimum over the removed points.  On the ball the
-    sum is least on the short arc between the projections of x and y onto
-    the great circle through them, at an arc end or at a reflection
-    point, a root of the Ptolemy-Alhazen quartic; a quartic in u = tan of
-    half the angle from the arc's midpoint locates the minima there,
-    Newton's method polishes each, and the metric is |x-y| over the least
-    sum over those minima and both projections (see
-    :func:`hypmetrics.geometry.boundary_sup`).
+    complements it is a minimum over the removed points.  On the ball it
+    is |x-y| over the least sum that :func:`hypmetrics.geometry.boundary_sup`
+    solves for, at an arc end or at a reflection point, a root of the
+    Ptolemy-Alhazen quartic.
     """
     x, y = _pair(domain, x, y)
     if same_point(x, y):

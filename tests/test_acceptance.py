@@ -17,7 +17,6 @@ is widened to absorb them:
 import math
 
 import numpy as np
-import pytest
 
 from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, cross_ratio
 from hypmetrics.metrics import (

@@ -1,5 +1,6 @@
 """Every name a module exports resolves, so ``from module import *`` works,
-and the package re-exports only names its modules export."""
+the package re-exports only names its modules export, and no module or
+test imports a name it never uses."""
 
 import ast
 import importlib
@@ -28,3 +29,29 @@ def test_package_reexports_only_exported_names():
         if alias.name not in importlib.import_module(f"hypmetrics.{node.module}").__all__
     ]
     assert stale == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a file imports (``from __future__`` aside) and never uses; a
+    name listed in the file's ``__all__`` counts as used."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted(imported - used)
+
+
+def test_no_file_imports_a_name_it_never_uses():
+    # the package's __init__ imports only to re-export, which the test above checks
+    package = Path(hypmetrics.__file__).parent
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"] + list(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 10
+    unused = {f"{p.parent.name}/{p.name}": names for p in sorted(files) if (names := _unused_imports(p))}
+    assert unused == {}

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import hypmetrics.geometry as geo
 from hypmetrics.geometry import (
     BoundaryCardinalityError,
     DomainMembershipError,
@@ -23,6 +25,7 @@ from hypmetrics.geometry import (
     same_point,
 )
 from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric, triangular_ratio
+from hypmetrics.suite import sample_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -217,6 +220,14 @@ BALL_PAIRS = {
     ),
     "sharp-minimum": ([0.5999994, 0.7999992, 0.0], [0.5999986000005, 0.7999997999990001, 0.0], {}),
     "dimension-5": ([0.3, -0.5, 0.2, 0.6, -0.1], [-0.4, 0.1, 0.5, -0.2, 0.55], {}),
+    # opposite directions: least at the projection of the outer point
+    "antipodal-directions": ((0.3 * _V).tolist(), (-0.6 * _V).tolist(), {"product": 1.3 * 0.4, "sum": 1.7}),
+    # x = 0: least at the projection of y, 1 - |y| away, |y| = sqrt(0.75)
+    "x-at-origin-dimension-5": (
+        [0.0] * 5,
+        [0.3, -0.5, 0.2, 0.6, -0.1],
+        {"product": 1.0 - math.sqrt(0.75), "sum": 2.0 - math.sqrt(0.75)},
+    ),
 }
 
 
@@ -360,6 +371,40 @@ class TestBoundarySup:
             for kind in KINDS:
                 assert boundary_sup(x, y, kind)[0] == boundary_sup(y, x, kind)[0], kind
 
+    def test_newton_starts_next_to_each_minimum(self, monkeypatch):
+        """Work count on 2000 sampler pairs, read off the solver's calls
+        to ``math``: each evaluation of the sin^2 form calls sin twice;
+        the phi-Newton for each located minimum starts from an atan that
+        is followed directly by sin (no other atan is); the point built
+        at the end calls sin once.  Started at the quartic's root, the
+        phi-Newton needs about two evaluations per minimum."""
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                f = getattr(math, name)
+
+                def record(*args):
+                    calls.append(name)
+                    return f(*args)
+
+                return record if callable(f) else f
+
+        rng = np.random.default_rng(21)
+        pairs = [sample_pair(UnitBall(3), rng) for _ in range(2000)]
+        monkeypatch.setattr(geo, "math", Recording())
+        for kind in KINDS:
+            minima = evaluations = 0
+            for x, y in pairs:
+                calls.clear()
+                boundary_sup(x, y, kind)
+                starts = [i for i in range(len(calls) - 1) if calls[i : i + 2] == ["atan", "sin"]]
+                if starts:
+                    minima += len(starts)
+                    evaluations += (calls[starts[0] :].count("sin") - 1) / 2
+            assert minima > len(pairs) // 2, kind
+            assert evaluations / minima <= 3.0, (kind, evaluations / minima)
+
     def test_no_ball_supremum_is_searched(self, monkeypatch):
         # both kinds are root solves, through boundary_sup and the metrics
         # alike, and each metric is |x-y| over the solver's least value
@@ -374,6 +419,82 @@ class TestBoundarySup:
         r = math.sqrt(np.dot(x - y, x - y))
         assert cassinian(b, x, y) == r / boundary_sup(x, y, "product")[0]
         assert triangular_ratio(b, x, y) == r / boundary_sup(x, y, "sum")[0]
+
+
+def _sum_quartic_slope(rx, ry, w):
+    """Coefficients, lowest first, of the u-derivative of the sum kind's
+    quartic Q + (P-R) u + (P+R) u^3 - Q u^4 (README): a cubic whose
+    leading coefficient -4Q vanishes when r_x = r_y."""
+    p, q, r = 2.0 * (rx + ry) * math.cos(w), (rx - ry) * math.sin(w), 4.0 * rx * ry
+    return (p - r, 0.0, 3.0 * (p + r), -4.0 * q)
+
+
+MP = mpmath.MPContext()
+MP.dps = 50
+
+# name: (c0, c1, c2, c3, the half-width of the window whose roots are
+# compared, the root tolerance relative to max(1, |t|))
+CUBICS = {
+    "three-real-roots": (0.3, -0.5, -1.2, 0.8, math.inf, 1e-12),
+    "one-real-root": (1.0, 0.1, 0.2, 0.3, math.inf, 1e-12),
+    "roots-outside-the-unit-interval": (*np.polynomial.polynomial.polyfromroots([3.0, -5.0, 0.25]), math.inf, 1e-12),
+    "roots-far-outside": (*np.polynomial.polynomial.polyfromroots([40.0, -2.0, 7.0]), math.inf, 1e-12),
+    "leading-zero": (0.3, -0.7, 1.1, 0.0, math.inf, 1e-12),
+    "leading-1e-300-relative": (0.3, -0.7, -1.1, 1.1e-300, 1.0, 1e-12),
+    # rounded coefficients split the triple root 0.1 into a cluster of
+    # radius about eps^(1/3)
+    "rounded-triple-root": (*np.polynomial.polynomial.polyfromroots([0.1, 0.1, 0.1]), math.inf, 1e-5),
+    "sum-kind-equal-radii": (*_sum_quartic_slope(0.9, 0.9, 0.6), 1.0, 1e-12),
+    "sum-kind-radii-one-ulp-apart": (*_sum_quartic_slope(0.9, math.nextafter(0.9, 1.0), 0.6), 1.0, 1e-12),
+}
+
+
+def _reference_real_roots(c, tol):
+    """Real roots of sum c[k] t^k by mpmath.polyroots at 50 digits, with
+    the vanishing leading coefficients dropped."""
+    c = list(c)
+    while c[-1] == 0.0:
+        c.pop()
+    # working precision to spare over the coefficients' dynamic range
+    spread = math.log2(max(map(abs, c)) / min(abs(v) for v in c if v != 0.0))
+    roots = MP.polyroots([MP.mpf(v) for v in reversed(c)], maxsteps=100, extraprec=100 + 2 * int(spread))
+    return [float(MP.re(t)) for t in roots if abs(MP.im(t)) <= tol * max(1.0, abs(t))]
+
+
+def _assert_same_roots(got, want, window, tol):
+    def near(t, ts):
+        return any(abs(t - v) <= tol * max(1.0, abs(v)) for v in ts)
+
+    assert all(near(t, got) for t in want if abs(t) <= window), (got, want)
+    assert all(near(t, want) for t in got if abs(t) <= window), (got, want)
+
+
+class TestCubicRoots:
+    """The closed-form cubic shared by the half-space Cassinian metric and
+    the knots of the ball root solve, against mpmath.polyroots."""
+
+    @pytest.mark.parametrize("name", sorted(CUBICS))
+    def test_against_polyroots(self, name):
+        *c, window, tol = CUBICS[name]
+        _assert_same_roots(geo._cubic_roots(*c), _reference_real_roots(c, tol), window, tol)
+
+    def test_random_cubics(self):
+        # coefficients spread over eight orders of magnitude, so that
+        # roots of very different sizes meet
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-4.0, 4.0, 4)
+            got, want = geo._cubic_roots(*c), _reference_real_roots(c, 1e-12)
+            assert len(got) == len(want), (c.tolist(), got, want)
+            _assert_same_roots(got, want, math.inf, 1e-12)
+
+    def test_multiple_roots(self):
+        # polyroots does not converge on a multiple root; these are exact
+        assert geo._cubic_roots(-0.125, 0.75, -1.5, 1.0) == [0.5] * 3  # (t - 1/2)^3
+        assert geo._cubic_roots(0.0, 0.0, 0.0, 2.0) == [0.0] * 3  # p = q = 0
+        assert geo._cubic_roots(0.0, 0.0, 0.0, 0.0) == []
+        # the quadratic left when the leading coefficient drops
+        assert geo._cubic_roots(0.0, 0.0, 1.0, 0.0) == [0.0] * 2
 
 
 class TestDirectCallsMatchNumpyWrappers:

@@ -1,7 +1,5 @@
 """Tests for Mobius generators, composition, canonical maps, and domain images."""
 
-import math
-
 import numpy as np
 import pytest
 
