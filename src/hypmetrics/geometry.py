@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,6 +123,11 @@ def same_point(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tolist() == y.tolist()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _dist(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b
     return math.sqrt(float(np.dot(d, d)))
@@ -203,16 +209,32 @@ class FiniteComplement:
     def contains(self, x) -> bool:
         return np.asarray(x, dtype=float).tolist() not in self._removed_rows
 
+    def _squared_distances(self, x) -> np.ndarray:
+        d = self.removed - np.asarray(x)[..., None, :]
+        # vecdot takes each row's dot product as np.dot(d, d) does, with
+        # the same rounding; (d * d).sum(axis=-1), einsum and
+        # np.linalg.norm(axis=-1) round differently
+        return np.vecdot(d, d)
+
     def distances(self, x) -> np.ndarray:
         """|p - x| for each removed point p, in order; ``x`` may carry
         leading axes, which then lead the result."""
-        d = self.removed - np.asarray(x)[..., None, :]
-        # matmul rounds like math.sqrt(np.dot(d, d)) on every row, which
-        # np.linalg.norm(axis=-1) does not
-        return np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+        return np.sqrt(self._squared_distances(x))
 
     def distance_to_boundary(self, x) -> float:
-        return float(self.distances(x).min())
+        # sqrt is monotone and correctly rounded, so the root of the least
+        # square is the least of the rooted distances, bit for bit
+        return math.sqrt(self._squared_distances(x).min())
+
+    @cached_property
+    def removed_distances(self) -> np.ndarray:
+        """The m x m matrix of |p - q| over removed points p, q."""
+        return _read_only(self.distances(self.removed))
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        """The mean of the removed points."""
+        return _read_only(self.removed.mean(axis=0))
 
     def boundary_cardinality(self) -> int:
         return len(self.removed) + (1 if self.includes_infinity_boundary else 0)

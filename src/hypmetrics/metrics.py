@@ -153,7 +153,7 @@ def delta_metric(domain, x, y) -> float:
     r = _sep(x, y)
     dpx = domain.distances(x)
     dqy = domain.distances(y)
-    best = float(np.max((domain.distances(domain.removed) * r) / (dpx[:, None] * dqy[None, :])))
+    best = float(((domain.removed_distances * r) / (dpx[:, None] * dqy[None, :])).max())
     if domain.includes_infinity_boundary:
         best = max(best, r / float(dqy.min()), r / float(dpx.min()))
     return math.log1p(best)
@@ -176,8 +176,8 @@ def alpha_metric(domain, x, y) -> float:
     # log is monotone, so each factor takes it once, of its largest ratio
     dpx = domain.distances(x)
     dpy = domain.distances(y)
-    a = float(np.max(dpy / dpx))
-    b = float(np.max(dpx / dpy))
+    a = float((dpy / dpx).max())
+    b = float((dpx / dpy).max())
     if domain.includes_infinity_boundary:
         a, b = max(a, 1.0), max(b, 1.0)
     return math.log(a) + math.log(b)
@@ -201,9 +201,9 @@ def alpha_pair_form(domain, x, y) -> float:
     # monotone, so it is taken once, of the largest ratio
     dpx = domain.distances(x)
     dpy = domain.distances(y)
-    best = float(np.max((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])))
+    best = float(((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])).max())
     if domain.includes_infinity_boundary:
-        best = max(best, float(np.max(dpx / dpy)), float(np.max(dpy / dpx)))
+        best = max(best, float((dpx / dpy).max()), float((dpy / dpx).max()))
     return math.log(best)
 
 
@@ -232,7 +232,7 @@ def eta_metric(domain, x, y) -> float:
         return math.log((r + math.sqrt(r * r + 4.0 * hx * hy)) / (2.0 * min(hx, hy)))
     dpx = domain.distances(x)
     dpy = domain.distances(y)
-    return math.log(max(float(np.max(dpx / dpy)), float(np.max(dpy / dpx))))
+    return math.log(max(float((dpx / dpy).max()), float((dpy / dpx).max())))
 
 
 def cassinian(domain, x, y) -> float:
@@ -252,7 +252,7 @@ def cassinian(domain, x, y) -> float:
         return 0.0
     r = _sep(x, y)
     if isinstance(domain, FiniteComplement):
-        return float(np.max(r / (domain.distances(x) * domain.distances(y))))
+        return float((r / (domain.distances(x) * domain.distances(y))).max())
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
         a, b = _canonical_pair(x, y)
@@ -292,7 +292,7 @@ def triangular_ratio(domain, x, y) -> float:
         mirror[-1] = -mirror[-1]
         return r / _sep(x, mirror)
     if isinstance(domain, FiniteComplement):
-        v = float(np.max(r / (domain.distances(x) + domain.distances(y))))
+        v = float((r / (domain.distances(x) + domain.distances(y))).max())
     else:
         least, _ = boundary_sup(x, y, "sum")
         v = r / least
@@ -312,11 +312,19 @@ _DISPATCH = {
 }
 
 
+_ALL_METRICS = tuple(MetricId)
+_COMPLEMENT_METRICS = tuple(m for m in MetricId if m is not MetricId.RHO)
+
+
 def evaluable_metrics(domain) -> tuple[MetricId, ...]:
     """Metrics defined on the given domain."""
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return tuple(MetricId)
-    return tuple(m for m in MetricId if m is not MetricId.RHO)
+        return _ALL_METRICS
+    if isinstance(domain, FiniteComplement):
+        return _COMPLEMENT_METRICS
+    raise ParameterError(
+        f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}"
+    )
 
 
 def evaluate_metric(domain, metric, x, y) -> float:

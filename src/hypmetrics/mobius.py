@@ -85,7 +85,10 @@ class Orthogonal:
         q = np.asarray(self.matrix, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise ParameterError("orthogonal generator needs a square matrix, n >= 2")
-        if not np.allclose(q.T @ q, np.eye(q.shape[0]), atol=1e-10):
+        # np.allclose(q.T @ q, I, atol=1e-10) without its generic overhead:
+        # |QᵀQ - I| <= 1e-10 + 1e-5 |I| elementwise, NaN failing
+        eye = np.eye(q.shape[0])
+        if not (np.abs(q.T @ q - eye) <= 1e-10 + 1e-5 * eye).all():
             raise ParameterError("matrix is not orthogonal")
         object.__setattr__(self, "matrix", q)
 

@@ -156,6 +156,12 @@ def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
     return rng
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """The draw of ``rng.uniform(lo, hi)``, which computes lo + (hi - lo)
+    * ``random()`` as well, without its argument handling."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(n)
@@ -179,16 +185,15 @@ def sample_point(domain, rng: np.random.Generator) -> np.ndarray:
     if isinstance(domain, UpperHalfSpace):
         p = np.empty(n)
         p[:-1] = 2.0 * rng.standard_normal(n - 1)
-        p[-1] = 10.0 ** rng.uniform(-6.0, 6.0)
+        p[-1] = 10.0 ** _uniform(rng, -6.0, 6.0)
         return p
     while True:
         if rng.random() < 0.7:
             center = domain.removed[int(rng.integers(len(domain.removed)))]
-            sigma = 10.0 ** rng.uniform(-6.0, 0.5)
+            sigma = 10.0 ** _uniform(rng, -6.0, 0.5)
             p = center + sigma * rng.standard_normal(n)
         else:
-            centroid = domain.removed.mean(axis=0)
-            p = centroid + (5.0 + 45.0 * rng.random()) * _unit(rng, n)
+            p = domain.centroid + (5.0 + 45.0 * rng.random()) * _unit(rng, n)
         if domain.contains(p):
             return p
 
@@ -218,7 +223,7 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         w = radius * _unit(rng, n)
     else:
         anchor = domain.removed[int(rng.integers(len(domain.removed)))]
-        sigma = 10.0 ** rng.uniform(-4.0, 1.0)
+        sigma = 10.0 ** _uniform(rng, -4.0, 1.0)
         w = sigma * rng.standard_normal(n)
     flippable = anchor == 0.0
     x = anchor + w
@@ -245,11 +250,11 @@ def _random_mobius(rng: np.random.Generator, n: int) -> MobiusMap:
         if kind == 0:
             gens.append(Translation(2.0 * rng.standard_normal(n)))
         elif kind == 1:
-            gens.append(Scaling(10.0 ** rng.uniform(-1.0, 1.0)))
+            gens.append(Scaling(10.0 ** _uniform(rng, -1.0, 1.0)))
         elif kind == 2:
             gens.append(Orthogonal(_random_rotation(rng, n)))
         else:
-            gens.append(SphereInversion(3.0 * rng.standard_normal(n), 10.0 ** rng.uniform(-0.5, 0.5)))
+            gens.append(SphereInversion(3.0 * rng.standard_normal(n), 10.0 ** _uniform(rng, -0.5, 0.5)))
     return MobiusMap(tuple(gens))
 
 
@@ -267,10 +272,17 @@ def _sample_map(map_family: str, domain, rng: np.random.Generator):
         a = (0.05 + 0.85 * rng.random()) * _unit(rng, n)
         return ball_automorphism(a), domain
     if map_family == "cayley":
-        return cayley_map(n), UnitBall(n)
+        return _fixed_map(cayley_map, n), UnitBall(n)
     if map_family == "inv_unit":
-        return inversion_unit(n), domain
+        return _fixed_map(inversion_unit, n), domain
     raise ConfigurationError(f"unknown map family {map_family!r}")
+
+
+@lru_cache(maxsize=None)
+def _fixed_map(build: Callable[[int], MobiusMap], n: int) -> MobiusMap:
+    """The map ``build(n)``, built once per dimension; a sampled map is
+    only applied, never changed."""
+    return build(n)
 
 
 @dataclass

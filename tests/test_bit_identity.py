@@ -26,7 +26,7 @@ from hypmetrics.suite import _build_sample, _stream, catalog, sample_pair
 SAMPLES_PER_DOMAIN = 100
 
 SAMPLE_DIGEST = "b7d06ac4eeb1666753166cf61a90c09786584fe3716cab8c884393f3fd9d4bd2"
-FC_METRIC_DIGEST = "ccdb02584a34d430810aa575086fcebddba1d86daa8c1551a356d344b1b28a2f"
+FC_METRIC_DIGEST = "c7e41614fe2741a5b87d02f4f15a61ff2e961b63ed13cd878b42eb16636f3f40"
 
 
 def _hex(values) -> str:
@@ -63,6 +63,7 @@ def _fc_domains():
         FiniteComplement(3, [[0.0, 0.0, 0.0]], includes_infinity_boundary=False),
         FiniteComplement(3, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], includes_infinity_boundary=False),
         FiniteComplement(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-2.0, 0.5]]),
+        FiniteComplement(3, [[0.3, -1.7, 0.25], [1.1, 0.9, -0.6], [-0.45, 0.05, 2.2], [1e-3, 7.0, 0.1]]),
     ]
 
 

@@ -115,6 +115,23 @@ class TestDomains:
         with pytest.raises(ValueError):
             d.removed[0][0] = 2.0
 
+    def test_complement_constants_are_cached_and_frozen(self):
+        d = FiniteComplement(3, [E1, [0.0, 2.5, 0.0], [0.0, 0.0, -3.0]])
+        assert d.centroid is d.centroid and d.removed_distances is d.removed_distances
+        assert d.centroid.tolist() == d.removed.mean(axis=0).tolist()
+        assert d.removed_distances.tolist() == d.distances(d.removed).tolist()
+        for a in (d.centroid, d.removed_distances):
+            with pytest.raises(ValueError):
+                a[0] = 2.0
+
+    def test_complement_distance_to_boundary_is_the_least_distance(self):
+        rng = np.random.default_rng(5)
+        d = FiniteComplement(3, [E1, -E1, [0.0, 1e-6, 0.0]])
+        for scale in (1e-7, 1e-3, 1.0, 1e6):
+            for _ in range(50):
+                x = d.removed[int(rng.integers(3))] + scale * rng.standard_normal(3)
+                assert d.distance_to_boundary(x) == float(d.distances(x).min())
+
     def test_require_member(self):
         with pytest.raises(DomainMembershipError):
             require_member(UnitBall(3), [2.0, 0, 0])

@@ -389,6 +389,12 @@ class TestDispatch:
         assert v == pytest.approx(math.log(4.5), abs=1e-15)
         assert evaluate_metric(BALL, MetricId.RHO, O, 0.5 * E1) == pytest.approx(math.log(3.0))
 
+    @pytest.mark.parametrize("domain", ["ball", None, 3])
+    def test_a_non_domain_is_a_parameter_error(self, domain):
+        for call in (lambda: evaluable_metrics(domain), lambda: evaluate_metric(domain, "u", O, 0.5 * E1)):
+            with pytest.raises(ParameterError, match="UnitBall, UpperHalfSpace or FiniteComplement"):
+                call()
+
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             evaluate_metric(BALL, "frobnicate", O, 0.5 * E1)

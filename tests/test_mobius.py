@@ -69,6 +69,51 @@ class TestGenerators:
         with pytest.raises(ParameterError):
             Orthogonal(np.eye(3) * 2.0)
 
+    @staticmethod
+    def _accepts(q):
+        try:
+            Orthogonal(q)
+        except ParameterError:
+            return False
+        return True
+
+    def test_orthogonality_check_agrees_with_allclose(self):
+        """Accepts and rejects exactly as np.allclose(q.T @ q, I,
+        atol=1e-10): rotations, Gram entries one ulp inside and outside
+        1e-10 off the diagonal and 1e-5 on it, NaN and inf entries."""
+        rng = np.random.default_rng(11)
+        cases = []
+        for n in (2, 3, 5):
+            for _ in range(20):
+                q, r = np.linalg.qr(rng.standard_normal((n, n)))
+                cases.append(q * np.sign(np.diag(r)))
+        # q = [[1, e], [0, 1]] has the Gram off-diagonal entry e exactly
+        for e in (1e-10, -1e-10, 2e-10):
+            for t in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0 * e)):
+                cases.append(np.array([[1.0, t], [0.0, 1.0]]))
+        # q = diag(s, 1) has the Gram diagonal entry fl(s^2); step s by ulps
+        # across the diagonal tolerance 1e-10 + 1e-5 on both sides of 1
+        for delta in (1e-5 + 1e-10, -(1e-5 + 1e-10)):
+            s = np.sqrt(1.0 + delta)
+            for _ in range(6):
+                s = np.nextafter(s, 0.0)
+            for _ in range(13):
+                cases.append(np.diag([s, 1.0]))
+                s = np.nextafter(s, 2.0)
+        for bad in (np.nan, np.inf):
+            q = np.eye(3)
+            q[1, 2] = bad
+            cases.append(q)
+        verdicts = []
+        for q in cases:
+            # inf * 0 in the Gram matrix is NaN, which both checks reject
+            with np.errstate(invalid="ignore"):
+                want = bool(np.allclose(q.T @ q, np.eye(len(q)), atol=1e-10))
+                assert self._accepts(q) == want, q
+            verdicts.append(want)
+        # both outcomes occur next to each threshold
+        assert verdicts.count(True) > 60 and verdicts.count(False) > 10
+
     def test_sphere_inversion_swaps_center_and_infinity(self):
         inv = SphereInversion(E1, 2.0)
         assert is_infinity(inv.apply(E1.copy()))
