@@ -105,6 +105,17 @@ def _emit(text: str, out: str | None, mode: str = "w") -> None:
         sys.stdout.write(text)
 
 
+def _render(data, fmt: str) -> str:
+    """A list of records, or one record, as json, csv or text.  Each
+    serializer is called by its module-global name, so that rebinding the
+    name (as the benchmark's tracer does) reaches every command."""
+    if fmt == "json":
+        return records_to_json(data)
+    if fmt == "csv":
+        return records_to_csv(data)
+    return records_to_text(data)
+
+
 def _check_out(out: str | None) -> None:
     """Fail before any work when ``out`` cannot be written.  Append mode
     leaves an existing file, perhaps the report being read, untouched."""
@@ -219,13 +230,7 @@ def _cmd_verify(args) -> int:
         result = check_case(cat.case(cid), n_samples=args.samples, seed=seed, slack=args.slack)
         records.append(result.record())
         all_pass = all_pass and result.passed
-    if args.format == "json":
-        text = records_to_json(records)
-    elif args.format == "csv":
-        text = records_to_csv(records)
-    else:
-        text = records_to_text(records)
-    _emit(text, args.out)
+    _emit(_render(records, args.format), args.out)
     return 0 if all_pass else 1
 
 
@@ -264,10 +269,8 @@ def _cmd_probe(args) -> int:
     results = [run_probe(cat.probe(pid), overrides) for pid in ids]
     if args.format == "csv":
         text = _probe_csv(results)
-    elif args.format == "json":
-        text = records_to_json([res.record() for res in results])
     else:
-        text = records_to_text([res.record() for res in results])
+        text = _render([res.record() for res in results], args.format)
     _emit(text, args.out)
     return 0 if all(res.passed for res in results) else 1
 
@@ -280,13 +283,7 @@ def _cmd_report(args) -> int:
         raise ParameterError(f"could not read report: {exc}") from None
     data = parse_report(raw)
     records = data if isinstance(data, list) else [data]
-    if args.format == "json":
-        text = records_to_json(data)
-    elif args.format == "csv":
-        text = records_to_csv(records)
-    else:
-        text = records_to_text(records)
-    _emit(text, args.out)
+    _emit(_render(data, args.format), args.out)
     return 0 if all(rec.get("pass") for rec in records) else 1
 
 

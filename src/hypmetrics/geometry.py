@@ -7,22 +7,21 @@ supremum of a functional over the domain boundary; on a finite
 complement such a supremum is a maximum over the removed points.
 :func:`boundary_sup` serves the two suprema that have neither, both on
 the ball: it returns the least product |p-x| |p-y| (for the Cassinian
-metric) or the least sum |p-x| + |p-y| (for s) over the unit sphere,
-and the point p that attains it.  (The half-space Cassinian metric is a
-cubic root solve in :mod:`hypmetrics.metrics`.)  The rotational
-symmetry of the ball reduces both to three floats (the two norms and
-half the angle between the points) and one parameter, the angle on a
-great circle.  Both are root solves: the roots of a quartic are the
-critical points of the product of distances or of their sum (the
-Ptolemy-Alhazen quartic of mirror reflection), its derivative's roots
-(a closed-form cubic, :func:`_cubic_roots`) split the arc into pieces,
-Newton's method on the quartic finds each minimum's root, and Newton's
-method on the distance form polishes it.  Nothing in the package is
-searched.  The least value is the distance form at one boundary point,
-so it is an upper bound on the true minimum up to the rounding of
-1 - |x|, amplified by 1/d with d the distance to the sphere: for a pair
-1e-6 from the sphere and 1e-6 apart the Cassinian metric comes out
-3.6e-11 relative above its true value.
+metric) or the least sum |p-x| + |p-y| (for s) over the unit sphere.
+(The half-space Cassinian metric is a cubic root solve in
+:mod:`hypmetrics.metrics`.)  The rotational symmetry of the ball reduces
+both to three floats (the two norms and half the angle between the
+points) and one parameter, the angle on a great circle.  Both are root
+solves: the roots of a quartic are the critical points of the product
+of distances or of their sum (the Ptolemy-Alhazen quartic of mirror
+reflection), its derivative's roots (a closed-form cubic,
+:func:`_cubic_roots`) split the arc into pieces, and one Newton run on
+the quartic finds each minimum's root, where the distance form is
+evaluated once.  Nothing in the package is searched.  The least value is
+the distance form at one boundary point, so it is an upper bound on the
+true minimum up to the rounding of 1 - |x|, amplified by 1/d with d the
+distance to the sphere: for a pair 1e-6 from the sphere and 1e-6 apart
+the Cassinian metric comes out 3.6e-11 relative above its true value.
 
 Points are validated once, at the public entry points: require_member
 (and through it every metric function) and distance_to_boundary.  The
@@ -33,7 +32,6 @@ arrays of the domain's dimension.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -250,6 +248,8 @@ Domain = UnitBall | UpperHalfSpace | FiniteComplement
 
 def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate membership and return the coerced point."""
+    if not isinstance(domain, Domain):
+        raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
     x = as_point(x, domain.dim)
     if not domain.contains(x):
         raise DomainMembershipError(f"{name} {x.tolist()} is not in {domain!r}")
@@ -327,30 +327,6 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
     return best_t, best_v
 
 
-def _plane_basis(x: list, y: list) -> tuple[list, list]:
-    """Orthonormal basis (u1, u2) of a 2-plane through the origin that
-    contains the points x and y, given as lists of floats: u1 along x
-    (along y when x = 0), and y at an angle in [0, pi] from u1."""
-    n = len(x)
-    nx = math.hypot(*x)
-    if nx == 0.0:
-        x, nx = y, math.hypot(*y)
-    u1 = [c / nx for c in x] if nx > 0.0 else [1.0] + [0.0] * (n - 1)
-    # projected twice: for y collinear with x (or x = 0) the remainder is
-    # rounding residue, which one projection leaves far from orthogonal to u1
-    v = y
-    for _ in range(2):
-        d = sum(map(operator.mul, v, u1))
-        v = [q - d * p for p, q in zip(u1, v)]
-    nv = math.hypot(*v)
-    if nv == 0.0:
-        # x, y collinear: any direction orthogonal to u1 completes the plane
-        k = min(range(n), key=lambda i: abs(u1[i]))
-        v = [float(i == k) - u1[k] * p for i, p in enumerate(u1)]
-        nv = math.hypot(*v)
-    return u1, [c / nv for c in v]
-
-
 def _canonical_pair(x: np.ndarray, y: np.ndarray):
     """Order a pair by raw bytes so that a computation from the ordered
     pair (the ball root solve, the half-space Cassinian cubic) gives
@@ -423,10 +399,9 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
 
 
 # perfbench/tracing.py wraps this name in metrics; kept until ROADMAP item 1 revises it
-def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
+def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
     """Least |p-x| |p-y| (kind "product") or |p-x| + |p-y| (kind "sum")
-    over the unit sphere, and the point p that attains it, for trusted
-    points x, y of the unit ball.
+    over the unit sphere, for trusted points x, y of the unit ball.
 
     In the plane through 0, x and y the squared distance from the circle
     point at angle theta to a point of polar data (r, t) is D(theta) =
@@ -458,12 +433,11 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
     The roots of the cubic c' (:func:`_cubic_roots`) cut the arc into
     pieces where c is monotone, and the functional has a minimum in each
     piece where c rises through 0.  Newton's method on c, kept inside the
-    piece, finds its root u; from phi = 2 atan(u), Newton's method on the
-    phi-derivative of log(D_x D_y), or of sqrt(D_x) + sqrt(D_y), finds
-    the minimum of the sin^2 form itself, the form every candidate is
-    valued in.  The least of those minima and of both arc ends (the
-    anchors t_x and t_y) wins; only its point is built, in the basis of
-    :func:`_plane_basis`.
+    piece, finds its root u to rounding, and the candidate is the sin^2
+    form at phi = 2 atan(u), one evaluation per minimum: at a minimum an
+    error e in the angle moves the value by O(e^2) only.  The least of
+    those candidates and of both arc ends (the anchors t_x and t_y) is
+    returned.
 
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
@@ -479,14 +453,14 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
     oma, fa4 = (1.0 - ra) ** 2, 4.0 * ra
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
     product = kind == "product"
-    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    sin, sqrt = math.sin, math.sqrt
 
     def value(phi: float) -> float:
         sa, sb = sin(0.5 * (phi + w)), sin(0.5 * (phi - w))
         da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
         return da * db if product else sqrt(da) + sqrt(db)
 
-    candidates = [(value(-w), -w), (value(w), w)]
+    least = min(value(-w), value(w))
     umax = math.tan(0.5 * w)
     if umax > 0.0:
         s2, sw = sin(0.5 * w) ** 2, sin(w)
@@ -511,17 +485,15 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
 
         knots = sorted([t for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4) if -umax < t < umax])
         us = [-umax, *knots, umax]
-        phis = [-w, *(2.0 * math.atan(k) for k in knots), w]
-        tol = 1e-12 * w
+        tol = 1e-15 * umax
         pa = quartic(-umax)
-        for i in range(len(us) - 1):
-            pb = quartic(us[i + 1])
+        for lo, hi in zip(us, us[1:]):
+            pb = quartic(hi)
             if pa < 0.0 <= pb:
-                # Newton on the quartic, kept inside the piece; it converges
-                # quadratically, so a step of 1e-8 leaves the root to rounding
-                lo, hi = us[i], us[i + 1]
+                # Newton on the quartic, kept inside the piece, run until
+                # the step or the bracket is down to rounding
                 u = lo - pa * (hi - lo) / (pb - pa)
-                for _ in range(8):
+                for _ in range(100):
                     p = quartic(u)
                     if p < 0.0:
                         lo = u
@@ -530,45 +502,12 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> tuple[float, np.nda
                     dp = ((4.0 * c4 * u + 3.0 * c3) * u + 2.0 * c2) * u + c1
                     step = p / dp if dp > 0.0 else math.inf
                     u -= step
-                    if abs(step) <= 1e-8 * umax:
+                    if abs(step) <= tol:
                         break
                     if not lo < u < hi:
                         u = 0.5 * (lo + hi)
-                lo, hi = phis[i], phis[i + 1]
-                phi = 2.0 * math.atan(u)
-                for _ in range(100):
-                    sa, ca = sin(0.5 * (phi + w)), cos(0.5 * (phi + w))
-                    sb, cb = sin(0.5 * (phi - w)), cos(0.5 * (phi - w))
-                    da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
-                    # D' = 2r sin(phi - delta), D'' = 2r cos(phi - delta)
-                    d1a, d1b = fa4 * sa * ca, fb4 * sb * cb
-                    d2a, d2b = 0.5 * fa4 * (ca * ca - sa * sa), 0.5 * fb4 * (cb * cb - sb * sb)
-                    if product:  # Newton on d/dphi log(D_x D_y)
-                        ga, gb = d1a / da, d1b / db
-                        candidates.append((da * db, phi))
-                        slope = ga + gb
-                        curve = (d2a / da - ga * ga) + (d2b / db - gb * gb)
-                    else:  # on d/dphi (sqrt(D_x) + sqrt(D_y))
-                        qa, qb = sqrt(da), sqrt(db)
-                        candidates.append((qa + qb, phi))
-                        slope = 0.5 * (d1a / qa + d1b / qb)
-                        curve = 0.5 * ((d2a - 0.5 * d1a * d1a / da) / qa + (d2b - 0.5 * d1b * d1b / db) / qb)
-                    if slope < 0.0:
-                        lo = phi
-                    else:
-                        hi = phi
-                    step = slope / curve if curve > 0.0 else math.inf
-                    if abs(step) <= tol:
-                        phi -= step
-                        candidates.append((value(phi), phi))
-                        break
-                    phi -= step
-                    if not lo < phi < hi:
-                        phi = 0.5 * (lo + hi)
                     if hi - lo <= tol:
                         break
+                least = min(least, value(2.0 * math.atan(u)))
             pa = pb
-    least, phi = min(candidates)
-    u1, u2 = _plane_basis(al, bl)
-    ct, st = math.cos(w + phi), math.sin(w + phi)
-    return sqrt(least) if product else least, np.array([ct * p + st * q for p, q in zip(u1, u2)])
+    return sqrt(least) if product else least

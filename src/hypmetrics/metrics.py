@@ -6,11 +6,12 @@ x, y interior points.  Closed forms, including most suprema, are
 evaluated directly; on finite complements suprema are exact maxima.  The
 Cassinian metric on the half-space is the largest of its values at the
 feet of x and y and at the real roots of one cubic; on the ball, the
-root solver :func:`hypmetrics.geometry.boundary_sup` gives the least
-product of distances from the minima that a quartic locates on a great
-circle, and the least sum for s likewise, from the Ptolemy-Alhazen
-quartic of mirror reflection.  Nothing is searched.  rho exists only on
-the ball and the half-space, where delta and alpha coincide with it.
+root solver :func:`hypmetrics.geometry.boundary_sup` returns the least
+product of distances: one Newton run on a quartic locates each minimum
+on a great circle, and the product is evaluated there once.  The least
+sum for s comes likewise from the Ptolemy-Alhazen quartic of mirror
+reflection.  Nothing is searched.  rho exists only on the ball and the
+half-space, where delta and alpha coincide with it.
 """
 
 from __future__ import annotations
@@ -268,8 +269,7 @@ def cassinian(domain, x, y) -> float:
         q = el * (eb * eb - ea * ea) / 4.0
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
         return max(r / (math.hypot(t, ha) * math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
-    least, _ = boundary_sup(x, y, "product")
-    return r / least
+    return r / boundary_sup(x, y, "product")
 
 
 def triangular_ratio(domain, x, y) -> float:
@@ -294,8 +294,7 @@ def triangular_ratio(domain, x, y) -> float:
     if isinstance(domain, FiniteComplement):
         v = float((r / (domain.distances(x) + domain.distances(y))).max())
     else:
-        least, _ = boundary_sup(x, y, "sum")
-        v = r / least
+        v = r / boundary_sup(x, y, "sum")
     return min(v, 1.0)
 
 

@@ -234,6 +234,29 @@ class TestUnwritableOut:
         assert report.read_text() == records_to_text(parse_report(text))
 
 
+class TestRender:
+    def test_every_json_report_goes_through_the_module_serializer(self, capsys, tmp_path, monkeypatch):
+        # the name is looked up at each call, so rebinding it (as a tracer
+        # does) reaches verify, probe and report alike
+        calls = []
+        serialize = cli.records_to_json
+
+        def counting(records):
+            calls.append(records)
+            return serialize(records)
+
+        monkeypatch.setattr(cli, "records_to_json", counting)
+        report = tmp_path / "r.json"
+        runs = [
+            ["verify", "--case", "AX-U", "--samples", "5", "--out", str(report)],
+            ["probe", "--id", "P6"],
+            ["report", "--in", str(report)],
+        ]
+        for k, argv in enumerate(runs, 1):
+            run(capsys, *argv, "--format", "json")
+            assert len(calls) == k, argv
+
+
 class TestVerify:
     def test_single_case_json(self, capsys, monkeypatch):
         monkeypatch.delenv("HYPMETRICS_SEED", raising=False)

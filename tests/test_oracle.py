@@ -191,6 +191,16 @@ def _extreme_pairs(domain, rng):
         pairs += [(a, s * _unit(rng, n)) for a in rim for s in (0.0, 0.5, 0.9, 1.0 - 1e-3)]
         # close pairs hugging the sphere
         pairs += [(a, a * (1.0 - 1e-7) + 1e-7 * _unit(rng, n)) for a in rim]
+        # deep pairs: depths 1e-8 to 1e-1, angles 1e-8 to 1 apart; drawn from
+        # a generator of their own, so that the sampler pairs after them stay
+        deep = np.random.default_rng(4040 + n)
+        for _ in range(40):
+            a, v = _unit(deep, n), _unit(deep, n)
+            v -= (v @ a) * a
+            v /= np.linalg.norm(v)
+            dx, dy = 10.0 ** deep.uniform(-8.0, -1.0, 2)
+            t = 10.0 ** deep.uniform(-8.0, 0.0)
+            pairs.append(((1.0 - dx) * a, (1.0 - dy) * (math.cos(t) * a + math.sin(t) * v)))
         return pairs
     if isinstance(domain, UpperHalfSpace):
         pairs = []
