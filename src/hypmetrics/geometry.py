@@ -24,9 +24,9 @@ distance to the sphere: for a pair 1e-6 from the sphere and 1e-6 apart
 the Cassinian metric comes out 3.6e-11 relative above its true value.
 
 Points are validated once, at the public entry points: require_member
-(and through it every metric function) and distance_to_boundary.  The
-domain methods, the closed forms and boundary_sup take trusted float
-arrays of the domain's dimension.
+and distance_to_boundary, and the metric functions, which check the
+domain's type themselves and each point with ``_member``.  The domain
+methods, the metric kernels and boundary_sup take trusted float arrays.
 """
 
 from __future__ import annotations
@@ -246,14 +246,23 @@ class FiniteComplement:
 Domain = UnitBall | UpperHalfSpace | FiniteComplement
 
 
-def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
-    """Validate membership and return the coerced point."""
+def _require_domain(domain) -> None:
     if not isinstance(domain, Domain):
         raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
+
+
+def _member(domain: Domain, x, name: str) -> np.ndarray:
+    """Coerce ``x`` and check it is in ``domain``, a checked domain."""
     x = as_point(x, domain.dim)
     if not domain.contains(x):
         raise DomainMembershipError(f"{name} {x.tolist()} is not in {domain!r}")
     return x
+
+
+def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
+    """Validate the domain and the membership of ``x``; return the coerced point."""
+    _require_domain(domain)
+    return _member(domain, x, name)
 
 
 def distance_to_boundary(domain: Domain, x) -> float:

@@ -10,12 +10,18 @@ root solver :func:`hypmetrics.geometry.boundary_sup` returns the least
 product of distances: one Newton run on a quartic locates each minimum
 on a great circle, and the product is evaluated there once.  The least
 sum for s comes likewise from the Ptolemy-Alhazen quartic of mirror
-reflection.  Nothing is searched.  rho exists only on the ball and the
-half-space, where delta and alpha coincide with it.
+reflection.  Nothing is searched.
+
+Each public metric wraps a kernel, the function body written here.  The
+wrapper checks the domain once against ``_DEFINED_ON``, then x, then y,
+and returns 0 for equal points; the kernel takes two distinct, checked
+points.  rho exists only on the ball and the half-space, where delta and
+alpha call its kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -29,8 +35,10 @@ from .geometry import (
     UpperHalfSpace,
     _canonical_pair,
     _depressed_cubic_roots,
+    _dist,
+    _member,
+    _require_domain,
     boundary_sup,
-    require_member,
     same_point,
 )
 
@@ -63,38 +71,59 @@ class MetricId(str, Enum):
     TRIANGULAR = "triangular"
 
 
-def _pair(domain, x, y):
-    x = require_member(domain, x, "x")
-    y = require_member(domain, y, "y")
-    return x, y
+# the domain types each metric is defined on, stated here only
+_DEFINED_ON = {m: (UnitBall, UpperHalfSpace, FiniteComplement) for m in MetricId}
+_DEFINED_ON[MetricId.RHO] = (UnitBall, UpperHalfSpace)
 
 
-def _sep(x, y) -> float:
-    d = x - y
-    return math.sqrt(float(np.dot(d, d)))
+def _validated(mid: MetricId, precondition=None):
+    """Decorator making a kernel the public metric ``mid``: it checks the
+    domain's type and that ``mid`` is defined on it, then
+    ``precondition(domain)`` if given, then x, then y; x == y gives 0."""
+    kinds = _DEFINED_ON[mid]
+
+    def wrap(kernel):
+        @functools.wraps(kernel)
+        def metric(domain, x, y) -> float:
+            if not isinstance(domain, kinds):
+                _require_domain(domain)
+                raise ParameterError(f"metric {mid.value!r} is not defined on {domain!r}")
+            if precondition is not None:
+                precondition(domain)
+            x = _member(domain, x, "x")
+            y = _member(domain, y, "y")
+            return 0.0 if same_point(x, y) else kernel(domain, x, y)
+
+        return metric
+
+    return wrap
 
 
+def _two_boundary_points(domain) -> None:
+    if isinstance(domain, FiniteComplement) and domain.boundary_cardinality() < 2:
+        raise BoundaryCardinalityError(
+            "delta requires at least two boundary points (removed set of size >= 2, "
+            "or the infinity flag)"
+        )
+
+
+@_validated(MetricId.U)
 def u_metric(domain, x, y) -> float:
     """Gromov hyperbolization metric.
 
     u(x, y) = 2 log[(|x-y| + max{d(x), d(y)}) / sqrt(d(x) d(y))]
     with d the distance to the boundary.
     """
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
     dx = domain.distance_to_boundary(x)
     dy = domain.distance_to_boundary(y)
-    r = _sep(x, y)
+    r = _dist(x, y)
     return 2.0 * math.log((r + max(dx, dy)) / math.sqrt(dx * dy))
 
 
+@_validated(MetricId.RHO)
 def rho(domain, x, y) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     if isinstance(domain, UnitBall):
         nx = math.sqrt(np.dot(x, x))
         ny = math.sqrt(np.dot(y, y))
@@ -102,56 +131,48 @@ def rho(domain, x, y) -> float:
         # grouped per point so that swapping x and y keeps the bits
         t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
-    if isinstance(domain, UpperHalfSpace):
-        h = 2.0 * float(x[-1]) * float(y[-1])
-        r2 = r * r
-        return math.log1p((r2 + math.sqrt(r2 * r2 + 2.0 * h * r2)) / h)
-    raise ParameterError("rho is defined on the unit ball and the upper half-space only")
+    h = 2.0 * float(x[-1]) * float(y[-1])
+    r2 = r * r
+    return math.log1p((r2 + math.sqrt(r2 * r2 + 2.0 * h * r2)) / h)
 
 
+# rho's kernel, which delta and alpha equal on the ball and the half-space
+_rho = rho.__wrapped__
+
+
+@_validated(MetricId.J_TILDE)
 def j_tilde(domain, x, y) -> float:
     """Distance-ratio metric, product form:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     dx = domain.distance_to_boundary(x)
     dy = domain.distance_to_boundary(y)
     return 0.5 * (math.log1p(r / dx) + math.log1p(r / dy))
 
 
+@_validated(MetricId.J)
 def j_metric(domain, x, y) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     return math.log1p(r / min(domain.distance_to_boundary(x), domain.distance_to_boundary(y)))
 
 
+@_validated(MetricId.DELTA, _two_boundary_points)
 def delta_metric(domain, x, y) -> float:
     """Boundary-pair (Seittenranta) metric log(1 + sup |p,x,q,y|).
 
     On the ball and the half-space the supremum reproduces the hyperbolic
     metric exactly (Seittenranta 1999) and rho is returned directly.  On
     a finite complement the boundary is a finite point set (plus infinity
-    when flagged) and the supremum is an exact maximum.
+    when flagged) and the supremum is an exact maximum; with fewer than
+    two boundary points every pair is rejected, x == y included.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return rho(domain, x, y)
-    if domain.boundary_cardinality() < 2:
-        raise BoundaryCardinalityError(
-            "delta requires at least two boundary points (removed set of size >= 2, "
-            "or the infinity flag)"
-        )
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
+        return _rho(domain, x, y)
     # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
     # leaves |x-y| over the other entry's distance
-    r = _sep(x, y)
+    r = _dist(x, y)
     dpx = domain.distances(x)
     dqy = domain.distances(y)
     best = float(((domain.removed_distances * r) / (dpx[:, None] * dqy[None, :])).max())
@@ -160,6 +181,7 @@ def delta_metric(domain, x, y) -> float:
     return math.log1p(best)
 
 
+@_validated(MetricId.ALPHA)
 def alpha_metric(domain, x, y) -> float:
     """Apollonian metric sup_{p,q} log |p,x,y,q|, evaluated as the sum of
     the two single-boundary-point suprema the cross-ratio splits into.
@@ -170,10 +192,7 @@ def alpha_metric(domain, x, y) -> float:
     contributes value 0 to each.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return rho(domain, x, y)
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
+        return _rho(domain, x, y)
     # log is monotone, so each factor takes it once, of its largest ratio
     dpx = domain.distances(x)
     dpy = domain.distances(y)
@@ -184,6 +203,7 @@ def alpha_metric(domain, x, y) -> float:
     return math.log(a) + math.log(b)
 
 
+@_validated(MetricId.ALPHA)
 def alpha_pair_form(domain, x, y) -> float:
     """Apollonian metric evaluated as a genuine supremum over boundary
     pairs (p, q) of log |p,x,y,q|.
@@ -194,10 +214,7 @@ def alpha_pair_form(domain, x, y) -> float:
     not admissible.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return rho(domain, x, y)
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
+        return _rho(domain, x, y)
     # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
     # monotone, so it is taken once, of the largest ratio
     dpx = domain.distances(x)
@@ -208,6 +225,7 @@ def alpha_pair_form(domain, x, y) -> float:
     return math.log(best)
 
 
+@_validated(MetricId.ETA)
 def eta_metric(domain, x, y) -> float:
     """Quasihyperbolic-type boundary metric sup_p |log(|x-p| / |y-p|)|,
     the supremum running over the finite boundary.
@@ -218,10 +236,7 @@ def eta_metric(domain, x, y) -> float:
     |x-y|) / (1 - |y|^2), [x,y]^2 = |x-y|^2 + (1-|x|^2)(1-|y|^2), on the
     ball; (|x-y| + sqrt(|x-y|^2 + 4 x_n y_n)) / (2 y_n) on the half-space.
     """
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     if isinstance(domain, UnitBall):
         # both lambdas share the numerator; 1 - |v|^2 is factored, and the
         # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
@@ -236,6 +251,7 @@ def eta_metric(domain, x, y) -> float:
     return math.log(max(float((dpx / dpy).max()), float((dpy / dpx).max())))
 
 
+@_validated(MetricId.CASSINIAN)
 def cassinian(domain, x, y) -> float:
     """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary.
 
@@ -248,10 +264,7 @@ def cassinian(domain, x, y) -> float:
     over the least product that :func:`hypmetrics.geometry.boundary_sup`
     solves for.
     """
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     if isinstance(domain, FiniteComplement):
         return float((r / (domain.distances(x) * domain.distances(y))).max())
     if isinstance(domain, UpperHalfSpace):
@@ -272,6 +285,7 @@ def cassinian(domain, x, y) -> float:
     return r / boundary_sup(x, y, "product")
 
 
+@_validated(MetricId.TRIANGULAR)
 def triangular_ratio(domain, x, y) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary).
@@ -282,15 +296,12 @@ def triangular_ratio(domain, x, y) -> float:
     solves for, at an arc end or at a reflection point, a root of the
     Ptolemy-Alhazen quartic.
     """
-    x, y = _pair(domain, x, y)
-    if same_point(x, y):
-        return 0.0
-    r = _sep(x, y)
+    r = _dist(x, y)
     if isinstance(domain, UpperHalfSpace):
         # the shortest path from x over the boundary to y is |x - mirror(y)|
         mirror = y.copy()
         mirror[-1] = -mirror[-1]
-        return r / _sep(x, mirror)
+        return r / _dist(x, mirror)
     if isinstance(domain, FiniteComplement):
         v = float((r / (domain.distances(x) + domain.distances(y))).max())
     else:
@@ -311,27 +322,22 @@ _DISPATCH = {
 }
 
 
-_ALL_METRICS = tuple(MetricId)
-_COMPLEMENT_METRICS = tuple(m for m in MetricId if m is not MetricId.RHO)
-
-
 def evaluable_metrics(domain) -> tuple[MetricId, ...]:
-    """Metrics defined on the given domain."""
-    if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _ALL_METRICS
-    if isinstance(domain, FiniteComplement):
-        return _COMPLEMENT_METRICS
-    raise ParameterError(
-        f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}"
-    )
+    """Metrics defined on the given domain, in MetricId order."""
+    _require_domain(domain)
+    return tuple(m for m in MetricId if isinstance(domain, _DEFINED_ON[m]))
 
 
 def evaluate_metric(domain, metric, x, y) -> float:
+    """The metric named ``metric`` (a MetricId or its value) between x and y.
+
+    An unknown name raises ParameterError.  Everything else is checked by
+    the public metric function it dispatches to, as in a direct call: the
+    domain's type and whether the metric is defined on it, then x, then y.
+    """
     try:
         mid = MetricId(metric)
     except ValueError:
         names = ", ".join(m.value for m in MetricId)
         raise ParameterError(f"unknown metric {metric!r}; expected one of: {names}") from None
-    if mid not in evaluable_metrics(domain):
-        raise ParameterError(f"metric {mid.value!r} is not defined on {domain!r}")
     return _DISPATCH[mid](domain, x, y)

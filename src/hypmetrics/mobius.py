@@ -2,9 +2,8 @@
 
 A map is an ordered composition of primitive conformal generators:
 translations, positive scalings, orthogonal maps, and sphere inversions.
-This representation works in every dimension, keeps the point at
-infinity's bookkeeping local to the inversion generator, and makes
-inverses exact (each generator knows its own inverse).
+This representation works in every dimension and keeps the point at
+infinity's bookkeeping local to the inversion generator.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ class Translation:
             return INFINITY
         return p + self.b
 
-    def inverse(self):
-        return Translation(-self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class Scaling:
@@ -72,9 +68,6 @@ class Scaling:
         if is_infinity(p):
             return INFINITY
         return self.factor * p
-
-    def inverse(self):
-        return Scaling(1.0 / self.factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +93,6 @@ class Orthogonal:
         if is_infinity(p):
             return INFINITY
         return self.matrix @ p
-
-    def inverse(self):
-        return Orthogonal(self.matrix.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,9 +123,6 @@ class SphereInversion:
             return INFINITY
         return self.center + (self.radius * self.radius / n2) * v
 
-    def inverse(self):
-        return self
-
 
 _GENERATOR_TYPES = (Translation, Scaling, Orthogonal, SphereInversion)
 
@@ -164,9 +151,6 @@ class MobiusMap:
         return p
 
     __call__ = apply
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(tuple(g.inverse() for g in reversed(self.generators)))
 
     def __repr__(self) -> str:
         names = ", ".join(type(g).__name__ for g in self.generators)

@@ -24,7 +24,18 @@ from hypmetrics.geometry import (
     require_member,
     same_point,
 )
-from hypmetrics.metrics import alpha_metric, alpha_pair_form, cassinian, eta_metric, triangular_ratio, u_metric
+from hypmetrics.metrics import (
+    alpha_metric,
+    alpha_pair_form,
+    cassinian,
+    delta_metric,
+    eta_metric,
+    j_metric,
+    j_tilde,
+    rho,
+    triangular_ratio,
+    u_metric,
+)
 from hypmetrics.suite import sample_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -146,8 +157,11 @@ class TestDomains:
             require_member(domain, [0.1, 0.0, 0.0])
         with pytest.raises(ParameterError, match=expected):
             distance_to_boundary(domain, [0.1, 0.0, 0.0])
-        with pytest.raises(ParameterError, match=expected):
-            u_metric(domain, [0.1, 0.0, 0.0], [0.2, 0.0, 0.0])
+        metrics = (u_metric, rho, j_tilde, j_metric, delta_metric, alpha_metric, alpha_pair_form,
+                   eta_metric, cassinian, triangular_ratio)
+        for metric in metrics:
+            with pytest.raises(ParameterError, match=expected):
+                metric(domain, [0.1, 0.0, 0.0], [0.2, 0.0, 0.0])
 
     def test_distance_to_boundary_validates(self):
         with pytest.raises(DomainMembershipError):

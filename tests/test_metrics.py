@@ -88,27 +88,42 @@ def _domain_id(domain):
     return repr(domain)
 
 
+PUBLIC_METRICS = ALL_METRICS + [rho, alpha_pair_form]
+
+
 @pytest.mark.parametrize("domain", _catalog_domains(), ids=_domain_id)
 def test_each_point_is_validated_once(domain, monkeypatch):
-    # validation happens at the public entry only: one as_point per point
+    # validation happens at the public entry only, in a direct call as
+    # through evaluate_metric: one as_point per point, and no per-point
+    # domain check (require_member's runs geometry._require_domain)
     from hypmetrics import geometry
-    from hypmetrics.suite import sample_pair
 
     calls = []
-    as_point = geometry.as_point
+    as_point, require_domain = geometry.as_point, geometry._require_domain
 
     def counted(p, dim=None):
-        calls.append(1)
+        calls.append("as_point")
         return as_point(p, dim)
 
+    def counted_domain(domain):
+        calls.append("domain")
+        return require_domain(domain)
+
     monkeypatch.setattr(geometry, "as_point", counted)
+    monkeypatch.setattr(geometry, "_require_domain", counted_domain)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x, y = sample_pair(domain, rng)
         for metric in evaluable_metrics(domain):
             calls.clear()
             evaluate_metric(domain, metric, x, y)
-            assert len(calls) == 2, (metric.value, len(calls))
+            assert calls == ["as_point", "as_point"], metric.value
+        for fn in PUBLIC_METRICS:
+            if fn is rho and isinstance(domain, FiniteComplement):
+                continue
+            calls.clear()
+            fn(domain, x, y)
+            assert calls == ["as_point", "as_point"], fn.__name__
 
 
 class TestU:
@@ -204,8 +219,9 @@ class TestDelta:
 
     def test_single_puncture_without_infinity_rejected(self):
         d = FiniteComplement(3, [E1], includes_infinity_boundary=False)
-        with pytest.raises(BoundaryCardinalityError):
-            delta_metric(d, O, 0.5 * E3)
+        for x, y in ((O, 0.5 * E3), (O, O)):
+            with pytest.raises(BoundaryCardinalityError):
+                delta_metric(d, x, y)
 
     def test_pair_form_tracks_rho(self):
         # delta_metric returns rho on these domains; the reference takes the
@@ -383,6 +399,13 @@ class TestDispatch:
         assert MetricId.RHO in evaluable_metrics(BALL)
         assert MetricId.RHO not in evaluable_metrics(PUNCT)
         assert set(evaluable_metrics(BALL)) == set(MetricId)
+        # in MetricId order, which bench call lists and the bit-identity
+        # digest are built in
+        for domain in _catalog_domains():
+            order = ["u", "rho", "j_tilde", "j", "delta", "alpha", "eta", "cassinian", "triangular"]
+            if isinstance(domain, FiniteComplement):
+                order.remove("rho")
+            assert [m.value for m in evaluable_metrics(domain)] == order, domain
 
     def test_evaluate_metric_by_name(self):
         v = evaluate_metric(BALL, "u", O, 0.5 * E1)
@@ -400,5 +423,11 @@ class TestDispatch:
             evaluate_metric(BALL, "frobnicate", O, 0.5 * E1)
 
     def test_undefined_combination(self):
-        with pytest.raises(ParameterError):
-            evaluate_metric(PUNCT, "rho", O, 0.5 * E3)
+        # one message, directly and by name, and checked before the points:
+        # E1 is removed from PUNCT
+        expected = f"metric 'rho' is not defined on {PUNCT!r}"
+        for y in (0.5 * E3, E1):
+            for call in (rho, lambda d, x, y: evaluate_metric(d, "rho", x, y)):
+                with pytest.raises(ParameterError) as exc:
+                    call(PUNCT, O, y)
+                assert str(exc.value) == expected
