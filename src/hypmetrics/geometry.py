@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -301,39 +300,9 @@ def cross_ratio(p, x, q, y) -> float:
 # Boundary root solver of the ball
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 # no caller; perfbench/tracing.py wraps this name; kept until ROADMAP item 1 revises it
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float):
-    """Golden-section maximization; returns (arg, value) of the best evaluation."""
-    a, b = lo, hi
-    best_t, best_v = a, fn(a)
-    vb = fn(b)
-    if vb > best_v:
-        best_t, best_v = b, vb
-    h = b - a
-    if h <= tol:
-        return best_t, best_v
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc, fd = fn(c), fn(d)
-    for _ in range(400):
-        if fc > best_v:
-            best_t, best_v = c, fc
-        if fd > best_v:
-            best_t, best_v = d, fd
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return best_t, best_v
+def _golden_max(fn, lo, hi, tol):
+    raise NotImplementedError("golden-section search is retired; boundary_sup solves for its minima")
 
 
 def _canonical_pair(x: np.ndarray, y: np.ndarray):

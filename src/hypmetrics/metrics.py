@@ -13,10 +13,10 @@ sum for s comes likewise from the Ptolemy-Alhazen quartic of mirror
 reflection.  Nothing is searched.
 
 Each public metric wraps a kernel, the function body written here.  The
-wrapper checks the domain once against ``_DEFINED_ON``, then x, then y,
-and returns 0 for equal points; the kernel takes two distinct, checked
-points.  rho exists only on the ball and the half-space, where delta and
-alpha call its kernel.
+wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
+``_two_boundary_points``), then x, then y, and returns 0 for equal
+points; the kernel takes two distinct, checked points.  rho exists only
+on the ball and the half-space, where delta and alpha call its kernel.
 """
 
 from __future__ import annotations
@@ -71,16 +71,24 @@ class MetricId(str, Enum):
     TRIANGULAR = "triangular"
 
 
-# the domain types each metric is defined on, stated here only
+# the domain types each metric is defined on, and the metrics that also
+# need two boundary points, stated here only
 _DEFINED_ON = {m: (UnitBall, UpperHalfSpace, FiniteComplement) for m in MetricId}
 _DEFINED_ON[MetricId.RHO] = (UnitBall, UpperHalfSpace)
+_NEEDS_TWO_BOUNDARY_POINTS = (MetricId.DELTA,)
 
 
-def _validated(mid: MetricId, precondition=None):
+def _two_boundary_points(domain) -> bool:
+    # only a finite complement with one removed point and no infinity flag has fewer
+    return not isinstance(domain, FiniteComplement) or domain.boundary_cardinality() >= 2
+
+
+def _validated(mid: MetricId):
     """Decorator making a kernel the public metric ``mid``: it checks the
-    domain's type and that ``mid`` is defined on it, then
-    ``precondition(domain)`` if given, then x, then y; x == y gives 0."""
+    domain's type and that ``mid`` is defined on it, then the number of
+    boundary points if ``mid`` needs two, then x, then y; x == y gives 0."""
     kinds = _DEFINED_ON[mid]
+    needs_two = mid in _NEEDS_TWO_BOUNDARY_POINTS
 
     def wrap(kernel):
         @functools.wraps(kernel)
@@ -88,8 +96,11 @@ def _validated(mid: MetricId, precondition=None):
             if not isinstance(domain, kinds):
                 _require_domain(domain)
                 raise ParameterError(f"metric {mid.value!r} is not defined on {domain!r}")
-            if precondition is not None:
-                precondition(domain)
+            if needs_two and not _two_boundary_points(domain):
+                raise BoundaryCardinalityError(
+                    f"{mid.value} requires at least two boundary points (removed set of size >= 2, "
+                    "or the infinity flag)"
+                )
             x = _member(domain, x, "x")
             y = _member(domain, y, "y")
             return 0.0 if same_point(x, y) else kernel(domain, x, y)
@@ -97,14 +108,6 @@ def _validated(mid: MetricId, precondition=None):
         return metric
 
     return wrap
-
-
-def _two_boundary_points(domain) -> None:
-    if isinstance(domain, FiniteComplement) and domain.boundary_cardinality() < 2:
-        raise BoundaryCardinalityError(
-            "delta requires at least two boundary points (removed set of size >= 2, "
-            "or the infinity flag)"
-        )
 
 
 @_validated(MetricId.U)
@@ -158,7 +161,7 @@ def j_metric(domain, x, y) -> float:
     return math.log1p(r / min(domain.distance_to_boundary(x), domain.distance_to_boundary(y)))
 
 
-@_validated(MetricId.DELTA, _two_boundary_points)
+@_validated(MetricId.DELTA)
 def delta_metric(domain, x, y) -> float:
     """Boundary-pair (Seittenranta) metric log(1 + sup |p,x,q,y|).
 
@@ -323,9 +326,15 @@ _DISPATCH = {
 
 
 def evaluable_metrics(domain) -> tuple[MetricId, ...]:
-    """Metrics defined on the given domain, in MetricId order."""
+    """Metrics defined on the given domain, in MetricId order; delta only
+    where the domain has two boundary points."""
     _require_domain(domain)
-    return tuple(m for m in MetricId if isinstance(domain, _DEFINED_ON[m]))
+    pair = _two_boundary_points(domain)
+    return tuple(
+        m
+        for m in MetricId
+        if isinstance(domain, _DEFINED_ON[m]) and (pair or m not in _NEEDS_TWO_BOUNDARY_POINTS)
+    )
 
 
 def evaluate_metric(domain, metric, x, y) -> float:

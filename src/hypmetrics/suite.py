@@ -6,10 +6,12 @@ metric axiom batch, or a Mobius distortion bound) and is checked on
 freshly sampled admissible configurations.  The exception is T-ALJ,
 alpha <= j on convex domains: it is false (see its notes), and it is
 kept as stated so that it reports its violations.  Chains and axiom
-batches are encoded as a max-of-residuals against zero; single natural
-bounds keep their two sides as-is.  Every probe drives a parametric
-family toward a limit that attains a sharp constant and records the
-convergence table.
+batches are encoded as a max-of-residuals against zero, a chain
+t0 <= t1 <= ... by ``_chain``; single natural bounds keep their two
+sides as-is.  A pair case's evaluator is ``_pairwise(bound, *metrics)``:
+each metric once at the sampled pair, then the case's arithmetic on the
+values.  Every probe drives a parametric family toward a limit that
+attains a sharp constant and records the convergence table.
 
 Determinism contract: sample k of a case draws from a Philox stream
 keyed by (seed, case id, k) alone and started at counter 0, so results
@@ -24,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -451,6 +454,25 @@ def _axioms_evaluator(metric_fn, triangle: bool):
     return ev
 
 
+def _chain(*terms):
+    """(largest step down, 0.0) for the chain t0 <= t1 <= ...: the chain
+    holds exactly when no term exceeds the next one."""
+    return max(map(operator.sub, terms, terms[1:])), 0.0
+
+
+def _pairwise(bound, *metrics):
+    """The evaluator of a pair case: each of two or three metrics once at
+    (domain, smp.x, smp.y), in the order given, then ``bound(*values)``,
+    the case's (lhs, rhs); unpacked by name, cheaper than a star-call."""
+    if len(metrics) == 2:
+        m1, m2 = metrics
+        return lambda domain, smp: bound(m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y))
+    m1, m2, m3 = metrics
+    return lambda domain, smp: bound(
+        m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y), m3(domain, smp.x, smp.y)
+    )
+
+
 @lru_cache(maxsize=1)
 def catalog() -> Catalog:
     n = 3
@@ -507,166 +529,82 @@ def catalog() -> Catalog:
         )
 
     # -- two-sided comparisons with the hyperbolic metric -------------------
-    def ev_z1(domain, smp):
-        r_ = R(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        return max(r_ - u_, u_ - 3.0 * r_), 0.0
-
+    z1 = _pairwise(lambda r_, u_: _chain(r_, u_, 3.0 * r_), R, U)
     add("T-Z1-B", "two-sided comparison of u with the hyperbolic metric of the ball, constants 1 and 3",
-        "rho <= u <= 3*rho", (ball,), ev_z1, constant=3.0)
+        "rho <= u <= 3*rho", (ball,), z1, constant=3.0)
     add("T-Z1-H", "two-sided comparison of u with the hyperbolic metric of the half-space, constants 1 and 3",
-        "rho <= u <= 3*rho", (half,), ev_z1, constant=3.0)
+        "rho <= u <= 3*rho", (half,), z1, constant=3.0)
 
-    def ev_c(domain, smp):
-        r_ = R(domain, smp.x, smp.y)
-        j_ = J(domain, smp.x, smp.y)
-        return max(0.5 * r_ - j_, j_ - r_), 0.0
-
+    j_rho = _pairwise(lambda r_, j_: _chain(0.5 * r_, j_, r_), R, J)
     add("T-C-B", "distance-ratio metric against the hyperbolic metric of the ball",
-        "rho/2 <= j <= rho", (ball,), ev_c, constant=2.0)
+        "rho/2 <= j <= rho", (ball,), j_rho, constant=2.0)
     add("T-C-H", "distance-ratio metric against the hyperbolic metric of the half-space",
-        "rho/2 <= j <= rho", (half,), ev_c, constant=2.0)
+        "rho/2 <= j <= rho", (half,), j_rho, constant=2.0)
 
     # -- distance-ratio comparisons -----------------------------------------
-    def ev_o3(domain, smp):
-        u_ = U(domain, smp.x, smp.y)
-        jt_ = JT(domain, smp.x, smp.y)
-        return max(2.0 * jt_ - u_, u_ - 4.0 * jt_), 0.0
-
     add("T-O3", "two-sided product-form distance-ratio bounds for u",
-        "2*j_tilde <= u <= 4*j_tilde", all4, ev_o3, constant=4.0)
-
-    def ev_o3_eq(domain, smp):
-        u_ = U(domain, smp.x, smp.y)
-        jt_ = JT(domain, smp.x, smp.y)
-        return abs(u_ - 2.0 * jt_), 0.0
-
+        "2*j_tilde <= u <= 4*j_tilde", all4,
+        _pairwise(lambda u_, jt_: _chain(2.0 * jt_, u_, 4.0 * jt_), U, JT), constant=4.0)
     add("T-O3-EQ", "lower product-form bound attained when the boundary distances agree",
-        "u == 2*j_tilde when d(x) == d(y)", (ball, punct1), ev_o3_eq,
+        "u == 2*j_tilde when d(x) == d(y)", (ball, punct1),
+        _pairwise(lambda u_, jt_: (abs(u_ - 2.0 * jt_), 0.0), U, JT),
         sampler="equal_pair", condition="d(x) = d(y) by construction")
-
-    def ev_o4(domain, smp):
-        u_ = U(domain, smp.x, smp.y)
-        j_ = J(domain, smp.x, smp.y)
-        return max(j_ - u_, u_ - 4.0 * j_), 0.0
-
     add("T-O4", "two-sided min-form distance-ratio bounds for u",
-        "j <= u <= 4*j", all4, ev_o4, constant=4.0)
-
-    def ev_js(domain, smp):
-        j_ = J(domain, smp.x, smp.y)
-        d_ = D(domain, smp.x, smp.y)
-        jt_ = JT(domain, smp.x, smp.y)
-        return max(j_ - d_, d_ - 2.0 * jt_, 2.0 * jt_ - 2.0 * j_), 0.0
-
+        "j <= u <= 4*j", all4, _pairwise(lambda u_, j_: _chain(j_, u_, 4.0 * j_), U, J), constant=4.0)
     add("T-JS", "boundary-pair metric squeezed between the distance-ratio metrics",
-        "j <= delta <= 2*j_tilde <= 2*j", all4, ev_js)
-
-    def ev_alj(domain, smp):
-        return A(domain, smp.x, smp.y), J(domain, smp.x, smp.y)
-
+        "j <= delta <= 2*j_tilde <= 2*j", all4,
+        _pairwise(lambda j_, d_, jt_: _chain(j_, d_, 2.0 * jt_, 2.0 * j_), J, D, JT))
     add("T-ALJ", "Apollonian metric below the distance-ratio metric on convex domains",
-        "alpha <= j", convex2, ev_alj, condition="convex domains only",
+        "alpha <= j", convex2, _pairwise(lambda a_, j_: (a_, j_), A, J), condition="convex domains only",
         notes="known counterexample: alpha(0, e1/2) = log 3 > log 2 = j on the ball, "
         "because alpha = rho >= j on the ball and the half-space")
-
-    def ev_pah(domain, smp):
-        a_ = A(domain, smp.x, smp.y)
-        d_ = D(domain, smp.x, smp.y)
-        mid = math.log(math.exp(a_) + 2.0)
-        return max(a_ - d_, d_ - mid, mid - (a_ + LOG3)), 0.0
-
     add("T-PAH", "boundary-pair metric against the Apollonian metric, best possible bracket",
-        "alpha <= delta <= log(exp(alpha)+2) <= alpha + log 3", all4, ev_pah)
-
-    def ev_l3(domain, smp):
-        a_ = A(domain, smp.x, smp.y)
-        e_ = E(domain, smp.x, smp.y)
-        return max(0.5 * a_ - e_, e_ - a_), 0.0
-
+        "alpha <= delta <= log(exp(alpha)+2) <= alpha + log 3", all4,
+        _pairwise(lambda a_, d_: _chain(a_, d_, math.log(math.exp(a_) + 2.0), a_ + LOG3), A, D))
     add("T-L3", "half-Apollonian metric between half of and all of the Apollonian metric",
-        "alpha/2 <= eta <= alpha", all4, ev_l3, constant=2.0)
-
-    def ev_equ14(domain, smp):
-        j_ = J(domain, smp.x, smp.y)
-        s_ = S(domain, smp.x, smp.y)
-        return max(math.tanh(0.5 * j_) - s_, s_ - 0.5 * math.expm1(j_)), 0.0
-
+        "alpha/2 <= eta <= alpha", all4,
+        _pairwise(lambda a_, e_: _chain(0.5 * a_, e_, a_), A, E), constant=2.0)
     add("T-EQU14", "triangular ratio bracketed by functions of the distance-ratio metric",
-        "tanh(j/2) <= s <= (exp(j)-1)/2", all4, ev_equ14)
+        "tanh(j/2) <= s <= (exp(j)-1)/2", all4,
+        _pairwise(lambda j_, s_: _chain(math.tanh(0.5 * j_), s_, 0.5 * math.expm1(j_)), J, S))
 
     # -- additive comparisons with the hyperbolic metric --------------------
-    def ev_equ2(domain, smp):
-        return R(domain, smp.x, smp.y) - TWO_LOG2, U(domain, smp.x, smp.y)
-
     add("T-EQU2-B", "additive lower hyperbolic bound for u on the ball",
-        "rho - 2*log2 <= u", (ball,), ev_equ2, constant=TWO_LOG2)
+        "rho - 2*log2 <= u", (ball,),
+        _pairwise(lambda r_, u_: (r_ - TWO_LOG2, u_), R, U), constant=TWO_LOG2)
 
-    def ev_upper_rho(domain, smp):
-        return U(domain, smp.x, smp.y), R(domain, smp.x, smp.y) + TWO_LOG2
-
+    upper_rho = _pairwise(lambda u_, r_: (u_, r_ + TWO_LOG2), U, R)
     add("T-32-B", "additive upper hyperbolic bound for u on the ball",
-        "u <= rho + 2*log2", (ball,), ev_upper_rho, constant=TWO_LOG2)
+        "u <= rho + 2*log2", (ball,), upper_rho, constant=TWO_LOG2)
     add("T-35-H", "additive upper hyperbolic bound for u on the half-space",
-        "u <= rho + 2*log2", (half,), ev_upper_rho, constant=TWO_LOG2)
+        "u <= rho + 2*log2", (half,), upper_rho, constant=TWO_LOG2)
 
     # -- sharp multiplicative and additive distance-ratio bounds ------------
-    def ev_jg(domain, smp):
-        return U(domain, smp.x, smp.y), 3.0 * JT(domain, smp.x, smp.y)
-
     add("T-JG", "sharp multiplicative product-form bound for u",
-        "u <= 3*j_tilde", all4, ev_jg, constant=3.0)
-
-    def ev_jg4(domain, smp):
-        return U(domain, smp.x, smp.y), 3.0 * J(domain, smp.x, smp.y)
-
+        "u <= 3*j_tilde", all4, _pairwise(lambda u_, jt_: (u_, 3.0 * jt_), U, JT), constant=3.0)
     add("T-JG4", "sharp multiplicative min-form bound for u",
-        "u <= 3*j", all4, ev_jg4, constant=3.0)
-
-    def ev_hg(domain, smp):
-        return U(domain, smp.x, smp.y), 2.0 * JT(domain, smp.x, smp.y) + LOG2
-
+        "u <= 3*j", all4, _pairwise(lambda u_, j_: (u_, 3.0 * j_), U, J), constant=3.0)
     add("T-HG", "additive product-form bound for u",
-        "u <= 2*j_tilde + log2", all4, ev_hg, constant=LOG2)
-
-    def ev_hg_cor(domain, smp):
-        return U(domain, smp.x, smp.y), 2.0 * J(domain, smp.x, smp.y) + LOG2
-
+        "u <= 2*j_tilde + log2", all4,
+        _pairwise(lambda u_, jt_: (u_, 2.0 * jt_ + LOG2), U, JT), constant=LOG2)
     add("T-HG-COR", "additive min-form bound for u",
-        "u <= 2*j + log2", all4, ev_hg_cor, constant=LOG2)
+        "u <= 2*j + log2", all4, _pairwise(lambda u_, j_: (u_, 2.0 * j_ + LOG2), U, J), constant=LOG2)
 
     # -- boundary-pair metric comparisons ------------------------------------
-    def ev_jg6(domain, smp):
-        d_ = D(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        return max(d_ - u_, u_ - 3.0 * d_), 0.0
-
     add("T-JG6", "two-sided boundary-pair bounds for u, constants 1 and 3",
-        "delta <= u <= 3*delta", all4, ev_jg6, constant=3.0)
-
-    def ev_equ13(domain, smp):
-        d_ = D(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        return max(0.5 * d_ - u_, u_ - 4.0 * d_), 0.0
-
+        "delta <= u <= 3*delta", all4,
+        _pairwise(lambda d_, u_: _chain(d_, u_, 3.0 * d_), D, U), constant=3.0)
     add("T-EQU13", "weaker boundary-pair bounds kept as a consistency check",
-        "delta/2 <= u <= 4*delta", all4, ev_equ13, constant=4.0)
+        "delta/2 <= u <= 4*delta", all4,
+        _pairwise(lambda d_, u_: _chain(0.5 * d_, u_, 4.0 * d_), D, U), constant=4.0)
 
     # -- half-Apollonian comparisons -----------------------------------------
-    def ev_jg7(domain, smp):
-        e_ = E(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        return max(e_ - u_, u_ - (2.0 * e_ + TWO_LOG3)), 0.0
-
     add("T-JG7", "best possible half-Apollonian bounds for u",
-        "eta <= u <= 2*eta + 2*log3", all4, ev_jg7, constant=TWO_LOG3)
-
-    def ev_jg8(domain, smp):
-        e_ = E(domain, smp.x, smp.y)
-        return U(domain, smp.x, smp.y), 4.0 * math.log(2.0 + math.exp(e_))
-
+        "eta <= u <= 2*eta + 2*log3", all4,
+        _pairwise(lambda e_, u_: _chain(e_, u_, 2.0 * e_ + TWO_LOG3), E, U), constant=TWO_LOG3)
     add("T-JG8", "weaker half-Apollonian bound kept as a consistency check",
-        "u <= 4*log(2 + exp(eta))", all4, ev_jg8)
+        "u <= 4*log(2 + exp(eta))", all4,
+        _pairwise(lambda e_, u_: (u_, 4.0 * math.log(2.0 + math.exp(e_))), E, U))
 
     def ev_eta_dom(domain, smp):
         t = smp.t
@@ -677,28 +615,15 @@ def catalog() -> Catalog:
         sampler="grid", grid=(0.0, 10.0), condition="t in [0, 10]")
 
     # -- Apollonian comparisons ----------------------------------------------
-    def ev_alpha_u(domain, smp):
-        a_ = A(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        return max(a_ - u_, u_ - (2.0 * a_ + TWO_LOG3)), 0.0
-
     add("T-ALPHA-U", "Apollonian bounds for u on general domains",
-        "alpha <= u <= 2*alpha + 2*log3", all4, ev_alpha_u, constant=TWO_LOG3)
-
-    def ev_alpha_u_convex(domain, smp):
-        return U(domain, smp.x, smp.y), 3.0 * A(domain, smp.x, smp.y)
-
+        "alpha <= u <= 2*alpha + 2*log3", all4,
+        _pairwise(lambda a_, u_: _chain(a_, u_, 2.0 * a_ + TWO_LOG3), A, U), constant=TWO_LOG3)
     add("T-ALPHA-U-CONVEX", "multiplicative Apollonian bound for u on convex domains",
-        "u <= 3*alpha", convex2, ev_alpha_u_convex, constant=3.0,
+        "u <= 3*alpha", convex2, _pairwise(lambda u_, a_: (u_, 3.0 * a_), U, A), constant=3.0,
         condition="convex domains only")
-
-    def ev_alpha_forms(domain, smp):
-        pair = alpha_pair_form(domain, smp.x, smp.y)
-        summ = A(domain, smp.x, smp.y)
-        return abs(pair - summ), 0.0
-
     add("T-ALPHA-FORMS", "joint boundary-pair supremum form of the Apollonian metric against its two-factor sum form",
-        "|alpha_pair - alpha_sum| == 0", (ball, punct1, punct3), ev_alpha_forms,
+        "|alpha_pair - alpha_sum| == 0", (ball, punct1, punct3),
+        _pairwise(lambda pair, summ: (abs(pair - summ), 0.0), alpha_pair_form, A),
         notes="on the ball both forms are rho, so there the case checks only bookkeeping")
 
     # -- Cassinian comparisons ------------------------------------------------
@@ -727,16 +652,12 @@ def catalog() -> Catalog:
         ev_equ12_dom, condition="min(d) >= max(d)/4")
 
     # -- triangular ratio comparisons -----------------------------------------
-    def ev_s(domain, smp):
-        s_ = S(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
-        parts = [TWO_LOG3 * s_ - u_]
-        if s_ < 1.0:
-            parts.append(u_ - 3.0 * math.log((1.0 + s_) / (1.0 - s_)))
-        return max(parts), 0.0
+    def s_bounds(s_, u_):
+        upper = (3.0 * math.log((1.0 + s_) / (1.0 - s_)),) if s_ < 1.0 else ()
+        return _chain(TWO_LOG3 * s_, u_, *upper)
 
     add("T-S", "triangular ratio bounds for u; the upper bound degenerates at s = 1",
-        "(2*log3)*s <= u <= 3*log((1+s)/(1-s))", all4, ev_s,
+        "(2*log3)*s <= u <= 3*log((1+s)/(1-s))", all4, _pairwise(s_bounds, S, U),
         condition="upper side only when s < 1",
         notes="upper bound treated as vacuous when s = 1")
 
@@ -744,7 +665,7 @@ def catalog() -> Catalog:
     def ev_m1(domain, smp):
         u0 = U(domain, smp.x, smp.y)
         u1 = U(smp.fdomain, smp.fx, smp.fy)
-        return max(u0 / 3.0 - u1, u1 - 3.0 * u0), 0.0
+        return _chain(u0 / 3.0, u1, 3.0 * u0)
 
     add("M1-FC", "three-fold distortion of u under Mobius maps of punctured space",
         "u/3 <= u'(f.) <= 3*u", (punct1, punct3), ev_m1, constant=3.0,

@@ -26,7 +26,7 @@ from hypmetrics.suite import _build_sample, _stream, catalog, sample_pair
 SAMPLES_PER_DOMAIN = 100
 
 SAMPLE_DIGEST = "b7d06ac4eeb1666753166cf61a90c09786584fe3716cab8c884393f3fd9d4bd2"
-FC_METRIC_DIGEST = "c7e41614fe2741a5b87d02f4f15a61ff2e961b63ed13cd878b42eb16636f3f40"
+FC_METRIC_DIGEST = "4a5d852317906f19b5fe5db0c7d54f19582ae67508be83af217f2d7ece496a9e"
 
 
 def _hex(values) -> str:

@@ -407,6 +407,14 @@ class TestDispatch:
                 order.remove("rho")
             assert [m.value for m in evaluable_metrics(domain)] == order, domain
 
+    def test_every_listed_metric_evaluates_on_a_one_point_boundary(self):
+        # one removed point and no infinity flag: delta rejects every pair
+        d = FiniteComplement(3, [E1], includes_infinity_boundary=False)
+        assert MetricId.DELTA in evaluable_metrics(PUNCT)
+        assert MetricId.DELTA not in evaluable_metrics(d)
+        for metric in evaluable_metrics(d):
+            assert math.isfinite(evaluate_metric(d, metric, O, 0.5 * E3)), metric.value
+
     def test_evaluate_metric_by_name(self):
         v = evaluate_metric(BALL, "u", O, 0.5 * E1)
         assert v == pytest.approx(math.log(4.5), abs=1e-15)

@@ -13,13 +13,18 @@ import pytest
 
 import hypmetrics.geometry as geo
 from hypmetrics.geometry import FiniteComplement, ParameterError, UnitBall, UpperHalfSpace
+from hypmetrics.metrics import triangular_ratio, u_metric
 from hypmetrics.suite import (
+    TWO_LOG3,
     ConfigurationError,
     DEFAULT_SEED,
     InequalityCase,
+    Sample,
     SharpnessProbe,
     ScheduleError,
+    _chain,
     _equal_distance_pair,
+    _pairwise,
     _stream,
     catalog,
     check_case,
@@ -145,6 +150,46 @@ class TestCatalog:
             assert len(probe.schedule) >= 4
             res = run_probe(probe)
             assert len(res.estimates) == len(probe.schedule)
+
+
+class TestPairEvaluators:
+    def test_chain_equals_the_written_max(self):
+        rng = np.random.default_rng(17)
+        rows = [(1.0, 1.0, 1.0, 1.0), (0.0, -0.0, 0.0, -0.0), (math.nan, 1.0, 2.0, math.nan), (2.0, math.nan, 1.0, 0.5)]
+        for _ in range(200):
+            rows.append(tuple((rng.standard_normal(4) * 10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()))
+        for a, b, c, d in rows:
+            for got, want in (
+                (_chain(a, b), a - b),
+                (_chain(a, b, c), max(a - b, b - c)),
+                (_chain(a, b, c, d), max(a - b, b - c, c - d)),
+            ):
+                assert got[0].hex() == want.hex() and got[1] == 0.0, (a, b, c, d)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pairwise_calls_each_metric_once_in_order(self, k):
+        calls = []
+
+        def recording(name, value):
+            def metric(domain, x, y):
+                calls.append((name, domain, x, y))
+                return value
+
+            return metric
+
+        names = "abc"[:k]
+        ev = _pairwise(lambda *values: (values, "rhs"), *[recording(n, float(i)) for i, n in enumerate(names)])
+        smp = Sample(x=np.zeros(3), y=np.ones(3))
+        assert ev(BALL, smp) == (tuple(float(i) for i in range(k)), "rhs")
+        assert [c[0] for c in calls] == list(names)
+        assert all(c[1] is BALL and c[2] is smp.x and c[3] is smp.y for c in calls)
+
+    def test_triangular_case_drops_its_upper_side_at_s_one(self):
+        # the segment from 0 to 2e1 passes through the puncture e1
+        x, y = np.zeros(3), np.array([2.0, 0.0, 0.0])
+        assert triangular_ratio(PUNCT, x, y) == 1.0
+        lhs_rhs = catalog().case("T-S").evaluate(PUNCT, Sample(x=x, y=y))
+        assert lhs_rhs == (TWO_LOG3 - u_metric(PUNCT, x, y), 0.0)
 
 
 class TestCheckCase:
