@@ -212,18 +212,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _select(kind: str, known: list[str], requested) -> list[str]:
+    """The requested ids, or every known one when none is given; an
+    unknown id is a usage error that lists the known ones."""
+    ids = requested if requested else known
+    unknown = [i for i in ids if i not in set(known)]
+    if unknown:
+        raise ParameterError(f"unknown {kind} ids: {', '.join(unknown)}; known: {', '.join(known)}")
+    return ids
+
+
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParameterError("--samples must be >= 1")
     seed = _resolve_seed(args.seed)
     cat = catalog()
-    known = [c.case_id for c in cat.cases]
-    ids = args.case if args.case else known
-    unknown = [i for i in ids if i not in set(known)]
-    if unknown:
-        raise ParameterError(
-            f"unknown case ids: {', '.join(unknown)}; known: {', '.join(known)}"
-        )
+    ids = _select("case", [c.case_id for c in cat.cases], args.case)
     records = []
     all_pass = True
     for cid in ids:
@@ -251,13 +255,7 @@ def _probe_csv(results) -> str:
 
 def _cmd_probe(args) -> int:
     cat = catalog()
-    known = [p.probe_id for p in cat.probes]
-    ids = args.id if args.id else known
-    unknown = [i for i in ids if i not in set(known)]
-    if unknown:
-        raise ParameterError(
-            f"unknown probe ids: {', '.join(unknown)}; known: {', '.join(known)}"
-        )
+    ids = _select("probe", [p.probe_id for p in cat.probes], args.id)
     overrides = None
     if args.schedule is not None:
         if len(ids) != 1:

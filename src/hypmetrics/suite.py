@@ -10,8 +10,13 @@ batches are encoded as a max-of-residuals against zero, a chain
 t0 <= t1 <= ... by ``_chain``; single natural bounds keep their two
 sides as-is.  A pair case's evaluator is ``_pairwise(bound, *metrics)``:
 each metric once at the sampled pair, then the case's arithmetic on the
-values.  Every probe drives a parametric family toward a limit that
-attains a sharp constant and records the convergence table.
+values; a Mobius case's is ``_distortion(bound)``: u at the pair, then
+at its image, then ``bound(u0, u1)``.  Every probe drives a parametric
+family toward a limit that attains a sharp constant and records the
+convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
+declares it as a domain, a point family ``t -> Sample`` (``sym`` is
+x = t*e1, y = -t*e1) and a case-style evaluator, so probes run through
+``_pairwise`` and ``_distortion`` as the cases do.
 
 Determinism contract: sample k of a case draws from a Philox stream
 keyed by (seed, case id, k) alone and started at counter 0, so results
@@ -230,13 +235,15 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         w = sigma * rng.standard_normal(n)
     flippable = anchor == 0.0
     x = anchor + w
+    # x is tested once; the loop still makes its draws when x is outside
+    x_inside = domain.contains(x)
     for _ in range(64):
         flips = (rng.random(n) < 0.5) & flippable & (w != 0.0)
         if not flips.any():
             continue
         signs = np.where(flips, -1.0, 1.0)
         y = anchor + w * signs
-        if domain.contains(y) and domain.contains(x) and not same_point(x, y):
+        if domain.contains(y) and x_inside and not same_point(x, y):
             return x, y
     return sample_pair(domain, rng)
 
@@ -461,9 +468,10 @@ def _chain(*terms):
 
 
 def _pairwise(bound, *metrics):
-    """The evaluator of a pair case: each of two or three metrics once at
-    (domain, smp.x, smp.y), in the order given, then ``bound(*values)``,
-    the case's (lhs, rhs); unpacked by name, cheaper than a star-call."""
+    """The evaluator of a pair case or probe: each of two or three metrics
+    once at (domain, smp.x, smp.y), in the order given, then
+    ``bound(*values)``, the case's (lhs, rhs) or the probe's estimate;
+    unpacked by name, cheaper than a star-call."""
     if len(metrics) == 2:
         m1, m2 = metrics
         return lambda domain, smp: bound(m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y))
@@ -471,6 +479,14 @@ def _pairwise(bound, *metrics):
     return lambda domain, smp: bound(
         m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y), m3(domain, smp.x, smp.y)
     )
+
+
+def _distortion(bound):
+    """The evaluator of a Mobius case or probe: u at (x, y) on the domain,
+    then u at the images (fx, fy) on the image domain, then
+    ``bound(u0, u1)``; u is bound when the catalog is built."""
+    u = u_metric
+    return lambda domain, smp: bound(u(domain, smp.x, smp.y), u(smp.fdomain, smp.fx, smp.fy))
 
 
 @lru_cache(maxsize=1)
@@ -662,187 +678,115 @@ def catalog() -> Catalog:
         notes="upper bound treated as vacuous when s = 1")
 
     # -- Mobius distortion ------------------------------------------------------
-    def ev_m1(domain, smp):
-        u0 = U(domain, smp.x, smp.y)
-        u1 = U(smp.fdomain, smp.fx, smp.fy)
-        return _chain(u0 / 3.0, u1, 3.0 * u0)
-
+    m1 = _distortion(lambda u0, u1: _chain(u0 / 3.0, u1, 3.0 * u0))
     add("M1-FC", "three-fold distortion of u under Mobius maps of punctured space",
-        "u/3 <= u'(f.) <= 3*u", (punct1, punct3), ev_m1, constant=3.0,
+        "u/3 <= u'(f.) <= 3*u", (punct1, punct3), m1, constant=3.0,
         sampler="pair_map", map_family="random",
         notes="image domain built from the mapped boundary points")
     add("M1-BALL", "three-fold distortion of u under ball automorphisms",
-        "u/3 <= u'(f.) <= 3*u", (ball,), ev_m1, constant=3.0,
+        "u/3 <= u'(f.) <= 3*u", (ball,), m1, constant=3.0,
         sampler="pair_map", map_family="ball_auto")
     add("M1-HB", "three-fold distortion of u under the half-space to ball map",
-        "u/3 <= u'(f.) <= 3*u", (half,), ev_m1, constant=3.0,
+        "u/3 <= u'(f.) <= 3*u", (half,), m1, constant=3.0,
         sampler="pair_map", map_family="cayley")
 
-    def ev_m_add(domain, smp):
-        u0 = U(domain, smp.x, smp.y)
-        u1 = U(smp.fdomain, smp.fx, smp.fy)
-        return abs(u1 - u0), TWO_LOG2
-
+    m_add = _distortion(lambda u0, u1: (abs(u1 - u0), TWO_LOG2))
     add("M2-BALL", "additive distortion of u under ball automorphisms",
-        "|u(f.) - u| <= 2*log2", (ball,), ev_m_add, constant=TWO_LOG2,
+        "|u(f.) - u| <= 2*log2", (ball,), m_add, constant=TWO_LOG2,
         sampler="pair_map", map_family="ball_auto")
     add("M3-HH", "additive distortion of u under unit-sphere inversion of the half-space",
-        "|u(f.) - u| <= 2*log2", (half,), ev_m_add, constant=TWO_LOG2,
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2,
         sampler="pair_map", map_family="inv_unit")
     add("M3-HB", "additive distortion of u under the half-space to ball map",
-        "|u(f.) - u| <= 2*log2", (half,), ev_m_add, constant=TWO_LOG2,
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2,
         sampler="pair_map", map_family="cayley")
 
     # -- probes ---------------------------------------------------------------
     probes: list[SharpnessProbe] = []
 
-    def p1_eval(s):
-        last = math.nan
-        for m in (2, 3, 4, 5):
-            t = 1.0 - (1.0 - s) * 10.0 ** (-m)
-            last = U(ball, s * e1, t * e1) - R(ball, s * e1, t * e1)
-        return last
+    def probe(probe_id, paper_ref, family, functional, direction, schedule, limit, tolerance, domain, pair, ev):
+        probes.append(SharpnessProbe(
+            probe_id, paper_ref, family, functional, direction, tuple(schedule), limit, tolerance,
+            lambda t: ev(domain, pair(t))))
 
-    probes.append(SharpnessProbe(
-        "P1", "two-stage radial family on the ball attaining the additive constant 2*log2",
-        "x = s*e1, y = t*e1 on the ball; inner limit t -> 1-, outer s -> 1-",
-        "difference", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 5)),
-        TWO_LOG2, 2e-3, p1_eval))
+    def sym(t):
+        return Sample(x=t * e1, y=-t * e1)
 
-    def p2_eval(t):
-        return U(half, en, t * en) - R(half, en, t * en)
+    def mapped(f, fdomain, x, y):
+        return Sample(x=x, y=y, fdomain=fdomain, fx=f.apply(x), fy=f.apply(y))
 
-    probes.append(SharpnessProbe(
-        "P2", "vertical family on the half-space attaining the additive constant 2*log2",
-        "x = e_n, y = t*e_n on the half-space, t -> 0+",
-        "difference", "0+", tuple(10.0 ** (-k) for k in range(1, 7)),
-        TWO_LOG2, 2e-3, p2_eval))
+    u_minus_rho = _pairwise(operator.sub, U, R)
+    probe("P1", "two-stage radial family on the ball attaining the additive constant 2*log2",
+          "x = s*e1, y = t*e1 on the ball; inner limit t -> 1-, outer s -> 1-",
+          "difference", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), TWO_LOG2, 2e-3,
+          ball, lambda s: Sample(x=s * e1, y=(1.0 - (1.0 - s) * 10.0 ** (-5)) * e1), u_minus_rho)
+    probe("P2", "vertical family on the half-space attaining the additive constant 2*log2",
+          "x = e_n, y = t*e_n on the half-space, t -> 0+",
+          "difference", "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 2e-3,
+          half, lambda t: Sample(x=en, y=t * en), u_minus_rho)
+    probe("P3", "symmetric family in punctured space attaining the sharp factor 3 over the product-form distance ratio",
+          "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
+          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          punct1, sym, _pairwise(operator.truediv, U, JT))
+    probe("P3-J", "symmetric family in punctured space attaining the sharp factor 3 over the min-form distance ratio",
+          "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
+          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          punct1, sym, _pairwise(operator.truediv, U, J))
+    probe("P4", "symmetric family in punctured space attaining the additive constant log2",
+          "x = t*e1, y = -t*e1 in space punctured at e1, t -> 1-",
+          "difference", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), LOG2, 1e-2,
+          punct1, sym, _pairwise(lambda u_, jt_: u_ - 2.0 * jt_, U, JT))
+    probe("P5", "one-sided family in punctured space driving u down to the half-Apollonian metric",
+          "x = 0, y = t*e1 in space punctured at e1, t -> 1-",
+          "ratio", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 1.0, 5e-2,
+          punct1, lambda t: Sample(x=origin, y=t * e1), _pairwise(operator.truediv, U, E))
+    probe("P6", "antipodal family around a single puncture where u is constant 2*log3",
+          "y = -x in space punctured at the origin",
+          "value", "exact", (0.1, 0.5, 1.0, 2.0, 10.0), TWO_LOG3, 1e-12,
+          punct0, sym, lambda domain, smp: U(domain, smp.x, smp.y))
+    probe("P7", "symmetric family in punctured space attaining the sharp factor 3 over the triangular-ratio bound",
+          "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
+          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          punct1, sym, _pairwise(lambda s_, u_: u_ / math.log((1.0 + s_) / (1.0 - s_)), S, U))
+    probe("P8", "ball automorphisms attaining the multiplicative distortion factor 3",
+          "f centered at t*e1 applied to x = (1-t)*e1, y = -(1-t)*e1, t -> 1-",
+          "ratio", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 3.0, 5e-2,
+          ball, lambda t: mapped(ball_automorphism(t * e1), ball, (1.0 - t) * e1, -((1.0 - t) * e1)),
+          _distortion(lambda u0, u1: u1 / u0))
 
-    def p3_eval(t):
-        return U(punct1, t * e1, -t * e1) / JT(punct1, t * e1, -t * e1)
+    cay = _fixed_map(cayley_map, n)
 
-    probes.append(SharpnessProbe(
-        "P3", "symmetric family in punctured space attaining the sharp factor 3 over the product-form distance ratio",
-        "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-        "ratio", "0+", tuple(10.0 ** (-k) for k in range(1, 5)),
-        3.0, 1e-3, p3_eval))
+    def cayley_pair(t):
+        return mapped(cay, ball, t * en, (1.0 / t) * en)
 
-    def p3j_eval(t):
-        return U(punct1, t * e1, -t * e1) / J(punct1, t * e1, -t * e1)
+    probe("P9", "half-space to ball map attaining the multiplicative distortion factor 1/3",
+          "x = t*e_n, y = e_n/t under the half-space to ball map, t -> 1+",
+          "ratio", "1+", (1.0 + 10.0 ** (-k) for k in range(1, 7)), 1.0 / 3.0, 5e-2,
+          half, cayley_pair, _distortion(lambda u0, u1: u1 / u0))
+    probe("P9-ADD", "half-space to ball map attaining the additive distortion constant 2*log2",
+          "x = t*e_n, y = e_n/t under the half-space to ball map, t -> inf",
+          "difference", "inf", (10.0 ** k for k in range(1, 7)), TWO_LOG2, 1e-3,
+          half, cayley_pair, _distortion(operator.sub))
 
-    probes.append(SharpnessProbe(
-        "P3-J", "symmetric family in punctured space attaining the sharp factor 3 over the min-form distance ratio",
-        "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-        "ratio", "0+", tuple(10.0 ** (-k) for k in range(1, 5)),
-        3.0, 1e-3, p3j_eval))
+    inv = _fixed_map(inversion_unit, n)
+    probe("P10", "unit-sphere inversion of the half-space attaining the additive distortion constant 2*log2",
+          "x = e1 + t*e_n, y = e1 + e_n/t under unit inversion, t -> 0+",
+          "difference", "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 1e-3,
+          half, lambda t: mapped(inv, half, e1 + t * en, e1 + (1.0 / t) * en), _distortion(operator.sub))
+    probe("P11", "diameter family of the ball where u equals the boundary-pair metric exactly",
+          "x = t*e1, y = -t*e1 on the ball",
+          "difference", "exact", (0.1, 0.5, 0.9, 0.99, 0.999, 0.999999), 0.0, 1e-12,
+          ball, sym, _pairwise(operator.sub, U, D))
 
-    def p4_eval(t):
-        return U(punct1, t * e1, -t * e1) - 2.0 * JT(punct1, t * e1, -t * e1)
+    def ev_p12(domain, smp):
+        c_ = C(domain, smp.x, smp.y)
+        rmin = min(domain.distance_to_boundary(smp.x), domain.distance_to_boundary(smp.y))
+        return U(domain, smp.x, smp.y) - 2.0 * math.log1p(rmin * c_)
 
-    probes.append(SharpnessProbe(
-        "P4", "symmetric family in punctured space attaining the additive constant log2",
-        "x = t*e1, y = -t*e1 in space punctured at e1, t -> 1-",
-        "difference", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 5)),
-        LOG2, 1e-2, p4_eval))
-
-    def p5_eval(t):
-        return U(punct1, origin, t * e1) / E(punct1, origin, t * e1)
-
-    probes.append(SharpnessProbe(
-        "P5", "one-sided family in punctured space driving u down to the half-Apollonian metric",
-        "x = 0, y = t*e1 in space punctured at e1, t -> 1-",
-        "ratio", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 7)),
-        1.0, 5e-2, p5_eval))
-
-    def p6_eval(t):
-        return U(punct0, t * e1, -t * e1)
-
-    probes.append(SharpnessProbe(
-        "P6", "antipodal family around a single puncture where u is constant 2*log3",
-        "y = -x in space punctured at the origin",
-        "value", "exact", (0.1, 0.5, 1.0, 2.0, 10.0),
-        TWO_LOG3, 1e-12, p6_eval))
-
-    def p7_eval(t):
-        s_ = S(punct1, t * e1, -t * e1)
-        return U(punct1, t * e1, -t * e1) / math.log((1.0 + s_) / (1.0 - s_))
-
-    probes.append(SharpnessProbe(
-        "P7", "symmetric family in punctured space attaining the sharp factor 3 over the triangular-ratio bound",
-        "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-        "ratio", "0+", tuple(10.0 ** (-k) for k in range(1, 5)),
-        3.0, 1e-3, p7_eval))
-
-    def p8_eval(t):
-        f = ball_automorphism(t * e1)
-        x = (1.0 - t) * e1
-        y = -x
-        return U(ball, f.apply(x), f.apply(y)) / U(ball, x, y)
-
-    probes.append(SharpnessProbe(
-        "P8", "ball automorphisms attaining the multiplicative distortion factor 3",
-        "f centered at t*e1 applied to x = (1-t)*e1, y = -(1-t)*e1, t -> 1-",
-        "ratio", "1-", tuple(1.0 - 10.0 ** (-k) for k in range(1, 7)),
-        3.0, 5e-2, p8_eval))
-
-    cay = cayley_map(n)
-
-    def p9_eval(t):
-        x = t * en
-        y = (1.0 / t) * en
-        return U(ball, cay.apply(x), cay.apply(y)) / U(half, x, y)
-
-    probes.append(SharpnessProbe(
-        "P9", "half-space to ball map attaining the multiplicative distortion factor 1/3",
-        "x = t*e_n, y = e_n/t under the half-space to ball map, t -> 1+",
-        "ratio", "1+", tuple(1.0 + 10.0 ** (-k) for k in range(1, 7)),
-        1.0 / 3.0, 5e-2, p9_eval))
-
-    def p9add_eval(t):
-        x = t * en
-        y = (1.0 / t) * en
-        return U(half, x, y) - U(ball, cay.apply(x), cay.apply(y))
-
-    probes.append(SharpnessProbe(
-        "P9-ADD", "half-space to ball map attaining the additive distortion constant 2*log2",
-        "x = t*e_n, y = e_n/t under the half-space to ball map, t -> inf",
-        "difference", "inf", tuple(10.0 ** k for k in range(1, 7)),
-        TWO_LOG2, 1e-3, p9add_eval))
-
-    inv = inversion_unit(n)
-
-    def p10_eval(t):
-        x = e1 + t * en
-        y = e1 + (1.0 / t) * en
-        return U(half, x, y) - U(half, inv.apply(x), inv.apply(y))
-
-    probes.append(SharpnessProbe(
-        "P10", "unit-sphere inversion of the half-space attaining the additive distortion constant 2*log2",
-        "x = e1 + t*e_n, y = e1 + e_n/t under unit inversion, t -> 0+",
-        "difference", "0+", tuple(10.0 ** (-k) for k in range(1, 7)),
-        TWO_LOG2, 1e-3, p10_eval))
-
-    def p11_eval(t):
-        return U(ball, t * e1, -t * e1) - D(ball, t * e1, -t * e1)
-
-    probes.append(SharpnessProbe(
-        "P11", "diameter family of the ball where u equals the boundary-pair metric exactly",
-        "x = t*e1, y = -t*e1 on the ball",
-        "difference", "exact", (0.1, 0.5, 0.9, 0.99, 0.999, 0.999999),
-        0.0, 1e-12, p11_eval))
-
-    def p12_eval(t):
-        x = t * e1
-        y = t * e3
-        c_ = C(punct0, x, y)
-        rmin = min(punct0.distance_to_boundary(x), punct0.distance_to_boundary(y))
-        return U(punct0, x, y) - 2.0 * math.log1p(rmin * c_)
-
-    probes.append(SharpnessProbe(
-        "P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",
-        "x = t*e1, y = t*e3 in space punctured at the origin",
-        "difference", "exact", (1e-3, 0.1, 0.5, 1.0, 7.0, 100.0),
-        0.0, 1e-12, p12_eval))
+    probe("P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",
+          "x = t*e1, y = t*e3 in space punctured at the origin",
+          "difference", "exact", (1e-3, 0.1, 0.5, 1.0, 7.0, 100.0), 0.0, 1e-12,
+          punct0, lambda t: Sample(x=t * e1, y=t * e3), ev_p12)
 
     ids = [c.case_id for c in cases] + [p.probe_id for p in probes]
     if len(ids) != len(set(ids)):

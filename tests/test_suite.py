@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hypmetrics.geometry as geo
+import hypmetrics.suite as suite
 from hypmetrics.geometry import FiniteComplement, ParameterError, UnitBall, UpperHalfSpace
 from hypmetrics.metrics import triangular_ratio, u_metric
 from hypmetrics.suite import (
@@ -23,6 +24,7 @@ from hypmetrics.suite import (
     SharpnessProbe,
     ScheduleError,
     _chain,
+    _distortion,
     _equal_distance_pair,
     _pairwise,
     _stream,
@@ -121,6 +123,21 @@ class TestSampling:
         # fallback draw is allowed to differ
         assert hits >= 195
 
+    def test_equal_distance_pair_tests_x_once(self):
+        tested = []
+
+        class Ball(UnitBall):
+            def contains(self, p):
+                tested.append(p)
+                return super().contains(p)
+
+        domain = Ball(3)
+        for k in range(20):
+            tested.clear()
+            x, y = _equal_distance_pair(domain, _stream(3, "eq", k))
+            assert sum(p is x for p in tested) == 1, k
+            assert x is tested[0]
+
 
 class TestCatalog:
     def test_ids_are_unique(self):
@@ -183,6 +200,20 @@ class TestPairEvaluators:
         assert ev(BALL, smp) == (tuple(float(i) for i in range(k)), "rhs")
         assert [c[0] for c in calls] == list(names)
         assert all(c[1] is BALL and c[2] is smp.x and c[3] is smp.y for c in calls)
+
+    def test_distortion_evaluates_the_pair_then_its_image(self, monkeypatch):
+        # u is looked up when the evaluator is built, as the catalog binds it
+        calls = []
+
+        def u(domain, x, y):
+            calls.append((domain, x, y))
+            return float(len(calls))
+
+        monkeypatch.setattr(suite, "u_metric", u)
+        ev = _distortion(lambda u0, u1: (u0, u1))
+        smp = Sample(x=np.zeros(3), y=np.ones(3), fdomain=HALF, fx=np.full(3, 2.0), fy=np.full(3, 3.0))
+        assert ev(BALL, smp) == (1.0, 2.0)
+        assert calls == [(BALL, smp.x, smp.y), (HALF, smp.fx, smp.fy)]
 
     def test_triangular_case_drops_its_upper_side_at_s_one(self):
         # the segment from 0 to 2e1 passes through the puncture e1
@@ -292,6 +323,100 @@ class TestCheckCase:
             assert rec.passed, cid
 
 
+def _reference_probe_evaluators():
+    """Each probe written out as one closure over its metrics: the
+    reference the declared probes must match bit for bit.  P1 keeps a
+    loop over the inner stages m = 2..5, of which only the last counts."""
+    from hypmetrics.metrics import cassinian, delta_metric, eta_metric, j_metric, j_tilde, rho
+    from hypmetrics.mobius import ball_automorphism, cayley_map, inversion_unit
+
+    n = 3
+    e1, e3, origin = np.eye(n)[0], np.eye(n)[2], np.zeros(n)
+    en = e3
+    ball, half = UnitBall(n), UpperHalfSpace(n)
+    punct1, punct0 = FiniteComplement(n, [e1]), FiniteComplement(n, [origin])
+    U, JT, J, D, E, C, S, R = (
+        u_metric, j_tilde, j_metric, delta_metric, eta_metric, cassinian, triangular_ratio, rho,
+    )
+    cay, inv = cayley_map(n), inversion_unit(n)
+
+    def p1_eval(s):
+        last = math.nan
+        for m in (2, 3, 4, 5):
+            t = 1.0 - (1.0 - s) * 10.0 ** (-m)
+            last = U(ball, s * e1, t * e1) - R(ball, s * e1, t * e1)
+        return last
+
+    def p2_eval(t):
+        return U(half, en, t * en) - R(half, en, t * en)
+
+    def p3_eval(t):
+        return U(punct1, t * e1, -t * e1) / JT(punct1, t * e1, -t * e1)
+
+    def p3j_eval(t):
+        return U(punct1, t * e1, -t * e1) / J(punct1, t * e1, -t * e1)
+
+    def p4_eval(t):
+        return U(punct1, t * e1, -t * e1) - 2.0 * JT(punct1, t * e1, -t * e1)
+
+    def p5_eval(t):
+        return U(punct1, origin, t * e1) / E(punct1, origin, t * e1)
+
+    def p6_eval(t):
+        return U(punct0, t * e1, -t * e1)
+
+    def p7_eval(t):
+        s_ = S(punct1, t * e1, -t * e1)
+        return U(punct1, t * e1, -t * e1) / math.log((1.0 + s_) / (1.0 - s_))
+
+    def p8_eval(t):
+        f = ball_automorphism(t * e1)
+        x = (1.0 - t) * e1
+        y = -x
+        return U(ball, f.apply(x), f.apply(y)) / U(ball, x, y)
+
+    def p9_eval(t):
+        x = t * en
+        y = (1.0 / t) * en
+        return U(ball, cay.apply(x), cay.apply(y)) / U(half, x, y)
+
+    def p9add_eval(t):
+        x = t * en
+        y = (1.0 / t) * en
+        return U(half, x, y) - U(ball, cay.apply(x), cay.apply(y))
+
+    def p10_eval(t):
+        x = e1 + t * en
+        y = e1 + (1.0 / t) * en
+        return U(half, x, y) - U(half, inv.apply(x), inv.apply(y))
+
+    def p11_eval(t):
+        return U(ball, t * e1, -t * e1) - D(ball, t * e1, -t * e1)
+
+    def p12_eval(t):
+        x = t * e1
+        y = t * e3
+        c_ = C(punct0, x, y)
+        rmin = min(punct0.distance_to_boundary(x), punct0.distance_to_boundary(y))
+        return U(punct0, x, y) - 2.0 * math.log1p(rmin * c_)
+
+    return {
+        "P1": p1_eval, "P2": p2_eval, "P3": p3_eval, "P3-J": p3j_eval, "P4": p4_eval,
+        "P5": p5_eval, "P6": p6_eval, "P7": p7_eval, "P8": p8_eval, "P9": p9_eval,
+        "P9-ADD": p9add_eval, "P10": p10_eval, "P11": p11_eval, "P12": p12_eval,
+    }
+
+
+# points off each schedule, inside the family's domain, by direction
+_EXTRA_T = {
+    "0+": (0.37, 3e-8),
+    "1-": (0.3, 0.77, 1.0 - 3e-8),
+    "1+": (1.7, 1.0 + 3e-8),
+    "inf": (2.5, 3e8),
+    "exact": (0.3, 0.77),
+}
+
+
 class TestRunProbe:
     def test_schedule_needs_four_points(self):
         probe = catalog().probe("P2")
@@ -347,6 +472,17 @@ class TestRunProbe:
         )
         res = run_probe(probe)
         assert not res.monotone and not res.passed
+
+    def test_declared_probes_match_their_closures_bit_for_bit(self):
+        # the golden file rounds to 12 digits and the benchmark compares
+        # to 1e-9; this compares every bit of every estimate
+        reference = _reference_probe_evaluators()
+        probes = catalog().probes
+        assert sorted(reference) == sorted(p.probe_id for p in probes)
+        for probe in probes:
+            for t in probe.schedule + _EXTRA_T[probe.direction]:
+                got, want = probe.evaluate(t), reference[probe.probe_id](t)
+                assert got.hex() == want.hex(), (probe.probe_id, t)
 
 
 class TestReports:
