@@ -1,6 +1,6 @@
-"""Bit-identity fixture of the sampler and the finite-complement metrics.
+"""Bit-identity fixture of the sampler and the metrics.
 
-Two SHA-256 digests over ``float.hex`` of every value:
+Three SHA-256 digests over ``float.hex`` of every value:
 
 - the samples ``_build_sample`` builds for every sampled catalog case at
   seed 42, samples 0..99 of each domain (x, y, z, f(x), f(y), the map's
@@ -8,7 +8,15 @@ Two SHA-256 digests over ``float.hex`` of every value:
 - ``evaluate_metric`` for every evaluable metric, ``alpha_pair_form``,
   ``distance_to_boundary`` and the distance vectors on finite
   complements, at sampler pairs, at pairs in clouds of radius 1e-6 around
-  the punctures and at far points 1e3 to 1e6 away.
+  the punctures and at far points 1e3 to 1e6 away;
+- the same values on the unit ball and the upper half-space in
+  dimensions 2 and 3, at sampler pairs, at pairs 1e-6 to 1e-12 from the
+  sphere and at half-space heights 1e-6 to 1e6.
+
+A table pins the outcome of every finite-complement metric where the
+distances to the punctures underflow to 0 or overflow to inf: the float
+(inf and nan included) or the exception type, under
+``np.errstate(all="ignore")``.
 
 A change that moves any draw or any value by one ulp changes a digest.
 The digests are never updated to absorb a diff: an intended numerical
@@ -19,7 +27,7 @@ import hashlib
 
 import numpy as np
 
-from hypmetrics.geometry import FiniteComplement, distance_to_boundary
+from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, distance_to_boundary
 from hypmetrics.metrics import alpha_pair_form, evaluable_metrics, evaluate_metric
 from hypmetrics.suite import _build_sample, _stream, catalog, sample_pair
 
@@ -27,6 +35,7 @@ SAMPLES_PER_DOMAIN = 100
 
 SAMPLE_DIGEST = "b7d06ac4eeb1666753166cf61a90c09786584fe3716cab8c884393f3fd9d4bd2"
 FC_METRIC_DIGEST = "4a5d852317906f19b5fe5db0c7d54f19582ae67508be83af217f2d7ece496a9e"
+BH_METRIC_DIGEST = "1c54e80fdf527f84643b2bbbd17da2c556fff5a0a0de764faf790e1229032a18"
 
 
 def _hex(values) -> str:
@@ -94,14 +103,53 @@ def fc_metric_lines():
         yield repr(domain) + "|" + _hex(domain.distances(domain.removed))
         for x, y in _fc_pairs(domain, rng):
             parts = [_hex(x), _hex(y), _hex(domain.distances(x)), _hex(domain.distances(y))]
-            parts += [distance_to_boundary(domain, x).hex(), distance_to_boundary(domain, y).hex()]
-            for metric in evaluable_metrics(domain):
-                try:
-                    parts.append(evaluate_metric(domain, metric, x, y).hex())
-                except ValueError as exc:
-                    parts.append(type(exc).__name__)
-            parts.append(alpha_pair_form(domain, x, y).hex())
-            yield "|".join(parts)
+            yield "|".join(parts + _metric_values(domain, x, y))
+
+
+def _metric_values(domain, x, y) -> list[str]:
+    """distance_to_boundary at x and y, every evaluable metric and
+    alpha_pair_form, each as ``float.hex`` or the error's type name."""
+    parts = [distance_to_boundary(domain, x).hex(), distance_to_boundary(domain, y).hex()]
+    for metric in evaluable_metrics(domain):
+        try:
+            parts.append(evaluate_metric(domain, metric, x, y).hex())
+        except ValueError as exc:
+            parts.append(type(exc).__name__)
+    parts.append(alpha_pair_form(domain, x, y).hex())
+    return parts
+
+
+def _bh_pairs(domain, rng):
+    """Sampler pairs, then ball pairs 1e-6 to 1e-12 from the sphere (half
+    of them 1e-6 to 1e-12 apart) or half-space pairs at heights 1e-6 to
+    1e6 with horizontal offsets 1e-6 to 1e6."""
+    n = domain.dim
+    for _ in range(120):
+        yield sample_pair(domain, rng)
+    for k in range(80):
+        if isinstance(domain, UnitBall):
+            g = rng.standard_normal((2, n))
+            depth = 10.0 ** -rng.uniform(6.0, 12.0, 2)
+            x = (1.0 - depth[0]) * g[0] / np.linalg.norm(g[0])
+            if k % 2:
+                y = x + 10.0 ** -rng.uniform(6.0, 12.0) * g[1] / np.linalg.norm(g[1])
+                if not np.linalg.norm(y) < 1.0:
+                    y = 2.0 * x - y
+            else:
+                y = (1.0 - depth[1]) * g[1] / np.linalg.norm(g[1])
+        else:
+            x = np.append(2.0 * rng.standard_normal(n - 1), 10.0 ** rng.uniform(-6.0, 6.0))
+            y = x + 10.0 ** rng.uniform(-6.0, 6.0) * np.append(rng.standard_normal(n - 1), 0.0)
+            y[-1] = 10.0 ** rng.uniform(-6.0, 6.0)
+        yield x, y
+
+
+def bh_metric_lines():
+    """One line per ball or half-space pair with every value."""
+    rng = np.random.default_rng(42)
+    for domain in (UnitBall(2), UnitBall(3), UpperHalfSpace(2), UpperHalfSpace(3)):
+        for x, y in _bh_pairs(domain, rng):
+            yield "|".join([repr(domain), _hex(x), _hex(y), *_metric_values(domain, x, y)])
 
 
 def _digest(lines) -> str:
@@ -112,9 +160,93 @@ def _digest(lines) -> str:
     return h.hexdigest()
 
 
+_TINY, _HUGE = 1e-170, 1e200
+# pairs whose distances to the punctures at 0, 2 e1 and (0, 3, 1) square
+# to 0 (1e-170 away) or to inf (1e200 away)
+DEGENERATE_PAIRS = {
+    "tiny-mid": ([_TINY, 0.0, 0.0], [0.5, 0.0, 0.0]),
+    "tiny-tiny": ([_TINY, 0.0, 0.0], [0.0, _TINY, 0.0]),
+    "tiny-tiny2": ([_TINY, 0.0, 0.0], [2.0, _TINY, 0.0]),
+    "tiny-huge": ([_TINY, 0.0, 0.0], [_HUGE, 0.0, 0.0]),
+    "huge-mid": ([_HUGE, 0.0, 0.0], [0.5, 0.0, 0.0]),
+    "huge-huge": ([_HUGE, 0.0, 0.0], [0.0, _HUGE, 0.0]),
+}
+
+
+def _outcome(f) -> str:
+    """``float.hex`` of f() (a NaN reads "nan" whatever its sign: numpy's
+    maximum returns either sign by the NaN's position), or the type name
+    of the exception it raises."""
+    try:
+        return float(f()).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def degenerate_outcomes() -> dict:
+    """Every value of ``_metric_values`` at each degenerate pair, both
+    orders, with and without the infinity flag; an exception is its
+    type's name."""
+    removed = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 1.0]]
+    out = {}
+    with np.errstate(all="ignore"):
+        for flag in (True, False):
+            domain = FiniteComplement(3, removed, includes_infinity_boundary=flag)
+            names = ["d(x)", "d(y)", *(m.value for m in evaluable_metrics(domain)), "alpha_pair_form"]
+            calls = [
+                lambda x, y: distance_to_boundary(domain, x),
+                lambda x, y: distance_to_boundary(domain, y),
+                *(lambda x, y, m=m: evaluate_metric(domain, m, x, y) for m in evaluable_metrics(domain)),
+                lambda x, y: alpha_pair_form(domain, x, y),
+            ]
+            for label, (x, y) in DEGENERATE_PAIRS.items():
+                for order, (a, b) in (("xy", (x, y)), ("yx", (y, x))):
+                    row = [f"{n}={_outcome(lambda: f(a, b))}" for n, f in zip(names, calls)]
+                    out[f"{'inf' if flag else 'noinf'}:{label}:{order}"] = " ".join(row)
+    return out
+
+
+DEGENERATE_OUTCOMES = {
+    'inf:tiny-mid:xy': 'd(x)=0x0.0p+0 d(y)=0x1.0000000000000p-1 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:tiny-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:tiny-tiny:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:tiny-tiny:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:tiny-tiny2:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:tiny-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:tiny-huge:xy': 'd(x)=0x0.0p+0 d(y)=inf u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:tiny-huge:yx': 'd(x)=inf d(y)=0x0.0p+0 u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:huge-mid:xy': 'd(x)=inf d(y)=0x1.0000000000000p-1 u=nan j_tilde=nan j=inf delta=nan alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:huge-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=inf u=nan j_tilde=nan j=inf delta=nan alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:huge-huge:xy': 'd(x)=inf d(y)=inf u=nan j_tilde=nan j=nan delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'inf:huge-huge:yx': 'd(x)=inf d(y)=inf u=nan j_tilde=nan j=nan delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:tiny-mid:xy': 'd(x)=0x0.0p+0 d(y)=0x1.0000000000000p-1 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:tiny-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:tiny-tiny:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:tiny-tiny:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:tiny-tiny2:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:tiny-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:tiny-huge:xy': 'd(x)=0x0.0p+0 d(y)=inf u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:tiny-huge:yx': 'd(x)=inf d(y)=0x0.0p+0 u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:huge-mid:xy': 'd(x)=inf d(y)=0x1.0000000000000p-1 u=nan j_tilde=nan j=inf delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:huge-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=inf u=nan j_tilde=nan j=inf delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:huge-huge:xy': 'd(x)=inf d(y)=inf u=nan j_tilde=nan j=nan delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+    'noinf:huge-huge:yx': 'd(x)=inf d(y)=inf u=nan j_tilde=nan j=nan delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
+}
+
+
+def test_degenerate_finite_complement_outcomes_are_pinned():
+    # numpy turns a division by 0 into inf or nan and a maximum over nan
+    # into nan; plain float division raises and max() may skip a nan
+    assert degenerate_outcomes() == DEGENERATE_OUTCOMES
+
+
 def test_built_samples_keep_every_bit():
     assert _digest(sample_lines()) == SAMPLE_DIGEST
 
 
 def test_finite_complement_values_keep_every_bit():
     assert _digest(fc_metric_lines()) == FC_METRIC_DIGEST
+
+
+def test_ball_and_half_space_values_keep_every_bit():
+    assert _digest(bh_metric_lines()) == BH_METRIC_DIGEST
