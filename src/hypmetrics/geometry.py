@@ -125,9 +125,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# |v| is math.sqrt(v.dot(v)) throughout: np.linalg.norm takes the norm of
+# a 1-D float array as sqrt(v.dot(v)) as well, so the bits agree, and the
+# method skips np.dot's __array_function__ dispatch for the same routine
 def _dist(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b
-    return math.sqrt(float(np.dot(d, d)))
+    return math.sqrt(d.dot(d))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +147,14 @@ class UnitBall:
         if self.dim < 2:
             raise ParameterError("domains require dimension >= 2")
 
-    # math.sqrt(np.dot(x, x)) is how np.linalg.norm computes the norm of a
-    # 1-D float array, without its generic dispatch
+    # the domain methods take lists as well, which have no dot method
     def contains(self, x) -> bool:
-        return math.sqrt(np.dot(x, x)) < 1.0
+        x = np.asarray(x)
+        return math.sqrt(x.dot(x)) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - math.sqrt(np.dot(x, x))
+        x = np.asarray(x)
+        return 1.0 - math.sqrt(x.dot(x))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -208,8 +212,9 @@ class FiniteComplement:
 
     def _squared_distances(self, x) -> np.ndarray:
         d = self.removed - np.asarray(x)[..., None, :]
-        # vecdot takes each row's dot product as np.dot(d, d) does, with
-        # the same rounding; (d * d).sum(axis=-1), einsum and
+        # vecdot takes the dot product of each row along the leading axes
+        # as d_row.dot(d_row) does, with the same rounding, whatever the
+        # leading axes; (d * d).sum(axis=-1), einsum and
         # np.linalg.norm(axis=-1) round differently
         return np.vecdot(d, d)
 
@@ -220,13 +225,19 @@ class FiniteComplement:
 
     def distance_to_boundary(self, x) -> float:
         # sqrt is monotone and correctly rounded, so the root of the least
-        # square is the least of the rooted distances, bit for bit
-        return math.sqrt(self._squared_distances(x).min())
+        # square is the least of the rooted distances, bit for bit; no
+        # square is NaN, so min over the floats is numpy's minimum
+        return math.sqrt(min(self._squared_distances(x).tolist()))
 
     @cached_property
     def removed_distances(self) -> np.ndarray:
         """The m x m matrix of |p - q| over removed points p, q."""
         return _read_only(self.distances(self.removed))
+
+    @cached_property
+    def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
+        """``removed_distances`` as rows of Python floats."""
+        return tuple(map(tuple, self.removed_distances.tolist()))
 
     @cached_property
     def centroid(self) -> np.ndarray:

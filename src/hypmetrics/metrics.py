@@ -12,6 +12,17 @@ on a great circle, and the product is evaluated there once.  The least
 sum for s comes likewise from the Ptolemy-Alhazen quartic of mirror
 reflection.  Nothing is searched.
 
+On a finite complement with m removed points a supremum is a maximum
+over m ratios, or m x m for the pair forms of delta and alpha.  Both
+points' distance vectors come from one table (:func:`_distance_rows`),
+and each ratio and the maximum are taken over Python floats, which do
+the IEEE operations numpy would do entry by entry and cost far less on a
+handful of numbers.  Where a distance underflows to 0 or overflows to
+inf, :func:`_over` divides as numpy does (inf or nan, where Python
+raises) and :func:`_largest` returns NaN if any ratio is NaN (where
+``max`` keeps the first entry over a later NaN), so such pairs give the
+value, inf or NaN numpy gave.
+
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
 ``_two_boundary_points``), then x, then y, and returns 0 for equal
@@ -83,6 +94,31 @@ def _two_boundary_points(domain) -> bool:
     return not isinstance(domain, FiniteComplement) or domain.boundary_cardinality() >= 2
 
 
+def _distance_rows(domain: FiniteComplement, x, y) -> list[list[float]]:
+    """[|p - x| for p], [|p - y| for p] over the removed points, as
+    floats, from one vecdot over the table of differences p - x, p - y."""
+    return domain.distances(np.array((x, y))).tolist()
+
+
+def _over(n: float, d: float) -> float:
+    """n / d for n, d >= 0 or NaN, as numpy divides: n / 0 is inf, and
+    NaN when n is 0 or NaN, where float division raises."""
+    return n / d if d else (math.inf if n > 0.0 else math.nan)
+
+
+def _largest(values: list[float]) -> float:
+    """The largest of floats >= 0 or NaN, NaN if any is: numpy's .max().
+    A NaN entry makes the sum NaN, since no entry is -inf."""
+    top = max(values)
+    total = sum(values)
+    return top if total == total else math.nan
+
+
+def _largest_ratio(nums: list[float], dens: list[float]) -> float:
+    """The largest nums[i] / dens[i]: numpy's (nums / dens).max()."""
+    return _largest(list(map(_over, nums, dens)))
+
+
 def _validated(mid: MetricId):
     """Decorator making a kernel the public metric ``mid``: it checks the
     domain's type and that ``mid`` is defined on it, then the number of
@@ -128,8 +164,8 @@ def rho(domain, x, y) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
     r = _dist(x, y)
     if isinstance(domain, UnitBall):
-        nx = math.sqrt(np.dot(x, x))
-        ny = math.sqrt(np.dot(y, y))
+        nx = math.sqrt(x.dot(x))
+        ny = math.sqrt(y.dot(y))
         # (1 - |x|^2) factored to keep precision near the boundary, and
         # grouped per point so that swapping x and y keeps the bits
         t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
@@ -176,11 +212,11 @@ def delta_metric(domain, x, y) -> float:
     # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
     # leaves |x-y| over the other entry's distance
     r = _dist(x, y)
-    dpx = domain.distances(x)
-    dqy = domain.distances(y)
-    best = float(((domain.removed_distances * r) / (dpx[:, None] * dqy[None, :])).max())
+    dpx, dqy = _distance_rows(domain, x, y)
+    rows = domain.removed_distance_rows
+    best = _largest([_over(pq * r, px * qy) for px, row in zip(dpx, rows) for pq, qy in zip(row, dqy)])
     if domain.includes_infinity_boundary:
-        best = max(best, r / float(dqy.min()), r / float(dpx.min()))
+        best = max(best, r / min(dqy), r / min(dpx))
     return math.log1p(best)
 
 
@@ -197,10 +233,9 @@ def alpha_metric(domain, x, y) -> float:
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
         return _rho(domain, x, y)
     # log is monotone, so each factor takes it once, of its largest ratio
-    dpx = domain.distances(x)
-    dpy = domain.distances(y)
-    a = float((dpy / dpx).max())
-    b = float((dpx / dpy).max())
+    dpx, dpy = _distance_rows(domain, x, y)
+    a = _largest_ratio(dpy, dpx)
+    b = _largest_ratio(dpx, dpy)
     if domain.includes_infinity_boundary:
         a, b = max(a, 1.0), max(b, 1.0)
     return math.log(a) + math.log(b)
@@ -220,11 +255,10 @@ def alpha_pair_form(domain, x, y) -> float:
         return _rho(domain, x, y)
     # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
     # monotone, so it is taken once, of the largest ratio
-    dpx = domain.distances(x)
-    dpy = domain.distances(y)
-    best = float(((dpy[:, None] * dpx[None, :]) / (dpx[:, None] * dpy[None, :])).max())
+    dpx, dpy = _distance_rows(domain, x, y)
+    best = _largest([_over(py * qx, px * qy) for px, py in zip(dpx, dpy) for qx, qy in zip(dpx, dpy)])
     if domain.includes_infinity_boundary:
-        best = max(best, float((dpx / dpy).max()), float((dpy / dpx).max()))
+        best = max(best, _largest_ratio(dpx, dpy), _largest_ratio(dpy, dpx))
     return math.log(best)
 
 
@@ -243,15 +277,14 @@ def eta_metric(domain, x, y) -> float:
     if isinstance(domain, UnitBall):
         # both lambdas share the numerator; 1 - |v|^2 is factored, and the
         # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
-        nx, ny = math.sqrt(np.dot(x, x)), math.sqrt(np.dot(y, y))
+        nx, ny = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
         tx, ty = (1.0 - nx) * (1.0 + nx), (1.0 - ny) * (1.0 + ny)
         return math.log((math.sqrt(r * r + tx * ty) + r) / min(tx, ty))
     if isinstance(domain, UpperHalfSpace):
         hx, hy = float(x[-1]), float(y[-1])
         return math.log((r + math.sqrt(r * r + 4.0 * hx * hy)) / (2.0 * min(hx, hy)))
-    dpx = domain.distances(x)
-    dpy = domain.distances(y)
-    return math.log(max(float((dpx / dpy).max()), float((dpy / dpx).max())))
+    dpx, dpy = _distance_rows(domain, x, y)
+    return math.log(max(_largest_ratio(dpx, dpy), _largest_ratio(dpy, dpx)))
 
 
 @_validated(MetricId.CASSINIAN)
@@ -269,14 +302,15 @@ def cassinian(domain, x, y) -> float:
     """
     r = _dist(x, y)
     if isinstance(domain, FiniteComplement):
-        return float((r / (domain.distances(x) * domain.distances(y))).max())
+        dpx, dpy = _distance_rows(domain, x, y)
+        return _largest([_over(r, px * py) for px, py in zip(dpx, dpy)])
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
         a, b = _canonical_pair(x, y)
         ha, hb = float(a[-1]), float(b[-1])
         horiz = b - a
         horiz[-1] = 0.0
-        ell = math.sqrt(np.dot(horiz, horiz))
+        ell = math.sqrt(horiz.dot(horiz))
         # lengths in units of s; tau = s (t + el/2), centred between the
         # feet, turns the cubic into t^3 + p t + q
         s = ell + ha + hb
@@ -306,7 +340,8 @@ def triangular_ratio(domain, x, y) -> float:
         mirror[-1] = -mirror[-1]
         return r / _dist(x, mirror)
     if isinstance(domain, FiniteComplement):
-        v = float((r / (domain.distances(x) + domain.distances(y))).max())
+        dpx, dpy = _distance_rows(domain, x, y)
+        v = _largest([_over(r, px + py) for px, py in zip(dpx, dpy)])
     else:
         v = r / boundary_sup(x, y, "sum")
     return min(v, 1.0)
@@ -337,6 +372,10 @@ def evaluable_metrics(domain) -> tuple[MetricId, ...]:
     )
 
 
+# a MetricId hashes and compares as its value, so its value's key finds it too
+_METRIC_IDS = {m.value: m for m in MetricId}
+
+
 def evaluate_metric(domain, metric, x, y) -> float:
     """The metric named ``metric`` (a MetricId or its value) between x and y.
 
@@ -345,8 +384,8 @@ def evaluate_metric(domain, metric, x, y) -> float:
     domain's type and whether the metric is defined on it, then x, then y.
     """
     try:
-        mid = MetricId(metric)
-    except ValueError:
+        mid = _METRIC_IDS[metric]
+    except (KeyError, TypeError):
         names = ", ".join(m.value for m in MetricId)
         raise ParameterError(f"unknown metric {metric!r}; expected one of: {names}") from None
     return _DISPATCH[mid](domain, x, y)

@@ -118,7 +118,7 @@ class SphereInversion:
         if is_infinity(p):
             return self.center.copy()
         v = p - self.center
-        n2 = float(np.dot(v, v))
+        n2 = float(v.dot(v))
         if n2 == 0.0:
             return INFINITY
         return self.center + (self.radius * self.radius / n2) * v
@@ -163,11 +163,11 @@ def ball_automorphism(a) -> MobiusMap:
     unit ball onto itself.
     """
     a = as_point(a)
-    na2 = float(np.dot(a, a))
+    na2 = float(a.dot(a))
     if not (0.0 < na2 < 1.0):
         raise ParameterError("ball_automorphism needs 0 < |a| < 1")
     a_star = a / na2
-    r = math.sqrt(float(np.dot(a_star, a_star)) - 1.0)
+    r = math.sqrt(float(a_star.dot(a_star)) - 1.0)
     return MobiusMap((SphereInversion(a_star, r),))
 
 

@@ -173,7 +173,7 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(n)
-        norm = math.sqrt(np.dot(g, g))
+        norm = math.sqrt(g.dot(g))
         if norm > 1e-12:
             return g / norm
 
@@ -912,7 +912,8 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
             raise ScheduleError(
                 f"probe {probe.probe_id}: point family leaves the domain at t = {t!r} ({exc})"
             ) from None
-        except ParameterError as exc:
+        except (ParameterError, ArithmeticError) as exc:
+            # a t at a pole of the family divides by zero in float arithmetic
             raise ScheduleError(
                 f"probe {probe.probe_id}: the family is undefined at t = {t!r} ({exc})"
             ) from None

@@ -23,6 +23,7 @@ The digests are never updated to absorb a diff: an intended numerical
 change is a golden-report change, reviewed as such.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -106,17 +107,26 @@ def fc_metric_lines():
             yield "|".join(parts + _metric_values(domain, x, y))
 
 
+def _outcome(f) -> str:
+    """``float.hex`` of f() (a NaN reads "nan" whatever its sign: numpy's
+    maximum returns either sign by the NaN's position), or the type name
+    of the exception it raises."""
+    try:
+        return float(f()).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__
+
+
 def _metric_values(domain, x, y) -> list[str]:
     """distance_to_boundary at x and y, every evaluable metric and
-    alpha_pair_form, each as ``float.hex`` or the error's type name."""
-    parts = [distance_to_boundary(domain, x).hex(), distance_to_boundary(domain, y).hex()]
-    for metric in evaluable_metrics(domain):
-        try:
-            parts.append(evaluate_metric(domain, metric, x, y).hex())
-        except ValueError as exc:
-            parts.append(type(exc).__name__)
-    parts.append(alpha_pair_form(domain, x, y).hex())
-    return parts
+    alpha_pair_form, each as its ``_outcome``."""
+    calls = [
+        lambda: distance_to_boundary(domain, x),
+        lambda: distance_to_boundary(domain, y),
+        *(functools.partial(evaluate_metric, domain, m, x, y) for m in evaluable_metrics(domain)),
+        lambda: alpha_pair_form(domain, x, y),
+    ]
+    return [_outcome(f) for f in calls]
 
 
 def _bh_pairs(domain, rng):
@@ -167,42 +177,27 @@ DEGENERATE_PAIRS = {
     "tiny-mid": ([_TINY, 0.0, 0.0], [0.5, 0.0, 0.0]),
     "tiny-tiny": ([_TINY, 0.0, 0.0], [0.0, _TINY, 0.0]),
     "tiny-tiny2": ([_TINY, 0.0, 0.0], [2.0, _TINY, 0.0]),
+    "mid-tiny2": ([0.5, 0.0, 0.0], [2.0, _TINY, 0.0]),
     "tiny-huge": ([_TINY, 0.0, 0.0], [_HUGE, 0.0, 0.0]),
     "huge-mid": ([_HUGE, 0.0, 0.0], [0.5, 0.0, 0.0]),
     "huge-huge": ([_HUGE, 0.0, 0.0], [0.0, _HUGE, 0.0]),
 }
 
 
-def _outcome(f) -> str:
-    """``float.hex`` of f() (a NaN reads "nan" whatever its sign: numpy's
-    maximum returns either sign by the NaN's position), or the type name
-    of the exception it raises."""
-    try:
-        return float(f()).hex()
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc).__name__
-
-
 def degenerate_outcomes() -> dict:
-    """Every value of ``_metric_values`` at each degenerate pair, both
-    orders, with and without the infinity flag; an exception is its
-    type's name."""
+    """``_metric_values`` at each degenerate pair, both orders, with and
+    without the infinity flag, each value named."""
     removed = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 1.0]]
     out = {}
     with np.errstate(all="ignore"):
         for flag in (True, False):
             domain = FiniteComplement(3, removed, includes_infinity_boundary=flag)
             names = ["d(x)", "d(y)", *(m.value for m in evaluable_metrics(domain)), "alpha_pair_form"]
-            calls = [
-                lambda x, y: distance_to_boundary(domain, x),
-                lambda x, y: distance_to_boundary(domain, y),
-                *(lambda x, y, m=m: evaluate_metric(domain, m, x, y) for m in evaluable_metrics(domain)),
-                lambda x, y: alpha_pair_form(domain, x, y),
-            ]
             for label, (x, y) in DEGENERATE_PAIRS.items():
                 for order, (a, b) in (("xy", (x, y)), ("yx", (y, x))):
-                    row = [f"{n}={_outcome(lambda: f(a, b))}" for n, f in zip(names, calls)]
-                    out[f"{'inf' if flag else 'noinf'}:{label}:{order}"] = " ".join(row)
+                    values = _metric_values(domain, a, b)
+                    key = f"{'inf' if flag else 'noinf'}:{label}:{order}"
+                    out[key] = " ".join(f"{n}={v}" for n, v in zip(names, values))
     return out
 
 
@@ -213,6 +208,8 @@ DEGENERATE_OUTCOMES = {
     'inf:tiny-tiny:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
     'inf:tiny-tiny2:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
     'inf:tiny-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:mid-tiny2:xy': 'd(x)=0x1.0000000000000p-1 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'inf:mid-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x1.0000000000000p-1 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
     'inf:tiny-huge:xy': 'd(x)=0x0.0p+0 d(y)=inf u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
     'inf:tiny-huge:yx': 'd(x)=inf d(y)=0x0.0p+0 u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=ZeroDivisionError alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
     'inf:huge-mid:xy': 'd(x)=inf d(y)=0x1.0000000000000p-1 u=nan j_tilde=nan j=inf delta=nan alpha=inf eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
@@ -225,6 +222,8 @@ DEGENERATE_OUTCOMES = {
     'noinf:tiny-tiny:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=nan eta=nan cassinian=nan triangular=nan alpha_pair_form=nan',
     'noinf:tiny-tiny2:xy': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
     'noinf:tiny-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:mid-tiny2:xy': 'd(x)=0x1.0000000000000p-1 d(y)=0x0.0p+0 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
+    'noinf:mid-tiny2:yx': 'd(x)=0x0.0p+0 d(y)=0x1.0000000000000p-1 u=ZeroDivisionError j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=inf eta=inf cassinian=inf triangular=0x1.0000000000000p+0 alpha_pair_form=nan',
     'noinf:tiny-huge:xy': 'd(x)=0x0.0p+0 d(y)=inf u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
     'noinf:tiny-huge:yx': 'd(x)=inf d(y)=0x0.0p+0 u=nan j_tilde=ZeroDivisionError j=ZeroDivisionError delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',
     'noinf:huge-mid:xy': 'd(x)=inf d(y)=0x1.0000000000000p-1 u=nan j_tilde=nan j=inf delta=nan alpha=ValueError eta=inf cassinian=nan triangular=nan alpha_pair_form=nan',

@@ -351,6 +351,10 @@ class TestProbe:
         code, _, err = run(capsys, "probe", "--id", "BOGUS")
         assert code == 2 and "unknown probe ids" in err
 
+    def test_schedule_at_a_pole_exits_2(self, capsys):
+        code, _, err = run(capsys, "probe", "--id", "P3", "--schedule", "0.1,0.01,0.001,0")
+        assert code == 2 and "the family is undefined at t = 0.0" in err
+
     def test_schedule_override(self, capsys):
         code, out, _ = run(
             capsys, "probe", "--id", "P3", "--schedule", "0.1,0.01,0.001,0.0001"

@@ -1,6 +1,6 @@
 """Every name a module exports resolves, so ``from module import *`` works,
-the package re-exports only names its modules export, and no module or
-test imports a name it never uses."""
+the package re-exports only names its modules export, no module or test
+imports a name it never uses, and no module calls ``np.dot``."""
 
 import ast
 import importlib
@@ -55,3 +55,24 @@ def test_no_file_imports_a_name_it_never_uses():
     assert len(files) > 10
     unused = {f"{p.parent.name}/{p.name}": names for p in sorted(files) if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _numpy_dots(path: Path) -> list[int]:
+    """Lines of ``path`` that use ``np.dot`` or ``numpy.dot``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "dot"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ]
+
+
+def test_no_module_calls_np_dot():
+    # v.dot(v) is the same routine, with the same bits, without np.dot's
+    # __array_function__ dispatch, which costs about as much again
+    package = Path(hypmetrics.__file__).parent
+    dots = {p.name: lines for p in sorted(package.glob("*.py")) if (lines := _numpy_dots(p))}
+    assert dots == {}

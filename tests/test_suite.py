@@ -429,6 +429,22 @@ class TestRunProbe:
         with pytest.raises(ScheduleError):
             run_probe(probe, schedule_overrides=(0.5, 0.9, 0.99, 1.0))
 
+    @pytest.mark.parametrize("probe_id, t", [("P3", 0.0), ("P9", 1.0), ("P7", 1.5)])
+    def test_a_pole_of_the_family_is_reported(self, probe_id, t):
+        # each family divides by zero there, in float arithmetic
+        with pytest.raises(ScheduleError, match=f"the family is undefined at t = {t!r}"):
+            run_probe(catalog().probe(probe_id), schedule_overrides=(0.5, 0.25, 0.125, t))
+
+    def test_no_edge_parameter_escapes_as_a_traceback(self):
+        ulp = math.ulp(1.0)
+        edges = (0.0, 1e-300, -1e-300, 1.0 - ulp / 2, 1.0 + ulp, 1.0, -1.0, 1.5, 1e308)
+        for probe in catalog().probes:
+            for t in edges:
+                try:
+                    run_probe(probe, schedule_overrides=(t,) * 4)
+                except (ScheduleError, ParameterError):
+                    pass
+
     def test_exact_identity_probe(self):
         res = run_probe(catalog().probe("P6"))
         assert res.final_deviation == 0.0 and res.monotone and res.passed
