@@ -25,7 +25,11 @@ the Cassinian metric comes out 3.6e-11 relative above its true value.
 
 Points are validated once, at the public entry points: require_member
 and distance_to_boundary, and the metric functions, which check the
-domain's type themselves and each point with ``_member``.  The domain
+domain's type themselves and each point with ``_checked_point``.  That
+one pass per point coerces it (:func:`as_point`), checks membership and
+returns what the check measured: the point, its coordinates as floats
+and its gauge, |x| on the ball (:func:`_ball_gauge`, which the ball's
+domain methods read as well) and x_n on the half-space.  The domain
 methods, the metric kernels and boundary_sup take trusted float arrays.
 """
 
@@ -92,15 +96,23 @@ def is_infinity(p) -> bool:
     return isinstance(p, _Infinity)
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Coerce ``p`` to a finite point of R^n, n >= 2.
 
     Rejects NaN and infinite coordinates; INFINITY is not accepted here,
     callers that allow it must branch before coercing.
     """
-    if is_infinity(p):
+    # np.asarray returns a native float64 array as itself; this skips its
+    # argument handling, and every check below still runs
+    if type(p) is np.ndarray and p.dtype is _FLOAT64:
+        arr = p
+    elif is_infinity(p):
         raise ParameterError("expected a finite point, got INFINITY")
-    arr = np.asarray(p, dtype=float)
+    else:
+        arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -133,6 +145,12 @@ def _dist(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
+def _ball_gauge(x: np.ndarray) -> float:
+    """|x|: the ball holds x when it is below 1, and 1 - |x| is the
+    distance to the sphere."""
+    return math.sqrt(x.dot(x))
+
+
 # ---------------------------------------------------------------------------
 # Domains
 
@@ -149,12 +167,10 @@ class UnitBall:
 
     # the domain methods take lists as well, which have no dot method
     def contains(self, x) -> bool:
-        x = np.asarray(x)
-        return math.sqrt(x.dot(x)) < 1.0
+        return _ball_gauge(np.asarray(x)) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        x = np.asarray(x)
-        return 1.0 - math.sqrt(x.dot(x))
+        return 1.0 - _ball_gauge(np.asarray(x))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -261,18 +277,34 @@ def _require_domain(domain) -> None:
         raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
 
 
-def _member(domain: Domain, x, name: str) -> np.ndarray:
-    """Coerce ``x`` and check it is in ``domain``, a checked domain."""
-    x = as_point(x, domain.dim)
-    if not domain.contains(x):
-        raise DomainMembershipError(f"{name} {x.tolist()} is not in {domain!r}")
-    return x
+def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float], float | None]:
+    """Coerce ``p`` and check it is in ``domain``, a checked domain, in one
+    pass; return the point, its coordinates as floats and its gauge: |x|
+    on the ball, x_n on the half-space, None on a finite complement.
+
+    Membership is each domain's ``contains``, read from the gauge or the
+    coordinates, so the values agree bit for bit.
+    """
+    x = as_point(p, domain.dim)
+    coords = x.tolist()
+    if isinstance(domain, UnitBall):
+        gauge = _ball_gauge(x)
+        inside = gauge < 1.0
+    elif isinstance(domain, UpperHalfSpace):
+        gauge = coords[-1]
+        inside = gauge > 0.0
+    else:
+        gauge = None
+        inside = coords not in domain._removed_rows
+    if not inside:
+        raise DomainMembershipError(f"{name} {coords} is not in {domain!r}")
+    return x, coords, gauge
 
 
 def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate the domain and the membership of ``x``; return the coerced point."""
     _require_domain(domain)
-    return _member(domain, x, name)
+    return _checked_point(domain, x, name)[0]
 
 
 def distance_to_boundary(domain: Domain, x) -> float:

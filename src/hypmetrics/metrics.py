@@ -25,9 +25,14 @@ value, inf or NaN numpy gave.
 
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
-``_two_boundary_points``), then x, then y, and returns 0 for equal
-points; the kernel takes two distinct, checked points.  rho exists only
-on the ball and the half-space, where delta and alpha call its kernel.
+``_two_boundary_points``), then x, then y, each in one pass that keeps
+what it measured (:func:`hypmetrics.geometry._checked_point`), and
+returns 0 for equal coordinates.  The kernel takes two distinct, checked
+points x, y and their gauges gx, gy, and re-derives none of them: |x|
+and |y| on the ball, x_n and y_n on the half-space, and on a finite
+complement both distance rows, which the wrapper builds once per call
+with :func:`_distance_rows`.  rho exists only on the ball and the
+half-space, where delta and alpha call its kernel.
 """
 
 from __future__ import annotations
@@ -45,12 +50,11 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _canonical_pair,
+    _checked_point,
     _depressed_cubic_roots,
     _dist,
-    _member,
     _require_domain,
     boundary_sup,
-    same_point,
 )
 
 __all__ = [
@@ -100,6 +104,18 @@ def _distance_rows(domain: FiniteComplement, x, y) -> list[list[float]]:
     return domain.distances(np.array((x, y))).tolist()
 
 
+def _boundary_distances(domain, gx, gy) -> tuple[float, float]:
+    """d(x), d(y) from the gauges: 1 - |v| on the ball, v_n on the
+    half-space, the least distance to a removed point on a finite
+    complement (sqrt is monotone and correctly rounded, so that is the
+    root of the least square, as ``distance_to_boundary`` takes it)."""
+    if isinstance(domain, UnitBall):
+        return 1.0 - gx, 1.0 - gy
+    if isinstance(domain, UpperHalfSpace):
+        return gx, gy
+    return min(gx), min(gy)
+
+
 def _over(n: float, d: float) -> float:
     """n / d for n, d >= 0 or NaN, as numpy divides: n / 0 is inf, and
     NaN when n is 0 or NaN, where float division raises."""
@@ -122,7 +138,9 @@ def _largest_ratio(nums: list[float], dens: list[float]) -> float:
 def _validated(mid: MetricId):
     """Decorator making a kernel the public metric ``mid``: it checks the
     domain's type and that ``mid`` is defined on it, then the number of
-    boundary points if ``mid`` needs two, then x, then y; x == y gives 0."""
+    boundary points if ``mid`` needs two, then x, then y; x == y gives 0.
+    Otherwise the kernel runs on the points and their gauges, on a finite
+    complement both points' distance rows."""
     kinds = _DEFINED_ON[mid]
     needs_two = mid in _NEEDS_TWO_BOUNDARY_POINTS
 
@@ -137,9 +155,14 @@ def _validated(mid: MetricId):
                     f"{mid.value} requires at least two boundary points (removed set of size >= 2, "
                     "or the infinity flag)"
                 )
-            x = _member(domain, x, "x")
-            y = _member(domain, y, "y")
-            return 0.0 if same_point(x, y) else kernel(domain, x, y)
+            x, xs, gx = _checked_point(domain, x, "x")
+            y, ys, gy = _checked_point(domain, y, "y")
+            # IEEE == on Python floats, as geometry.same_point compares
+            if xs == ys:
+                return 0.0
+            if gx is None:
+                gx, gy = _distance_rows(domain, x, y)
+            return kernel(domain, x, y, gx, gy)
 
         return metric
 
@@ -147,30 +170,27 @@ def _validated(mid: MetricId):
 
 
 @_validated(MetricId.U)
-def u_metric(domain, x, y) -> float:
+def u_metric(domain, x, y, gx, gy) -> float:
     """Gromov hyperbolization metric.
 
     u(x, y) = 2 log[(|x-y| + max{d(x), d(y)}) / sqrt(d(x) d(y))]
     with d the distance to the boundary.
     """
-    dx = domain.distance_to_boundary(x)
-    dy = domain.distance_to_boundary(y)
+    dx, dy = _boundary_distances(domain, gx, gy)
     r = _dist(x, y)
     return 2.0 * math.log((r + max(dx, dy)) / math.sqrt(dx * dy))
 
 
 @_validated(MetricId.RHO)
-def rho(domain, x, y) -> float:
+def rho(domain, x, y, gx, gy) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
     r = _dist(x, y)
     if isinstance(domain, UnitBall):
-        nx = math.sqrt(x.dot(x))
-        ny = math.sqrt(y.dot(y))
         # (1 - |x|^2) factored to keep precision near the boundary, and
         # grouped per point so that swapping x and y keeps the bits
-        t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
+        t = ((1.0 - gx) * (1.0 + gx)) * ((1.0 - gy) * (1.0 + gy))
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
-    h = 2.0 * float(x[-1]) * float(y[-1])
+    h = 2.0 * gx * gy
     r2 = r * r
     return math.log1p((r2 + math.sqrt(r2 * r2 + 2.0 * h * r2)) / h)
 
@@ -180,25 +200,24 @@ _rho = rho.__wrapped__
 
 
 @_validated(MetricId.J_TILDE)
-def j_tilde(domain, x, y) -> float:
+def j_tilde(domain, x, y, gx, gy) -> float:
     """Distance-ratio metric, product form:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
     r = _dist(x, y)
-    dx = domain.distance_to_boundary(x)
-    dy = domain.distance_to_boundary(y)
+    dx, dy = _boundary_distances(domain, gx, gy)
     return 0.5 * (math.log1p(r / dx) + math.log1p(r / dy))
 
 
 @_validated(MetricId.J)
-def j_metric(domain, x, y) -> float:
+def j_metric(domain, x, y, gx, gy) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
     r = _dist(x, y)
-    return math.log1p(r / min(domain.distance_to_boundary(x), domain.distance_to_boundary(y)))
+    return math.log1p(r / min(_boundary_distances(domain, gx, gy)))
 
 
 @_validated(MetricId.DELTA)
-def delta_metric(domain, x, y) -> float:
+def delta_metric(domain, x, y, gx, gy) -> float:
     """Boundary-pair (Seittenranta) metric log(1 + sup |p,x,q,y|).
 
     On the ball and the half-space the supremum reproduces the hyperbolic
@@ -208,20 +227,20 @@ def delta_metric(domain, x, y) -> float:
     two boundary points every pair is rejected, x == y included.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y)
+        return _rho(domain, x, y, gx, gy)
     # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
-    # leaves |x-y| over the other entry's distance
+    # leaves |x-y| over the other entry's distance; gx, gy are the rows
+    # |p-x| and |q-y|
     r = _dist(x, y)
-    dpx, dqy = _distance_rows(domain, x, y)
     rows = domain.removed_distance_rows
-    best = _largest([_over(pq * r, px * qy) for px, row in zip(dpx, rows) for pq, qy in zip(row, dqy)])
+    best = _largest([_over(pq * r, px * qy) for px, row in zip(gx, rows) for pq, qy in zip(row, gy)])
     if domain.includes_infinity_boundary:
-        best = max(best, r / min(dqy), r / min(dpx))
+        best = max(best, r / min(gy), r / min(gx))
     return math.log1p(best)
 
 
 @_validated(MetricId.ALPHA)
-def alpha_metric(domain, x, y) -> float:
+def alpha_metric(domain, x, y, gx, gy) -> float:
     """Apollonian metric sup_{p,q} log |p,x,y,q|, evaluated as the sum of
     the two single-boundary-point suprema the cross-ratio splits into.
 
@@ -231,18 +250,17 @@ def alpha_metric(domain, x, y) -> float:
     contributes value 0 to each.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y)
+        return _rho(domain, x, y, gx, gy)
     # log is monotone, so each factor takes it once, of its largest ratio
-    dpx, dpy = _distance_rows(domain, x, y)
-    a = _largest_ratio(dpy, dpx)
-    b = _largest_ratio(dpx, dpy)
+    a = _largest_ratio(gy, gx)
+    b = _largest_ratio(gx, gy)
     if domain.includes_infinity_boundary:
         a, b = max(a, 1.0), max(b, 1.0)
     return math.log(a) + math.log(b)
 
 
 @_validated(MetricId.ALPHA)
-def alpha_pair_form(domain, x, y) -> float:
+def alpha_pair_form(domain, x, y, gx, gy) -> float:
     """Apollonian metric evaluated as a genuine supremum over boundary
     pairs (p, q) of log |p,x,y,q|.
 
@@ -252,18 +270,17 @@ def alpha_pair_form(domain, x, y) -> float:
     not admissible.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y)
+        return _rho(domain, x, y, gx, gy)
     # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
     # monotone, so it is taken once, of the largest ratio
-    dpx, dpy = _distance_rows(domain, x, y)
-    best = _largest([_over(py * qx, px * qy) for px, py in zip(dpx, dpy) for qx, qy in zip(dpx, dpy)])
+    best = _largest([_over(py * qx, px * qy) for px, py in zip(gx, gy) for qx, qy in zip(gx, gy)])
     if domain.includes_infinity_boundary:
-        best = max(best, _largest_ratio(dpx, dpy), _largest_ratio(dpy, dpx))
+        best = max(best, _largest_ratio(gx, gy), _largest_ratio(gy, gx))
     return math.log(best)
 
 
 @_validated(MetricId.ETA)
-def eta_metric(domain, x, y) -> float:
+def eta_metric(domain, x, y, gx, gy) -> float:
     """Quasihyperbolic-type boundary metric sup_p |log(|x-p| / |y-p|)|,
     the supremum running over the finite boundary.
 
@@ -273,22 +290,20 @@ def eta_metric(domain, x, y) -> float:
     |x-y|) / (1 - |y|^2), [x,y]^2 = |x-y|^2 + (1-|x|^2)(1-|y|^2), on the
     ball; (|x-y| + sqrt(|x-y|^2 + 4 x_n y_n)) / (2 y_n) on the half-space.
     """
-    r = _dist(x, y)
     if isinstance(domain, UnitBall):
+        r = _dist(x, y)
         # both lambdas share the numerator; 1 - |v|^2 is factored, and the
         # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
-        nx, ny = math.sqrt(x.dot(x)), math.sqrt(y.dot(y))
-        tx, ty = (1.0 - nx) * (1.0 + nx), (1.0 - ny) * (1.0 + ny)
+        tx, ty = (1.0 - gx) * (1.0 + gx), (1.0 - gy) * (1.0 + gy)
         return math.log((math.sqrt(r * r + tx * ty) + r) / min(tx, ty))
     if isinstance(domain, UpperHalfSpace):
-        hx, hy = float(x[-1]), float(y[-1])
-        return math.log((r + math.sqrt(r * r + 4.0 * hx * hy)) / (2.0 * min(hx, hy)))
-    dpx, dpy = _distance_rows(domain, x, y)
-    return math.log(max(_largest_ratio(dpx, dpy), _largest_ratio(dpy, dpx)))
+        r = _dist(x, y)
+        return math.log((r + math.sqrt(r * r + 4.0 * gx * gy)) / (2.0 * min(gx, gy)))
+    return math.log(max(_largest_ratio(gx, gy), _largest_ratio(gy, gx)))
 
 
 @_validated(MetricId.CASSINIAN)
-def cassinian(domain, x, y) -> float:
+def cassinian(domain, x, y, gx, gy) -> float:
     """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary.
 
     On the half-space the product of distances is least on the boundary
@@ -302,8 +317,7 @@ def cassinian(domain, x, y) -> float:
     """
     r = _dist(x, y)
     if isinstance(domain, FiniteComplement):
-        dpx, dpy = _distance_rows(domain, x, y)
-        return _largest([_over(r, px * py) for px, py in zip(dpx, dpy)])
+        return _largest([_over(r, px * py) for px, py in zip(gx, gy)])
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
         a, b = _canonical_pair(x, y)
@@ -323,7 +337,7 @@ def cassinian(domain, x, y) -> float:
 
 
 @_validated(MetricId.TRIANGULAR)
-def triangular_ratio(domain, x, y) -> float:
+def triangular_ratio(domain, x, y, gx, gy) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary).
 
@@ -340,8 +354,7 @@ def triangular_ratio(domain, x, y) -> float:
         mirror[-1] = -mirror[-1]
         return r / _dist(x, mirror)
     if isinstance(domain, FiniteComplement):
-        dpx, dpy = _distance_rows(domain, x, y)
-        v = _largest([_over(r, px + py) for px, py in zip(dpx, dpy)])
+        v = _largest([_over(r, px + py) for px, py in zip(gx, gy)])
     else:
         v = r / boundary_sup(x, y, "sum")
     return min(v, 1.0)

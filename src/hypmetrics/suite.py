@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import operator
+import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -138,7 +139,8 @@ def _philox() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+# Python ints: the Philox state setter reads an array one element at a time
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
@@ -155,7 +157,8 @@ def _stream(seed: int, case_id: str, k: int) -> np.random.Generator:
     rng = _philox()
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
+        # native byte order, as np.frombuffer(digest[:16], np.uint64) reads it
+        "state": {"counter": _ZERO_WORDS, "key": struct.unpack_from("=2Q", digest)},
         "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -895,7 +898,7 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     noise floor count as converged).  Every probe must be monotone in
     that sense to pass, as well as end within its tolerance.
     """
-    schedule = tuple(float(t) for t in (schedule_overrides or probe.schedule))
+    schedule = tuple(float(t) for t in (probe.schedule if schedule_overrides is None else schedule_overrides))
     if len(schedule) < 4:
         raise ParameterError("a probe schedule needs at least 4 points")
     for t in schedule:
@@ -903,23 +906,23 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
             raise ParameterError(f"probe schedule values must be finite, got {t!r}")
     started = time.perf_counter()
     estimates = []
-    for t in schedule:
-        try:
-            # a huge t may overflow; the non-finite estimate is rejected below
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a huge t may overflow; the non-finite estimate is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in schedule:
+            try:
                 v = float(probe.evaluate(t))
-        except DomainMembershipError as exc:
-            raise ScheduleError(
-                f"probe {probe.probe_id}: point family leaves the domain at t = {t!r} ({exc})"
-            ) from None
-        except (ParameterError, ArithmeticError) as exc:
-            # a t at a pole of the family divides by zero in float arithmetic
-            raise ScheduleError(
-                f"probe {probe.probe_id}: the family is undefined at t = {t!r} ({exc})"
-            ) from None
-        if not math.isfinite(v):
-            raise ScheduleError(f"probe {probe.probe_id}: the estimate at t = {t!r} is {v}")
-        estimates.append(v)
+            except DomainMembershipError as exc:
+                raise ScheduleError(
+                    f"probe {probe.probe_id}: point family leaves the domain at t = {t!r} ({exc})"
+                ) from None
+            except (ParameterError, ArithmeticError) as exc:
+                # a t at a pole of the family divides by zero in float arithmetic
+                raise ScheduleError(
+                    f"probe {probe.probe_id}: the family is undefined at t = {t!r} ({exc})"
+                ) from None
+            if not math.isfinite(v):
+                raise ScheduleError(f"probe {probe.probe_id}: the estimate at t = {t!r} is {v}")
+            estimates.append(v)
     deviations = [abs(v - probe.expected_limit) for v in estimates]
     clamped = [0.0 if d <= _MONOTONE_FLOOR else d for d in deviations]
     monotone = all(

@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
-imports a name it never uses, and no module calls ``np.dot``."""
+imports a name it never uses, no module calls ``np.dot``, and no metric
+kernel re-derives what the validating wrapper measured."""
 
 import ast
 import importlib
@@ -76,3 +77,36 @@ def test_no_module_calls_np_dot():
     package = Path(hypmetrics.__file__).parent
     dots = {p.name: lines for p in sorted(package.glob("*.py")) if (lines := _numpy_dots(p))}
     assert dots == {}
+
+
+# what the metric wrapper computes once per call and hands to the kernel
+_WRAPPER_WORK = {"distance_to_boundary", "contains", "same_point", "_member", "_distance_rows"}
+
+
+def _kernel_rederivations(path: Path) -> dict[str, list[str]]:
+    """For each function of ``path`` decorated with ``_validated(...)``,
+    the names in ``_WRAPPER_WORK`` that its body calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if not any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_validated" for d in node.decorator_list
+        ):
+            continue
+        found[node.name] = sorted(
+            name
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and (name := getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in _WRAPPER_WORK
+        )
+    return found
+
+
+def test_no_metric_kernel_rederives_what_validation_measured():
+    # the wrapper checks membership, compares the points and builds a
+    # complement's distance rows once; a kernel takes them as arguments
+    found = _kernel_rederivations(Path(hypmetrics.__file__).parent / "metrics.py")
+    assert len(found) == 10
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -72,6 +72,38 @@ class TestPoints:
         with pytest.raises(ParameterError):
             as_point([0.0, 1.0], dim=3)
 
+    def test_as_point_returns_a_native_float_vector_itself(self):
+        p = np.array([0.5, -0.25, 0.125])
+        assert as_point(p) is p
+        assert as_point(p, dim=3) is p
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.array([0.5, math.nan, 0.125]),
+            np.array([math.inf, -0.25, 0.125]),
+            np.array([0.5, -0.25, -math.inf]),
+            np.array([[0.5, -0.25, 0.125]]),
+            np.array(0.5),
+            np.array([0.5, -0.25, 0.125], dtype=">f8"),
+            np.ma.array([0.5, -0.25, 0.125]),
+        ],
+        ids=["nan", "inf", "-inf", "row", "0-d", "big-endian", "masked"],
+    )
+    @pytest.mark.parametrize("dim", [None, 3, 2])
+    def test_as_point_decides_arrays_as_their_lists(self, p, dim):
+        # the array fast path and np.asarray's slow path give the same
+        # point or the same error as the equivalent list
+        def outcome(q):
+            try:
+                return as_point(q, dim).tolist()
+            except ParameterError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(p) == outcome(p.tolist())
+        if isinstance(outcome(p), list):
+            assert as_point(p, dim).dtype.isnative and type(as_point(p, dim)) is np.ndarray
+
     def test_infinity_is_a_singleton(self):
         assert is_infinity(INFINITY)
         assert type(INFINITY)() is INFINITY

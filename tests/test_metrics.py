@@ -126,6 +126,41 @@ def test_each_point_is_validated_once(domain, monkeypatch):
             assert calls == ["as_point", "as_point"], fn.__name__
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [d for d in _catalog_domains() if isinstance(d, FiniteComplement)],
+    ids=_domain_id,
+)
+def test_one_distance_table_per_complement_call(domain, monkeypatch):
+    # the wrapper builds both points' distance rows in one table, which no
+    # kernel builds again; distance_to_boundary goes through the same
+    # _squared_distances, so a second table shows either way
+    tables, squares = [], []
+    distances, squared = FiniteComplement.distances, FiniteComplement._squared_distances
+
+    def counted_distances(self, x):
+        tables.append(np.shape(x))
+        return distances(self, x)
+
+    def counted_squares(self, x):
+        squares.append(np.shape(x))
+        return squared(self, x)
+
+    domain.removed_distance_rows  # cached before counting
+    monkeypatch.setattr(FiniteComplement, "distances", counted_distances)
+    monkeypatch.setattr(FiniteComplement, "_squared_distances", counted_squares)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = sample_pair(domain, rng)
+        for fn in PUBLIC_METRICS:
+            if fn is rho:
+                continue
+            tables.clear()
+            squares.clear()
+            fn(domain, x, y)
+            assert tables == squares == [(2, domain.dim)], fn.__name__
+
+
 class TestU:
     def test_ball_value(self):
         # 2 log((0.5 + 1) / sqrt(0.5)) = log 4.5

@@ -423,6 +423,11 @@ class TestRunProbe:
         with pytest.raises(ParameterError):
             run_probe(probe, schedule_overrides=(0.1, 0.01, 0.001))
 
+    def test_an_empty_schedule_is_rejected(self):
+        # () is a schedule of no points, not a request for the probe's own
+        with pytest.raises(ParameterError, match="at least 4 points"):
+            run_probe(catalog().probe("P2"), schedule_overrides=())
+
     def test_out_of_domain_schedule_is_reported(self):
         # t = 1 puts the family right on the removed point
         probe = catalog().probe("P4")
