@@ -36,6 +36,7 @@ methods, the metric kernels and boundary_sup take trusted float arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,8 +103,10 @@ _FLOAT64 = np.dtype(float)
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Coerce ``p`` to a finite point of R^n, n >= 2.
 
-    Rejects NaN and infinite coordinates; INFINITY is not accepted here,
-    callers that allow it must branch before coercing.
+    Coordinates are real numbers: Python or numpy ints and floats, never
+    strings or complex values.  Rejects NaN and infinite coordinates;
+    INFINITY is not accepted here, callers that allow it must branch
+    before coercing.
     """
     # np.asarray returns a native float64 array as itself; this skips its
     # argument handling, and every check below still runs
@@ -112,7 +115,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     elif is_infinity(p):
         raise ParameterError("expected a finite point, got INFINITY")
     else:
-        arr = np.asarray(p, dtype=float)
+        arr = _real_array(p)
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
@@ -120,6 +123,21 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
     return arr
+
+
+def _real_array(p) -> np.ndarray:
+    """``p`` as a float array if it holds only real numbers: an array of
+    bools, ints or floats, or of Python objects that are all
+    ``numbers.Real`` (ints too big for int64 arrive so)."""
+    try:
+        raw = np.asarray(p)
+        kind = raw.dtype.kind
+        if kind in "biuf" or (kind == "O" and all(isinstance(v, numbers.Real) for v in raw.flat)):
+            return np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        # ragged nesting, or an int beyond the float range
+        pass
+    raise ParameterError(f"a point must be a vector of real numbers, got {p!r}")
 
 
 def same_point(x: np.ndarray, y: np.ndarray) -> bool:
@@ -132,17 +150,18 @@ def same_point(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tolist() == y.tolist()
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 # |v| is math.sqrt(v.dot(v)) throughout: np.linalg.norm takes the norm of
 # a 1-D float array as sqrt(v.dot(v)) as well, so the bits agree, and the
 # method skips np.dot's __array_function__ dispatch for the same routine
 def _dist(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b
     return math.sqrt(d.dot(d))
+
+
+def _check_dim(dim) -> None:
+    """Reject a domain dimension that is not an integer >= 2."""
+    if not isinstance(dim, numbers.Integral) or dim < 2:
+        raise ParameterError(f"domains require an integer dimension >= 2, got {dim!r}")
 
 
 def _ball_gauge(x: np.ndarray) -> float:
@@ -162,8 +181,7 @@ class UnitBall:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ParameterError("domains require dimension >= 2")
+        _check_dim(self.dim)
 
     # the domain methods take lists as well, which have no dot method
     def contains(self, x) -> bool:
@@ -183,8 +201,7 @@ class UpperHalfSpace:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ParameterError("domains require dimension >= 2")
+        _check_dim(self.dim)
 
     def contains(self, x) -> bool:
         return float(x[-1]) > 0.0
@@ -207,8 +224,7 @@ class FiniteComplement:
     """
 
     def __init__(self, dim: int, removed, includes_infinity_boundary: bool = True):
-        if dim < 2:
-            raise ParameterError("domains require dimension >= 2")
+        _check_dim(dim)
         pts = [as_point(p, dim) for p in removed]
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
@@ -226,39 +242,32 @@ class FiniteComplement:
     def contains(self, x) -> bool:
         return np.asarray(x, dtype=float).tolist() not in self._removed_rows
 
-    def _squared_distances(self, x) -> np.ndarray:
+    def distances(self, x) -> np.ndarray:
+        """|p - x| for each removed point p, in order; ``x`` may carry
+        leading axes, which then lead the result."""
         d = self.removed - np.asarray(x)[..., None, :]
         # vecdot takes the dot product of each row along the leading axes
         # as d_row.dot(d_row) does, with the same rounding, whatever the
         # leading axes; (d * d).sum(axis=-1), einsum and
         # np.linalg.norm(axis=-1) round differently
-        return np.vecdot(d, d)
-
-    def distances(self, x) -> np.ndarray:
-        """|p - x| for each removed point p, in order; ``x`` may carry
-        leading axes, which then lead the result."""
-        return np.sqrt(self._squared_distances(x))
+        return np.sqrt(np.vecdot(d, d))
 
     def distance_to_boundary(self, x) -> float:
-        # sqrt is monotone and correctly rounded, so the root of the least
-        # square is the least of the rooted distances, bit for bit; no
-        # square is NaN, so min over the floats is numpy's minimum
-        return math.sqrt(min(self._squared_distances(x).tolist()))
-
-    @cached_property
-    def removed_distances(self) -> np.ndarray:
-        """The m x m matrix of |p - q| over removed points p, q."""
-        return _read_only(self.distances(self.removed))
+        # no distance is NaN, so min over the floats is numpy's minimum
+        return min(self.distances(x).tolist())
 
     @cached_property
     def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
-        """``removed_distances`` as rows of Python floats."""
-        return tuple(map(tuple, self.removed_distances.tolist()))
+        """The m x m distances |p - q| over removed points p, q, as rows
+        of Python floats."""
+        return tuple(map(tuple, self.distances(self.removed).tolist()))
 
     @cached_property
     def centroid(self) -> np.ndarray:
-        """The mean of the removed points."""
-        return _read_only(self.removed.mean(axis=0))
+        """The mean of the removed points, read-only."""
+        c = self.removed.mean(axis=0)
+        c.setflags(write=False)
+        return c
 
     def boundary_cardinality(self) -> int:
         return len(self.removed) + (1 if self.includes_infinity_boundary else 0)

@@ -86,11 +86,10 @@ class MetricId(str, Enum):
     TRIANGULAR = "triangular"
 
 
-# the domain types each metric is defined on, and the metrics that also
-# need two boundary points, stated here only
+# the domain types each metric is defined on, stated here only; delta
+# alone also needs two boundary points
 _DEFINED_ON = {m: (UnitBall, UpperHalfSpace, FiniteComplement) for m in MetricId}
 _DEFINED_ON[MetricId.RHO] = (UnitBall, UpperHalfSpace)
-_NEEDS_TWO_BOUNDARY_POINTS = (MetricId.DELTA,)
 
 
 def _two_boundary_points(domain) -> bool:
@@ -107,8 +106,7 @@ def _distance_rows(domain: FiniteComplement, x, y) -> list[list[float]]:
 def _boundary_distances(domain, gx, gy) -> tuple[float, float]:
     """d(x), d(y) from the gauges: 1 - |v| on the ball, v_n on the
     half-space, the least distance to a removed point on a finite
-    complement (sqrt is monotone and correctly rounded, so that is the
-    root of the least square, as ``distance_to_boundary`` takes it)."""
+    complement, as ``distance_to_boundary`` takes it."""
     if isinstance(domain, UnitBall):
         return 1.0 - gx, 1.0 - gy
     if isinstance(domain, UpperHalfSpace):
@@ -142,7 +140,7 @@ def _validated(mid: MetricId):
     Otherwise the kernel runs on the points and their gauges, on a finite
     complement both points' distance rows."""
     kinds = _DEFINED_ON[mid]
-    needs_two = mid in _NEEDS_TWO_BOUNDARY_POINTS
+    needs_two = mid is MetricId.DELTA
 
     def wrap(kernel):
         @functools.wraps(kernel)
@@ -381,12 +379,8 @@ def evaluable_metrics(domain) -> tuple[MetricId, ...]:
     return tuple(
         m
         for m in MetricId
-        if isinstance(domain, _DEFINED_ON[m]) and (pair or m not in _NEEDS_TWO_BOUNDARY_POINTS)
+        if isinstance(domain, _DEFINED_ON[m]) and (pair or m is not MetricId.DELTA)
     )
-
-
-# a MetricId hashes and compares as its value, so its value's key finds it too
-_METRIC_IDS = {m.value: m for m in MetricId}
 
 
 def evaluate_metric(domain, metric, x, y) -> float:
@@ -397,8 +391,9 @@ def evaluate_metric(domain, metric, x, y) -> float:
     domain's type and whether the metric is defined on it, then x, then y.
     """
     try:
-        mid = _METRIC_IDS[metric]
+        # a MetricId hashes and compares as its value, so the value finds it too
+        fn = _DISPATCH[metric]
     except (KeyError, TypeError):
         names = ", ".join(m.value for m in MetricId)
         raise ParameterError(f"unknown metric {metric!r}; expected one of: {names}") from None
-    return _DISPATCH[mid](domain, x, y)
+    return fn(domain, x, y)

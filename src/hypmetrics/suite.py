@@ -471,17 +471,10 @@ def _chain(*terms):
 
 
 def _pairwise(bound, *metrics):
-    """The evaluator of a pair case or probe: each of two or three metrics
-    once at (domain, smp.x, smp.y), in the order given, then
-    ``bound(*values)``, the case's (lhs, rhs) or the probe's estimate;
-    unpacked by name, cheaper than a star-call."""
-    if len(metrics) == 2:
-        m1, m2 = metrics
-        return lambda domain, smp: bound(m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y))
-    m1, m2, m3 = metrics
-    return lambda domain, smp: bound(
-        m1(domain, smp.x, smp.y), m2(domain, smp.x, smp.y), m3(domain, smp.x, smp.y)
-    )
+    """The evaluator of a pair case or probe: each metric once at
+    (domain, smp.x, smp.y), in the order given, then ``bound(*values)``,
+    the case's (lhs, rhs) or the probe's estimate."""
+    return lambda domain, smp: bound(*[m(domain, smp.x, smp.y) for m in metrics])
 
 
 def _distortion(bound):
@@ -646,21 +639,22 @@ def catalog() -> Catalog:
         notes="on the ball both forms are rho, so there the case checks only bookkeeping")
 
     # -- Cassinian comparisons ------------------------------------------------
+    def nearer_farther(domain, smp):
+        """min and max of the boundary distances d(x), d(y)."""
+        d = domain.distance_to_boundary(smp.x), domain.distance_to_boundary(smp.y)
+        return min(d), max(d)
+
     def ev_equ12(domain, smp):
         c_ = C(domain, smp.x, smp.y)
         u_ = U(domain, smp.x, smp.y)
-        dx = domain.distance_to_boundary(smp.x)
-        dy = domain.distance_to_boundary(smp.y)
-        rmin, rmax = min(dx, dy), max(dx, dy)
+        rmin, rmax = nearer_farther(domain, smp)
         return max(2.0 * math.log1p(rmin * c_) - u_, 0.5 * math.log1p(rmax * c_) - u_), 0.0
 
     add("T-EQU12", "Cassinian lower bounds for u with both boundary distances",
         "u >= 2*log(1 + min(d)*c) and u >= log(1 + max(d)*c)/2", all4, ev_equ12)
 
     def ev_equ12_dom(domain, smp):
-        dx = domain.distance_to_boundary(smp.x)
-        dy = domain.distance_to_boundary(smp.y)
-        rmin, rmax = min(dx, dy), max(dx, dy)
+        rmin, rmax = nearer_farther(domain, smp)
         if rmin < 0.25 * rmax:
             return 0.0, math.inf
         c_ = C(domain, smp.x, smp.y)
@@ -783,7 +777,7 @@ def catalog() -> Catalog:
 
     def ev_p12(domain, smp):
         c_ = C(domain, smp.x, smp.y)
-        rmin = min(domain.distance_to_boundary(smp.x), domain.distance_to_boundary(smp.y))
+        rmin = nearer_farther(domain, smp)[0]
         return U(domain, smp.x, smp.y) - 2.0 * math.log1p(rmin * c_)
 
     probe("P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",

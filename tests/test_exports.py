@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
-imports a name it never uses, no module calls ``np.dot``, and no metric
-kernel re-derives what the validating wrapper measured."""
+imports a name it never uses, no module defines a private name nothing
+uses, no module calls ``np.dot``, and no metric kernel re-derives what
+the validating wrapper measured."""
 
 import ast
 import importlib
@@ -56,6 +57,60 @@ def test_no_file_imports_a_name_it_never_uses():
     assert len(files) > 10
     unused = {f"{p.parent.name}/{p.name}": names for p in sorted(files) if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, statement) for each name a module's top-level ``def``,
+    ``class`` or assignment binds; imports bind none here."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        yield node.id, stmt
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names ``node`` reads, bare or as an attribute of anything."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+    }
+
+
+def _unreferenced_names(package: Path, modules: list[str]) -> list[str]:
+    """``module.name`` for each top-level definition of the modules that
+    is not in the module's ``__all__`` and that no statement of the
+    package, its own definition aside, refers to."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    reads = {id(stmt): _referenced_names(stmt) for stmt in statements}
+    unreferenced = []
+    for module in modules:
+        exported = set(getattr(importlib.import_module(f"hypmetrics.{module}"), "__all__", ()))
+        for name, definition in _top_level_definitions(trees[module]):
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(name in reads[id(stmt)] for stmt in statements if stmt is not definition):
+                unreferenced.append(f"{module}.{name}")
+    return unreferenced
+
+
+# perfbench/tracing.py binds these two stubs, which no package code calls;
+# they go when ROADMAP item 1 unhooks the tracer from them
+_UNREFERENCED_ALLOWED = ["geometry._golden_max", "suite.sup_refinement"]
+
+
+def test_no_module_defines_a_name_nothing_uses():
+    # cli.main is the console entry point, which pyproject.toml names
+    unreferenced = _unreferenced_names(
+        Path(hypmetrics.__file__).parent, ["geometry", "metrics", "mobius", "suite", "cli"]
+    )
+    assert [name for name in unreferenced if name != "cli.main"] == _UNREFERENCED_ALLOWED
 
 
 def _numpy_dots(path: Path) -> list[int]:

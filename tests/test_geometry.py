@@ -104,6 +104,26 @@ class TestPoints:
         if isinstance(outcome(p), list):
             assert as_point(p, dim).dtype.isnative and type(as_point(p, dim)) is np.ndarray
 
+    @pytest.mark.parametrize(
+        "p",
+        ["ab", ["0.1", "0.2", "0.3"], [0.1, "0.2", 0.3], b"ab", [0.1j, 0.2, 0.3], [0.1, [0.2, 0.3]],
+         [0.1, None, 0.3], [10**400, 0.0, 0.0]],
+        ids=["string", "numeric-strings", "one-string", "bytes", "complex", "ragged", "none", "beyond-float"],
+    )
+    def test_as_point_rejects_what_is_not_real_numbers(self, p):
+        with pytest.raises(ParameterError, match="^a point must be a vector of real numbers, got "):
+            as_point(p)
+        with pytest.raises(ParameterError):
+            u_metric(UnitBall(3), p, [0.0, 0.0, 0.1])
+
+    @pytest.mark.parametrize(
+        "p",
+        [[1, 0, 0], [np.int64(1), np.float32(0.5), 0.25], [10**30, 0, 0], [np.uint64(2**64 - 1), 0.5, 0]],
+        ids=["ints", "numpy-scalars", "big-int", "uint64"],
+    )
+    def test_as_point_takes_python_and_numpy_ints_and_floats(self, p):
+        assert as_point(p).tolist() == [float(v) for v in p]
+
     def test_infinity_is_a_singleton(self):
         assert is_infinity(INFINITY)
         assert type(INFINITY)() is INFINITY
@@ -130,6 +150,18 @@ class TestDomains:
                 cls(1)
         with pytest.raises(ParameterError):
             FiniteComplement(1, [[0.0]])
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, "3", None, 1, np.int64(1)], ids=repr)
+    def test_a_dimension_is_an_integer_of_at_least_two(self, dim):
+        expected = f"domains require an integer dimension >= 2, got {dim!r}"
+        for build in (UnitBall, UpperHalfSpace, lambda n: FiniteComplement(n, [[0.0, 0.0, 0.0]])):
+            with pytest.raises(ParameterError) as exc:
+                build(dim)
+            assert str(exc.value) == expected
+
+    def test_a_numpy_integer_dimension_is_taken(self):
+        n = np.int64(3)
+        assert UnitBall(n).dim == UpperHalfSpace(n).dim == FiniteComplement(n, [E1]).dim == 3
 
     def test_complement_membership_and_distance(self):
         d = FiniteComplement(3, [E1, -E1])
@@ -160,12 +192,11 @@ class TestDomains:
 
     def test_complement_constants_are_cached_and_frozen(self):
         d = FiniteComplement(3, [E1, [0.0, 2.5, 0.0], [0.0, 0.0, -3.0]])
-        assert d.centroid is d.centroid and d.removed_distances is d.removed_distances
+        assert d.centroid is d.centroid and d.removed_distance_rows is d.removed_distance_rows
         assert d.centroid.tolist() == d.removed.mean(axis=0).tolist()
-        assert d.removed_distances.tolist() == d.distances(d.removed).tolist()
-        for a in (d.centroid, d.removed_distances):
-            with pytest.raises(ValueError):
-                a[0] = 2.0
+        assert d.removed_distance_rows == tuple(map(tuple, d.distances(d.removed).tolist()))
+        with pytest.raises(ValueError):
+            d.centroid[0] = 2.0
 
     def test_complement_distance_to_boundary_is_the_least_distance(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hypmetrics.metrics as metrics_module
 from hypmetrics.geometry import (
     BoundaryCardinalityError,
     FiniteComplement,
@@ -133,22 +134,17 @@ def test_each_point_is_validated_once(domain, monkeypatch):
 )
 def test_one_distance_table_per_complement_call(domain, monkeypatch):
     # the wrapper builds both points' distance rows in one table, which no
-    # kernel builds again; distance_to_boundary goes through the same
-    # _squared_distances, so a second table shows either way
-    tables, squares = [], []
-    distances, squared = FiniteComplement.distances, FiniteComplement._squared_distances
+    # kernel builds again; distance_to_boundary goes through distances
+    # too, so a second table shows either way
+    tables = []
+    distances = FiniteComplement.distances
 
     def counted_distances(self, x):
         tables.append(np.shape(x))
         return distances(self, x)
 
-    def counted_squares(self, x):
-        squares.append(np.shape(x))
-        return squared(self, x)
-
     domain.removed_distance_rows  # cached before counting
     monkeypatch.setattr(FiniteComplement, "distances", counted_distances)
-    monkeypatch.setattr(FiniteComplement, "_squared_distances", counted_squares)
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = sample_pair(domain, rng)
@@ -156,9 +152,8 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
             if fn is rho:
                 continue
             tables.clear()
-            squares.clear()
             fn(domain, x, y)
-            assert tables == squares == [(2, domain.dim)], fn.__name__
+            assert tables == [(2, domain.dim)], fn.__name__
 
 
 class TestU:
@@ -464,6 +459,24 @@ class TestDispatch:
     def test_unknown_metric(self):
         with pytest.raises(ParameterError):
             evaluate_metric(BALL, "frobnicate", O, 0.5 * E1)
+
+    def test_a_member_and_its_value_dispatch_to_the_same_function(self, monkeypatch):
+        # evaluate_metric looks the name up in _DISPATCH itself
+        calls = []
+        for mid in MetricId:
+            monkeypatch.setitem(metrics_module._DISPATCH, mid, lambda d, x, y, mid=mid: calls.append(mid) or 0.0)
+        for mid in MetricId:
+            calls.clear()
+            evaluate_metric(BALL, mid, O, 0.5 * E1)
+            evaluate_metric(BALL, mid.value, O, 0.5 * E1)
+            assert calls == [mid, mid]
+
+    @pytest.mark.parametrize("name", ["frobnicate", ["u"], 3], ids=repr)
+    def test_an_unknown_name_is_a_parameter_error_naming_the_metrics(self, name):
+        names = ", ".join(m.value for m in MetricId)
+        with pytest.raises(ParameterError) as exc:
+            evaluate_metric(BALL, name, O, 0.5 * E1)
+        assert str(exc.value) == f"unknown metric {name!r}; expected one of: {names}"
 
     def test_undefined_combination(self):
         # one message, directly and by name, and checked before the points:
