@@ -271,31 +271,24 @@ def _random_mobius(rng: np.random.Generator, n: int) -> MobiusMap:
     return MobiusMap(tuple(gens))
 
 
-def _sample_map(map_family: str, domain, rng: np.random.Generator):
-    n = domain.dim
-    if map_family == "random":
-        for _ in range(16):
-            f = _random_mobius(rng, n)
-            try:
-                return f, map_domain(f, domain)
-            except BoundaryCardinalityError:
-                continue
-        raise ConfigurationError("could not build an admissible random Mobius map")
-    if map_family == "ball_auto":
-        a = (0.05 + 0.85 * rng.random()) * _unit(rng, n)
-        return ball_automorphism(a), domain
-    if map_family == "cayley":
-        return _fixed_map(cayley_map, n), UnitBall(n)
-    if map_family == "inv_unit":
-        return _fixed_map(inversion_unit, n), domain
-    raise ConfigurationError(f"unknown map family {map_family!r}")
+def _random_map(domain: FiniteComplement, rng: np.random.Generator):
+    """A random Mobius map and the image of ``domain``, a finite
+    complement; a map that leaves the image too few boundary points is
+    drawn again, up to 16 draws."""
+    for _ in range(16):
+        f = _random_mobius(rng, domain.dim)
+        try:
+            return f, map_domain(f, domain)
+        except BoundaryCardinalityError:
+            continue
+    raise ConfigurationError("could not build an admissible random Mobius map")
 
 
-@lru_cache(maxsize=None)
-def _fixed_map(build: Callable[[int], MobiusMap], n: int) -> MobiusMap:
-    """The map ``build(n)``, built once per dimension; a sampled map is
-    only applied, never changed."""
-    return build(n)
+def _ball_map(domain: UnitBall, rng: np.random.Generator):
+    """A ball automorphism centred at a random point of radius 0.05 to
+    0.9, which maps the ball onto itself."""
+    a = (0.05 + 0.85 * rng.random()) * _unit(rng, domain.dim)
+    return ball_automorphism(a), domain
 
 
 @dataclass
@@ -311,17 +304,8 @@ class Sample:
 
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
-    if case.sampler == "pair":
-        x, y = sample_pair(domain, rng)
-        return Sample(x=x, y=y)
-    if case.sampler == "triple":
-        x, y = sample_pair(domain, rng)
-        return Sample(x=x, y=y, z=sample_point(domain, rng))
-    if case.sampler == "equal_pair":
-        x, y = _equal_distance_pair(domain, rng)
-        return Sample(x=x, y=y)
-    if case.sampler == "pair_map":
-        f, fd = _sample_map(case.map_family, domain, rng)
+    if case.draw_map is not None:
+        f, fd = case.draw_map(domain, rng)
         for _ in range(64):
             x, y = sample_pair(domain, rng)
             fx = f.apply(x)
@@ -332,7 +316,14 @@ def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> S
                 continue
             return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
         raise ConfigurationError(f"no admissible mapped pair found for {case.case_id}")
-    raise ConfigurationError(f"unknown sampler kind {case.sampler!r}")
+    if case.sampler == "pair":
+        x, y = sample_pair(domain, rng)
+        return Sample(x=x, y=y)
+    if case.sampler == "triple":
+        x, y = sample_pair(domain, rng)
+        return Sample(x=x, y=y, z=sample_point(domain, rng))
+    x, y = _equal_distance_pair(domain, rng)
+    return Sample(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +338,16 @@ class InequalityCase:
     domains: tuple
     evaluate: Callable  # (domain, Sample) -> (lhs, rhs); rhs may be +inf (vacuous)
     constant: float | None = None
-    condition: str = ""
-    sampler: str = "pair"
-    map_family: str | None = None
-    grid: tuple[float, float] | None = None
+    sampler: str = "pair"  # "pair" | "triple" | "equal_pair"
+    draw_map: Callable | None = None  # (domain, rng) -> (f, f(domain)), drawn before each pair
+    grid: tuple[float, float] | None = None  # (lo, hi): samples are evenly spaced t, domains (None,)
     notes: str = ""
+
+    def __post_init__(self):
+        # a map draw is followed by one pair draw
+        allowed = ("pair",) if self.draw_map is not None else ("pair", "triple", "equal_pair")
+        if self.sampler not in allowed:
+            raise ConfigurationError(f"case {self.case_id}: sampler must be one of {allowed}, got {self.sampler!r}")
 
 
 @dataclass(frozen=True)
@@ -359,7 +355,6 @@ class SharpnessProbe:
     probe_id: str
     paper_ref: str
     family: str
-    functional: str  # "ratio" | "difference" | "value"
     direction: str  # "0+" | "1-" | "1+" | "inf" | "exact"
     schedule: tuple[float, ...]
     expected_limit: float
@@ -559,15 +554,14 @@ def catalog() -> Catalog:
         _pairwise(lambda u_, jt_: _chain(2.0 * jt_, u_, 4.0 * jt_), U, JT), constant=4.0)
     add("T-O3-EQ", "lower product-form bound attained when the boundary distances agree",
         "u == 2*j_tilde when d(x) == d(y)", (ball, punct1),
-        _pairwise(lambda u_, jt_: (abs(u_ - 2.0 * jt_), 0.0), U, JT),
-        sampler="equal_pair", condition="d(x) = d(y) by construction")
+        _pairwise(lambda u_, jt_: (abs(u_ - 2.0 * jt_), 0.0), U, JT), sampler="equal_pair")
     add("T-O4", "two-sided min-form distance-ratio bounds for u",
         "j <= u <= 4*j", all4, _pairwise(lambda u_, j_: _chain(j_, u_, 4.0 * j_), U, J), constant=4.0)
     add("T-JS", "boundary-pair metric squeezed between the distance-ratio metrics",
         "j <= delta <= 2*j_tilde <= 2*j", all4,
         _pairwise(lambda j_, d_, jt_: _chain(j_, d_, 2.0 * jt_, 2.0 * j_), J, D, JT))
     add("T-ALJ", "Apollonian metric below the distance-ratio metric on convex domains",
-        "alpha <= j", convex2, _pairwise(lambda a_, j_: (a_, j_), A, J), condition="convex domains only",
+        "alpha <= j", convex2, _pairwise(lambda a_, j_: (a_, j_), A, J),
         notes="known counterexample: alpha(0, e1/2) = log 3 > log 2 = j on the ball, "
         "because alpha = rho >= j on the ball and the half-space")
     add("T-PAH", "boundary-pair metric against the Apollonian metric, best possible bracket",
@@ -623,16 +617,14 @@ def catalog() -> Catalog:
         return 2.0 * t + TWO_LOG3, 4.0 * math.log(2.0 + math.exp(t))
 
     add("T-ETA-DOM", "scalar dominance of the two half-Apollonian upper bounds",
-        "2*t + 2*log3 <= 4*log(2 + exp(t)) for t >= 0", (), ev_eta_dom,
-        sampler="grid", grid=(0.0, 10.0), condition="t in [0, 10]")
+        "2*t + 2*log3 <= 4*log(2 + exp(t)) for t >= 0", (None,), ev_eta_dom, grid=(0.0, 10.0))
 
     # -- Apollonian comparisons ----------------------------------------------
     add("T-ALPHA-U", "Apollonian bounds for u on general domains",
         "alpha <= u <= 2*alpha + 2*log3", all4,
         _pairwise(lambda a_, u_: _chain(a_, u_, 2.0 * a_ + TWO_LOG3), A, U), constant=TWO_LOG3)
     add("T-ALPHA-U-CONVEX", "multiplicative Apollonian bound for u on convex domains",
-        "u <= 3*alpha", convex2, _pairwise(lambda u_, a_: (u_, 3.0 * a_), U, A), constant=3.0,
-        condition="convex domains only")
+        "u <= 3*alpha", convex2, _pairwise(lambda u_, a_: (u_, 3.0 * a_), U, A), constant=3.0)
     add("T-ALPHA-FORMS", "joint boundary-pair supremum form of the Apollonian metric against its two-factor sum form",
         "|alpha_pair - alpha_sum| == 0", (ball, punct1, punct3),
         _pairwise(lambda pair, summ: (abs(pair - summ), 0.0), alpha_pair_form, A),
@@ -662,7 +654,7 @@ def catalog() -> Catalog:
 
     add("T-EQU12-DOM", "the min-distance Cassinian bound dominates when the boundary distances are within a factor four",
         "2*log(1 + min(d)*c) >= log(1 + max(d)*c)/2 when min(d) >= max(d)/4", all4,
-        ev_equ12_dom, condition="min(d) >= max(d)/4")
+        ev_equ12_dom)
 
     # -- triangular ratio comparisons -----------------------------------------
     def s_bounds(s_, u_):
@@ -671,39 +663,43 @@ def catalog() -> Catalog:
 
     add("T-S", "triangular ratio bounds for u; the upper bound degenerates at s = 1",
         "(2*log3)*s <= u <= 3*log((1+s)/(1-s))", all4, _pairwise(s_bounds, S, U),
-        condition="upper side only when s < 1",
         notes="upper bound treated as vacuous when s = 1")
 
     # -- Mobius distortion ------------------------------------------------------
+    # the two fixed maps, built once and only applied: the Cayley map takes
+    # the half-space onto the ball, the unit inversion onto itself
+    cay = cayley_map(n)
+    inv = inversion_unit(n)
+
+    def cayley_draw(domain, rng):
+        return cay, ball
+
+    def inversion_draw(domain, rng):
+        return inv, domain
+
     m1 = _distortion(lambda u0, u1: _chain(u0 / 3.0, u1, 3.0 * u0))
     add("M1-FC", "three-fold distortion of u under Mobius maps of punctured space",
-        "u/3 <= u'(f.) <= 3*u", (punct1, punct3), m1, constant=3.0,
-        sampler="pair_map", map_family="random",
+        "u/3 <= u'(f.) <= 3*u", (punct1, punct3), m1, constant=3.0, draw_map=_random_map,
         notes="image domain built from the mapped boundary points")
     add("M1-BALL", "three-fold distortion of u under ball automorphisms",
-        "u/3 <= u'(f.) <= 3*u", (ball,), m1, constant=3.0,
-        sampler="pair_map", map_family="ball_auto")
+        "u/3 <= u'(f.) <= 3*u", (ball,), m1, constant=3.0, draw_map=_ball_map)
     add("M1-HB", "three-fold distortion of u under the half-space to ball map",
-        "u/3 <= u'(f.) <= 3*u", (half,), m1, constant=3.0,
-        sampler="pair_map", map_family="cayley")
+        "u/3 <= u'(f.) <= 3*u", (half,), m1, constant=3.0, draw_map=cayley_draw)
 
     m_add = _distortion(lambda u0, u1: (abs(u1 - u0), TWO_LOG2))
     add("M2-BALL", "additive distortion of u under ball automorphisms",
-        "|u(f.) - u| <= 2*log2", (ball,), m_add, constant=TWO_LOG2,
-        sampler="pair_map", map_family="ball_auto")
+        "|u(f.) - u| <= 2*log2", (ball,), m_add, constant=TWO_LOG2, draw_map=_ball_map)
     add("M3-HH", "additive distortion of u under unit-sphere inversion of the half-space",
-        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2,
-        sampler="pair_map", map_family="inv_unit")
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=inversion_draw)
     add("M3-HB", "additive distortion of u under the half-space to ball map",
-        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2,
-        sampler="pair_map", map_family="cayley")
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=cayley_draw)
 
     # -- probes ---------------------------------------------------------------
     probes: list[SharpnessProbe] = []
 
-    def probe(probe_id, paper_ref, family, functional, direction, schedule, limit, tolerance, domain, pair, ev):
+    def probe(probe_id, paper_ref, family, direction, schedule, limit, tolerance, domain, pair, ev):
         probes.append(SharpnessProbe(
-            probe_id, paper_ref, family, functional, direction, tuple(schedule), limit, tolerance,
+            probe_id, paper_ref, family, direction, tuple(schedule), limit, tolerance,
             lambda t: ev(domain, pair(t))))
 
     def sym(t):
@@ -715,64 +711,61 @@ def catalog() -> Catalog:
     u_minus_rho = _pairwise(operator.sub, U, R)
     probe("P1", "two-stage radial family on the ball attaining the additive constant 2*log2",
           "x = s*e1, y = t*e1 on the ball; inner limit t -> 1-, outer s -> 1-",
-          "difference", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), TWO_LOG2, 2e-3,
+          "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), TWO_LOG2, 2e-3,
           ball, lambda s: Sample(x=s * e1, y=(1.0 - (1.0 - s) * 10.0 ** (-5)) * e1), u_minus_rho)
     probe("P2", "vertical family on the half-space attaining the additive constant 2*log2",
           "x = e_n, y = t*e_n on the half-space, t -> 0+",
-          "difference", "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 2e-3,
+          "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 2e-3,
           half, lambda t: Sample(x=en, y=t * en), u_minus_rho)
     probe("P3", "symmetric family in punctured space attaining the sharp factor 3 over the product-form distance ratio",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
           punct1, sym, _pairwise(operator.truediv, U, JT))
     probe("P3-J", "symmetric family in punctured space attaining the sharp factor 3 over the min-form distance ratio",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
           punct1, sym, _pairwise(operator.truediv, U, J))
     probe("P4", "symmetric family in punctured space attaining the additive constant log2",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 1-",
-          "difference", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), LOG2, 1e-2,
+          "1-", (1.0 - 10.0 ** (-k) for k in range(1, 5)), LOG2, 1e-2,
           punct1, sym, _pairwise(lambda u_, jt_: u_ - 2.0 * jt_, U, JT))
     probe("P5", "one-sided family in punctured space driving u down to the half-Apollonian metric",
           "x = 0, y = t*e1 in space punctured at e1, t -> 1-",
-          "ratio", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 1.0, 5e-2,
+          "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 1.0, 5e-2,
           punct1, lambda t: Sample(x=origin, y=t * e1), _pairwise(operator.truediv, U, E))
     probe("P6", "antipodal family around a single puncture where u is constant 2*log3",
           "y = -x in space punctured at the origin",
-          "value", "exact", (0.1, 0.5, 1.0, 2.0, 10.0), TWO_LOG3, 1e-12,
+          "exact", (0.1, 0.5, 1.0, 2.0, 10.0), TWO_LOG3, 1e-12,
           punct0, sym, lambda domain, smp: U(domain, smp.x, smp.y))
     probe("P7", "symmetric family in punctured space attaining the sharp factor 3 over the triangular-ratio bound",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
-          "ratio", "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
+          "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
           punct1, sym, _pairwise(lambda s_, u_: u_ / math.log((1.0 + s_) / (1.0 - s_)), S, U))
     probe("P8", "ball automorphisms attaining the multiplicative distortion factor 3",
           "f centered at t*e1 applied to x = (1-t)*e1, y = -(1-t)*e1, t -> 1-",
-          "ratio", "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 3.0, 5e-2,
+          "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 3.0, 5e-2,
           ball, lambda t: mapped(ball_automorphism(t * e1), ball, (1.0 - t) * e1, -((1.0 - t) * e1)),
           _distortion(lambda u0, u1: u1 / u0))
-
-    cay = _fixed_map(cayley_map, n)
 
     def cayley_pair(t):
         return mapped(cay, ball, t * en, (1.0 / t) * en)
 
     probe("P9", "half-space to ball map attaining the multiplicative distortion factor 1/3",
           "x = t*e_n, y = e_n/t under the half-space to ball map, t -> 1+",
-          "ratio", "1+", (1.0 + 10.0 ** (-k) for k in range(1, 7)), 1.0 / 3.0, 5e-2,
+          "1+", (1.0 + 10.0 ** (-k) for k in range(1, 7)), 1.0 / 3.0, 5e-2,
           half, cayley_pair, _distortion(lambda u0, u1: u1 / u0))
     probe("P9-ADD", "half-space to ball map attaining the additive distortion constant 2*log2",
           "x = t*e_n, y = e_n/t under the half-space to ball map, t -> inf",
-          "difference", "inf", (10.0 ** k for k in range(1, 7)), TWO_LOG2, 1e-3,
+          "inf", (10.0 ** k for k in range(1, 7)), TWO_LOG2, 1e-3,
           half, cayley_pair, _distortion(operator.sub))
 
-    inv = _fixed_map(inversion_unit, n)
     probe("P10", "unit-sphere inversion of the half-space attaining the additive distortion constant 2*log2",
           "x = e1 + t*e_n, y = e1 + e_n/t under unit inversion, t -> 0+",
-          "difference", "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 1e-3,
+          "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 1e-3,
           half, lambda t: mapped(inv, half, e1 + t * en, e1 + (1.0 / t) * en), _distortion(operator.sub))
     probe("P11", "diameter family of the ball where u equals the boundary-pair metric exactly",
           "x = t*e1, y = -t*e1 on the ball",
-          "difference", "exact", (0.1, 0.5, 0.9, 0.99, 0.999, 0.999999), 0.0, 1e-12,
+          "exact", (0.1, 0.5, 0.9, 0.99, 0.999, 0.999999), 0.0, 1e-12,
           ball, sym, _pairwise(operator.sub, U, D))
 
     def ev_p12(domain, smp):
@@ -782,7 +775,7 @@ def catalog() -> Catalog:
 
     probe("P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",
           "x = t*e1, y = t*e3 in space punctured at the origin",
-          "difference", "exact", (1e-3, 0.1, 0.5, 1.0, 7.0, 100.0), 0.0, 1e-12,
+          "exact", (1e-3, 0.1, 0.5, 1.0, 7.0, 100.0), 0.0, 1e-12,
           punct0, lambda t: Sample(x=t * e1, y=t * e3), ev_p12)
 
     ids = [c.case_id for c in cases] + [p.probe_id for p in probes]
@@ -840,7 +833,7 @@ def check_case(
         raise ParameterError("n_samples must be >= 1")
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
-    domains = (None,) if case.sampler == "grid" else case.domains
+    domains = case.domains
 
     started = time.perf_counter()
     violations = 0
@@ -852,7 +845,7 @@ def check_case(
     k = 0
     for domain, count in zip(domains, counts):
         for _ in range(count):
-            if case.sampler == "grid":
+            if case.grid is not None:
                 lo, hi = case.grid
                 t = lo if n_samples == 1 else lo + (hi - lo) * (k / (n_samples - 1))
                 smp = Sample(t=t)

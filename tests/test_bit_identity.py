@@ -46,7 +46,7 @@ def _hex(values) -> str:
 def sample_lines():
     """One line per built sample, in catalog order."""
     for case in catalog().cases:
-        if case.sampler == "grid":
+        if case.grid is not None:
             continue
         for i, domain in enumerate(case.domains):
             for k in range(i * SAMPLES_PER_DOMAIN, (i + 1) * SAMPLES_PER_DOMAIN):

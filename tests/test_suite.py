@@ -469,7 +469,6 @@ class TestRunProbe:
             probe_id="RIG-FLAT",
             paper_ref="none",
             family="t -> 1 + jitter below the floor",
-            functional="value",
             direction="exact",
             schedule=(1.0, 2.0, 3.0, 4.0),
             expected_limit=1.0,
@@ -484,7 +483,6 @@ class TestRunProbe:
             probe_id="RIG-RISE",
             paper_ref="none",
             family="deviation grows",
-            functional="value",
             direction="exact",
             schedule=(1.0, 2.0, 3.0, 4.0),
             expected_limit=1.0,
