@@ -30,7 +30,9 @@ one pass per point coerces it (:func:`as_point`), checks membership and
 returns what the check measured: the point, its coordinates as floats
 and its gauge, |x| on the ball (:func:`_ball_gauge`, which the ball's
 domain methods read as well) and x_n on the half-space.  The domain
-methods, the metric kernels and boundary_sup take trusted float arrays.
+methods check only that a point is a real vector of their dimension
+(:func:`_domain_vector`); the metric kernels and boundary_sup take
+trusted float arrays.
 """
 
 from __future__ import annotations
@@ -164,6 +166,17 @@ def _check_dim(dim) -> None:
         raise ParameterError(f"domains require an integer dimension >= 2, got {dim!r}")
 
 
+def _domain_vector(x, dim: int) -> np.ndarray:
+    """``x`` as a float vector of dimension ``dim``, for the public domain
+    methods: a native float64 array is checked only for its shape, other
+    input is coerced as :func:`as_point` coerces it.  Coordinates are not
+    checked for finiteness; the validating entry points do that."""
+    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else _real_array(x)
+    if arr.shape != (dim,):
+        raise ParameterError(f"expected a point of dimension {dim}, got shape {arr.shape}")
+    return arr
+
+
 def _ball_gauge(x: np.ndarray) -> float:
     """|x|: the ball holds x when it is below 1, and 1 - |x| is the
     distance to the sphere."""
@@ -183,12 +196,11 @@ class UnitBall:
     def __post_init__(self):
         _check_dim(self.dim)
 
-    # the domain methods take lists as well, which have no dot method
     def contains(self, x) -> bool:
-        return _ball_gauge(np.asarray(x)) < 1.0
+        return _ball_gauge(_domain_vector(x, self.dim)) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - _ball_gauge(np.asarray(x))
+        return 1.0 - _ball_gauge(_domain_vector(x, self.dim))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -204,10 +216,10 @@ class UpperHalfSpace:
         _check_dim(self.dim)
 
     def contains(self, x) -> bool:
-        return float(x[-1]) > 0.0
+        return float(_domain_vector(x, self.dim)[-1]) > 0.0
 
     def distance_to_boundary(self, x) -> float:
-        return float(x[-1])
+        return float(_domain_vector(x, self.dim)[-1])
 
     def __repr__(self) -> str:
         return f"UpperHalfSpace(dim={self.dim})"
@@ -240,7 +252,7 @@ class FiniteComplement:
         self.includes_infinity_boundary = bool(includes_infinity_boundary)
 
     def contains(self, x) -> bool:
-        return np.asarray(x, dtype=float).tolist() not in self._removed_rows
+        return _domain_vector(x, self.dim).tolist() not in self._removed_rows
 
     def distances(self, x) -> np.ndarray:
         """|p - x| for each removed point p, in order; ``x`` may carry
@@ -254,7 +266,7 @@ class FiniteComplement:
 
     def distance_to_boundary(self, x) -> float:
         # no distance is NaN, so min over the floats is numpy's minimum
-        return min(self.distances(x).tolist())
+        return min(self.distances(_domain_vector(x, self.dim)).tolist())
 
     @cached_property
     def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
@@ -337,6 +349,9 @@ def cross_ratio(p, x, q, y) -> float:
     pts = [p if is_infinity(p) else as_point(p) for p in (p, x, q, y)]
     if sum(map(is_infinity, pts)) > 1:
         raise ValueError("cross_ratio supports at most one point at infinity")
+    dims = sorted({pt.size for pt in pts if not is_infinity(pt)})
+    if len(dims) > 1:
+        raise ParameterError(f"cross_ratio takes points of one dimension, got dimensions {dims}")
     p, x, q, y = pts
 
     def finite(*pairs):

@@ -11,9 +11,14 @@ t0 <= t1 <= ... by ``_chain``; single natural bounds keep their two
 sides as-is.  A pair case's evaluator is ``_pairwise(bound, *metrics)``:
 each metric once at the sampled pair, then the case's arithmetic on the
 values; a Mobius case's is ``_distortion(bound)``: u at the pair, then
-at its image, then ``bound(u0, u1)``.  Every probe drives a parametric
-family toward a limit that attains a sharp constant and records the
-convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
+at its image, then ``bound(u0, u1)``.  A case says once what a sample
+holds: ``sampler`` picks a pair, a triple or an equal-distance pair; a
+Mobius case declares ``draw_map``, a function ``(domain, rng) -> (f,
+f(domain))`` that draws the map from the sample's stream before its
+pair; the scalar case declares ``grid`` and the one domain None.
+
+Every probe drives a parametric family toward a limit that attains a
+sharp constant and records the convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
 declares it as a domain, a point family ``t -> Sample`` (``sym`` is
 x = t*e1, y = -t*e1) and a case-style evaluator, so probes run through
 ``_pairwise`` and ``_distortion`` as the cases do.

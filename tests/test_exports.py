@@ -1,16 +1,19 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module defines a private name nothing
-uses, no module calls ``np.dot``, and no metric kernel re-derives what
-the validating wrapper measured."""
+uses, no module calls ``np.dot``, no metric kernel re-derives what the
+validating wrapper measured, and every field of a catalog declaration is
+read."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import hypmetrics
+from hypmetrics.suite import InequalityCase, SharpnessProbe
 
 
 @pytest.mark.parametrize("module", ["geometry", "metrics", "mobius", "suite"])
@@ -165,3 +168,28 @@ def test_no_metric_kernel_rederives_what_validation_measured():
     found = _kernel_rederivations(Path(hypmetrics.__file__).parent / "metrics.py")
     assert len(found) == 10
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _attribute_reads(package: Path) -> set[str]:
+    """Every ``name`` that some module of the package reads as ``.name``."""
+    return {
+        node.attr
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+# declared for what is still to be built on them: ROADMAP item 2 reads the
+# formulas and constants, and item 5 needs a probe's direction to compute
+# its convergence order
+_UNREAD_FIELDS_ALLOWED = ["constant", "direction", "formula"]
+
+
+def test_every_declaration_field_is_read():
+    # a field nothing reads restates what its declaration already says
+    fields = {f.name for cls in (InequalityCase, SharpnessProbe) for f in dataclasses.fields(cls)}
+    unread = fields - _attribute_reads(Path(hypmetrics.__file__).parent)
+    assert sorted(unread.difference(_UNREAD_FIELDS_ALLOWED)) == []
+    # an allowed field that gains a reader leaves the list
+    assert sorted(unread.intersection(_UNREAD_FIELDS_ALLOWED)) == _UNREAD_FIELDS_ALLOWED

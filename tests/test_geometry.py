@@ -230,6 +230,45 @@ class TestDomains:
         with pytest.raises(DomainMembershipError):
             distance_to_boundary(UpperHalfSpace(3), [0, 0, -1.0])
 
+    @pytest.mark.parametrize(
+        "domain, method, x, message",
+        [
+            (FiniteComplement(3, [[0, 0, 0]]), "contains", ["0.5", "0", "0"], "vector of real numbers"),
+            (FiniteComplement(3, [[0, 0, 0]]), "contains", [0.5, 0], "dimension 3, got shape (2,)"),
+            (FiniteComplement(3, [[0, 0, 0]]), "distance_to_boundary", [0.5, 0], "dimension 3, got shape (2,)"),
+            (UpperHalfSpace(3), "contains", ["1", "2", "0.5"], "vector of real numbers"),
+            (UpperHalfSpace(3), "contains", [1.0, 0.5], "dimension 3, got shape (2,)"),
+            (UnitBall(3), "contains", [0.5, 0], "dimension 3, got shape (2,)"),
+            (UnitBall(3), "contains", ["0.5", "0", "0"], "vector of real numbers"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, list) else v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_domain_methods_take_only_real_vectors_of_their_dimension(self, domain, method, x, message):
+        with pytest.raises(ParameterError) as exc:
+            getattr(domain, method)(x)
+        assert message in str(exc.value)
+
+    def test_domain_methods_reject_arrays_of_another_shape(self):
+        # a float64 array takes the fast path, which checks the shape too
+        for domain in (UnitBall(3), UpperHalfSpace(3), FiniteComplement(3, [E1])):
+            for x in (np.zeros(2), np.zeros((1, 3)), np.zeros(4)):
+                for method in (domain.contains, domain.distance_to_boundary):
+                    with pytest.raises(ParameterError, match="expected a point of dimension 3"):
+                        method(x)
+
+    def test_domain_methods_do_not_count_as_point_validation(self, monkeypatch):
+        # the public methods check type and shape without as_point, whose
+        # calls the benchmark tracer counts as point validation
+        def forbidden(*args, **kwargs):
+            raise AssertionError("as_point called")
+
+        domains = (UnitBall(3), UpperHalfSpace(3), FiniteComplement(3, [E1]))
+        monkeypatch.setattr(geo, "as_point", forbidden)
+        for domain in domains:
+            for x in ([0.5, 0, 0.25], np.array([0.5, 0.0, 0.25])):
+                assert domain.contains(x)
+                assert domain.distance_to_boundary(x) > 0.0
+
 
 class TestCrossRatio:
     def test_finite_value(self):
@@ -258,6 +297,12 @@ class TestCrossRatio:
     def test_coincidence_raises(self):
         with pytest.raises(ZeroDivisionError):
             cross_ratio(np.zeros(3), np.zeros(3), E1, 0.5 * E1)
+
+    def test_points_of_different_dimensions_are_a_parameter_error(self):
+        with pytest.raises(ParameterError, match=r"one dimension, got dimensions \[2, 3\]"):
+            cross_ratio([0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1])
+        with pytest.raises(ParameterError, match=r"got dimensions \[2, 3\]"):
+            cross_ratio(INFINITY, [1, 0], [0, 1, 0], [0, 0, 1])
 
     def test_symmetry_pairs(self):
         rng = np.random.default_rng(4)

@@ -15,6 +15,7 @@ import hypmetrics.geometry as geo
 import hypmetrics.suite as suite
 from hypmetrics.geometry import FiniteComplement, ParameterError, UnitBall, UpperHalfSpace
 from hypmetrics.metrics import triangular_ratio, u_metric
+from hypmetrics.mobius import MobiusMap, Translation, ball_automorphism
 from hypmetrics.suite import (
     TWO_LOG3,
     ConfigurationError,
@@ -311,6 +312,72 @@ class TestCheckCase:
         rec = check_case(rigged, n_samples=5, seed=1)
         assert rec.violations == 0 and rec.max_slack is None
         assert rec.record()["max_slack"] is None
+
+    def test_a_map_case_with_no_admissible_pair_names_the_case(self):
+        # every image lies 99 or more from the ball, so the sampler gives up
+        far = MobiusMap((Translation(np.array([100.0, 0.0, 0.0])),))
+        rigged = InequalityCase(
+            case_id="RIG-NO-IMAGE",
+            paper_ref="none",
+            formula="n/a",
+            domains=(BALL,),
+            evaluate=lambda domain, smp: (0.0, 1.0),
+            draw_map=lambda domain, rng: (far, domain),
+        )
+        with pytest.raises(ConfigurationError, match="^no admissible mapped pair found for RIG-NO-IMAGE$"):
+            check_case(rigged, n_samples=1, seed=1)
+
+    @pytest.mark.parametrize(
+        "declaration, keys",
+        [
+            ({"domains": (BALL,), "sampler": "triple"}, {"x", "y", "z"}),
+            (
+                {"domains": (BALL,), "draw_map": lambda domain, rng: (ball_automorphism([0.5, 0.0, 0.0]), domain)},
+                {"x", "y", "map", "image_domain"},
+            ),
+            ({"domains": (None,), "grid": (0.0, 1.0)}, {"t"}),
+        ],
+        ids=["triple", "map", "grid"],
+    )
+    def test_violation_summaries_record_what_each_sample_holds(self, declaration, keys):
+        rigged = InequalityCase(
+            case_id="RIG-SUMMARY",
+            paper_ref="none",
+            formula="2 <= 1",
+            evaluate=lambda domain, smp: (2.0, 1.0),
+            **declaration,
+        )
+        summaries = check_case(rigged, n_samples=3, seed=1).violation_samples
+        assert len(summaries) == 3
+        for summary in summaries:
+            assert set(summary) == {"index", "domain", "lhs", "rhs"} | keys
+            assert (summary["lhs"], summary["rhs"]) == (2.0, 1.0)
+            assert summary["domain"] == (None if declaration["domains"] == (None,) else repr(BALL))
+            if "map" in keys:
+                assert summary["map"] == "MobiusMap([SphereInversion])"
+                assert summary["image_domain"] == repr(BALL)
+        if "t" in keys:
+            assert [summary["t"] for summary in summaries] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            {"sampler": "grid", "grid": (0.0, 1.0)},
+            {"sampler": "pair_map"},
+            {"sampler": "triple", "draw_map": lambda domain, rng: (None, domain)},
+        ],
+        ids=["grid", "pair_map", "triple-with-map"],
+    )
+    def test_a_case_declares_one_of_the_three_samplers(self, declaration):
+        with pytest.raises(ConfigurationError, match="^case RIG-SAMPLER: sampler must be one of"):
+            InequalityCase(
+                case_id="RIG-SAMPLER",
+                paper_ref="none",
+                formula="n/a",
+                domains=(BALL,),
+                evaluate=lambda domain, smp: (0.0, 1.0),
+                **declaration,
+            )
 
     def test_known_counterexample_case_reports_violations(self):
         # alpha exceeds j on the ball, so this case must flag samples
