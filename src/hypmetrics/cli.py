@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
@@ -193,17 +194,12 @@ def _cmd_eval(args) -> int:
         domain = FiniteComplement(
             dim, removed, includes_infinity_boundary=not args.no_infinity_boundary
         )
-    # squared coordinates beyond about 1e154 overflow, and so do ratios
-    # over subnormal boundary distances; products of two tiny heights or
-    # distances underflow to 0 and raise in a division instead.  Either
-    # way the value is rejected
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = evaluate_metric(domain, args.metric, x, y)
-        finite = bool(np.isfinite(value))
-    except ArithmeticError as exc:
-        value, finite = f"a {type(exc).__name__}", False
-    if not finite:
+    # the kernels keep every value in range finite; a value is inf or nan
+    # only where a length or a ratio of two lengths leaves the float
+    # range (points 1e308 apart, or one 1e-170 from a puncture beside one
+    # 1e200 away), and is rejected
+    value = evaluate_metric(domain, args.metric, x, y)
+    if not math.isfinite(value):
         raise ParameterError(
             f"{args.metric} evaluates to {value} at these points: their coordinates are "
             "too large (or a distance to the boundary too small) for double precision"

@@ -32,7 +32,11 @@ and its gauge, |x| on the ball (:func:`_ball_gauge`, which the ball's
 domain methods read as well) and x_n on the half-space.  The domain
 methods check only that a point is a real vector of their dimension
 (:func:`_domain_vector`); the metric kernels and boundary_sup take
-trusted float arrays.
+trusted points.
+
+Every Euclidean length is ``math.hypot`` of the coordinates and every
+distance ``math.dist`` of two coordinate lists: both scale internally,
+so no square over- or underflows anywhere in the float range.
 """
 
 from __future__ import annotations
@@ -152,14 +156,6 @@ def same_point(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tolist() == y.tolist()
 
 
-# |v| is math.sqrt(v.dot(v)) throughout: np.linalg.norm takes the norm of
-# a 1-D float array as sqrt(v.dot(v)) as well, so the bits agree, and the
-# method skips np.dot's __array_function__ dispatch for the same routine
-def _dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    return math.sqrt(d.dot(d))
-
-
 def _check_dim(dim) -> None:
     """Reject a domain dimension that is not an integer >= 2."""
     if not isinstance(dim, numbers.Integral) or dim < 2:
@@ -177,10 +173,10 @@ def _domain_vector(x, dim: int) -> np.ndarray:
     return arr
 
 
-def _ball_gauge(x: np.ndarray) -> float:
-    """|x|: the ball holds x when it is below 1, and 1 - |x| is the
-    distance to the sphere."""
-    return math.sqrt(x.dot(x))
+def _ball_gauge(coords: list[float]) -> float:
+    """|x| from the coordinates of x: the ball holds x when it is below
+    1, and 1 - |x| is the distance to the sphere."""
+    return math.hypot(*coords)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +193,10 @@ class UnitBall:
         _check_dim(self.dim)
 
     def contains(self, x) -> bool:
-        return _ball_gauge(_domain_vector(x, self.dim)) < 1.0
+        return _ball_gauge(_domain_vector(x, self.dim).tolist()) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - _ball_gauge(_domain_vector(x, self.dim))
+        return 1.0 - _ball_gauge(_domain_vector(x, self.dim).tolist())
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -254,25 +250,29 @@ class FiniteComplement:
     def contains(self, x) -> bool:
         return _domain_vector(x, self.dim).tolist() not in self._removed_rows
 
+    def _distance_row(self, coords: list[float]) -> list[float]:
+        """|p - x| for each removed point p, in order, from the coordinates
+        of x: every distance to the removed points is taken here."""
+        return [math.dist(p, coords) for p in self._removed_rows]
+
     def distances(self, x) -> np.ndarray:
-        """|p - x| for each removed point p, in order; ``x`` may carry
-        leading axes, which then lead the result."""
-        d = self.removed - np.asarray(x)[..., None, :]
-        # vecdot takes the dot product of each row along the leading axes
-        # as d_row.dot(d_row) does, with the same rounding, whatever the
-        # leading axes; (d * d).sum(axis=-1), einsum and
-        # np.linalg.norm(axis=-1) round differently
-        return np.sqrt(np.vecdot(d, d))
+        """|p - x| for each removed point p, in order; ``x`` is a real
+        array whose last axis has the domain's dimension, and its leading
+        axes lead the result."""
+        arr = _real_array(x)
+        if arr.ndim == 0 or arr.shape[-1] != self.dim:
+            raise ParameterError(f"expected points of dimension {self.dim} on the last axis, got shape {arr.shape}")
+        rows = [self._distance_row(v) for v in arr.reshape(-1, self.dim).tolist()]
+        return np.array(rows, dtype=float).reshape(*arr.shape[:-1], len(self._removed_rows))
 
     def distance_to_boundary(self, x) -> float:
-        # no distance is NaN, so min over the floats is numpy's minimum
-        return min(self.distances(_domain_vector(x, self.dim)).tolist())
+        return min(self._distance_row(_domain_vector(x, self.dim).tolist()))
 
     @cached_property
     def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
         """The m x m distances |p - q| over removed points p, q, as rows
         of Python floats."""
-        return tuple(map(tuple, self.distances(self.removed).tolist()))
+        return tuple(tuple(self._distance_row(p)) for p in self._removed_rows)
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -309,7 +309,7 @@ def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float
     x = as_point(p, domain.dim)
     coords = x.tolist()
     if isinstance(domain, UnitBall):
-        gauge = _ball_gauge(x)
+        gauge = _ball_gauge(coords)
         inside = gauge < 1.0
     elif isinstance(domain, UpperHalfSpace):
         gauge = coords[-1]
@@ -352,15 +352,44 @@ def cross_ratio(p, x, q, y) -> float:
     dims = sorted({pt.size for pt in pts if not is_infinity(pt)})
     if len(dims) > 1:
         raise ParameterError(f"cross_ratio takes points of one dimension, got dimensions {dims}")
-    p, x, q, y = pts
+    p, x, q, y = (pt if is_infinity(pt) else pt.tolist() for pt in pts)
 
     def finite(*pairs):
-        return [_dist(a, b) for a, b in pairs if not (is_infinity(a) or is_infinity(b))]
+        return [math.dist(a, b) for a, b in pairs if not (is_infinity(a) or is_infinity(b))]
 
-    den = finite((p, x), (q, y))
+    num, den = finite((p, q), (x, y)), finite((p, x), (q, y))
     if 0.0 in den:
         raise ZeroDivisionError("cross_ratio undefined: coincident p,x or q,y")
-    return math.prod(finite((p, q), (x, y))) / math.prod(den)
+    if len(den) == 1:
+        return num[0] / den[0]
+    return _cross(*num, *den)
+
+
+# the least positive normal float: a product at least this large (and
+# finite) is rounded as it would be with unbounded exponents
+_NORMAL = 2.2250738585072014e-308
+
+
+def _cross(a: float, b: float, c: float, d: float) -> float:
+    """a b / (c d) for a, b >= 0 and c, d > 0, in range wherever the value is.
+
+    Where both products are normal floats, that is their quotient.
+    Elsewhere it is the product of two ratios, the smaller of a, b over
+    the smaller of c, d and the larger over the larger: on the log scale
+    this matching keeps the larger magnitude of the two ratios least, so
+    neither leaves the float range unless a ratio of two of the lengths
+    does.  Either way, swapping a and b, or c and d, keeps the bits.  The
+    metrics' finite maxima form each cross-ratio here, so they match
+    :func:`cross_ratio` exactly.
+    """
+    num, den = a * b, c * d
+    if _NORMAL <= num < math.inf and _NORMAL <= den < math.inf:
+        return num / den
+    if a > b:
+        a, b = b, a
+    if c > d:
+        c, d = d, c
+    return (a / c) * (b / d)
 
 
 # ---------------------------------------------------------------------------

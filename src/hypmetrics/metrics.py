@@ -13,26 +13,36 @@ sum for s comes likewise from the Ptolemy-Alhazen quartic of mirror
 reflection.  Nothing is searched.
 
 On a finite complement with m removed points a supremum is a maximum
-over m ratios, or m x m for the pair forms of delta and alpha.  Both
-points' distance vectors come from one table (:func:`_distance_rows`),
-and each ratio and the maximum are taken over Python floats, which do
-the IEEE operations numpy would do entry by entry and cost far less on a
-handful of numbers.  Where a distance underflows to 0 or overflows to
-inf, :func:`_over` divides as numpy does (inf or nan, where Python
-raises) and :func:`_largest` returns NaN if any ratio is NaN (where
-``max`` keeps the first entry over a later NaN), so such pairs give the
-value, inf or NaN numpy gave.
+over m ratios, or m x m for the pair forms of delta and alpha, taken
+over Python floats.  A maximum with a NaN ratio is NaN
+(:func:`_largest`); a distance overflows to inf only where coordinates
+differ by more than the float range.
+
+Every Euclidean distance is ``math.dist`` of two coordinate lists, which
+scales internally, and no kernel squares a length or multiplies two
+distances where the product could leave the float range: d(x) d(y)
+under a root is taken as sqrt(d(x)) sqrt(d(y)), the half-space's x_n y_n
+likewise, |x-y|^2 + 4 x_n y_n as a ``math.hypot``, and products of
+distances as matched ratios (:func:`hypmetrics.geometry._matched`) or
+as |x-y| over the larger distance, then the smaller; where the largest
+product of two ratios overflows, delta and alpha's pair form add their
+logarithms.  On the half-space and on finite complements a value in
+range therefore comes out finite for coordinates anywhere in the float
+range, short of two distances whose ratio is not (a point 1e-170 from a
+puncture beside one 1e200 away).  The ball's 1 - |x| is taken from the
+rounded |x| as before.
 
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
 ``_two_boundary_points``), then x, then y, each in one pass that keeps
 what it measured (:func:`hypmetrics.geometry._checked_point`), and
 returns 0 for equal coordinates.  The kernel takes two distinct, checked
-points x, y and their gauges gx, gy, and re-derives none of them: |x|
-and |y| on the ball, x_n and y_n on the half-space, and on a finite
-complement both distance rows, which the wrapper builds once per call
-with :func:`_distance_rows`.  rho exists only on the ball and the
-half-space, where delta and alpha call its kernel.
+points x, y, their coordinate lists xs, ys and their gauges gx, gy, and
+re-derives none of them: |x| and |y| on the ball, x_n and y_n on the
+half-space, and on a finite complement both distance rows, which the
+wrapper takes once per call (``FiniteComplement._distance_row``).  rho
+exists only on the ball and the half-space, where delta and alpha call
+its kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +50,6 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-
-import numpy as np
 
 from .geometry import (
     BoundaryCardinalityError,
@@ -51,8 +59,9 @@ from .geometry import (
     UpperHalfSpace,
     _canonical_pair,
     _checked_point,
+    _NORMAL,
+    _cross,
     _depressed_cubic_roots,
-    _dist,
     _require_domain,
     boundary_sup,
 )
@@ -97,12 +106,6 @@ def _two_boundary_points(domain) -> bool:
     return not isinstance(domain, FiniteComplement) or domain.boundary_cardinality() >= 2
 
 
-def _distance_rows(domain: FiniteComplement, x, y) -> list[list[float]]:
-    """[|p - x| for p], [|p - y| for p] over the removed points, as
-    floats, from one vecdot over the table of differences p - x, p - y."""
-    return domain.distances(np.array((x, y))).tolist()
-
-
 def _boundary_distances(domain, gx, gy) -> tuple[float, float]:
     """d(x), d(y) from the gauges: 1 - |v| on the ball, v_n on the
     half-space, the least distance to a removed point on a finite
@@ -114,31 +117,65 @@ def _boundary_distances(domain, gx, gy) -> tuple[float, float]:
     return min(gx), min(gy)
 
 
-def _over(n: float, d: float) -> float:
-    """n / d for n, d >= 0 or NaN, as numpy divides: n / 0 is inf, and
-    NaN when n is 0 or NaN, where float division raises."""
-    return n / d if d else (math.inf if n > 0.0 else math.nan)
-
-
 def _largest(values: list[float]) -> float:
-    """The largest of floats >= 0 or NaN, NaN if any is: numpy's .max().
-    A NaN entry makes the sum NaN, since no entry is -inf."""
+    """The largest of floats >= 0 or NaN, NaN if any is (``max`` keeps
+    the first entry over a later NaN).  A NaN entry makes the sum NaN,
+    since no entry is -inf."""
     top = max(values)
     total = sum(values)
     return top if total == total else math.nan
 
 
 def _largest_ratio(nums: list[float], dens: list[float]) -> float:
-    """The largest nums[i] / dens[i]: numpy's (nums / dens).max()."""
-    return _largest(list(map(_over, nums, dens)))
+    """The largest nums[i] / dens[i]."""
+    return _largest([n / d for n, d in zip(nums, dens)])
+
+
+def _log_of_largest(terms: list[tuple[float, float, float, float]], log) -> float:
+    """``log`` (math.log or math.log1p) of the largest cross-ratio a b /
+    (c d) over the terms (a, b, c, d).  Where that overflows, the largest
+    log a + log b - log c - log d over the terms that do, each log off by
+    at most 745 eps of a value above 709; log1p rounds to the same value
+    there."""
+    best = _largest([_cross(*t) for t in terms])
+    if best != math.inf:
+        return log(best)
+    return max(
+        math.log(a) + math.log(b) - math.log(c) - math.log(d)
+        for a, b, c, d in terms
+        if _cross(a, b, c, d) == math.inf
+    )
+
+
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a b) for a, b > 0: math.sqrt of the product where that is a
+    normal float, and otherwise of the product of a and b scaled by even
+    powers of 2 into [1/2, 2), which rounds nothing.  So the bits are the
+    plain form's wherever it is in range, and sqrt(a a) is a."""
+    p = a * b
+    if _NORMAL <= p < math.inf:
+        return math.sqrt(p)
+    i, j = math.frexp(a)[1] // 2, math.frexp(b)[1] // 2
+    return math.ldexp(math.sqrt(math.ldexp(a, -2 * i) * math.ldexp(b, -2 * j)), i + j)
+
+
+def _over_product(r: float, d1: float, d2: float) -> float:
+    """r / (d1 d2) for distances with r <= d1 + d2: the quotient by the
+    product where that is a normal float, and otherwise divided by the
+    larger distance, at most 2, then by the smaller.  Either way it is in
+    range wherever the value is, and swapping d1 and d2 keeps the bits."""
+    p = d1 * d2
+    if _NORMAL <= p < math.inf:
+        return r / p
+    return r / d1 / d2 if d1 >= d2 else r / d2 / d1
 
 
 def _validated(mid: MetricId):
     """Decorator making a kernel the public metric ``mid``: it checks the
     domain's type and that ``mid`` is defined on it, then the number of
     boundary points if ``mid`` needs two, then x, then y; x == y gives 0.
-    Otherwise the kernel runs on the points and their gauges, on a finite
-    complement both points' distance rows."""
+    Otherwise the kernel runs on the points, their coordinate lists and
+    their gauges, on a finite complement both points' distance rows."""
     kinds = _DEFINED_ON[mid]
     needs_two = mid is MetricId.DELTA
 
@@ -159,8 +196,8 @@ def _validated(mid: MetricId):
             if xs == ys:
                 return 0.0
             if gx is None:
-                gx, gy = _distance_rows(domain, x, y)
-            return kernel(domain, x, y, gx, gy)
+                gx, gy = domain._distance_row(xs), domain._distance_row(ys)
+            return kernel(domain, x, y, xs, ys, gx, gy)
 
         return metric
 
@@ -168,29 +205,28 @@ def _validated(mid: MetricId):
 
 
 @_validated(MetricId.U)
-def u_metric(domain, x, y, gx, gy) -> float:
+def u_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Gromov hyperbolization metric.
 
     u(x, y) = 2 log[(|x-y| + max{d(x), d(y)}) / sqrt(d(x) d(y))]
     with d the distance to the boundary.
     """
     dx, dy = _boundary_distances(domain, gx, gy)
-    r = _dist(x, y)
-    return 2.0 * math.log((r + max(dx, dy)) / math.sqrt(dx * dy))
+    r = math.dist(xs, ys)
+    return 2.0 * math.log((r + max(dx, dy)) / _root_product(dx, dy))
 
 
 @_validated(MetricId.RHO)
-def rho(domain, x, y, gx, gy) -> float:
+def rho(domain, x, y, xs, ys, gx, gy) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
-    r = _dist(x, y)
+    r = math.dist(xs, ys)
     if isinstance(domain, UnitBall):
         # (1 - |x|^2) factored to keep precision near the boundary, and
         # grouped per point so that swapping x and y keeps the bits
         t = ((1.0 - gx) * (1.0 + gx)) * ((1.0 - gy) * (1.0 + gy))
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
-    h = 2.0 * gx * gy
-    r2 = r * r
-    return math.log1p((r2 + math.sqrt(r2 * r2 + 2.0 * h * r2)) / h)
+    # sinh(rho / 2) = |x-y| / (2 sqrt(x_n y_n))
+    return 2.0 * math.asinh(0.5 * (r / _root_product(gx, gy)))
 
 
 # rho's kernel, which delta and alpha equal on the ball and the half-space
@@ -198,24 +234,24 @@ _rho = rho.__wrapped__
 
 
 @_validated(MetricId.J_TILDE)
-def j_tilde(domain, x, y, gx, gy) -> float:
+def j_tilde(domain, x, y, xs, ys, gx, gy) -> float:
     """Distance-ratio metric, product form:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
-    r = _dist(x, y)
+    r = math.dist(xs, ys)
     dx, dy = _boundary_distances(domain, gx, gy)
     return 0.5 * (math.log1p(r / dx) + math.log1p(r / dy))
 
 
 @_validated(MetricId.J)
-def j_metric(domain, x, y, gx, gy) -> float:
+def j_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
-    r = _dist(x, y)
+    r = math.dist(xs, ys)
     return math.log1p(r / min(_boundary_distances(domain, gx, gy)))
 
 
 @_validated(MetricId.DELTA)
-def delta_metric(domain, x, y, gx, gy) -> float:
+def delta_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Boundary-pair (Seittenranta) metric log(1 + sup |p,x,q,y|).
 
     On the ball and the half-space the supremum reproduces the hyperbolic
@@ -225,20 +261,20 @@ def delta_metric(domain, x, y, gx, gy) -> float:
     two boundary points every pair is rejected, x == y included.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y, gx, gy)
-    # |p,x,q,y| over removed pairs, p = q giving 0; an entry at infinity
-    # leaves |x-y| over the other entry's distance; gx, gy are the rows
-    # |p-x| and |q-y|
-    r = _dist(x, y)
+        return _rho(domain, x, y, xs, ys, gx, gy)
+    # |p,x,q,y| = |p-q| |x-y| / (|p-x| |q-y|) over removed pairs, 0 at
+    # p = q; an entry at infinity leaves |x-y| over the other entry's
+    # distance; gx, gy are the rows |p-x| and |q-y|
+    r = math.dist(xs, ys)
     rows = domain.removed_distance_rows
-    best = _largest([_over(pq * r, px * qy) for px, row in zip(gx, rows) for pq, qy in zip(row, gy)])
+    terms = [(pq, r, px, qy) for px, row in zip(gx, rows) for pq, qy in zip(row, gy)]
     if domain.includes_infinity_boundary:
-        best = max(best, r / min(gy), r / min(gx))
-    return math.log1p(best)
+        terms += [(r, 1.0, min(gy), 1.0), (r, 1.0, min(gx), 1.0)]
+    return _log_of_largest(terms, math.log1p)
 
 
 @_validated(MetricId.ALPHA)
-def alpha_metric(domain, x, y, gx, gy) -> float:
+def alpha_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Apollonian metric sup_{p,q} log |p,x,y,q|, evaluated as the sum of
     the two single-boundary-point suprema the cross-ratio splits into.
 
@@ -248,7 +284,7 @@ def alpha_metric(domain, x, y, gx, gy) -> float:
     contributes value 0 to each.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y, gx, gy)
+        return _rho(domain, x, y, xs, ys, gx, gy)
     # log is monotone, so each factor takes it once, of its largest ratio
     a = _largest_ratio(gy, gx)
     b = _largest_ratio(gx, gy)
@@ -258,27 +294,27 @@ def alpha_metric(domain, x, y, gx, gy) -> float:
 
 
 @_validated(MetricId.ALPHA)
-def alpha_pair_form(domain, x, y, gx, gy) -> float:
+def alpha_pair_form(domain, x, y, xs, ys, gx, gy) -> float:
     """Apollonian metric evaluated as a genuine supremum over boundary
     pairs (p, q) of log |p,x,y,q|.
 
     On the ball and the half-space it is rho, as :func:`alpha_metric`.
     On a finite complement it is the exact maximum over admissible pairs:
-    coincident pairs give 0 and pairs with both entries at infinity are
+    coincident pairs give 1 and pairs with both entries at infinity are
     not admissible.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
-        return _rho(domain, x, y, gx, gy)
-    # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|), 1 at p = q; log is
-    # monotone, so it is taken once, of the largest ratio
-    best = _largest([_over(py * qx, px * qy) for px, py in zip(gx, gy) for qx, qy in zip(gx, gy)])
+        return _rho(domain, x, y, xs, ys, gx, gy)
+    # |p,x,y,q| = |p-y| |x-q| / (|p-x| |y-q|); an entry at infinity
+    # leaves the ratio of the other entry's distances
+    terms = [(py, qx, px, qy) for px, py in zip(gx, gy) for qx, qy in zip(gx, gy)]
     if domain.includes_infinity_boundary:
-        best = max(best, _largest_ratio(gx, gy), _largest_ratio(gy, gx))
-    return math.log(best)
+        terms += [(a, 1.0, b, 1.0) for a, b in zip(gx, gy)] + [(b, 1.0, a, 1.0) for a, b in zip(gx, gy)]
+    return _log_of_largest(terms, math.log)
 
 
 @_validated(MetricId.ETA)
-def eta_metric(domain, x, y, gx, gy) -> float:
+def eta_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Quasihyperbolic-type boundary metric sup_p |log(|x-p| / |y-p|)|,
     the supremum running over the finite boundary.
 
@@ -289,19 +325,22 @@ def eta_metric(domain, x, y, gx, gy) -> float:
     ball; (|x-y| + sqrt(|x-y|^2 + 4 x_n y_n)) / (2 y_n) on the half-space.
     """
     if isinstance(domain, UnitBall):
-        r = _dist(x, y)
+        r = math.dist(xs, ys)
         # both lambdas share the numerator; 1 - |v|^2 is factored, and the
         # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
         tx, ty = (1.0 - gx) * (1.0 + gx), (1.0 - gy) * (1.0 + gy)
         return math.log((math.sqrt(r * r + tx * ty) + r) / min(tx, ty))
     if isinstance(domain, UpperHalfSpace):
-        r = _dist(x, y)
-        return math.log((r + math.sqrt(r * r + 4.0 * gx * gy)) / (2.0 * min(gx, gy)))
+        # over n = min(x_n, y_n), with m = max(x_n, y_n) and h = |x-y| / 2n:
+        # h + sqrt(h^2 + m/n), which is at least 1, as lambda is
+        m, n = (gx, gy) if gx >= gy else (gy, gx)
+        h = 0.5 * (math.dist(xs, ys) / n)
+        return math.log(h + math.hypot(h, math.sqrt(m / n)))
     return math.log(max(_largest_ratio(gx, gy), _largest_ratio(gy, gx)))
 
 
 @_validated(MetricId.CASSINIAN)
-def cassinian(domain, x, y, gx, gy) -> float:
+def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
     """Cassinian metric sup_p |x-y| / (|x-p| |y-p|) over the finite boundary.
 
     On the half-space the product of distances is least on the boundary
@@ -313,16 +352,14 @@ def cassinian(domain, x, y, gx, gy) -> float:
     over the least product that :func:`hypmetrics.geometry.boundary_sup`
     solves for.
     """
-    r = _dist(x, y)
+    r = math.dist(xs, ys)
     if isinstance(domain, FiniteComplement):
-        return _largest([_over(r, px * py) for px, py in zip(gx, gy)])
+        return _largest([_over_product(r, px, py) for px, py in zip(gx, gy)])
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
-        a, b = _canonical_pair(x, y)
-        ha, hb = float(a[-1]), float(b[-1])
-        horiz = b - a
-        horiz[-1] = 0.0
-        ell = math.sqrt(horiz.dot(horiz))
+        a, b = (xs, ys) if _canonical_pair(x, y)[0] is x else (ys, xs)
+        ha, hb = a[-1], b[-1]
+        ell = math.dist(a[:-1], b[:-1])
         # lengths in units of s; tau = s (t + el/2), centred between the
         # feet, turns the cubic into t^3 + p t + q
         s = ell + ha + hb
@@ -330,12 +367,12 @@ def cassinian(domain, x, y, gx, gy) -> float:
         p = (2.0 * (ea * ea + eb * eb) - el * el) / 4.0
         q = el * (eb * eb - ea * ea) / 4.0
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
-        return max(r / (math.hypot(t, ha) * math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
+        return max(_over_product(r, math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
     return r / boundary_sup(x, y, "product")
 
 
 @_validated(MetricId.TRIANGULAR)
-def triangular_ratio(domain, x, y, gx, gy) -> float:
+def triangular_ratio(domain, x, y, xs, ys, gx, gy) -> float:
     """Triangular ratio metric sup_p |x-y| / (|x-p| + |y-p|), a value in
     [0, 1] (1 exactly when the segment xy meets the boundary).
 
@@ -345,14 +382,12 @@ def triangular_ratio(domain, x, y, gx, gy) -> float:
     solves for, at an arc end or at a reflection point, a root of the
     Ptolemy-Alhazen quartic.
     """
-    r = _dist(x, y)
+    r = math.dist(xs, ys)
     if isinstance(domain, UpperHalfSpace):
         # the shortest path from x over the boundary to y is |x - mirror(y)|
-        mirror = y.copy()
-        mirror[-1] = -mirror[-1]
-        return r / _dist(x, mirror)
+        return r / math.dist(xs, [*ys[:-1], -ys[-1]])
     if isinstance(domain, FiniteComplement):
-        v = _largest([_over(r, px + py) for px, py in zip(gx, gy)])
+        v = _largest([r / (px + py) for px, py in zip(gx, gy)])
     else:
         v = r / boundary_sup(x, y, "sum")
     return min(v, 1.0)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from hypmetrics import cli
@@ -84,15 +85,33 @@ class TestEval:
             ("rho", "0,0,1e-200", "1,0,1e-200"),
         ],
     )
-    def test_overflow_exits_2(self, capsys, metric, x, y):
-        # squared coordinates overflow: u comes out nan and rho inf; the
-        # products d(x) d(y) and 2 x_n y_n of heights 1e-200 underflow to
-        # 0 and raise ZeroDivisionError
+    def test_formerly_overflowing_points_evaluate(self, capsys, metric, x, y):
+        # squares of coordinates beyond 1e154, and products of heights of
+        # 1e-200, leave the float range; the kernels form neither.  The
+        # printed value is checked against a 50-digit evaluation at the
+        # same floats
         code, out, err = run(
             capsys, "eval", "--domain", "halfspace", "--metric", metric, "-x", x, "-y", y
         )
+        assert (code, err) == (0, "")
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        xs, ys = ([mp.mpf(float(c)) for c in p.split(",")] for p in (x, y))
+        r = mp.sqrt(mp.fsum((a - b) ** 2 for a, b in zip(xs, ys)))
+        hx, hy = xs[-1], ys[-1]
+        if metric == "u":
+            want = 2 * mp.log((r + max(hx, hy)) / mp.sqrt(hx * hy))
+        else:
+            want = 2 * mp.asinh(r / (2 * mp.sqrt(hx * hy)))
+        assert abs(float(out) - want) <= 1e-11 * want, (out, want)
+
+    def test_non_finite_value_exits_2(self, capsys):
+        # |x - y| = 2e308 is beyond the float range, so u is inf
+        code, out, err = run(
+            capsys, "eval", "--domain", "halfspace", "--metric", "u", "-x", "1e308,1", "-y", "-1e308,1"
+        )
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {metric} evaluates to ")
+        assert err.startswith("error: u evaluates to inf at these points")
         assert "too large" in err and "double precision" in err
 
     def test_no_infinity_boundary_changes_the_domain(self, capsys):
@@ -381,11 +400,17 @@ class TestProbe:
         assert err == f"error: probe schedule values must be finite, got {float(value)!r}\n"
 
     def test_schedule_overflowing_the_family(self, capsys):
-        # finite, but the family's arithmetic overflows to nan there
-        argv = ["probe", "--id", "P6", "--schedule", "0.1,0.01,0.001,1e300", "--format", "json"]
+        # finite, but |x - y| = 2t is beyond the float range there; at
+        # t = 1e300 the family still gives 2 log 3
+        argv = ["probe", "--id", "P6", "--schedule", "0.1,0.01,0.001,1e308", "--format", "json"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == "error: probe P6: the estimate at t = 1e+300 is nan\n"
+        assert err == "error: probe P6: the estimate at t = 1e+308 is inf\n"
+        argv = ["probe", "--id", "P6", "--schedule", "0.1,0.01,0.001,1e300", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        # the report rounds estimates to 12 digits; the deviation from 2 log 3 is exact
+        assert json.loads(out)[0]["final_deviation"] == 0.0
 
     def test_schedule_where_the_family_is_undefined(self, capsys):
         # the family's own parameter check fails; the error names probe and t

@@ -2,8 +2,8 @@
 the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module defines a private name nothing
 uses, no module calls ``np.dot``, no metric kernel re-derives what the
-validating wrapper measured, and every field of a catalog declaration is
-read."""
+validating wrapper measured or computes with numpy, and every field of a
+catalog declaration is read."""
 
 import ast
 import dataclasses
@@ -138,7 +138,14 @@ def test_no_module_calls_np_dot():
 
 
 # what the metric wrapper computes once per call and hands to the kernel
-_WRAPPER_WORK = {"distance_to_boundary", "contains", "same_point", "_member", "_distance_rows"}
+_WRAPPER_WORK = {"distance_to_boundary", "contains", "same_point", "_checked_point", "_distance_row"}
+
+
+def _is_kernel(node: ast.AST) -> bool:
+    """Whether ``node`` is a function decorated with ``_validated(...)``."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_validated" for d in node.decorator_list
+    )
 
 
 def _kernel_rederivations(path: Path) -> dict[str, list[str]]:
@@ -147,11 +154,7 @@ def _kernel_rederivations(path: Path) -> dict[str, list[str]]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if not any(
-            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_validated" for d in node.decorator_list
-        ):
+        if not _is_kernel(node):
             continue
         found[node.name] = sorted(
             name
@@ -168,6 +171,56 @@ def test_no_metric_kernel_rederives_what_validation_measured():
     found = _kernel_rederivations(Path(hypmetrics.__file__).parent / "metrics.py")
     assert len(found) == 10
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _body_nodes(fn: ast.FunctionDef):
+    """Every node of the body of ``fn``, its decorators left out."""
+    for stmt in fn.body:
+        yield from ast.walk(stmt)
+
+
+def _numpy_uses(fn: ast.FunctionDef) -> list[str]:
+    """Where the body of ``fn`` uses numpy: the names ``np`` and
+    ``numpy``, and the array methods ``dot`` and ``vecdot``."""
+    nodes = list(_body_nodes(fn))
+    return sorted(
+        {n.id for n in nodes if isinstance(n, ast.Name) and n.id in ("np", "numpy")}
+        | {n.attr for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("dot", "vecdot")}
+    )
+
+
+def _reached(fn: ast.FunctionDef, functions: dict[str, ast.FunctionDef]) -> list[ast.FunctionDef]:
+    """``fn`` and every function of ``functions`` that its body names,
+    directly or through those it reaches."""
+    seen, todo = {fn.name: fn}, [fn]
+    while todo:
+        for n in _body_nodes(todo.pop()):
+            if isinstance(n, ast.Name) and n.id in functions and n.id not in seen:
+                seen[n.id] = functions[n.id]
+                todo.append(functions[n.id])
+    return list(seen.values())
+
+
+def test_no_metric_kernel_computes_with_numpy():
+    # the kernels take every length with math.dist or math.hypot from the
+    # coordinate lists; the point arrays only reach boundary_sup and
+    # _canonical_pair, which read them without numpy arithmetic
+    package = Path(hypmetrics.__file__).parent
+    functions = {
+        node.name: node
+        for name in ("geometry", "metrics")
+        for node in ast.parse((package / f"{name}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    kernels = [fn for fn in functions.values() if _is_kernel(fn)]
+    assert len(kernels) == 10
+    uses = {
+        f"{kernel.name} -> {fn.name}": found
+        for kernel in kernels
+        for fn in _reached(kernel, functions)
+        if (found := _numpy_uses(fn))
+    }
+    assert uses == {}
 
 
 def _attribute_reads(package: Path) -> set[str]:

@@ -198,6 +198,25 @@ class TestDomains:
         with pytest.raises(ValueError):
             d.centroid[0] = 2.0
 
+    @pytest.mark.parametrize(
+        "x",
+        [["0.5", "0", "0"], [0.5, 0], [[0.5, 0], [0.25, 1]], 0.5],
+        ids=["numeric-strings", "short", "short-rows", "scalar"],
+    )
+    def test_complement_distances_take_only_points_of_the_domain(self, x):
+        d = FiniteComplement(3, [[0.0, 0.0, 0.0]])
+        with pytest.raises(ParameterError):
+            d.distances(x)
+
+    def test_complement_distances_keep_leading_axes(self):
+        d = FiniteComplement(3, [E1, [0.0, 2.5, 0.0]])
+        pts = np.arange(24.0).reshape(2, 4, 3)
+        got = d.distances(pts)
+        assert got.shape == (2, 4, 2)
+        assert got.tolist() == [[[math.dist(p, q) for q in d.removed.tolist()] for p in row] for row in pts.tolist()]
+        assert d.distances(pts[0, 0].tolist()).tolist() == got[0, 0].tolist()
+        assert d.distances(np.zeros((0, 3))).shape == (0, 2)
+
     def test_complement_distance_to_boundary_is_the_least_distance(self):
         rng = np.random.default_rng(5)
         d = FiniteComplement(3, [E1, -E1, [0.0, 1e-6, 0.0]])
@@ -641,10 +660,12 @@ class TestCubicRoots:
 
 
 class TestDirectCallsMatchNumpyWrappers:
-    """The per-point path computes norms as math.sqrt(np.dot(v, v)), and
-    finiteness, equality and finite-complement membership on Python
-    floats; each must decide as the numpy expression it replaces, in the
-    regimes the sampler stresses and on IEEE edge coordinates."""
+    """The per-point path takes norms with math.hypot and distances with
+    math.dist of the coordinate lists, and decides finiteness, equality
+    and finite-complement membership on Python floats.  Norms and
+    distances must be within one ulp of a 50-digit evaluation, and the
+    decisions as the numpy expressions they replace, in the regimes the
+    sampler stresses and on IEEE edge coordinates."""
 
     # signed zeros, infinities, nan, the smallest subnormal, the smallest
     # normal and values near the top of the range
@@ -666,12 +687,18 @@ class TestDirectCallsMatchNumpyWrappers:
         pts += [np.eye(n)[0], np.nextafter(1.0, 0.0) * np.eye(n)[-1], np.zeros(n)]
         return pts
 
+    @staticmethod
+    def _assert_within_an_ulp(got: float, coords) -> None:
+        exact = MP.sqrt(MP.fsum(MP.mpf(c) ** 2 for c in coords))
+        assert abs(MP.mpf(got) - exact) <= math.ulp(got), (coords, got)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_ball_methods(self, n):
         b = UnitBall(n)
         radii = []
         for x in self._ball_points(n):
-            norm = float(np.linalg.norm(x))
+            norm = math.hypot(*x.tolist())
+            self._assert_within_an_ulp(norm, x.tolist())
             radii.append(norm)
             assert b.contains(x) == (norm < 1.0)
             d = b.distance_to_boundary(x)
@@ -684,15 +711,15 @@ class TestDirectCallsMatchNumpyWrappers:
         b = UnitBall(3)
         pts = self._ball_points(3)
         for x, y in zip(pts[:-3], pts[1:-3]):
-            nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
-            r = float(np.linalg.norm(x - y))
+            nx, ny = math.hypot(*x.tolist()), math.hypot(*y.tolist())
+            r = math.dist(x.tolist(), y.tolist())
             t = ((1.0 - nx) * (1.0 + nx)) * ((1.0 - ny) * (1.0 + ny))
             expected = 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
             assert rho(b, x, y).hex() == expected.hex()
 
     def test_norms_of_sampler_vectors(self):
         # unit directions, ball points, and the horizontal offsets of
-        # half-space pairs with heights 1e-6..1e6
+        # half-space pairs with heights 1e-6..1e6, and the pairs' distances
         from hypmetrics.suite import _unit, sample_pair
 
         rng = np.random.default_rng(7)
@@ -703,8 +730,10 @@ class TestDirectCallsMatchNumpyWrappers:
             horiz = y - x
             horiz[-1] = 0.0
             vectors += [x, horiz]
+            diff = [MP.mpf(a) - MP.mpf(b) for a, b in zip(x.tolist(), y.tolist())]
+            self._assert_within_an_ulp(math.dist(x.tolist(), y.tolist()), diff)
         for v in vectors:
-            assert math.sqrt(np.dot(v, v)).hex() == float(np.linalg.norm(v)).hex()
+            self._assert_within_an_ulp(math.hypot(*v.tolist()), v.tolist())
 
     @pytest.mark.parametrize(
         "x, y",

@@ -133,27 +133,27 @@ def test_each_point_is_validated_once(domain, monkeypatch):
     ids=_domain_id,
 )
 def test_one_distance_table_per_complement_call(domain, monkeypatch):
-    # the wrapper builds both points' distance rows in one table, which no
-    # kernel builds again; distance_to_boundary goes through distances
-    # too, so a second table shows either way
-    tables = []
-    distances = FiniteComplement.distances
+    # the wrapper takes each point's distance row once, which no kernel
+    # takes again; distance_to_boundary goes through the same row method,
+    # so a second row shows either way
+    rows = []
+    distance_row = FiniteComplement._distance_row
 
-    def counted_distances(self, x):
-        tables.append(np.shape(x))
-        return distances(self, x)
+    def counted_distance_row(self, coords):
+        rows.append(list(coords))
+        return distance_row(self, coords)
 
     domain.removed_distance_rows  # cached before counting
-    monkeypatch.setattr(FiniteComplement, "distances", counted_distances)
+    monkeypatch.setattr(FiniteComplement, "_distance_row", counted_distance_row)
     rng = np.random.default_rng(11)
     for _ in range(3):
         x, y = sample_pair(domain, rng)
         for fn in PUBLIC_METRICS:
             if fn is rho:
                 continue
-            tables.clear()
+            rows.clear()
             fn(domain, x, y)
-            assert tables == [(2, domain.dim)], fn.__name__
+            assert rows == [x.tolist(), y.tolist()], fn.__name__
 
 
 class TestU:
@@ -318,9 +318,9 @@ def _delta_pair_sup(domain, x, y, n=201, rounds=10):
 
 @pytest.mark.parametrize("infinity", [True, False])
 def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
-    # the array reductions do the loops' arithmetic, so they agree exactly;
-    # the point at infinity gives |p,x,y,q| its limit, ratio 1 in each
-    # Apollonian factor and 0 in the eta, Cassinian and s functionals
+    # the reductions do the loops' arithmetic on the same math.dist distances,
+    # so they agree exactly; the point at infinity gives |p,x,y,q| its limit,
+    # ratio 1 in each Apollonian factor and 0 in the eta, Cassinian and s functionals
     from hypmetrics.geometry import INFINITY, cross_ratio
     from hypmetrics.suite import sample_pair
 
@@ -330,8 +330,8 @@ def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
     rng = np.random.default_rng(8)
     for _ in range(100):
         x, y = sample_pair(d, rng)
-        r = math.sqrt(float(np.dot(x - y, x - y)))
-        dist = [(math.sqrt(float(np.dot(x - p, x - p))), math.sqrt(float(np.dot(y - p, y - p)))) for p in d.removed]
+        r = math.dist(x.tolist(), y.tolist())
+        dist = [(math.dist(x.tolist(), p), math.dist(y.tolist(), p)) for p in d.removed.tolist()]
         delta = math.log1p(max(cross_ratio(p, x, q, y) for p, q in pairs))
         alpha = max(math.log(cross_ratio(p, x, y, q)) for p, q in pairs)
         at_infinity = [1.0] if infinity else []

@@ -5,7 +5,10 @@ Each reference evaluates its formula in mpmath at the exact binary value
 of the float inputs, so a comparison sees only the package's own
 rounding.  The inputs cover the regimes the sampler stresses: ball radii
 up to 1 - 1e-6, half-space heights from 1e-6 to 1e6, and clouds of sigma
-down to 1e-6 around punctures.
+down to 1e-6 around punctures.  A second test covers the float range:
+half-space pairs scaled by 1e-300 to 1e300, complement points 1e-170
+and 1e-250 from a puncture, and complement points 1e200 away, where
+every value must come out finite.
 
 The one-sided Apollonian supremum lambda(x, y) = sup_p |p-x| / |p-y|
 over the boundary is the ratio at which the Apollonian sphere around y
@@ -77,13 +80,15 @@ def _least_foot_product(x, y):
     """Least g(tau) = (tau^2 + h_x^2) ((tau-l)^2 + h_y^2) on the boundary
     line through the feet of x and y (at tau = 0 and tau = l): the least
     squared product of the distances to the half-space boundary."""
-    ell = _dist(x[:-1], y[:-1])
-    hx, hy = x[-1], y[-1]
+    # solved in units of s = l + h_x + h_y, so that the coefficients are
+    # of order 1 at every scale; g scales as s^4
+    s = _dist(x[:-1], y[:-1]) + x[-1] + y[-1]
+    ell, hx, hy = _dist(x[:-1], y[:-1]) / s, x[-1] / s, y[-1] / s
     roots = MP.polyroots([2, -3 * ell, ell**2 + hx**2 + hy**2, -ell * hx**2], maxsteps=200, extraprec=200)
     # the real part of any root is a boundary point too, so taking it for
     # the complex roots adds candidates without passing the minimum
     taus = [MP.zero, ell] + [MP.re(t) for t in roots]
-    return min((t * t + hx * hx) * ((t - ell) ** 2 + hy * hy) for t in taus)
+    return s**4 * min((t * t + hx * hx) * ((t - ell) ** 2 + hy * hy) for t in taus)
 
 
 def _plane_pair(x, y):
@@ -147,10 +152,18 @@ def reference(domain, name, x, y):
         return MP.log(1 + r / min(dx, dy))
     if name == "j_tilde":
         return (MP.log(1 + r / dx) + MP.log(1 + r / dy)) / 2
-    if name == "rho":
+    if name == "rho" or (name == "delta" and not isinstance(domain, FiniteComplement)):
         if isinstance(domain, UnitBall):
             return 2 * MP.asinh(r / MP.sqrt((1 - _norm(x) ** 2) * (1 - _norm(y) ** 2)))
         return 2 * MP.asinh(r / (2 * MP.sqrt(x[-1] * y[-1])))
+    if name == "delta":
+        # the largest cross-ratio |p,x,q,y| over the finite boundary
+        pts = [_mp(p) for p in domain.removed]
+        best = max(_dist(p, q) * r / (_dist(p, x) * _dist(q, y)) for p in pts for q in pts)
+        if domain.includes_infinity_boundary:
+            # a pair with one entry at infinity leaves |x-y| over the other's distance
+            best = max([best] + [r / a for a in dxs + dys])
+        return MP.log(1 + best)
     if name == "eta":
         return MP.log(max(lam(domain, x, y), lam(domain, y, x)))
     if name == "alpha":
@@ -242,7 +255,7 @@ DOMAINS = [
 CLOSED = {
     UnitBall: ("u", "rho", "j", "j_tilde", "eta", "alpha"),
     UpperHalfSpace: ("u", "rho", "j", "j_tilde", "eta", "alpha", "cassinian", "triangular"),
-    FiniteComplement: ("u", "j", "j_tilde", "eta", "alpha", "cassinian", "triangular"),
+    FiniteComplement: ("u", "j", "j_tilde", "delta", "eta", "alpha", "cassinian", "triangular"),
 }
 CASES = [(d, name) for d in DOMAINS for name in CLOSED[type(d)]]
 
@@ -260,6 +273,74 @@ def test_metric_meets_its_50_digit_reference(domain, name):
     for x, y in _pairs(domain):
         got = evaluate_metric(domain, name, x, y)
         want = reference(domain, name, x, y)
+        assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, x, y, float(want)), (
+            name, x.tolist(), y.tolist(), got, float(want)
+        )
+        assert evaluate_metric(domain, name, y, x) == got, (name, x.tolist(), y.tolist())
+
+
+def _range_pairs(domain):
+    """Pairs over the float range, each a pair of the sampler's kind of
+    geometry at an extreme scale.
+
+    On the half-space: heights 1e-2 to 1e2 and offsets 0 to 1e2, the pair
+    scaled by 1e-300 to 1e300, so that heights and offsets run from 1e-302
+    to 1e302.  On a finite complement: points 1e-170 or 1e-250 from a
+    puncture (moved along the puncture's zero coordinates, so that the
+    offset survives rounding), paired with a point as near the same or
+    another puncture or with one at distance 10, and points about 1e200
+    away, paired with each other or with a point at distance 10.  A pair
+    mixing the two complement scales is left out: its distance ratios of
+    about 1e370 are beyond the float range.
+    """
+    rng = np.random.default_rng(3030 + domain.dim)
+    n = domain.dim
+    pairs = []
+    if isinstance(domain, UpperHalfSpace):
+        for scale in (1e-300, 1e-250, 1e-200, 1e-170, 1e-100, 1e100, 1e170, 1e200, 1e250, 1e300):
+            for hx, hy, offset in ((1e-2, 1.0, 0.0), (1.0, 1.0, 1.0), (1e2, 1e-2, 1e-2), (1.0, 1e2, 1e2), (1.0, 1.0, 1e-2)):
+                x, y = np.zeros(n), offset * np.append(_unit(rng, n - 1), 0.0)
+                x[-1], y[-1] = hx, hy
+                pairs.append((scale * x, scale * y))
+        return pairs
+
+    def near(p, tiny):
+        v = np.where(p == 0.0, rng.standard_normal(n), 0.0)
+        return p + tiny * rng.uniform(0.5, 2.0) * v / np.linalg.norm(v)
+
+    removed = list(domain.removed)
+    for tiny in (1e-170, 1e-250):
+        for p in removed:
+            x = near(p, tiny)
+            pairs += [(x, near(p, tiny)), (x, p + 10.0 * _unit(rng, n))]
+            pairs += [(x, near(q, tiny)) for q in removed if q is not p]
+    for _ in range(6):
+        x = 1e200 * rng.uniform(0.5, 2.0) * _unit(rng, n)
+        pairs += [(x, 1e200 * rng.uniform(0.5, 2.0) * _unit(rng, n)), (x, removed[0] + 10.0 * _unit(rng, n))]
+    return pairs
+
+
+RANGE_DOMAINS = [
+    UpperHalfSpace(2),
+    UpperHalfSpace(3),
+    FiniteComplement(3, [[0.0, 0.0, 0.0]]),
+    FiniteComplement(3, PUNCT3),
+    FiniteComplement(3, PUNCT3, includes_infinity_boundary=False),
+]
+RANGE_CASES = [
+    (d, name) for d in RANGE_DOMAINS for name in CLOSED[type(d)] + (("delta",) if isinstance(d, UpperHalfSpace) else ())
+]
+
+
+@pytest.mark.parametrize("domain, name", RANGE_CASES, ids=[_case_id(c) for c in RANGE_CASES])
+def test_metric_meets_its_reference_over_the_float_range(domain, name):
+    # no kernel squares a length or multiplies two where the product
+    # could leave the float range, so every value here is finite, within
+    # the same tolerance as in the sampler's regimes, and symmetric
+    for x, y in _range_pairs(domain):
+        got = evaluate_metric(domain, name, x, y)
+        want = reference(domain, name, x, y)
+        assert math.isfinite(got), (name, x.tolist(), y.tolist(), got)
         assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, x, y, float(want)), (
             name, x.tolist(), y.tolist(), got, float(want)
         )

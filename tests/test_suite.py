@@ -508,8 +508,11 @@ class TestRunProbe:
             run_probe(catalog().probe(probe_id), schedule_overrides=(0.5, 0.25, 0.125, t))
 
     def test_no_edge_parameter_escapes_as_a_traceback(self):
+        # the scales 1e150, 1e300 and 1e-170 square or multiply out of the
+        # float range; every value there comes out, or a ScheduleError
         ulp = math.ulp(1.0)
-        edges = (0.0, 1e-300, -1e-300, 1.0 - ulp / 2, 1.0 + ulp, 1.0, -1.0, 1.5, 1e308)
+        edges = (0.0, 1e-300, -1e-300, 1.0 - ulp / 2, 1.0 + ulp, 1.0, -1.0, 1.5, 1e308,
+                 1e150, -1e150, 1e300, -1e300, 1e-170, -1e-170)
         for probe in catalog().probes:
             for t in edges:
                 try:
