@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -365,9 +366,9 @@ def cross_ratio(p, x, q, y) -> float:
     return _cross(*num, *den)
 
 
-# the least positive normal float: a product at least this large (and
-# finite) is rounded as it would be with unbounded exponents
-_NORMAL = 2.2250738585072014e-308
+# the least positive normal float: a finite product at least this large
+# is rounded as it would be with unbounded exponents
+_NORMAL = sys.float_info.min
 
 
 def _cross(a: float, b: float, c: float, d: float) -> float:
