@@ -19,18 +19,19 @@ over Python floats.  A maximum with a NaN ratio is NaN
 differ by more than the float range.
 
 Every Euclidean distance is ``math.dist`` of two coordinate lists, which
-scales internally, and no kernel squares a length or multiplies two
-distances where the product could leave the float range: d(x) d(y)
-under a root is taken as sqrt(d(x)) sqrt(d(y)), the half-space's x_n y_n
-likewise, |x-y|^2 + 4 x_n y_n as a ``math.hypot``, and products of
-distances as matched ratios (:func:`hypmetrics.geometry._matched`) or
-as |x-y| over the larger distance, then the smaller; where the largest
-product of two ratios overflows, delta and alpha's pair form add their
-logarithms.  On the half-space and on finite complements a value in
-range therefore comes out finite for coordinates anywhere in the float
-range, short of two distances whose ratio is not (a point 1e-170 from a
-puncture beside one 1e200 away).  The ball's 1 - |x| is taken from the
-rounded |x| as before.
+scales internally.  A product that could leave the float range keeps its
+plain form where it is a normal float, so those bits are the plain
+form's, and is otherwise formed from its factors: sqrt(d(x) d(y)) and
+sqrt(x_n y_n) from factors scaled by even powers of 2
+(:func:`_root_product`), |x-y| over a product of two distances by the
+larger distance first (:func:`_over_product`), and a cross-ratio as two
+matched ratios (:func:`hypmetrics.geometry._cross`); where the largest
+cross-ratio overflows, delta and alpha's pair form add the logs of its
+lengths.  The half-space rho is 2 asinh and eta a ratio form.  On the
+half-space and on finite complements a value in range therefore comes
+out finite for coordinates anywhere in the float range, short of two
+lengths whose ratio is not (a point 1e-170 from a puncture beside one
+1e200 away).  On the ball 1 - |x| is taken from the rounded |x|.
 
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
@@ -57,9 +58,9 @@ from .geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
+    _NORMAL,
     _canonical_pair,
     _checked_point,
-    _NORMAL,
     _cross,
     _depressed_cubic_roots,
     _require_domain,
@@ -134,9 +135,9 @@ def _largest_ratio(nums: list[float], dens: list[float]) -> float:
 def _log_of_largest(terms: list[tuple[float, float, float, float]], log) -> float:
     """``log`` (math.log or math.log1p) of the largest cross-ratio a b /
     (c d) over the terms (a, b, c, d).  Where that overflows, the largest
-    log a + log b - log c - log d over the terms that do, each log off by
-    at most 745 eps of a value above 709; log1p rounds to the same value
-    there."""
+    log a + log b - log c - log d over the terms that do: each log is at
+    most 745 in size and the sum above 709, so it keeps 15 digits, and
+    log1p of so large a value rounds as log does."""
     best = _largest([_cross(*t) for t in terms])
     if best != math.inf:
         return log(best)
@@ -300,7 +301,7 @@ def alpha_pair_form(domain, x, y, xs, ys, gx, gy) -> float:
 
     On the ball and the half-space it is rho, as :func:`alpha_metric`.
     On a finite complement it is the exact maximum over admissible pairs:
-    coincident pairs give 1 and pairs with both entries at infinity are
+    coincident pairs give 0 and pairs with both entries at infinity are
     not admissible.
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
