@@ -125,8 +125,11 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
         arr = _real_array(p)
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ParameterError(f"point has non-finite coordinates: {arr.tolist()}")
+    coords = arr.tolist()
+    # a finite sum has only finite terms; an inf or NaN coordinate, or a
+    # sum that overflows, is decided coordinate by coordinate
+    if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):
+        raise ParameterError(f"point has non-finite coordinates: {coords}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
     return arr
@@ -299,13 +302,16 @@ def _require_domain(domain) -> None:
         raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
 
 
-def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float], float | None]:
+def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float], float | list[float]]:
     """Coerce ``p`` and check it is in ``domain``, a checked domain, in one
     pass; return the point, its coordinates as floats and its gauge: |x|
-    on the ball, x_n on the half-space, None on a finite complement.
+    on the ball, x_n on the half-space, and on a finite complement the
+    distance row |p - x| over the removed points p.
 
-    Membership is each domain's ``contains``, read from the gauge or the
-    coordinates, so the values agree bit for bit.
+    Membership agrees with each domain's ``contains``: it is read from
+    the same gauge on the ball and the half-space, and on a finite
+    complement from the row, where ``math.dist`` is 0 exactly when the
+    coordinates are equal (-0.0 equal to 0.0).
     """
     x = as_point(p, domain.dim)
     coords = x.tolist()
@@ -316,8 +322,8 @@ def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float
         gauge = coords[-1]
         inside = gauge > 0.0
     else:
-        gauge = None
-        inside = coords not in domain._removed_rows
+        gauge = domain._distance_row(coords)
+        inside = 0.0 not in gauge
     if not inside:
         raise DomainMembershipError(f"{name} {coords} is not in {domain!r}")
     return x, coords, gauge
@@ -529,13 +535,12 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
     product = kind == "product"
     sin, sqrt = math.sin, math.sqrt
-
-    def value(phi: float) -> float:
+    # the distance form at both arc ends, then at one root per minimum
+    values = []
+    for phi in (-w, w):
         sa, sb = sin(0.5 * (phi + w)), sin(0.5 * (phi - w))
         da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
-        return da * db if product else sqrt(da) + sqrt(db)
-
-    least = min(value(-w), value(w))
+        values.append(da * db if product else sqrt(da) + sqrt(db))
     umax = math.tan(0.5 * w)
     if umax > 0.0:
         s2, sw = sin(0.5 * w) ** 2, sin(w)
@@ -554,22 +559,24 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
             pmr = 2.0 * (ra * (1.0 - rb) + rb * (1.0 - ra)) - 4.0 * (ra + rb) * s2
             ppr = 4.0 * ra * rb + 2.0 * (ra + rb) * (1.0 - 2.0 * s2)
             c0, c1, c2, c3, c4 = q, pmr, 0.0, ppr, -q
-
-        def quartic(u: float) -> float:
-            return (((c4 * u + c3) * u + c2) * u + c1) * u + c0
-
-        knots = sorted([t for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4) if -umax < t < umax])
-        us = [-umax, *knots, umax]
+        knots = []
+        for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4):
+            if -umax < t < umax:
+                knots.append(t)
+        knots.sort()
         tol = 1e-15 * umax
-        pa = quartic(-umax)
-        for lo, hi in zip(us, us[1:]):
-            pb = quartic(hi)
-            if pa < 0.0 <= pb:
+        # the quartic at each knot, from the arc end -umax to umax
+        end = -umax
+        pe = (((c4 * end + c3) * end + c2) * end + c1) * end + c0
+        for knot in (*knots, umax):
+            pk = (((c4 * knot + c3) * knot + c2) * knot + c1) * knot + c0
+            if pe < 0.0 <= pk:
                 # Newton on the quartic, kept inside the piece, run until
                 # the step or the bracket is down to rounding
-                u = lo - pa * (hi - lo) / (pb - pa)
+                lo, hi = end, knot
+                u = lo - pe * (hi - lo) / (pk - pe)
                 for _ in range(100):
-                    p = quartic(u)
+                    p = (((c4 * u + c3) * u + c2) * u + c1) * u + c0
                     if p < 0.0:
                         lo = u
                     else:
@@ -583,6 +590,10 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
                         u = 0.5 * (lo + hi)
                     if hi - lo <= tol:
                         break
-                least = min(least, value(2.0 * math.atan(u)))
-            pa = pb
+                phi = 2.0 * math.atan(u)
+                sa, sb = sin(0.5 * (phi + w)), sin(0.5 * (phi - w))
+                da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
+                values.append(da * db if product else sqrt(da) + sqrt(db))
+            end, pe = knot, pk
+    least = min(values)
     return sqrt(least) if product else least

@@ -132,13 +132,31 @@ def _largest_ratio(nums: list[float], dens: list[float]) -> float:
     return _largest([n / d for n, d in zip(nums, dens)])
 
 
+def _largest_cross(terms: list[tuple[float, float, float, float]]) -> float:
+    """The largest cross-ratio a b / (c d) over the terms (a, b, c, d),
+    each formed as :func:`hypmetrics.geometry._cross` forms it, in one
+    loop; NaN if any is, as :func:`_largest` takes it."""
+    top = 0.0
+    for a, b, c, d in terms:
+        num, den = a * b, c * d
+        if _NORMAL <= num < math.inf and _NORMAL <= den < math.inf:
+            v = num / den
+        else:
+            v = _cross(a, b, c, d)
+        if v > top:
+            top = v
+        elif v != v:
+            return math.nan
+    return top
+
+
 def _log_of_largest(terms: list[tuple[float, float, float, float]], log) -> float:
     """``log`` (math.log or math.log1p) of the largest cross-ratio a b /
     (c d) over the terms (a, b, c, d).  Where that overflows, the largest
     log a + log b - log c - log d over the terms that do: each log is at
     most 745 in size and the sum above 709, so it keeps 15 digits, and
     log1p of so large a value rounds as log does."""
-    best = _largest([_cross(*t) for t in terms])
+    best = _largest_cross(terms)
     if best != math.inf:
         return log(best)
     return max(
@@ -171,6 +189,24 @@ def _over_product(r: float, d1: float, d2: float) -> float:
     return r / d1 / d2 if d1 >= d2 else r / d2 / d1
 
 
+def _largest_over_product(r: float, pairs) -> tuple[float, bool]:
+    """The largest r / (d1 d2) over the pairs (d1, d2), each formed as
+    :func:`_over_product` forms it, in one loop, and whether any is NaN.
+    The largest is taken as ``max`` takes it: a NaN first stays, a later
+    NaN is passed over."""
+    top, nan = -1.0, False
+    for d1, d2 in pairs:
+        p = d1 * d2
+        v = r / p if _NORMAL <= p < math.inf else _over_product(r, d1, d2)
+        if v > top:
+            top = v
+        elif v != v:
+            if top == -1.0:
+                top = v
+            nan = True
+    return top, nan
+
+
 def _validated(mid: MetricId):
     """Decorator making a kernel the public metric ``mid``: it checks the
     domain's type and that ``mid`` is defined on it, then the number of
@@ -196,8 +232,6 @@ def _validated(mid: MetricId):
             # IEEE == on Python floats, as geometry.same_point compares
             if xs == ys:
                 return 0.0
-            if gx is None:
-                gx, gy = domain._distance_row(xs), domain._distance_row(ys)
             return kernel(domain, x, y, xs, ys, gx, gy)
 
         return metric
@@ -355,7 +389,8 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
     """
     r = math.dist(xs, ys)
     if isinstance(domain, FiniteComplement):
-        return _largest([_over_product(r, px, py) for px, py in zip(gx, gy)])
+        top, nan = _largest_over_product(r, zip(gx, gy))
+        return math.nan if nan else top
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
         a, b = (xs, ys) if _canonical_pair(x, y)[0] is x else (ys, xs)
@@ -368,7 +403,8 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
         p = (2.0 * (ea * ea + eb * eb) - el * el) / 4.0
         q = el * (eb * eb - ea * ea) / 4.0
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
-        return max(_over_product(r, math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus))
+        pairs = [(math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus)]
+        return _largest_over_product(r, pairs)[0]
     return r / boundary_sup(x, y, "product")
 
 
