@@ -132,6 +132,17 @@ def _largest_ratio(nums: list[float], dens: list[float]) -> float:
     return _largest([n / d for n, d in zip(nums, dens)])
 
 
+def _log_of_largest_ratio(nums: list[float], dens: list[float]) -> float:
+    """log of the largest nums[i] / dens[i] for lengths > 0.  Where that
+    ratio leaves the float range (0 or inf), the largest log nums[i] -
+    log dens[i]: each log is at most 745 in size, so the difference is in
+    range wherever the value is."""
+    best = _largest_ratio(nums, dens)
+    if best == 0.0 or best == math.inf:
+        return max(math.log(n) - math.log(d) for n, d in zip(nums, dens))
+    return math.log(best)
+
+
 def _largest_cross(terms: list[tuple[float, float, float, float]]) -> float:
     """The largest cross-ratio a b / (c d) over the terms (a, b, c, d),
     each formed as :func:`hypmetrics.geometry._cross` forms it, in one
@@ -320,12 +331,13 @@ def alpha_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """
     if isinstance(domain, (UnitBall, UpperHalfSpace)):
         return _rho(domain, x, y, xs, ys, gx, gy)
-    # log is monotone, so each factor takes it once, of its largest ratio
-    a = _largest_ratio(gy, gx)
-    b = _largest_ratio(gx, gy)
+    # log is monotone, so each factor takes it once, of its largest ratio;
+    # the point at infinity's ratio 1 puts a floor of 0 under each log
+    a = _log_of_largest_ratio(gy, gx)
+    b = _log_of_largest_ratio(gx, gy)
     if domain.includes_infinity_boundary:
-        a, b = max(a, 1.0), max(b, 1.0)
-    return math.log(a) + math.log(b)
+        a, b = max(a, 0.0), max(b, 0.0)
+    return a + b
 
 
 @_validated(MetricId.ALPHA)

@@ -42,6 +42,16 @@ class TestEval:
         assert code == 0
         assert out.strip() == "2"
 
+    def test_complement_alpha_with_a_ratio_beyond_the_float_range(self, capsys):
+        # x is 7e-324 from the puncture, so |x| / |y| underflows to 0 and
+        # |y| / |x| overflows; the two logs cancel to the true value 0
+        code, out, err = run(
+            capsys, "eval", "--domain", "complement", "--remove", "0,0,0", "--no-infinity-boundary",
+            "--metric", "alpha", "-x", "5e-324,0,5e-324", "-y", "2,0,0",
+        )
+        assert code == 0 and err == ""
+        assert out.strip() == "0"
+
     def test_metric_defaults_to_u(self, capsys):
         code, out, _ = run(capsys, "eval", "--domain", "ball", "-x", "0,0,0", "-y", "0.5,0,0")
         assert code == 0

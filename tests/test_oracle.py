@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace
-from hypmetrics.metrics import evaluate_metric
+from hypmetrics.metrics import alpha_pair_form, evaluate_metric
 from hypmetrics.suite import sample_pair
 
 MP = mpmath.MPContext()
@@ -345,6 +345,21 @@ def test_metric_meets_its_reference_over_the_float_range(domain, name):
             name, x.tolist(), y.tolist(), got, float(want)
         )
         assert evaluate_metric(domain, name, y, x) == got, (name, x.tolist(), y.tolist())
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["inf", "noinf"])
+def test_alpha_with_a_ratio_beyond_the_float_range(flag):
+    # 1e-170 from a puncture beside a point 1e200 away, the tiny-huge pair
+    # of tests/test_bit_identity.py: the largest ratio |p-y| / |p-x| of
+    # about 1e370 overflows, and its log is taken as a difference of logs
+    domain = FiniteComplement(3, PUNCT3, includes_infinity_boundary=flag)
+    x, y = np.array([1e-170, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])
+    for a, b in ((x, y), (y, x)):
+        got = evaluate_metric(domain, "alpha", a, b)
+        want = reference(domain, "alpha", a, b)
+        assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, a, b, float(want)), (got, float(want))
+        pair = alpha_pair_form(domain, a, b)
+        assert abs(pair - got) <= tolerance(domain, a, b, float(want)), (got, pair)
 
 
 @pytest.mark.parametrize("domain", [UnitBall(2), UnitBall(3)], ids=repr)
