@@ -2,8 +2,9 @@
 the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module defines a private name nothing
 uses, no module calls ``np.dot``, no metric kernel re-derives what the
-validating wrapper measured or computes with numpy, and every field of a
-catalog declaration is read."""
+validating wrapper measured or computes with numpy, no function that runs
+on every metric call defines a closure, and every field of a catalog
+declaration is read."""
 
 import ast
 import dataclasses
@@ -221,6 +222,35 @@ def test_no_metric_kernel_computes_with_numpy():
         if (found := _numpy_uses(fn))
     }
     assert uses == {}
+
+
+# the per-point pass and the ball's root solve, which run on every call
+_PER_CALL = {"geometry": ("as_point", "_checked_point", "boundary_sup")}
+
+
+def _nested_functions(package: Path) -> dict[str, list[str]]:
+    """For each function of ``_PER_CALL`` and each metric kernel, the
+    functions its body defines: a nested ``def`` by its name, a
+    ``lambda`` as "lambda"."""
+    found = {}
+    for module in ("geometry", "metrics"):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and (fn.name in _PER_CALL.get(module, ()) or _is_kernel(fn))):
+                continue
+            found[f"{module}.{fn.name}"] = sorted(
+                "lambda" if isinstance(n, ast.Lambda) else n.name
+                for n in _body_nodes(fn)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            )
+    return found
+
+
+def test_no_per_call_function_defines_a_closure():
+    # a nested def or lambda is a new function object on every call
+    found = _nested_functions(Path(hypmetrics.__file__).parent)
+    assert len(found) == 3 + 10
+    assert {name: nested for name, nested in found.items() if nested} == {}
 
 
 def _attribute_reads(package: Path) -> set[str]:

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypmetrics.geometry as geo
 from hypmetrics.geometry import (
@@ -757,6 +759,44 @@ class TestDirectCallsMatchNumpyWrappers:
                 accepted = False
             assert accepted == bool(np.isfinite(a).all()), a
 
+    # a sum that is NaN (inf - inf) or overflows although every
+    # coordinate is finite, next to the non-finite, subnormal and signed
+    # zero coordinates
+    SUM_EDGE_POINTS = [
+        [math.inf, 0.0, 0.0],
+        [0.0, -math.inf, 0.0],
+        [0.0, 0.0, math.nan],
+        [math.inf, -math.inf, 0.0],
+        [1e308, 1e308, 0.0],
+        [-1e308, -1e308, 1e308],
+        [1.7976931348623157e308, 1.7976931348623157e308, -1.7976931348623157e308],
+        [5e-324, -5e-324, 0.0],
+        [TINY, 5e-324, -0.0],
+        [-0.0, -0.0, -0.0],
+    ]
+
+    @staticmethod
+    def _accepted(p) -> bool:
+        try:
+            as_point(p)
+        except ParameterError:
+            return False
+        return True
+
+    def test_finiteness_is_decided_coordinate_by_coordinate(self):
+        for p in self.SUM_EDGE_POINTS:
+            assert self._accepted(p) == all(map(math.isfinite, p)), p
+        # a sum that overflows rejects nothing: a decision by the sum alone
+        # would reject these points
+        overflow = [p for p in self.SUM_EDGE_POINTS if all(map(math.isfinite, p)) and not math.isfinite(sum(p))]
+        assert len(overflow) == 3
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])),
+                    min_size=2, max_size=4))
+    def test_finiteness_of_float_tuples(self, p):
+        assert self._accepted(p) == all(map(math.isfinite, p)), p
+
     def test_equality_on_edge_coordinates(self):
         for x, y in itertools.product(self.EDGE_POINTS, repeat=2):
             if x.size == y.size:
@@ -776,3 +816,49 @@ class TestDirectCallsMatchNumpyWrappers:
         # duplicates are found under the same equality
         with pytest.raises(ParameterError, match="pairwise distinct"):
             FiniteComplement(2, [[0.0, 1.0], [-0.0, 1.0]])
+
+    @staticmethod
+    def _validated_member(domain, x) -> bool:
+        """Whether a metric call takes x, whose membership the validating
+        pass reads from its distance row."""
+        try:
+            u_metric(domain, x, x)
+        except DomainMembershipError:
+            return False
+        return True
+
+    def test_membership_read_from_the_distance_row(self):
+        c = FiniteComplement(3, [[0.0, 0.0, 0.0], [1.0, -0.0, 2.0], [5e-324, 1e308, -1e308]])
+        for p in c.removed.tolist():
+            # each removed point, with every zero's sign flipped, is rejected
+            # with the message of a coordinate comparison
+            q = [-v if v == 0.0 else v for v in p]
+            for x in (p, q):
+                with pytest.raises(DomainMembershipError) as exc:
+                    j_metric(c, x, [0.5, 0.5, 0.5])
+                assert str(exc.value) == f"x {[float(v) for v in x]} is not in {c!r}"
+                with pytest.raises(DomainMembershipError):
+                    require_member(c, x)
+        # a point 5e-324 or 1e-300 from a puncture is in the domain
+        for offset in (5e-324, 1e-300):
+            for x in ([offset, 0.0, 0.0], [0.0, 0.0, -offset], [1.0, offset, 2.0]):
+                assert c.contains(x) and self._validated_member(c, x)
+                assert min(c.distances(x).tolist()) > 0.0
+
+    def test_membership_of_the_validating_pass_is_contains(self):
+        from hypmetrics.suite import sample_point
+
+        rng = np.random.default_rng(24)
+        c = FiniteComplement(3, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 1.0]])
+        points = [sample_point(c, rng) for _ in range(300)]
+        for p in c.removed:
+            points += [p, -p, np.nextafter(p, 1.0), np.nextafter(p, -1.0), p + 5e-324, p - 1e-300]
+        edge = FiniteComplement(2, [[0.0, -0.0], [5e-324, 1e308], [-1e308, self.TINY], [1.0, -0.0]])
+        pairs = [(c, x) for x in points] + [(edge, x) for x in self.EDGE_POINTS if x.size == 2]
+        decided = set()
+        for domain, x in pairs:
+            if not np.isfinite(x).all():
+                continue
+            assert self._validated_member(domain, x) == domain.contains(x), x.tolist()
+            decided.add(domain.contains(x))
+        assert decided == {True, False}
