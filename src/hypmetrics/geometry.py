@@ -22,17 +22,22 @@ the distance form at one boundary point, so it is an upper bound on the
 true minimum up to the rounding of 1 - |x|, amplified by 1/d with d the
 distance to the sphere: for a pair 1e-6 from the sphere and 1e-6 apart
 the Cassinian metric comes out 3.6e-11 relative above its true value.
+The solver defines no function per call: the distance form and the
+quartic are written out where they are evaluated.
 
 Points are validated once, at the public entry points: require_member
 and distance_to_boundary, and the metric functions, which check the
 domain's type themselves and each point with ``_checked_point``.  That
-one pass per point coerces it (:func:`as_point`), checks membership and
-returns what the check measured: the point, its coordinates as floats
-and its gauge, |x| on the ball (:func:`_ball_gauge`, which the ball's
-domain methods read as well) and x_n on the half-space.  The domain
-methods check only that a point is a real vector of their dimension
-(:func:`_domain_vector`); the metric kernels and boundary_sup take
-trusted points.
+one pass per point coerces it (:func:`as_point`, which tests each
+coordinate for finiteness only where their sum is not finite), checks
+membership and returns what the check measured: the point, its
+coordinates as floats and its gauge, |x| on the ball
+(:func:`_ball_gauge`, which the ball's domain methods read as well), x_n
+on the half-space and the distance row to the removed points on a
+finite complement, where membership is read as no distance being 0.
+The domain methods check only that a point is a real vector of their
+dimension (:func:`_domain_vector`); the metric kernels and boundary_sup
+take trusted points.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -111,7 +116,8 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     """Coerce ``p`` to a finite point of R^n, n >= 2.
 
     Coordinates are real numbers: Python or numpy ints and floats, never
-    strings or complex values.  Rejects NaN and infinite coordinates;
+    strings or complex values.  Rejects NaN and infinite coordinates,
+    and only those: finite coordinates whose sum overflows are accepted.
     INFINITY is not accepted here, callers that allow it must branch
     before coercing.
     """
@@ -559,11 +565,7 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
             pmr = 2.0 * (ra * (1.0 - rb) + rb * (1.0 - ra)) - 4.0 * (ra + rb) * s2
             ppr = 4.0 * ra * rb + 2.0 * (ra + rb) * (1.0 - 2.0 * s2)
             c0, c1, c2, c3, c4 = q, pmr, 0.0, ppr, -q
-        knots = []
-        for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4):
-            if -umax < t < umax:
-                knots.append(t)
-        knots.sort()
+        knots = sorted([t for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4) if -umax < t < umax])
         tol = 1e-15 * umax
         # the quartic at each knot, from the arc end -umax to umax
         end = -umax

@@ -14,9 +14,10 @@ reflection.  Nothing is searched.
 
 On a finite complement with m removed points a supremum is a maximum
 over m ratios, or m x m for the pair forms of delta and alpha, taken
-over Python floats.  A maximum with a NaN ratio is NaN
-(:func:`_largest`); a distance overflows to inf only where coordinates
-differ by more than the float range.
+over Python floats; the cross-ratio maxima and the Cassinian metric's
+take each ratio in one loop, the plain quotient inline.  A maximum with
+a NaN ratio is NaN (:func:`_largest`); a distance overflows to inf only
+where coordinates differ by more than the float range.
 
 Every Euclidean distance is ``math.dist`` of two coordinate lists, which
 scales internally.  A product that could leave the float range keeps its
@@ -27,11 +28,13 @@ sqrt(x_n y_n) from factors scaled by even powers of 2
 larger distance first (:func:`_over_product`), and a cross-ratio as two
 matched ratios (:func:`hypmetrics.geometry._cross`); where the largest
 cross-ratio overflows, delta and alpha's pair form add the logs of its
-lengths.  The half-space rho is 2 asinh and eta a ratio form.  On the
-half-space and on finite complements a value in range therefore comes
-out finite for coordinates anywhere in the float range, short of two
-lengths whose ratio is not (a point 1e-170 from a puncture beside one
-1e200 away).  On the ball 1 - |x| is taken from the rounded |x|.
+lengths, and where alpha's largest ratio of two distances leaves the
+float range, alpha subtracts their logs.  The half-space rho is 2 asinh
+and eta a ratio form.  On the half-space and on finite complements a
+value in range therefore comes out finite for coordinates anywhere in
+the float range, short of two lengths whose ratio is not (a point
+1e-170 from a puncture beside one 1e200 away, where j, j_tilde and eta
+are inf).  On the ball 1 - |x| is taken from the rounded |x|.
 
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
@@ -40,10 +43,10 @@ what it measured (:func:`hypmetrics.geometry._checked_point`), and
 returns 0 for equal coordinates.  The kernel takes two distinct, checked
 points x, y, their coordinate lists xs, ys and their gauges gx, gy, and
 re-derives none of them: |x| and |y| on the ball, x_n and y_n on the
-half-space, and on a finite complement both distance rows, which the
-wrapper takes once per call (``FiniteComplement._distance_row``).  rho
-exists only on the ball and the half-space, where delta and alpha call
-its kernel.
+half-space, and on a finite complement both distance rows
+(``FiniteComplement._distance_row``), from which the checked pass read
+membership.  rho exists only on the ball and the half-space, where delta
+and alpha call its kernel.
 """
 
 from __future__ import annotations
@@ -223,7 +226,8 @@ def _validated(mid: MetricId):
     domain's type and that ``mid`` is defined on it, then the number of
     boundary points if ``mid`` needs two, then x, then y; x == y gives 0.
     Otherwise the kernel runs on the points, their coordinate lists and
-    their gauges, on a finite complement both points' distance rows."""
+    their gauges, on a finite complement both points' distance rows, as
+    the checked pass returns them."""
     kinds = _DEFINED_ON[mid]
     needs_two = mid is MetricId.DELTA
 

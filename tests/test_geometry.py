@@ -750,18 +750,9 @@ class TestDirectCallsMatchNumpyWrappers:
         x, y = np.array(x), np.array(y)
         assert same_point(x, y) == np.array_equal(x, y) == bool((x == y).all())
 
-    def test_finiteness_on_edge_coordinates(self):
-        for a in self.EDGE_POINTS:
-            try:
-                as_point(a)
-                accepted = True
-            except ParameterError:
-                accepted = False
-            assert accepted == bool(np.isfinite(a).all()), a
-
     # a sum that is NaN (inf - inf) or overflows although every
-    # coordinate is finite, next to the non-finite, subnormal and signed
-    # zero coordinates
+    # coordinate is finite, next to non-finite, subnormal and signed zero
+    # coordinates
     SUM_EDGE_POINTS = [
         [math.inf, 0.0, 0.0],
         [0.0, -math.inf, 0.0],
@@ -774,6 +765,7 @@ class TestDirectCallsMatchNumpyWrappers:
         [TINY, 5e-324, -0.0],
         [-0.0, -0.0, -0.0],
     ]
+    FLOATS = st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]))
 
     @staticmethod
     def _accepted(p) -> bool:
@@ -783,19 +775,18 @@ class TestDirectCallsMatchNumpyWrappers:
             return False
         return True
 
-    def test_finiteness_is_decided_coordinate_by_coordinate(self):
-        for p in self.SUM_EDGE_POINTS:
-            assert self._accepted(p) == all(map(math.isfinite, p)), p
+    def test_finiteness_on_edge_coordinates(self):
+        for a in self.EDGE_POINTS + [np.array(p) for p in self.SUM_EDGE_POINTS]:
+            assert self._accepted(a) == bool(np.isfinite(a).all()), a
         # a sum that overflows rejects nothing: a decision by the sum alone
         # would reject these points
         overflow = [p for p in self.SUM_EDGE_POINTS if all(map(math.isfinite, p)) and not math.isfinite(sum(p))]
         assert len(overflow) == 3
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.one_of(st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])),
-                    min_size=2, max_size=4))
-    def test_finiteness_of_float_tuples(self, p):
-        assert self._accepted(p) == all(map(math.isfinite, p)), p
+    @given(st.tuples(FLOATS, FLOATS, FLOATS))
+    def test_finiteness_of_float_triples(self, p):
+        assert self._accepted(list(p)) == all(map(math.isfinite, p)), p
 
     def test_equality_on_edge_coordinates(self):
         for x, y in itertools.product(self.EDGE_POINTS, repeat=2):
