@@ -32,12 +32,14 @@ one pass per point coerces it (:func:`as_point`, which tests each
 coordinate for finiteness only where their sum is not finite), checks
 membership and returns what the check measured: the point, its
 coordinates as floats and its gauge, |x| on the ball
-(:func:`_ball_gauge`, which the ball's domain methods read as well), x_n
-on the half-space and the distance row to the removed points on a
-finite complement, where membership is read as no distance being 0.
-The domain methods check only that a point is a real vector of their
-dimension (:func:`_domain_vector`); the metric kernels and boundary_sup
-take trusted points.
+(:func:`_ball_gauge`), x_n on the half-space and the distance row to
+the removed points on a finite complement, where membership is read as
+no distance being 0.  d(x) (:func:`_boundary_distance`) and the ball's
+1 - |x|^2 (:func:`_one_minus_square`) are read off a gauge here only,
+for the metrics and every ``distance_to_boundary``.  The domain methods
+check only that a point is a real vector of their dimension
+(:func:`_domain_vector`); the metric kernels and boundary_sup take
+trusted points, and boundary_sup their coordinate lists and gauges too.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -63,6 +65,7 @@ __all__ = [
     "UpperHalfSpace",
     "FiniteComplement",
     "Domain",
+    "require_member",
     "distance_to_boundary",
     "cross_ratio",
     "DomainMembershipError",
@@ -206,7 +209,7 @@ class UnitBall:
         return _ball_gauge(_domain_vector(x, self.dim).tolist()) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return 1.0 - _ball_gauge(_domain_vector(x, self.dim).tolist())
+        return _boundary_distance(self, _ball_gauge(_domain_vector(x, self.dim).tolist()))
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -225,7 +228,7 @@ class UpperHalfSpace:
         return float(_domain_vector(x, self.dim)[-1]) > 0.0
 
     def distance_to_boundary(self, x) -> float:
-        return float(_domain_vector(x, self.dim)[-1])
+        return _boundary_distance(self, float(_domain_vector(x, self.dim)[-1]))
 
     def __repr__(self) -> str:
         return f"UpperHalfSpace(dim={self.dim})"
@@ -276,7 +279,7 @@ class FiniteComplement:
         return np.array(rows, dtype=float).reshape(*arr.shape[:-1], len(self._removed_rows))
 
     def distance_to_boundary(self, x) -> float:
-        return min(self._distance_row(_domain_vector(x, self.dim).tolist()))
+        return _boundary_distance(self, self._distance_row(_domain_vector(x, self.dim).tolist()))
 
     @cached_property
     def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
@@ -335,6 +338,21 @@ def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float
     return x, coords, gauge
 
 
+def _boundary_distance(domain: Domain, gauge) -> float:
+    """d(x) from the gauge of x: 1 - |x| on the ball, x_n on the
+    half-space and the least distance to a removed point otherwise."""
+    if isinstance(domain, UnitBall):
+        return 1.0 - gauge
+    if isinstance(domain, UpperHalfSpace):
+        return gauge
+    return min(gauge)
+
+
+def _one_minus_square(gauge: float) -> float:
+    """1 - |x|^2 from the ball gauge |x|, as (1 - |x|)(1 + |x|) to keep precision."""
+    return (1.0 - gauge) * (1.0 + gauge)
+
+
 def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate the domain and the membership of ``x``; return the coerced point."""
     _require_domain(domain)
@@ -342,9 +360,10 @@ def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
 
 
 def distance_to_boundary(domain: Domain, x) -> float:
-    """Euclidean distance from an interior point to the finite boundary."""
-    x = require_member(domain, x)
-    return domain.distance_to_boundary(x)
+    """Euclidean distance from an interior point to the finite boundary,
+    read from the gauge of the one pass that checks the point."""
+    _require_domain(domain)
+    return _boundary_distance(domain, _checked_point(domain, x, "point")[2])
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +433,11 @@ def _golden_max(fn, lo, hi, tol):
     raise NotImplementedError("golden-section search is retired; boundary_sup solves for its minima")
 
 
-def _canonical_pair(x: np.ndarray, y: np.ndarray):
-    """Order a pair by raw bytes so that a computation from the ordered
-    pair (the ball root solve, the half-space Cassinian cubic) gives
-    the same bits for (x, y) and (y, x)."""
-    return (x, y) if x.tobytes() <= y.tobytes() else (y, x)
+def _in_order(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether (x, y) is the canonical order of the pair, by raw bytes, so
+    that a computation from the ordered pair (the ball root solve, the
+    half-space Cassinian cubic) gives the same bits for (x, y) and (y, x)."""
+    return x.tobytes() <= y.tobytes()
 
 
 def _depressed_cubic_roots(p: float, q: float) -> tuple[float, ...]:
@@ -486,9 +505,12 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
 
 
 # perfbench/tracing.py wraps this name in metrics; kept until ROADMAP item 1 revises it
-def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
+def boundary_sup(
+    x: np.ndarray, y: np.ndarray, xs: list[float], ys: list[float], gx: float, gy: float, kind: str
+) -> float:
     """Least |p-x| |p-y| (kind "product") or |p-x| + |p-y| (kind "sum")
-    over the unit sphere, for trusted points x, y of the unit ball.
+    over the unit sphere, for trusted points x, y of the unit ball with
+    their coordinate lists and gauges |x| and |y|, as the kernels get them.
 
     In the plane through 0, x and y the squared distance from the circle
     point at angle theta to a point of polar data (r, t) is D(theta) =
@@ -529,9 +551,7 @@ def boundary_sup(x: np.ndarray, y: np.ndarray, kind: str) -> float:
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
     """
-    a, b = _canonical_pair(x, y)
-    al, bl = a.tolist(), b.tolist()
-    ra, rb = math.hypot(*al), math.hypot(*bl)
+    al, bl, ra, rb = (xs, ys, gx, gy) if _in_order(x, y) else (ys, xs, gy, gx)
     # a sits at phi = -w, b at phi = +w; w = 0 when a or b is 0
     w = math.atan2(
         math.hypot(*[p * rb - q * ra for p, q in zip(al, bl)]),

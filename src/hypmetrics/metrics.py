@@ -25,16 +25,18 @@ plain form where it is a normal float, so those bits are the plain
 form's, and is otherwise formed from its factors: sqrt(d(x) d(y)) and
 sqrt(x_n y_n) from factors scaled by even powers of 2
 (:func:`_root_product`), |x-y| over a product of two distances by the
-larger distance first (:func:`_over_product`), and a cross-ratio as two
-matched ratios (:func:`hypmetrics.geometry._cross`); where the largest
-cross-ratio overflows, delta and alpha's pair form add the logs of its
-lengths, and where alpha's largest ratio of two distances leaves the
-float range, alpha subtracts their logs.  The half-space rho is 2 asinh
-and eta a ratio form.  On the half-space and on finite complements a
-value in range therefore comes out finite for coordinates anywhere in
-the float range, short of two lengths whose ratio is not (a point
-1e-170 from a puncture beside one 1e200 away, where j, j_tilde and eta
-are inf).  On the ball 1 - |x| is taken from the rounded |x|.
+larger distance first (:func:`_largest_over_product`), and a cross-ratio
+as two matched ratios (:func:`hypmetrics.geometry._cross`).  A log whose
+argument leaves the float range is taken from the logs of lengths: of
+the largest cross-ratio in delta and alpha's pair form, of the largest
+ratio of two distances in alpha and eta on a finite complement
+(:func:`_log_of_largest_ratio`), of |x-y| / d in j and j_tilde
+(:func:`_log1p_ratio`).  The half-space rho is 2 asinh and eta a ratio
+form.  On finite complements a value in range therefore comes out finite
+for coordinates anywhere in the float range; on the half-space too,
+short of a length and a height whose ratio is not: at x = (0, 1e-300)
+eta is inf for y = (0, 1e300) and (1e300, 1e-300), and u, rho, delta
+and alpha for the second.  On the ball 1 - |x| is from the rounded |x|.
 
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
@@ -45,8 +47,9 @@ points x, y, their coordinate lists xs, ys and their gauges gx, gy, and
 re-derives none of them: |x| and |y| on the ball, x_n and y_n on the
 half-space, and on a finite complement both distance rows
 (``FiniteComplement._distance_row``), from which the checked pass read
-membership.  rho exists only on the ball and the half-space, where delta
-and alpha call its kernel.
+membership.  d(x) and the ball's 1 - |x|^2 are read off the gauges by
+geometry's helpers; no kernel decodes a gauge.  rho exists only on the
+ball and the half-space, where delta and alpha call its kernel.
 """
 
 from __future__ import annotations
@@ -62,10 +65,12 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _NORMAL,
-    _canonical_pair,
+    _boundary_distance,
     _checked_point,
     _cross,
     _depressed_cubic_roots,
+    _in_order,
+    _one_minus_square,
     _require_domain,
     boundary_sup,
 )
@@ -110,17 +115,6 @@ def _two_boundary_points(domain) -> bool:
     return not isinstance(domain, FiniteComplement) or domain.boundary_cardinality() >= 2
 
 
-def _boundary_distances(domain, gx, gy) -> tuple[float, float]:
-    """d(x), d(y) from the gauges: 1 - |v| on the ball, v_n on the
-    half-space, the least distance to a removed point on a finite
-    complement, as ``distance_to_boundary`` takes it."""
-    if isinstance(domain, UnitBall):
-        return 1.0 - gx, 1.0 - gy
-    if isinstance(domain, UpperHalfSpace):
-        return gx, gy
-    return min(gx), min(gy)
-
-
 def _largest(values: list[float]) -> float:
     """The largest of floats >= 0 or NaN, NaN if any is (``max`` keeps
     the first entry over a later NaN).  A NaN entry makes the sum NaN,
@@ -130,17 +124,12 @@ def _largest(values: list[float]) -> float:
     return top if total == total else math.nan
 
 
-def _largest_ratio(nums: list[float], dens: list[float]) -> float:
-    """The largest nums[i] / dens[i]."""
-    return _largest([n / d for n, d in zip(nums, dens)])
-
-
 def _log_of_largest_ratio(nums: list[float], dens: list[float]) -> float:
-    """log of the largest nums[i] / dens[i] for lengths > 0.  Where that
-    ratio leaves the float range (0 or inf), the largest log nums[i] -
-    log dens[i]: each log is at most 745 in size, so the difference is in
-    range wherever the value is."""
-    best = _largest_ratio(nums, dens)
+    """log of the largest nums[i] / dens[i] for lengths > 0, NaN if any
+    is.  Where that ratio leaves the float range (0 or inf), the largest
+    log nums[i] - log dens[i]: each log is at most 745 in size, so the
+    difference is in range wherever the value is."""
+    best = _largest([n / d for n, d in zip(nums, dens)])
     if best == 0.0 or best == math.inf:
         return max(math.log(n) - math.log(d) for n, d in zip(nums, dens))
     return math.log(best)
@@ -192,26 +181,24 @@ def _root_product(a: float, b: float) -> float:
     return math.ldexp(math.sqrt(math.ldexp(a, -2 * i) * math.ldexp(b, -2 * j)), i + j)
 
 
-def _over_product(r: float, d1: float, d2: float) -> float:
-    """r / (d1 d2) for distances with r <= d1 + d2: the quotient by the
-    product where that is a normal float, and otherwise divided by the
-    larger distance, at most 2, then by the smaller.  Either way it is in
-    range wherever the value is, and swapping d1 and d2 keeps the bits."""
-    p = d1 * d2
-    if _NORMAL <= p < math.inf:
-        return r / p
-    return r / d1 / d2 if d1 >= d2 else r / d2 / d1
+def _log1p_ratio(r: float, d: float) -> float:
+    """log(1 + r / d) for lengths r, d > 0; where r / d overflows, log r -
+    log d, from which it differs by less than d / r < 1e-308."""
+    q = r / d
+    return math.log1p(q) if q != math.inf else math.log(r) - math.log(d)
 
 
 def _largest_over_product(r: float, pairs) -> tuple[float, bool]:
-    """The largest r / (d1 d2) over the pairs (d1, d2), each formed as
-    :func:`_over_product` forms it, in one loop, and whether any is NaN.
-    The largest is taken as ``max`` takes it: a NaN first stays, a later
-    NaN is passed over."""
+    """The largest r / (d1 d2) over the pairs (d1, d2) of distances with
+    r <= d1 + d2, in one loop, and whether any is NaN: the quotient by the
+    product where that is a normal float, else by the larger distance, at
+    most 2, then by the smaller, so in range wherever the value is and the
+    same bits for (d2, d1).  The largest is taken as ``max`` takes it: a
+    NaN first stays, a later NaN is passed over."""
     top, nan = -1.0, False
     for d1, d2 in pairs:
         p = d1 * d2
-        v = r / p if _NORMAL <= p < math.inf else _over_product(r, d1, d2)
+        v = r / p if _NORMAL <= p < math.inf else (r / d1 / d2 if d1 >= d2 else r / d2 / d1)
         if v > top:
             top = v
         elif v != v:
@@ -261,7 +248,7 @@ def u_metric(domain, x, y, xs, ys, gx, gy) -> float:
     u(x, y) = 2 log[(|x-y| + max{d(x), d(y)}) / sqrt(d(x) d(y))]
     with d the distance to the boundary.
     """
-    dx, dy = _boundary_distances(domain, gx, gy)
+    dx, dy = _boundary_distance(domain, gx), _boundary_distance(domain, gy)
     r = math.dist(xs, ys)
     return 2.0 * math.log((r + max(dx, dy)) / _root_product(dx, dy))
 
@@ -271,9 +258,8 @@ def rho(domain, x, y, xs, ys, gx, gy) -> float:
     """Hyperbolic metric of the unit ball or the upper half-space."""
     r = math.dist(xs, ys)
     if isinstance(domain, UnitBall):
-        # (1 - |x|^2) factored to keep precision near the boundary, and
         # grouped per point so that swapping x and y keeps the bits
-        t = ((1.0 - gx) * (1.0 + gx)) * ((1.0 - gy) * (1.0 + gy))
+        t = _one_minus_square(gx) * _one_minus_square(gy)
         return 2.0 * math.log((math.sqrt(r * r + t) + r) / math.sqrt(t))
     # sinh(rho / 2) = |x-y| / (2 sqrt(x_n y_n))
     return 2.0 * math.asinh(0.5 * (r / _root_product(gx, gy)))
@@ -289,15 +275,15 @@ def j_tilde(domain, x, y, xs, ys, gx, gy) -> float:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
     r = math.dist(xs, ys)
-    dx, dy = _boundary_distances(domain, gx, gy)
-    return 0.5 * (math.log1p(r / dx) + math.log1p(r / dy))
+    dx, dy = _boundary_distance(domain, gx), _boundary_distance(domain, gy)
+    return 0.5 * (_log1p_ratio(r, dx) + _log1p_ratio(r, dy))
 
 
 @_validated(MetricId.J)
 def j_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
     r = math.dist(xs, ys)
-    return math.log1p(r / min(_boundary_distances(domain, gx, gy)))
+    return _log1p_ratio(r, min(_boundary_distance(domain, gx), _boundary_distance(domain, gy)))
 
 
 @_validated(MetricId.DELTA)
@@ -377,9 +363,9 @@ def eta_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """
     if isinstance(domain, UnitBall):
         r = math.dist(xs, ys)
-        # both lambdas share the numerator; 1 - |v|^2 is factored, and the
-        # form (1-|x|^2) / ([x,y] - |x-y|) is avoided: it cancels near the sphere
-        tx, ty = (1.0 - gx) * (1.0 + gx), (1.0 - gy) * (1.0 + gy)
+        # both lambdas share the numerator; the form (1-|x|^2) / ([x,y] -
+        # |x-y|) is avoided: it cancels near the sphere
+        tx, ty = _one_minus_square(gx), _one_minus_square(gy)
         return math.log((math.sqrt(r * r + tx * ty) + r) / min(tx, ty))
     if isinstance(domain, UpperHalfSpace):
         # over n = min(x_n, y_n), with m = max(x_n, y_n) and h = |x-y| / 2n:
@@ -387,7 +373,7 @@ def eta_metric(domain, x, y, xs, ys, gx, gy) -> float:
         m, n = (gx, gy) if gx >= gy else (gy, gx)
         h = 0.5 * (math.dist(xs, ys) / n)
         return math.log(h + math.hypot(h, math.sqrt(m / n)))
-    return math.log(max(_largest_ratio(gx, gy), _largest_ratio(gy, gx)))
+    return max(_log_of_largest_ratio(gx, gy), _log_of_largest_ratio(gy, gx))
 
 
 @_validated(MetricId.CASSINIAN)
@@ -409,7 +395,7 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
         return math.nan if nan else top
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
-        a, b = (xs, ys) if _canonical_pair(x, y)[0] is x else (ys, xs)
+        a, b = (xs, ys) if _in_order(x, y) else (ys, xs)
         ha, hb = a[-1], b[-1]
         ell = math.dist(a[:-1], b[:-1])
         # lengths in units of s; tau = s (t + el/2), centred between the
@@ -421,7 +407,7 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
         pairs = [(math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus)]
         return _largest_over_product(r, pairs)[0]
-    return r / boundary_sup(x, y, "product")
+    return r / boundary_sup(x, y, xs, ys, gx, gy, "product")
 
 
 @_validated(MetricId.TRIANGULAR)
@@ -442,7 +428,7 @@ def triangular_ratio(domain, x, y, xs, ys, gx, gy) -> float:
     if isinstance(domain, FiniteComplement):
         v = _largest([r / (px + py) for px, py in zip(gx, gy)])
     else:
-        v = r / boundary_sup(x, y, "sum")
+        v = r / boundary_sup(x, y, xs, ys, gx, gy, "sum")
     return min(v, 1.0)
 
 

@@ -209,8 +209,8 @@ DEGENERATE_OUTCOMES = {
     'inf:tiny-tiny2:yx': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.3529ba7d19eafp-565 u=0x1.8821f2ecc521ep+9 j_tilde=0x1.8821f2ecc521ep+8 j=0x1.8821f2ecc521ep+8 delta=0x1.8821f2ecc521ep+9 alpha=0x1.8821f2ecc521ep+9 eta=0x1.8821f2ecc521ep+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.8821f2ecc521ep+9',
     'inf:mid-tiny2:xy': 'd(x)=0x1.0000000000000p-1 d(y)=0x1.3529ba7d19eafp-565 u=0x1.8984d71cb4c57p+8 j_tilde=0x1.893b31946ff21p+7 j=0x1.87d84d64804e7p+8 delta=0x1.893b31946ff21p+8 alpha=0x1.893b31946ff21p+8 eta=0x1.87d84d64804e7p+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.893b31946ff21p+8',
     'inf:mid-tiny2:yx': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.0000000000000p-1 u=0x1.8984d71cb4c57p+8 j_tilde=0x1.893b31946ff21p+7 j=0x1.87d84d64804e7p+8 delta=0x1.893b31946ff21p+8 alpha=0x1.893b31946ff21p+8 eta=0x1.87d84d64804e7p+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.893b31946ff21p+8',
-    'inf:tiny-huge:xy': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.4e718d7d7625ap+664 u=0x1.aaabe02cb9216p+9 j_tilde=inf j=inf delta=0x1.a9fa6e14c14fap+9 alpha=0x1.a9fa6e14c14fap+9 eta=inf cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.a9fa6e14c14fap+9',
-    'inf:tiny-huge:yx': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.3529ba7d19eafp-565 u=0x1.aaabe02cb9216p+9 j_tilde=inf j=inf delta=0x1.a9fa6e14c14fap+9 alpha=0x1.a9fa6e14c14fap+9 eta=inf cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.a9fa6e14c14fap+9',
+    'inf:tiny-huge:xy': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.4e718d7d7625ap+664 u=0x1.aaabe02cb9216p+9 j_tilde=0x1.aa532720bd388p+8 j=0x1.a9fa6e14c14fap+9 delta=0x1.a9fa6e14c14fap+9 alpha=0x1.a9fa6e14c14fap+9 eta=0x1.a9fa6e14c14fap+9 cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.a9fa6e14c14fap+9',
+    'inf:tiny-huge:yx': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.3529ba7d19eafp-565 u=0x1.aaabe02cb9216p+9 j_tilde=0x1.aa532720bd388p+8 j=0x1.a9fa6e14c14fap+9 delta=0x1.a9fa6e14c14fap+9 alpha=0x1.a9fa6e14c14fap+9 eta=0x1.a9fa6e14c14fap+9 cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.a9fa6e14c14fap+9',
     'inf:huge-mid:xy': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.0000000000000p-1 u=0x1.ce98b19c9cc49p+8 j_tilde=0x1.cde73f84a4f2cp+7 j=0x1.cd35cd6cad20fp+8 delta=0x1.cd35cd6cad20fp+8 alpha=0x1.cd35cd6cad20fp+8 eta=0x1.cd35cd6cad20fp+8 cassinian=0x1.0000000000000p+1 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.cd35cd6cad20fp+8',
     'inf:huge-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=0x1.4e718d7d7625ap+664 u=0x1.ce98b19c9cc49p+8 j_tilde=0x1.cde73f84a4f2cp+7 j=0x1.cd35cd6cad20fp+8 delta=0x1.cd35cd6cad20fp+8 alpha=0x1.cd35cd6cad20fp+8 eta=0x1.cd35cd6cad20fp+8 cassinian=0x1.0000000000000p+1 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.cd35cd6cad20fp+8',
     'inf:huge-huge:xy': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.4e718d7d7625ap+664 u=0x1.c34366179d426p+0 j_tilde=0x1.c34366179d427p-1 j=0x1.c34366179d427p-1 delta=0x1.c34366179d427p-1 alpha=0x0.0p+0 eta=0x0.0p+0 cassinian=0x1.151f68876f411p-664 triangular=0x1.6a09e667f3bcdp-1 alpha_pair_form=0x0.0p+0',
@@ -223,8 +223,8 @@ DEGENERATE_OUTCOMES = {
     'noinf:tiny-tiny2:yx': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.3529ba7d19eafp-565 u=0x1.8821f2ecc521ep+9 j_tilde=0x1.8821f2ecc521ep+8 j=0x1.8821f2ecc521ep+8 delta=0x1.8821f2ecc521ep+9 alpha=0x1.8821f2ecc521ep+9 eta=0x1.8821f2ecc521ep+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.8821f2ecc521ep+9',
     'noinf:mid-tiny2:xy': 'd(x)=0x1.0000000000000p-1 d(y)=0x1.3529ba7d19eafp-565 u=0x1.8984d71cb4c57p+8 j_tilde=0x1.893b31946ff21p+7 j=0x1.87d84d64804e7p+8 delta=0x1.893b31946ff21p+8 alpha=0x1.893b31946ff21p+8 eta=0x1.87d84d64804e7p+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.893b31946ff21p+8',
     'noinf:mid-tiny2:yx': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.0000000000000p-1 u=0x1.8984d71cb4c57p+8 j_tilde=0x1.893b31946ff21p+7 j=0x1.87d84d64804e7p+8 delta=0x1.893b31946ff21p+8 alpha=0x1.893b31946ff21p+8 eta=0x1.87d84d64804e7p+8 cassinian=0x1.a7f5245e5a2cfp+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.893b31946ff21p+8',
-    'noinf:tiny-huge:xy': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.4e718d7d7625ap+664 u=0x1.aaabe02cb9216p+9 j_tilde=inf j=inf delta=0x1.88973bf088a56p+8 alpha=0x1.88973bf088a57p+8 eta=inf cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.88973bf088a56p+8',
-    'noinf:tiny-huge:yx': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.3529ba7d19eafp-565 u=0x1.aaabe02cb9216p+9 j_tilde=inf j=inf delta=0x1.88973bf088a56p+8 alpha=0x1.88973bf088a57p+8 eta=inf cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.88973bf088a56p+8',
+    'noinf:tiny-huge:xy': 'd(x)=0x1.3529ba7d19eafp-565 d(y)=0x1.4e718d7d7625ap+664 u=0x1.aaabe02cb9216p+9 j_tilde=0x1.aa532720bd388p+8 j=0x1.a9fa6e14c14fap+9 delta=0x1.88973bf088a56p+8 alpha=0x1.88973bf088a57p+8 eta=0x1.a9fa6e14c14fap+9 cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.88973bf088a56p+8',
+    'noinf:tiny-huge:yx': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.3529ba7d19eafp-565 u=0x1.aaabe02cb9216p+9 j_tilde=0x1.aa532720bd388p+8 j=0x1.a9fa6e14c14fap+9 delta=0x1.88973bf088a56p+8 alpha=0x1.88973bf088a57p+8 eta=0x1.a9fa6e14c14fap+9 cassinian=0x1.a7f5245e5a2cep+564 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.88973bf088a56p+8',
     'noinf:huge-mid:xy': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.0000000000000p-1 u=0x1.ce98b19c9cc49p+8 j_tilde=0x1.cde73f84a4f2cp+7 j=0x1.cd35cd6cad20fp+8 delta=0x1.fdc168da0ae7bp+0 alpha=0x1.db565458ead00p+0 eta=0x1.cd35cd6cad20fp+8 cassinian=0x1.0000000000000p+1 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.db565458eac4ep+0',
     'noinf:huge-mid:yx': 'd(x)=0x1.0000000000000p-1 d(y)=0x1.4e718d7d7625ap+664 u=0x1.ce98b19c9cc49p+8 j_tilde=0x1.cde73f84a4f2cp+7 j=0x1.cd35cd6cad20fp+8 delta=0x1.fdc168da0ae7bp+0 alpha=0x1.db565458ead00p+0 eta=0x1.cd35cd6cad20fp+8 cassinian=0x1.0000000000000p+1 triangular=0x1.0000000000000p+0 alpha_pair_form=0x1.db565458eac4ep+0',
     'noinf:huge-huge:xy': 'd(x)=0x1.4e718d7d7625ap+664 d(y)=0x1.4e718d7d7625ap+664 u=0x1.c34366179d426p+0 j_tilde=0x1.c34366179d427p-1 j=0x1.c34366179d427p-1 delta=0x1.03397b6097f67p-662 alpha=0x0.0p+0 eta=0x0.0p+0 cassinian=0x1.151f68876f411p-664 triangular=0x1.6a09e667f3bcdp-1 alpha_pair_form=0x0.0p+0',
@@ -233,8 +233,9 @@ DEGENERATE_OUTCOMES = {
 
 
 def test_degenerate_finite_complement_outcomes_are_pinned():
-    # every value is finite except j, j_tilde and eta at tiny-huge, where
-    # a distance ratio of about 1e370 leaves the float range
+    # every value is finite: at tiny-huge, where a distance ratio of about
+    # 1e370 leaves the float range, j, j_tilde, eta and alpha take its log
+    # as a difference of logs
     assert degenerate_outcomes() == DEGENERATE_OUTCOMES
 
 

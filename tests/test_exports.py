@@ -174,6 +174,34 @@ def test_no_metric_kernel_rederives_what_validation_measured():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def _gauge_decodings(path: Path) -> dict[str, list[int]]:
+    """For each function of ``path``, the lines where it adds a gauge
+    (``gx`` or ``gy``) to 1 or subtracts one from 1."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        lines = [
+            node.lineno
+            for node in ast.walk(fn)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and {type(node.left), type(node.right)} == {ast.Constant, ast.Name}
+            and {getattr(node.left, "value", None), getattr(node.right, "value", None)} & {1}
+            and {getattr(node.left, "id", None), getattr(node.right, "id", None)} & {"gx", "gy"}
+        ]
+        if lines:
+            found[fn.name] = lines
+    return found
+
+
+def test_no_metric_decodes_a_gauge():
+    # d(x) and the ball's 1 - |x|^2 are read from a gauge in geometry
+    # only (_boundary_distance and _one_minus_square)
+    assert _gauge_decodings(Path(hypmetrics.__file__).parent / "metrics.py") == {}
+
+
 def _body_nodes(fn: ast.FunctionDef):
     """Every node of the body of ``fn``, its decorators left out."""
     for stmt in fn.body:
@@ -205,7 +233,7 @@ def _reached(fn: ast.FunctionDef, functions: dict[str, ast.FunctionDef]) -> list
 def test_no_metric_kernel_computes_with_numpy():
     # the kernels take every length with math.dist or math.hypot from the
     # coordinate lists; the point arrays only reach boundary_sup and
-    # _canonical_pair, which read them without numpy arithmetic
+    # _in_order, which read them without numpy arithmetic
     package = Path(hypmetrics.__file__).parent
     functions = {
         node.name: node

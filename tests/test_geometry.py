@@ -402,6 +402,30 @@ BALL_PAIRS = {
 }
 
 
+class _Recording:
+    """A stand-in for the ``math`` module that appends the name of each
+    function called through it to ``calls``."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        f = getattr(math, name)
+
+        def record(*args):
+            self._calls.append(name)
+            return f(*args)
+
+        return record if callable(f) else f
+
+
+def _least(x, y, kind):
+    """``boundary_sup`` on the points x, y with what the metric wrapper
+    hands it: their coordinate lists and their norms."""
+    xs, ys = x.tolist(), y.tolist()
+    return boundary_sup(x, y, xs, ys, math.hypot(*xs), math.hypot(*ys), kind)
+
+
 class TestBoundarySup:
     def test_finite_complements_are_not_searched(self, monkeypatch):
         # nor the half-space: their suprema are exact maxima or formulas,
@@ -461,7 +485,7 @@ class TestBoundarySup:
             for kind in KINDS:
                 # the supremum must dominate a dense independent scan of the sphere
                 brute = float(np.max(scale / _distance_form(kind, pts, x, y)))
-                assert scale / boundary_sup(x, y, kind) >= brute - 1e-12
+                assert scale / _least(x, y, kind) >= brute - 1e-12
 
     def test_halfspace_sup_against_dense_scan(self):
         # the half-space Cassinian metric is a cubic root solve, not a search
@@ -486,7 +510,7 @@ class TestBoundarySup:
             p = v if y @ v > 0 else -v
             exact = float(np.linalg.norm(p - x) * np.linalg.norm(p - y))
             for a, c in ((x, y), (y, x)):
-                assert boundary_sup(a, c, "product") == pytest.approx(exact, rel=1e-9)
+                assert _least(a, c, "product") == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("pair", sorted(BALL_PAIRS))
     def test_ball_cassinian_on_special_pairs(self, pair):
@@ -495,9 +519,9 @@ class TestBoundarySup:
         x, y = np.array(x), np.array(y)
         for kind in KINDS:
             want = exact[kind] if kind in exact else _least_scan(x, y, kind)
-            least = boundary_sup(x, y, kind)
+            least = _least(x, y, kind)
             assert least == pytest.approx(want, rel=1e-9), kind
-            assert boundary_sup(y, x, kind) == least, kind
+            assert _least(y, x, kind) == least, kind
 
     def test_ball_triangular_ratio_is_rotation_invariant(self):
         # a planar pair turned into dimension 5 keeps its value
@@ -534,7 +558,7 @@ class TestBoundarySup:
             # both orders solve from the canonical pair, so they agree bit
             # for bit
             for kind in KINDS:
-                assert boundary_sup(x, y, kind) == boundary_sup(y, x, kind), kind
+                assert _least(x, y, kind) == _least(y, x, kind), kind
 
     def test_newton_starts_next_to_each_minimum(self, monkeypatch):
         """Work count on 2000 sampler pairs, read off the solver's calls
@@ -543,31 +567,36 @@ class TestBoundarySup:
         that follow it directly.  No other sin comes before the next atan
         or, after the last one, at all."""
         calls = []
-
-        class Recording:
-            def __getattr__(self, name):
-                f = getattr(math, name)
-
-                def record(*args):
-                    calls.append(name)
-                    return f(*args)
-
-                return record if callable(f) else f
-
         rng = np.random.default_rng(21)
         pairs = [sample_pair(UnitBall(3), rng) for _ in range(2000)]
-        monkeypatch.setattr(geo, "math", Recording())
+        monkeypatch.setattr(geo, "math", _Recording(calls))
         for kind in KINDS:
             minima = 0
             for x, y in pairs:
                 calls.clear()
-                boundary_sup(x, y, kind)
+                _least(x, y, kind)
                 starts = [i for i, name in enumerate(calls) if name == "atan"]
                 for i, j in zip(starts, [*starts[1:], len(calls)]):
                     assert calls[i + 1 : i + 3] == ["sin", "sin"], (kind, calls[i:j])
                     assert "sin" not in calls[i + 3 : j], (kind, calls[i:j])
                 minima += len(starts)
             assert minima > len(pairs) // 2, kind
+
+    def test_the_norms_come_with_the_points(self, monkeypatch):
+        """Work count on 200 sampler pairs, read off the solver's calls to
+        ``math``: its only two ``hypot`` calls are the arguments of the
+        atan2 that gives the half-angle w; |x| and |y| are not taken
+        again."""
+        calls = []
+        rng = np.random.default_rng(22)
+        pairs = [sample_pair(UnitBall(3), rng) for _ in range(200)]
+        monkeypatch.setattr(geo, "math", _Recording(calls))
+        for kind in KINDS:
+            for x, y in pairs:
+                calls.clear()
+                _least(x, y, kind)
+                assert calls[:3] == ["hypot", "hypot", "atan2"], (kind, calls[:4])
+                assert calls.count("hypot") == 2, (kind, calls)
 
     def test_no_ball_supremum_is_searched(self, monkeypatch):
         # both kinds are root solves, through boundary_sup and the metrics
@@ -581,8 +610,8 @@ class TestBoundarySup:
         b = UnitBall(3)
         x, y = np.array([0.5, 0.0, 0.1]), np.array([0.0, -0.5, 0.3])
         r = math.sqrt(np.dot(x - y, x - y))
-        assert cassinian(b, x, y) == r / boundary_sup(x, y, "product")
-        assert triangular_ratio(b, x, y) == r / boundary_sup(x, y, "sum")
+        assert cassinian(b, x, y) == r / _least(x, y, "product")
+        assert triangular_ratio(b, x, y) == r / _least(x, y, "sum")
 
 
 def _sum_quartic_slope(rx, ry, w):

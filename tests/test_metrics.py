@@ -12,6 +12,7 @@ from hypmetrics.geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
+    distance_to_boundary,
 )
 from hypmetrics.metrics import (
     MetricId,
@@ -154,6 +155,51 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
             rows.clear()
             fn(domain, x, y)
             assert rows == [x.tolist(), y.tolist()], fn.__name__
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [d for d in _catalog_domains() if isinstance(d, FiniteComplement)],
+    ids=_domain_id,
+)
+def test_one_distance_row_per_boundary_distance(domain, monkeypatch):
+    # the module function reads d(x) from the row its membership check
+    # takes, and takes no second one
+    rows = []
+    distance_row = FiniteComplement._distance_row
+
+    def counted_distance_row(self, coords):
+        rows.append(list(coords))
+        return distance_row(self, coords)
+
+    monkeypatch.setattr(FiniteComplement, "_distance_row", counted_distance_row)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        x, _ = sample_pair(domain, rng)
+        rows.clear()
+        distance_to_boundary(domain, x)
+        assert rows == [x.tolist()]
+
+
+@pytest.mark.parametrize("domain", _catalog_domains(), ids=_domain_id)
+def test_one_boundary_distance_everywhere(domain, monkeypatch):
+    # the module function, the domain method and the d(x) that u reads
+    # agree bit for bit
+    read = []
+    boundary_distance = metrics_module._boundary_distance
+
+    def recorded(domain, gauge):
+        read.append(boundary_distance(domain, gauge))
+        return read[-1]
+
+    monkeypatch.setattr(metrics_module, "_boundary_distance", recorded)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        x, y = sample_pair(domain, rng)
+        read.clear()
+        u_metric(domain, x, y)
+        d = distance_to_boundary(domain, x)
+        assert read[0] == d == domain.distance_to_boundary(x), (x.tolist(), read[0], d)
 
 
 class TestU:

@@ -351,15 +351,30 @@ def test_metric_meets_its_reference_over_the_float_range(domain, name):
 def test_alpha_with_a_ratio_beyond_the_float_range(flag):
     # 1e-170 from a puncture beside a point 1e200 away, the tiny-huge pair
     # of tests/test_bit_identity.py: the largest ratio |p-y| / |p-x| of
-    # about 1e370 overflows, and its log is taken as a difference of logs
+    # about 1e370 overflows, and its log is taken as a difference of logs;
+    # so is that of |x-y| / d(x) in j and j_tilde, and eta's
     domain = FiniteComplement(3, PUNCT3, includes_infinity_boundary=flag)
     x, y = np.array([1e-170, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])
     for a, b in ((x, y), (y, x)):
-        got = evaluate_metric(domain, "alpha", a, b)
-        want = reference(domain, "alpha", a, b)
-        assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, a, b, float(want)), (got, float(want))
-        pair = alpha_pair_form(domain, a, b)
-        assert abs(pair - got) <= tolerance(domain, a, b, float(want)), (got, pair)
+        for name in ("alpha", "j", "j_tilde", "eta"):
+            got = evaluate_metric(domain, name, a, b)
+            want = reference(domain, name, a, b)
+            assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, a, b, float(want)), (name, got, float(want))
+            if name == "alpha":
+                pair = alpha_pair_form(domain, a, b)
+                assert abs(pair - got) <= tolerance(domain, a, b, float(want)), (got, pair)
+
+
+@pytest.mark.parametrize("y", [[0.0, 1e300], [1e300, 1e-300]], ids=["above", "beside"])
+def test_distance_ratio_beyond_the_float_range_on_the_half_space(y):
+    # |x-y| / x_n is about 1e600 for x at height 1e-300; j and j_tilde
+    # take its log as log |x-y| - log x_n
+    domain, x, y = UpperHalfSpace(2), np.array([0.0, 1e-300]), np.array(y)
+    for name in ("j", "j_tilde"):
+        for a, b in ((x, y), (y, x)):
+            got = evaluate_metric(domain, name, a, b)
+            want = reference(domain, name, a, b)
+            assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, a, b, float(want)), (name, got, float(want))
 
 
 @pytest.mark.parametrize("domain", [UnitBall(2), UnitBall(3)], ids=repr)
