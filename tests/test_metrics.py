@@ -155,27 +155,8 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
             rows.clear()
             fn(domain, x, y)
             assert rows == [x.tolist(), y.tolist()], fn.__name__
-
-
-@pytest.mark.parametrize(
-    "domain",
-    [d for d in _catalog_domains() if isinstance(d, FiniteComplement)],
-    ids=_domain_id,
-)
-def test_one_distance_row_per_boundary_distance(domain, monkeypatch):
-    # the module function reads d(x) from the row its membership check
-    # takes, and takes no second one
-    rows = []
-    distance_row = FiniteComplement._distance_row
-
-    def counted_distance_row(self, coords):
-        rows.append(list(coords))
-        return distance_row(self, coords)
-
-    monkeypatch.setattr(FiniteComplement, "_distance_row", counted_distance_row)
-    rng = np.random.default_rng(12)
-    for _ in range(3):
-        x, _ = sample_pair(domain, rng)
+        # the module function reads d(x) from the row its membership
+        # check takes, and takes no second one
         rows.clear()
         distance_to_boundary(domain, x)
         assert rows == [x.tolist()]
@@ -188,8 +169,8 @@ def test_one_boundary_distance_everywhere(domain, monkeypatch):
     read = []
     boundary_distance = metrics_module._boundary_distance
 
-    def recorded(domain, gauge):
-        read.append(boundary_distance(domain, gauge))
+    def recorded(dom, gauge):
+        read.append(boundary_distance(dom, gauge))
         return read[-1]
 
     monkeypatch.setattr(metrics_module, "_boundary_distance", recorded)
