@@ -212,7 +212,8 @@ def _select(kind: str, known: list[str], requested) -> list[str]:
     """The requested ids, or every known one when none is given; an
     unknown id is a usage error that lists the known ones."""
     ids = requested if requested else known
-    unknown = [i for i in ids if i not in set(known)]
+    known_ids = set(known)
+    unknown = [i for i in ids if i not in known_ids]
     if unknown:
         raise ParameterError(f"unknown {kind} ids: {', '.join(unknown)}; known: {', '.join(known)}")
     return ids

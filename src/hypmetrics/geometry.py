@@ -28,16 +28,19 @@ quartic are written out where they are evaluated.
 Points are validated once, at the public entry points: require_member
 and distance_to_boundary, and the metric functions, which check the
 domain's type themselves and each point with ``_checked_point``.  That
-one pass per point coerces it (:func:`as_point`, which tests each
-coordinate for finiteness only where their sum is not finite), checks
+hook hands the point to its domain's class: each of UnitBall,
+UpperHalfSpace and FiniteComplement has its own checked pass
+(``_checked``), which coerces the point once (:func:`_coerced`, the
+rules of :func:`as_point` with one ``tolist()``; finiteness is tested
+coordinate by coordinate only where the sum is not finite), checks
 membership and returns what the check measured: the point, its
-coordinates as floats and its gauge, |x| on the ball
-(:func:`_ball_gauge`), x_n on the half-space and the distance row to
-the removed points on a finite complement, where membership is read as
-no distance being 0.  d(x) (:func:`_boundary_distance`) and the ball's
-1 - |x|^2 (:func:`_one_minus_square`) are read off a gauge here only,
-for the metrics and every ``distance_to_boundary``.  The domain methods
-check only that a point is a real vector of their dimension
+coordinates as floats and its gauge, |x| on the ball, x_n on the
+half-space and the distance row to the removed points on a finite
+complement, where membership is read as no distance being 0.  Each
+class reads d(x) off its gauge in one method (``_distance``), for the
+metrics and every ``distance_to_boundary``, and the ball's 1 - |x|^2 is
+read off its gauge in :func:`_one_minus_square` only.  The domain
+methods check only that a point is a real vector of their dimension
 (:func:`_domain_vector`); the metric kernels and boundary_sup take
 trusted points, and boundary_sup their coordinate lists and gauges too.
 
@@ -116,7 +119,8 @@ _FLOAT64 = np.dtype(float)
 
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
-    """Coerce ``p`` to a finite point of R^n, n >= 2.
+    """Coerce ``p`` to a finite point of R^n, n >= 2, of dimension ``dim``
+    if given: the array of :func:`_coerced`, which holds every rule.
 
     Coordinates are real numbers: Python or numpy ints and floats, never
     strings or complex values.  Rejects NaN and infinite coordinates,
@@ -124,6 +128,13 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     INFINITY is not accepted here, callers that allow it must branch
     before coercing.
     """
+    return _coerced(p, dim)[0]
+
+
+def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
+    """``p`` as :func:`as_point` takes it, and its coordinates as Python
+    floats: the one coercion of a point, shared by ``as_point`` and each
+    domain's checked pass, with one ``tolist()``."""
     # np.asarray returns a native float64 array as itself; this skips its
     # argument handling, and every check below still runs
     if type(p) is np.ndarray and p.dtype is _FLOAT64:
@@ -141,7 +152,7 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
         raise ParameterError(f"point has non-finite coordinates: {coords}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
-    return arr
+    return arr, coords
 
 
 def _real_array(p) -> np.ndarray:
@@ -186,19 +197,17 @@ def _domain_vector(x, dim: int) -> np.ndarray:
     return arr
 
 
-def _ball_gauge(coords: list[float]) -> float:
-    """|x| from the coordinates of x: the ball holds x when it is below
-    1, and 1 - |x| is the distance to the sphere."""
-    return math.hypot(*coords)
-
-
 # ---------------------------------------------------------------------------
 # Domains
 
 
 @dataclass(frozen=True)
 class UnitBall:
-    """Open unit ball B^n = {|x| < 1}."""
+    """Open unit ball B^n = {|x| < 1}.
+
+    The gauge of a point is |x|, ``math.hypot`` of its coordinates: the
+    ball holds x when it is below 1, and d(x) is 1 - |x|.
+    """
 
     dim: int
 
@@ -206,10 +215,22 @@ class UnitBall:
         _check_dim(self.dim)
 
     def contains(self, x) -> bool:
-        return _ball_gauge(_domain_vector(x, self.dim).tolist()) < 1.0
+        return math.hypot(*_domain_vector(x, self.dim).tolist()) < 1.0
 
     def distance_to_boundary(self, x) -> float:
-        return _boundary_distance(self, _ball_gauge(_domain_vector(x, self.dim).tolist()))
+        return self._distance(math.hypot(*_domain_vector(x, self.dim).tolist()))
+
+    def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
+        """The checked pass on the ball: the point, its coordinates and |x|."""
+        x, coords = _coerced(p, self.dim)
+        gauge = math.hypot(*coords)
+        if not gauge < 1.0:
+            raise DomainMembershipError(f"{name} {coords} is not in {self!r}")
+        return x, coords, gauge
+
+    def _distance(self, gauge: float) -> float:
+        """d(x) from the gauge |x|."""
+        return 1.0 - gauge
 
     def __repr__(self) -> str:
         return f"UnitBall(dim={self.dim})"
@@ -217,7 +238,11 @@ class UnitBall:
 
 @dataclass(frozen=True)
 class UpperHalfSpace:
-    """Open upper half-space H^n = {x_n > 0}."""
+    """Open upper half-space H^n = {x_n > 0}.
+
+    The gauge of a point is x_n, which is d(x): the half-space holds x
+    when it is above 0.
+    """
 
     dim: int
 
@@ -228,7 +253,19 @@ class UpperHalfSpace:
         return float(_domain_vector(x, self.dim)[-1]) > 0.0
 
     def distance_to_boundary(self, x) -> float:
-        return _boundary_distance(self, float(_domain_vector(x, self.dim)[-1]))
+        return self._distance(float(_domain_vector(x, self.dim)[-1]))
+
+    def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
+        """The checked pass on the half-space: the point, its coordinates and x_n."""
+        x, coords = _coerced(p, self.dim)
+        gauge = coords[-1]
+        if not gauge > 0.0:
+            raise DomainMembershipError(f"{name} {coords} is not in {self!r}")
+        return x, coords, gauge
+
+    def _distance(self, gauge: float) -> float:
+        """d(x) from the gauge x_n."""
+        return gauge
 
     def __repr__(self) -> str:
         return f"UpperHalfSpace(dim={self.dim})"
@@ -279,7 +316,22 @@ class FiniteComplement:
         return np.array(rows, dtype=float).reshape(*arr.shape[:-1], len(self._removed_rows))
 
     def distance_to_boundary(self, x) -> float:
-        return _boundary_distance(self, self._distance_row(_domain_vector(x, self.dim).tolist()))
+        return self._distance(self._distance_row(_domain_vector(x, self.dim).tolist()))
+
+    def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], list[float]]:
+        """The checked pass on a finite complement: the point, its
+        coordinates and its distance row.  ``math.dist`` is 0 exactly when
+        the coordinates are equal (-0.0 equal to 0.0), so membership read
+        from the row agrees with ``contains``."""
+        x, coords = _coerced(p, self.dim)
+        row = self._distance_row(coords)
+        if 0.0 in row:
+            raise DomainMembershipError(f"{name} {coords} is not in {self!r}")
+        return x, coords, row
+
+    def _distance(self, row: list[float]) -> float:
+        """d(x) from the distance row: its least entry."""
+        return min(row)
 
     @cached_property
     def removed_distance_rows(self) -> tuple[tuple[float, ...], ...]:
@@ -313,39 +365,11 @@ def _require_domain(domain) -> None:
 
 def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float], float | list[float]]:
     """Coerce ``p`` and check it is in ``domain``, a checked domain, in one
-    pass; return the point, its coordinates as floats and its gauge: |x|
-    on the ball, x_n on the half-space, and on a finite complement the
-    distance row |p - x| over the removed points p.
-
-    Membership agrees with each domain's ``contains``: it is read from
-    the same gauge on the ball and the half-space, and on a finite
-    complement from the row, where ``math.dist`` is 0 exactly when the
-    coordinates are equal (-0.0 equal to 0.0).
-    """
-    x = as_point(p, domain.dim)
-    coords = x.tolist()
-    if isinstance(domain, UnitBall):
-        gauge = _ball_gauge(coords)
-        inside = gauge < 1.0
-    elif isinstance(domain, UpperHalfSpace):
-        gauge = coords[-1]
-        inside = gauge > 0.0
-    else:
-        gauge = domain._distance_row(coords)
-        inside = 0.0 not in gauge
-    if not inside:
-        raise DomainMembershipError(f"{name} {coords} is not in {domain!r}")
-    return x, coords, gauge
-
-
-def _boundary_distance(domain: Domain, gauge) -> float:
-    """d(x) from the gauge of x: 1 - |x| on the ball, x_n on the
-    half-space and the least distance to a removed point otherwise."""
-    if isinstance(domain, UnitBall):
-        return 1.0 - gauge
-    if isinstance(domain, UpperHalfSpace):
-        return gauge
-    return min(gauge)
+    pass (the domain's ``_checked``); return the point, its coordinates as
+    floats and its gauge: |x| on the ball, x_n on the half-space, and on a
+    finite complement the distance row |p - x| over the removed points p.
+    d(x) is ``domain._distance(gauge)``."""
+    return domain._checked(p, name)
 
 
 def _one_minus_square(gauge: float) -> float:
@@ -363,7 +387,7 @@ def distance_to_boundary(domain: Domain, x) -> float:
     """Euclidean distance from an interior point to the finite boundary,
     read from the gauge of the one pass that checks the point."""
     _require_domain(domain)
-    return _boundary_distance(domain, _checked_point(domain, x, "point")[2])
+    return domain._distance(_checked_point(domain, x, "point")[2])
 
 
 # ---------------------------------------------------------------------------

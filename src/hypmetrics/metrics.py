@@ -41,15 +41,17 @@ and alpha for the second.  On the ball 1 - |x| is from the rounded |x|.
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
 ``_two_boundary_points``), then x, then y, each in one pass that keeps
-what it measured (:func:`hypmetrics.geometry._checked_point`), and
-returns 0 for equal coordinates.  The kernel takes two distinct, checked
-points x, y, their coordinate lists xs, ys and their gauges gx, gy, and
+what it measured (:func:`hypmetrics.geometry._checked_point`, which
+hands the point to its domain class's own checked pass), and returns 0
+for equal coordinates.  The kernel takes two distinct, checked points
+x, y, their coordinate lists xs, ys and their gauges gx, gy, and
 re-derives none of them: |x| and |y| on the ball, x_n and y_n on the
 half-space, and on a finite complement both distance rows
 (``FiniteComplement._distance_row``), from which the checked pass read
-membership.  d(x) and the ball's 1 - |x|^2 are read off the gauges by
-geometry's helpers; no kernel decodes a gauge.  rho exists only on the
-ball and the half-space, where delta and alpha call its kernel.
+membership.  d(x) is read off a gauge by the domain's ``_distance``
+method and the ball's 1 - |x|^2 by geometry's ``_one_minus_square``; no
+kernel decodes a gauge.  rho exists only on the ball and the half-space,
+where delta and alpha call its kernel.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _NORMAL,
-    _boundary_distance,
     _checked_point,
     _cross,
     _depressed_cubic_roots,
@@ -248,7 +249,7 @@ def u_metric(domain, x, y, xs, ys, gx, gy) -> float:
     u(x, y) = 2 log[(|x-y| + max{d(x), d(y)}) / sqrt(d(x) d(y))]
     with d the distance to the boundary.
     """
-    dx, dy = _boundary_distance(domain, gx), _boundary_distance(domain, gy)
+    dx, dy = domain._distance(gx), domain._distance(gy)
     r = math.dist(xs, ys)
     return 2.0 * math.log((r + max(dx, dy)) / _root_product(dx, dy))
 
@@ -275,7 +276,7 @@ def j_tilde(domain, x, y, xs, ys, gx, gy) -> float:
     0.5 log[(1 + |x-y|/d(x)) (1 + |x-y|/d(y))].
     """
     r = math.dist(xs, ys)
-    dx, dy = _boundary_distance(domain, gx), _boundary_distance(domain, gy)
+    dx, dy = domain._distance(gx), domain._distance(gy)
     return 0.5 * (_log1p_ratio(r, dx) + _log1p_ratio(r, dy))
 
 
@@ -283,7 +284,7 @@ def j_tilde(domain, x, y, xs, ys, gx, gy) -> float:
 def j_metric(domain, x, y, xs, ys, gx, gy) -> float:
     """Distance-ratio metric, min form: log(1 + |x-y| / min{d(x), d(y)})."""
     r = math.dist(xs, ys)
-    return _log1p_ratio(r, min(_boundary_distance(domain, gx), _boundary_distance(domain, gy)))
+    return _log1p_ratio(r, min(domain._distance(gx), domain._distance(gy)))
 
 
 @_validated(MetricId.DELTA)

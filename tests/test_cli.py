@@ -304,6 +304,10 @@ class TestVerify:
         assert code == 2
         assert "unknown case ids: BOGUS" in err
         assert "AX-U" in err
+        # every unknown id, in the order given, among known ones
+        code, _, err = run(capsys, "verify", "--case", "ZZ", "--case", "AX-U", "--case", "BOGUS", "--samples", "5")
+        assert code == 2
+        assert "unknown case ids: ZZ, BOGUS; known: AX-U, " in err
 
     def test_bad_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "AX-U", "--samples", "0")

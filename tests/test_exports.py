@@ -139,7 +139,15 @@ def test_no_module_calls_np_dot():
 
 
 # what the metric wrapper computes once per call and hands to the kernel
-_WRAPPER_WORK = {"distance_to_boundary", "contains", "same_point", "_checked_point", "_distance_row"}
+_WRAPPER_WORK = {
+    "distance_to_boundary",
+    "contains",
+    "same_point",
+    "_checked_point",
+    "_checked",
+    "_coerced",
+    "_distance_row",
+}
 
 
 def _is_kernel(node: ast.AST) -> bool:
@@ -198,7 +206,7 @@ def _gauge_decodings(path: Path) -> dict[str, list[int]]:
 
 def test_no_metric_decodes_a_gauge():
     # d(x) and the ball's 1 - |x|^2 are read from a gauge in geometry
-    # only (_boundary_distance and _one_minus_square)
+    # only (each domain class's _distance, and _one_minus_square)
     assert _gauge_decodings(Path(hypmetrics.__file__).parent / "metrics.py") == {}
 
 
@@ -252,8 +260,31 @@ def test_no_metric_kernel_computes_with_numpy():
     assert uses == {}
 
 
-# the per-point pass and the ball's root solve, which run on every call
-_PER_CALL = {"geometry": ("as_point", "_checked_point", "boundary_sup")}
+# the per-point pass (the coercion, the hook and each domain class's
+# checked pass) and the ball's root solve, which run on every call
+_PER_CALL = {
+    "geometry": (
+        "as_point",
+        "_coerced",
+        "_checked_point",
+        "UnitBall._checked",
+        "UpperHalfSpace._checked",
+        "FiniteComplement._checked",
+        "boundary_sup",
+    )
+}
+
+
+def _functions_and_methods(tree: ast.Module):
+    """The module's functions by name and its classes' methods as
+    ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
 
 
 def _nested_functions(package: Path) -> dict[str, list[str]]:
@@ -263,10 +294,10 @@ def _nested_functions(package: Path) -> dict[str, list[str]]:
     found = {}
     for module in ("geometry", "metrics"):
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
-        for fn in tree.body:
-            if not (isinstance(fn, ast.FunctionDef) and (fn.name in _PER_CALL.get(module, ()) or _is_kernel(fn))):
+        for name, fn in _functions_and_methods(tree):
+            if not (name in _PER_CALL.get(module, ()) or _is_kernel(fn)):
                 continue
-            found[f"{module}.{fn.name}"] = sorted(
+            found[f"{module}.{name}"] = sorted(
                 "lambda" if isinstance(n, ast.Lambda) else n.name
                 for n in _body_nodes(fn)
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
@@ -277,7 +308,7 @@ def _nested_functions(package: Path) -> dict[str, list[str]]:
 def test_no_per_call_function_defines_a_closure():
     # a nested def or lambda is a new function object on every call
     found = _nested_functions(Path(hypmetrics.__file__).parent)
-    assert len(found) == 3 + 10
+    assert len(found) == len(_PER_CALL["geometry"]) + 10
     assert {name: nested for name, nested in found.items() if nested} == {}
 
 

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypmetrics.geometry as geo
@@ -38,7 +38,7 @@ from hypmetrics.metrics import (
     triangular_ratio,
     u_metric,
 )
-from hypmetrics.suite import sample_pair
+from hypmetrics.suite import catalog, sample_pair
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -279,16 +279,108 @@ class TestDomains:
 
     def test_domain_methods_do_not_count_as_point_validation(self, monkeypatch):
         # the public methods check type and shape without as_point, whose
-        # calls the benchmark tracer counts as point validation
+        # calls the benchmark tracer counts as point validation, and
+        # without the coercion of the checked pass
         def forbidden(*args, **kwargs):
-            raise AssertionError("as_point called")
+            raise AssertionError("a validating coercion called")
 
         domains = (UnitBall(3), UpperHalfSpace(3), FiniteComplement(3, [E1]))
         monkeypatch.setattr(geo, "as_point", forbidden)
+        monkeypatch.setattr(geo, "_coerced", forbidden)
         for domain in domains:
             for x in ([0.5, 0, 0.25], np.array([0.5, 0.0, 0.25])):
                 assert domain.contains(x)
                 assert domain.distance_to_boundary(x) > 0.0
+
+
+def _catalog_domains():
+    found = {}
+    for case in catalog().cases:
+        for d in case.domains:
+            if d is not None:
+                found.setdefault(repr(d), d)
+    return list(found.values())
+
+
+CATALOG_DOMAINS = _catalog_domains()
+_HALF = next(d for d in CATALOG_DOMAINS if isinstance(d, UpperHalfSpace))
+_BALL = next(d for d in CATALOG_DOMAINS if isinstance(d, UnitBall))
+_PUNCTURED = next(d for d in CATALOG_DOMAINS if isinstance(d, FiniteComplement))
+_COORDS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, 0.8, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+)
+# points on the sphere and on the half-space's boundary plane
+_EDGES = [[0.6, 0.8, 0.0], [0.0, -0.0, -1.0], [1.0, 0.0, 0.0], [0.5, -0.5, 0.0], [0.5, -0.5, -0.0]]
+
+
+@st.composite
+def _checked_inputs(draw):
+    """A catalog domain and a point in one of the forms callers pass:
+    lists, tuples, float and int arrays and lists of numpy scalars, of
+    the domain's dimension or one off it, with NaN, inf and -0.0
+    coordinates, and points on a puncture or on the sphere, with one
+    coordinate changed or not."""
+    domain = draw(st.sampled_from(CATALOG_DOMAINS))
+    kind = draw(st.sampled_from(["floats", "ints", "edge"]))
+    if kind == "edge":
+        edges = _EDGES + (domain.removed.tolist() if isinstance(domain, FiniteComplement) else [])
+        coords = list(draw(st.sampled_from(edges)))
+        i = draw(st.integers(0, domain.dim - 1))
+        coords[i] = draw(st.sampled_from([coords[i], -coords[i], math.nan, math.inf, 1.0, 0.0]))
+        size = draw(st.sampled_from([domain.dim, domain.dim, domain.dim + 1]))
+        coords = (coords + [0.0])[:size]
+    else:
+        size = draw(st.sampled_from([domain.dim, domain.dim, domain.dim - 1, domain.dim + 1]))
+        values = _COORDS if kind == "floats" else st.integers(-2, 2)
+        coords = draw(st.lists(values, min_size=size, max_size=size))
+    form = draw(st.sampled_from(["list", "tuple", "array", "numpy-scalars"]))
+    if form == "tuple":
+        return domain, tuple(coords)
+    if form == "array":
+        return domain, np.array(coords)
+    if form == "numpy-scalars":
+        return domain, [np.int64(v) if isinstance(v, int) else np.float64(v) for v in coords]
+    return domain, coords
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and message of the ParameterError
+    or DomainMembershipError it raises."""
+    try:
+        return fn()
+    except (ParameterError, DomainMembershipError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCheckedPass:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_checked_inputs())
+    # NaN, inf or a wrong dimension is a ParameterError before membership
+    # is looked at: below the half-space, on a puncture, on the sphere
+    @example((_HALF, [math.inf, 0.0, -1.0]))
+    @example((_HALF, [0.5, 0.5, math.nan]))
+    @example((_PUNCTURED, [1.0, 0.0, 0.0, 0.0]))
+    @example((_BALL, np.array([0.6, 0.8, 0.0, math.nan])))
+    def test_checked_pass_agrees_with_the_public_methods(self, case):
+        domain, p = case
+        coords = [float(v) for v in p]
+        got = _outcome(lambda: geo._checked_point(domain, p, "x"))
+        module_d = _outcome(lambda: distance_to_boundary(domain, p))
+        if len(coords) != domain.dim or not all(map(math.isfinite, coords)):
+            with pytest.raises(ParameterError) as exc:
+                as_point(p, domain.dim)
+            assert got == module_d == (ParameterError, str(exc.value))
+            return
+        if not domain.contains(p):
+            message = f"{coords} is not in {domain!r}"
+            assert got == (DomainMembershipError, f"x {message}")
+            assert module_d == (DomainMembershipError, f"point {message}")
+            return
+        x, xs, gauge = got
+        assert xs == coords and x.tolist() == coords and x.dtype == float
+        d = domain._distance(gauge)
+        assert d.hex() == domain.distance_to_boundary(p).hex() == module_d.hex()
 
 
 class TestCrossRatio:

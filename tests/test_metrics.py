@@ -96,22 +96,22 @@ PUBLIC_METRICS = ALL_METRICS + [rho, alpha_pair_form]
 @pytest.mark.parametrize("domain", _catalog_domains(), ids=_domain_id)
 def test_each_point_is_validated_once(domain, monkeypatch):
     # validation happens at the public entry only, in a direct call as
-    # through evaluate_metric: one as_point per point, and no per-point
+    # through evaluate_metric: one coercion per point, and no per-point
     # domain check (require_member's runs geometry._require_domain)
     from hypmetrics import geometry
 
     calls = []
-    as_point, require_domain = geometry.as_point, geometry._require_domain
+    coerced, require_domain = geometry._coerced, geometry._require_domain
 
-    def counted(p, dim=None):
-        calls.append("as_point")
-        return as_point(p, dim)
+    def counted(p, dim):
+        calls.append("coerced")
+        return coerced(p, dim)
 
     def counted_domain(domain):
         calls.append("domain")
         return require_domain(domain)
 
-    monkeypatch.setattr(geometry, "as_point", counted)
+    monkeypatch.setattr(geometry, "_coerced", counted)
     monkeypatch.setattr(geometry, "_require_domain", counted_domain)
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -119,13 +119,13 @@ def test_each_point_is_validated_once(domain, monkeypatch):
         for metric in evaluable_metrics(domain):
             calls.clear()
             evaluate_metric(domain, metric, x, y)
-            assert calls == ["as_point", "as_point"], metric.value
+            assert calls == ["coerced", "coerced"], metric.value
         for fn in PUBLIC_METRICS:
             if fn is rho and isinstance(domain, FiniteComplement):
                 continue
             calls.clear()
             fn(domain, x, y)
-            assert calls == ["as_point", "as_point"], fn.__name__
+            assert calls == ["coerced", "coerced"], fn.__name__
 
 
 @pytest.mark.parametrize(
@@ -165,22 +165,24 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
 @pytest.mark.parametrize("domain", _catalog_domains(), ids=_domain_id)
 def test_one_boundary_distance_everywhere(domain, monkeypatch):
     # the module function, the domain method and the d(x) that u reads
-    # agree bit for bit
+    # agree bit for bit, each read through the domain class's _distance
     read = []
-    boundary_distance = metrics_module._boundary_distance
+    distance = type(domain)._distance
 
-    def recorded(dom, gauge):
-        read.append(boundary_distance(dom, gauge))
+    def recorded(self, gauge):
+        read.append(distance(self, gauge))
         return read[-1]
 
-    monkeypatch.setattr(metrics_module, "_boundary_distance", recorded)
+    monkeypatch.setattr(type(domain), "_distance", recorded)
     rng = np.random.default_rng(13)
     for _ in range(20):
         x, y = sample_pair(domain, rng)
         read.clear()
         u_metric(domain, x, y)
+        assert len(read) == 2
         d = distance_to_boundary(domain, x)
         assert read[0] == d == domain.distance_to_boundary(x), (x.tolist(), read[0], d)
+        assert read[2:] == [d, d]
 
 
 class TestU:
