@@ -203,11 +203,7 @@ def _domain_vector(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitBall:
-    """Open unit ball B^n = {|x| < 1}.
-
-    The gauge of a point is |x|, ``math.hypot`` of its coordinates: the
-    ball holds x when it is below 1, and d(x) is 1 - |x|.
-    """
+    """Open unit ball B^n = {|x| < 1}."""
 
     dim: int
 
@@ -221,7 +217,8 @@ class UnitBall:
         return self._distance(math.hypot(*_domain_vector(x, self.dim).tolist()))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
-        """The checked pass on the ball: the point, its coordinates and |x|."""
+        """The checked pass on the ball: the point, its coordinates and
+        its gauge |x|, which is below 1 inside."""
         x, coords = _coerced(p, self.dim)
         gauge = math.hypot(*coords)
         if not gauge < 1.0:
@@ -238,11 +235,7 @@ class UnitBall:
 
 @dataclass(frozen=True)
 class UpperHalfSpace:
-    """Open upper half-space H^n = {x_n > 0}.
-
-    The gauge of a point is x_n, which is d(x): the half-space holds x
-    when it is above 0.
-    """
+    """Open upper half-space H^n = {x_n > 0}."""
 
     dim: int
 
@@ -256,7 +249,8 @@ class UpperHalfSpace:
         return self._distance(float(_domain_vector(x, self.dim)[-1]))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
-        """The checked pass on the half-space: the point, its coordinates and x_n."""
+        """The checked pass on the half-space: the point, its coordinates
+        and its gauge x_n, which is above 0 inside."""
         x, coords = _coerced(p, self.dim)
         gauge = coords[-1]
         if not gauge > 0.0:

@@ -293,16 +293,8 @@ class TestDomains:
                 assert domain.distance_to_boundary(x) > 0.0
 
 
-def _catalog_domains():
-    found = {}
-    for case in catalog().cases:
-        for d in case.domains:
-            if d is not None:
-                found.setdefault(repr(d), d)
-    return list(found.values())
-
-
-CATALOG_DOMAINS = _catalog_domains()
+# the four catalog domains, each once
+CATALOG_DOMAINS = list({repr(d): d for case in catalog().cases for d in case.domains if d is not None}.values())
 _HALF = next(d for d in CATALOG_DOMAINS if isinstance(d, UpperHalfSpace))
 _BALL = next(d for d in CATALOG_DOMAINS if isinstance(d, UnitBall))
 _PUNCTURED = next(d for d in CATALOG_DOMAINS if isinstance(d, FiniteComplement))
