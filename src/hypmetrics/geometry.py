@@ -27,10 +27,9 @@ quartic are written out where they are evaluated.
 
 Points are validated once, at the public entry points: require_member
 and distance_to_boundary, and the metric functions, which check the
-domain's type themselves and each point with ``_checked_point``.  That
-hook hands the point to its domain's class: each of UnitBall,
-UpperHalfSpace and FiniteComplement has its own checked pass
-(``_checked``), which coerces the point once (:func:`_coerced`, the
+domain's type themselves.  Each hands the point to its domain class's
+own checked pass (``_checked`` of UnitBall, UpperHalfSpace or
+FiniteComplement), which coerces the point once (:func:`_coerced`, the
 rules of :func:`as_point` with one ``tolist()``; finiteness is tested
 coordinate by coordinate only where the sum is not finite), checks
 membership and returns what the check measured: the point, its
@@ -180,10 +179,12 @@ def same_point(x: np.ndarray, y: np.ndarray) -> bool:
     return x.tolist() == y.tolist()
 
 
-def _check_dim(dim) -> None:
-    """Reject a domain dimension that is not an integer >= 2."""
+def _check_dim(dim) -> int:
+    """A domain dimension as a Python int, rejected if not an integer >= 2;
+    a numpy integer is kept as the int it equals, as reprs show it."""
     if not isinstance(dim, numbers.Integral) or dim < 2:
         raise ParameterError(f"domains require an integer dimension >= 2, got {dim!r}")
+    return int(dim)
 
 
 def _domain_vector(x, dim: int) -> np.ndarray:
@@ -208,7 +209,7 @@ class UnitBall:
     dim: int
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def contains(self, x) -> bool:
         return math.hypot(*_domain_vector(x, self.dim).tolist()) < 1.0
@@ -229,9 +230,6 @@ class UnitBall:
         """d(x) from the gauge |x|."""
         return 1.0 - gauge
 
-    def __repr__(self) -> str:
-        return f"UnitBall(dim={self.dim})"
-
 
 @dataclass(frozen=True)
 class UpperHalfSpace:
@@ -240,7 +238,7 @@ class UpperHalfSpace:
     dim: int
 
     def __post_init__(self):
-        _check_dim(self.dim)
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def contains(self, x) -> bool:
         return float(_domain_vector(x, self.dim)[-1]) > 0.0
@@ -261,9 +259,6 @@ class UpperHalfSpace:
         """d(x) from the gauge x_n."""
         return gauge
 
-    def __repr__(self) -> str:
-        return f"UpperHalfSpace(dim={self.dim})"
-
 
 class FiniteComplement:
     """R^n with a nonempty finite set of points removed.
@@ -276,7 +271,7 @@ class FiniteComplement:
     """
 
     def __init__(self, dim: int, removed, includes_infinity_boundary: bool = True):
-        _check_dim(dim)
+        dim = _check_dim(dim)
         pts = [as_point(p, dim) for p in removed]
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
@@ -357,15 +352,6 @@ def _require_domain(domain) -> None:
         raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
 
 
-def _checked_point(domain: Domain, p, name: str) -> tuple[np.ndarray, list[float], float | list[float]]:
-    """Coerce ``p`` and check it is in ``domain``, a checked domain, in one
-    pass (the domain's ``_checked``); return the point, its coordinates as
-    floats and its gauge: |x| on the ball, x_n on the half-space, and on a
-    finite complement the distance row |p - x| over the removed points p.
-    d(x) is ``domain._distance(gauge)``."""
-    return domain._checked(p, name)
-
-
 def _one_minus_square(gauge: float) -> float:
     """1 - |x|^2 from the ball gauge |x|, as (1 - |x|)(1 + |x|) to keep precision."""
     return (1.0 - gauge) * (1.0 + gauge)
@@ -374,14 +360,14 @@ def _one_minus_square(gauge: float) -> float:
 def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate the domain and the membership of ``x``; return the coerced point."""
     _require_domain(domain)
-    return _checked_point(domain, x, name)[0]
+    return domain._checked(x, name)[0]
 
 
 def distance_to_boundary(domain: Domain, x) -> float:
     """Euclidean distance from an interior point to the finite boundary,
     read from the gauge of the one pass that checks the point."""
     _require_domain(domain)
-    return domain._distance(_checked_point(domain, x, "point")[2])
+    return domain._distance(domain._checked(x, "point")[2])
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ reflection.  Nothing is searched.
 
 On a finite complement with m removed points a supremum is a maximum
 over m ratios, or m x m for the pair forms of delta and alpha, taken
-over Python floats; the cross-ratio maxima and the Cassinian metric's
-take each ratio in one loop, the plain quotient inline.  A maximum with
-a NaN ratio is NaN (:func:`_largest`); a distance overflows to inf only
+over Python floats.  Every maximum over finite candidates, the
+half-space Cassinian metric's included, is :func:`_largest` of their
+list, and NaN if any candidate is; a distance overflows to inf only
 where coordinates differ by more than the float range.
 
 Every Euclidean distance is ``math.dist`` of two coordinate lists, which
@@ -41,12 +41,11 @@ and alpha for the second.  On the ball 1 - |x| is from the rounded |x|.
 Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
 ``_two_boundary_points``), then x, then y, each in one pass that keeps
-what it measured (:func:`hypmetrics.geometry._checked_point`, which
-hands the point to its domain class's own checked pass), and returns 0
-for equal coordinates.  The kernel takes two distinct, checked points
-x, y, their coordinate lists xs, ys and their gauges gx, gy, and
-re-derives none of them: |x| and |y| on the ball, x_n and y_n on the
-half-space, and on a finite complement both distance rows
+what it measured (the domain class's own checked pass, ``_checked``),
+and returns 0 for equal coordinates.  The kernel takes two distinct,
+checked points x, y, their coordinate lists xs, ys and their gauges gx,
+gy, and re-derives none of them: |x| and |y| on the ball, x_n and y_n
+on the half-space, and on a finite complement both distance rows
 (``FiniteComplement._distance_row``), from which the checked pass read
 membership.  d(x) is read off a gauge by the domain's ``_distance``
 method and the ball's 1 - |x|^2 by geometry's ``_one_minus_square``; no
@@ -67,7 +66,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _NORMAL,
-    _checked_point,
     _cross,
     _depressed_cubic_roots,
     _in_order,
@@ -136,37 +134,21 @@ def _log_of_largest_ratio(nums: list[float], dens: list[float]) -> float:
     return math.log(best)
 
 
-def _largest_cross(terms: list[tuple[float, float, float, float]]) -> float:
-    """The largest cross-ratio a b / (c d) over the terms (a, b, c, d),
-    each formed as :func:`hypmetrics.geometry._cross` forms it, in one
-    loop; NaN if any is, as :func:`_largest` takes it."""
-    top = 0.0
-    for a, b, c, d in terms:
-        num, den = a * b, c * d
-        if _NORMAL <= num < math.inf and _NORMAL <= den < math.inf:
-            v = num / den
-        else:
-            v = _cross(a, b, c, d)
-        if v > top:
-            top = v
-        elif v != v:
-            return math.nan
-    return top
-
-
 def _log_of_largest(terms: list[tuple[float, float, float, float]], log) -> float:
     """``log`` (math.log or math.log1p) of the largest cross-ratio a b /
-    (c d) over the terms (a, b, c, d).  Where that overflows, the largest
-    log a + log b - log c - log d over the terms that do: each log is at
-    most 745 in size and the sum above 709, so it keeps 15 digits, and
-    log1p of so large a value rounds as log does."""
-    best = _largest_cross(terms)
+    (c d) over the terms (a, b, c, d), each formed by
+    :func:`hypmetrics.geometry._cross`; NaN if any is.  Where the largest
+    overflows, the largest log a + log b - log c - log d over the terms
+    that do: each log is at most 745 in size and the sum above 709, so it
+    keeps 15 digits, and log1p of so large a value rounds as log does."""
+    crosses = [_cross(a, b, c, d) for a, b, c, d in terms]
+    best = _largest(crosses)
     if best != math.inf:
         return log(best)
     return max(
         math.log(a) + math.log(b) - math.log(c) - math.log(d)
-        for a, b, c, d in terms
-        if _cross(a, b, c, d) == math.inf
+        for (a, b, c, d), v in zip(terms, crosses)
+        if v == math.inf
     )
 
 
@@ -189,24 +171,18 @@ def _log1p_ratio(r: float, d: float) -> float:
     return math.log1p(q) if q != math.inf else math.log(r) - math.log(d)
 
 
-def _largest_over_product(r: float, pairs) -> tuple[float, bool]:
+def _largest_over_product(r: float, pairs) -> float:
     """The largest r / (d1 d2) over the pairs (d1, d2) of distances with
-    r <= d1 + d2, in one loop, and whether any is NaN: the quotient by the
+    r <= d1 + d2, NaN if any is (:func:`_largest`): the quotient by the
     product where that is a normal float, else by the larger distance, at
     most 2, then by the smaller, so in range wherever the value is and the
-    same bits for (d2, d1).  The largest is taken as ``max`` takes it: a
-    NaN first stays, a later NaN is passed over."""
-    top, nan = -1.0, False
-    for d1, d2 in pairs:
-        p = d1 * d2
-        v = r / p if _NORMAL <= p < math.inf else (r / d1 / d2 if d1 >= d2 else r / d2 / d1)
-        if v > top:
-            top = v
-        elif v != v:
-            if top == -1.0:
-                top = v
-            nan = True
-    return top, nan
+    same bits for (d2, d1)."""
+    return _largest(
+        [
+            r / p if _NORMAL <= (p := d1 * d2) < math.inf else (r / d1 / d2 if d1 >= d2 else r / d2 / d1)
+            for d1, d2 in pairs
+        ]
+    )
 
 
 def _validated(mid: MetricId):
@@ -230,8 +206,8 @@ def _validated(mid: MetricId):
                     f"{mid.value} requires at least two boundary points (removed set of size >= 2, "
                     "or the infinity flag)"
                 )
-            x, xs, gx = _checked_point(domain, x, "x")
-            y, ys, gy = _checked_point(domain, y, "y")
+            x, xs, gx = domain._checked(x, "x")
+            y, ys, gy = domain._checked(y, "y")
             # IEEE == on Python floats, as geometry.same_point compares
             if xs == ys:
                 return 0.0
@@ -392,8 +368,7 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
     """
     r = math.dist(xs, ys)
     if isinstance(domain, FiniteComplement):
-        top, nan = _largest_over_product(r, zip(gx, gy))
-        return math.nan if nan else top
+        return _largest_over_product(r, zip(gx, gy))
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
         a, b = (xs, ys) if _in_order(x, y) else (ys, xs)
@@ -407,7 +382,7 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
         q = el * (eb * eb - ea * ea) / 4.0
         taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
         pairs = [(math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus)]
-        return _largest_over_product(r, pairs)[0]
+        return _largest_over_product(r, pairs)
     return r / boundary_sup(x, y, xs, ys, gx, gy, "product")
 
 

@@ -353,6 +353,10 @@ class InequalityCase:
         allowed = ("pair",) if self.draw_map is not None else ("pair", "triple", "equal_pair")
         if self.sampler not in allowed:
             raise ConfigurationError(f"case {self.case_id}: sampler must be one of {allowed}, got {self.sampler!r}")
+        if not self.domains:
+            raise ConfigurationError(f"case {self.case_id}: declares no domains")
+        if self.grid is None and None in self.domains:
+            raise ConfigurationError(f"case {self.case_id}: a None domain needs a grid")
 
 
 @dataclass(frozen=True)
@@ -973,6 +977,10 @@ def parse_report(text: str):
         missing = [f for f in _BASE_FIELDS if f not in rec]
         if missing:
             raise ConfigurationError(f"report record is missing fields: {missing}")
+        if not isinstance(rec["case_id"], str):
+            raise ConfigurationError(f"report record case_id must be a string, got {rec['case_id']!r}")
+        if not isinstance(rec["pass"], bool):
+            raise ConfigurationError(f"report record pass must be true or false, got {rec['pass']!r}")
         if "schedule" in rec:
             missing = [f for f in _PROBE_FIELDS if f not in rec]
             if missing:

@@ -124,6 +124,16 @@ class TestEval:
         assert err.startswith("error: u evaluates to inf at these points")
         assert "too large" in err and "double precision" in err
 
+    def test_nan_value_exits_2(self, capsys):
+        # the half-space Cassinian cubic's normaliser overflows here, and a
+        # NaN candidate makes the metric NaN
+        code, out, err = run(
+            capsys, "eval", "--domain", "halfspace", "--metric", "cassinian",
+            "-x", "-8e307,1e308", "-y", "8e307,1.7e308",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cassinian evaluates to nan at these points")
+
     def test_no_infinity_boundary_changes_the_domain(self, capsys):
         args = ["--metric", "delta", "-x", "0,0,0", "-y", "2,0,0"]
         code, out, _ = run(
@@ -506,6 +516,20 @@ class TestReport:
         bad.write_bytes(b'[{"case_id": "caf\xe9"}]')
         code, _, err = run(capsys, "report", "--in", str(bad))
         assert code == 2 and "could not read report" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("case_id", None, "case_id must be a string"), ("pass", "false", "pass must be true or false")],
+    )
+    def test_rejects_wrongly_typed_fields(self, capsys, tmp_path, field, value, message):
+        _, target = self._write_report(capsys, tmp_path)
+        records = json.loads(target.read_text())
+        records[0][field] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(records))
+        code, out, err = run(capsys, "report", "--in", str(bad), "--format", "text")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
 
     def test_rejects_wrong_shape(self, capsys, tmp_path):
         bad = tmp_path / "shape.json"

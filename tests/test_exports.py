@@ -143,7 +143,6 @@ _WRAPPER_WORK = {
     "distance_to_boundary",
     "contains",
     "same_point",
-    "_checked_point",
     "_checked",
     "_coerced",
     "_distance_row",
@@ -260,13 +259,12 @@ def test_no_metric_kernel_computes_with_numpy():
     assert uses == {}
 
 
-# the per-point pass (the coercion, the hook and each domain class's
-# checked pass) and the ball's root solve, which run on every call
+# the per-point pass (the coercion and each domain class's checked
+# pass) and the ball's root solve, which run on every call
 _PER_CALL = {
     "geometry": (
         "as_point",
         "_coerced",
-        "_checked_point",
         "UnitBall._checked",
         "UpperHalfSpace._checked",
         "FiniteComplement._checked",

@@ -164,6 +164,7 @@ class TestDomains:
     def test_a_numpy_integer_dimension_is_taken(self):
         n = np.int64(3)
         assert UnitBall(n).dim == UpperHalfSpace(n).dim == FiniteComplement(n, [E1]).dim == 3
+        assert repr(UnitBall(n)) == "UnitBall(dim=3)"
 
     def test_complement_membership_and_distance(self):
         d = FiniteComplement(3, [E1, -E1])
@@ -357,7 +358,7 @@ class TestCheckedPass:
     def test_checked_pass_agrees_with_the_public_methods(self, case):
         domain, p = case
         coords = [float(v) for v in p]
-        got = _outcome(lambda: geo._checked_point(domain, p, "x"))
+        got = _outcome(lambda: domain._checked(p, "x"))
         module_d = _outcome(lambda: distance_to_boundary(domain, p))
         if len(coords) != domain.dim or not all(map(math.isfinite, coords)):
             with pytest.raises(ParameterError) as exc:

@@ -435,6 +435,14 @@ class TestCassinianAndTriangular:
         # minimum of |p| |p - e1/2| over the sphere sits at p = e1
         assert cassinian(BALL, O, 0.5 * E1) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("x, y", [((-8e307, 1e308), (8e307, 1.7e308)), ((0.0, 1e308), (1e308, 1e308))])
+    def test_half_space_cassinian_with_a_nan_candidate_is_nan(self, x, y):
+        # ell + h_x + h_y overflows, so the cubic's roots give NaN
+        # candidates, and a maximum with a NaN entry is NaN; the feet alone
+        # fall short of the values, 7.82e-309 and 8.0e-309 at 50 digits
+        assert math.isnan(cassinian(UpperHalfSpace(2), x, y))
+        assert math.isnan(cassinian(UpperHalfSpace(2), y, x))
+
     def test_triangular_ball_value(self):
         assert triangular_ratio(BALL, O, 0.5 * E1) == pytest.approx(1.0 / 3.0, abs=1e-10)
 

@@ -379,6 +379,21 @@ class TestCheckCase:
                 **declaration,
             )
 
+    @pytest.mark.parametrize(
+        "declaration, message",
+        [({"domains": ()}, "declares no domains"), ({"domains": (None,)}, "a None domain needs a grid")],
+        ids=["no-domains", "none-without-grid"],
+    )
+    def test_a_case_declares_domains_it_can_run_on(self, declaration, message):
+        with pytest.raises(ConfigurationError, match=f"^case RIG-DOMAINS: {message}"):
+            InequalityCase(
+                case_id="RIG-DOMAINS",
+                paper_ref="none",
+                formula="n/a",
+                evaluate=lambda domain, smp: (0.0, 1.0),
+                **declaration,
+            )
+
     def test_known_counterexample_case_reports_violations(self):
         # alpha exceeds j on the ball, so this case must flag samples
         rec = check_case(catalog().case("T-ALJ"), n_samples=50, seed=42)
