@@ -36,12 +36,12 @@ membership and returns what the check measured: the point, its
 coordinates as floats and its gauge, |x| on the ball, x_n on the
 half-space and the distance row to the removed points on a finite
 complement, where membership is read as no distance being 0.  Each
-class reads d(x) off its gauge in one method (``_distance``), for the
-metrics and every ``distance_to_boundary``, and the ball's 1 - |x|^2 is
-read off its gauge in :func:`_one_minus_square` only.  The domain
-methods check only that a point is a real vector of their dimension
-(:func:`_domain_vector`); the metric kernels and boundary_sup take
-trusted points, and boundary_sup their coordinate lists and gauges too.
+class reads d(x) off its gauge in one method (``_distance``), and the
+ball's 1 - |x|^2 is read off its gauge in :func:`_one_minus_square`
+only.  The domain methods ``contains`` and ``distance_to_boundary``,
+defined once on a base class, read the same pass; the metric kernels
+and boundary_sup take trusted points, and boundary_sup their coordinate
+lists and gauges too.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -187,35 +187,33 @@ def _check_dim(dim) -> int:
     return int(dim)
 
 
-def _domain_vector(x, dim: int) -> np.ndarray:
-    """``x`` as a float vector of dimension ``dim``, for the public domain
-    methods: a native float64 array is checked only for its shape, other
-    input is coerced as :func:`as_point` coerces it.  Coordinates are not
-    checked for finiteness; the validating entry points do that."""
-    arr = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else _real_array(x)
-    if arr.shape != (dim,):
-        raise ParameterError(f"expected a point of dimension {dim}, got shape {arr.shape}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Domains
 
 
+class _Domain:
+    """The point methods of every domain class, read off its checked pass."""
+
+    def contains(self, x) -> bool:
+        """Whether ``x`` is in the domain; bad input raises ParameterError."""
+        try:
+            self._checked(x, "point")
+        except DomainMembershipError:
+            return False
+        return True
+
+    def distance_to_boundary(self, x) -> float:
+        return self._distance(self._checked(x, "point")[2])
+
+
 @dataclass(frozen=True)
-class UnitBall:
+class UnitBall(_Domain):
     """Open unit ball B^n = {|x| < 1}."""
 
     dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_dim(self.dim))
-
-    def contains(self, x) -> bool:
-        return math.hypot(*_domain_vector(x, self.dim).tolist()) < 1.0
-
-    def distance_to_boundary(self, x) -> float:
-        return self._distance(math.hypot(*_domain_vector(x, self.dim).tolist()))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
         """The checked pass on the ball: the point, its coordinates and
@@ -232,19 +230,13 @@ class UnitBall:
 
 
 @dataclass(frozen=True)
-class UpperHalfSpace:
+class UpperHalfSpace(_Domain):
     """Open upper half-space H^n = {x_n > 0}."""
 
     dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_dim(self.dim))
-
-    def contains(self, x) -> bool:
-        return float(_domain_vector(x, self.dim)[-1]) > 0.0
-
-    def distance_to_boundary(self, x) -> float:
-        return self._distance(float(_domain_vector(x, self.dim)[-1]))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
         """The checked pass on the half-space: the point, its coordinates
@@ -260,7 +252,7 @@ class UpperHalfSpace:
         return gauge
 
 
-class FiniteComplement:
+class FiniteComplement(_Domain):
     """R^n with a nonempty finite set of points removed.
 
     The removed points are the finite boundary.  Topologically the point
@@ -276,8 +268,8 @@ class FiniteComplement:
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
         pts = np.array(pts)
-        # membership compares Python floats, like same_point; -0.0 and 0.0
-        # hash alike, so the set finds duplicates under the same equality
+        # membership (a zero distance) is equality of Python floats; -0.0
+        # and 0.0 hash alike, so the set finds duplicates the same way
         self._removed_rows = pts.tolist()
         if len(set(map(tuple, self._removed_rows))) < len(pts):
             raise ParameterError("removed points must be pairwise distinct")
@@ -285,9 +277,6 @@ class FiniteComplement:
         self.dim = dim
         self.removed = pts
         self.includes_infinity_boundary = bool(includes_infinity_boundary)
-
-    def contains(self, x) -> bool:
-        return _domain_vector(x, self.dim).tolist() not in self._removed_rows
 
     def _distance_row(self, coords: list[float]) -> list[float]:
         """|p - x| for each removed point p, in order, from the coordinates
@@ -303,9 +292,6 @@ class FiniteComplement:
             raise ParameterError(f"expected points of dimension {self.dim} on the last axis, got shape {arr.shape}")
         rows = [self._distance_row(v) for v in arr.reshape(-1, self.dim).tolist()]
         return np.array(rows, dtype=float).reshape(*arr.shape[:-1], len(self._removed_rows))
-
-    def distance_to_boundary(self, x) -> float:
-        return self._distance(self._distance_row(_domain_vector(x, self.dim).tolist()))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], list[float]]:
         """The checked pass on a finite complement: the point, its
@@ -364,10 +350,9 @@ def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
 
 
 def distance_to_boundary(domain: Domain, x) -> float:
-    """Euclidean distance from an interior point to the finite boundary,
-    read from the gauge of the one pass that checks the point."""
+    """Euclidean distance from an interior point to the finite boundary."""
     _require_domain(domain)
-    return domain._distance(domain._checked(x, "point")[2])
+    return domain.distance_to_boundary(x)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ keyed, so the generator is never shared between threads.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import operator
@@ -357,6 +359,13 @@ class InequalityCase:
             raise ConfigurationError(f"case {self.case_id}: declares no domains")
         if self.grid is None and None in self.domains:
             raise ConfigurationError(f"case {self.case_id}: a None domain needs a grid")
+        # _equal_distance_pair anchors its pairs on the ball's centre or a removed point
+        other = [d for d in self.domains if not isinstance(d, (UnitBall, FiniteComplement))]
+        if self.sampler == "equal_pair" and other:
+            raise ConfigurationError(
+                f"case {self.case_id}: sampler 'equal_pair' runs on UnitBall and FiniteComplement domains only, "
+                f"got {other[0]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -944,6 +953,15 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
 # Report serialization
 
 _BASE_FIELDS = ("case_id", "paper_ref", "samples", "violations", "max_slack", "seed", "pass")
+# type(), not isinstance: JSON true is a bool, which isinstance counts as an int
+_FIELD_RULES = (
+    ("case_id", lambda v: type(v) is str, "a string"),
+    ("pass", lambda v: type(v) is bool, "true or false"),
+    ("samples", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    ("violations", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    ("max_slack", lambda v: v is None or type(v) in (int, float), "a number or null"),
+    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
+)
 _PROBE_FIELDS = ("schedule", "estimates", "expected_limit", "final_deviation")
 
 
@@ -977,10 +995,9 @@ def parse_report(text: str):
         missing = [f for f in _BASE_FIELDS if f not in rec]
         if missing:
             raise ConfigurationError(f"report record is missing fields: {missing}")
-        if not isinstance(rec["case_id"], str):
-            raise ConfigurationError(f"report record case_id must be a string, got {rec['case_id']!r}")
-        if not isinstance(rec["pass"], bool):
-            raise ConfigurationError(f"report record pass must be true or false, got {rec['pass']!r}")
+        for field, valid, kind in _FIELD_RULES:
+            if not valid(rec[field]):
+                raise ConfigurationError(f"report record {field} must be {kind}, got {rec[field]!r}")
         if "schedule" in rec:
             missing = [f for f in _PROBE_FIELDS if f not in rec]
             if missing:
@@ -1005,10 +1022,10 @@ def records_to_csv(records) -> str:
         "case_id", "samples", "violations", "max_slack", "seed", "pass",
         "wall_time", "expected_limit", "final_deviation", "monotone",
     ]
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_fmt(rec.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    rows = [[_fmt(rec.get(col)) for col in columns] for rec in records]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+    return out.getvalue()
 
 
 def records_to_text(records) -> str:

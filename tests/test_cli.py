@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface, driven through main()."""
 
+import csv
+import io
 import json
 import math
 
@@ -519,7 +521,18 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "field, value, message",
-        [("case_id", None, "case_id must be a string"), ("pass", "false", "pass must be true or false")],
+        [
+            ("case_id", None, "case_id must be a string"),
+            ("pass", "false", "pass must be true or false"),
+            ("samples", [1, 2], "samples must be an integer >= 0, got [1, 2]"),
+            ("samples", True, "samples must be an integer >= 0, got True"),
+            ("violations", -1, "violations must be an integer >= 0, got -1"),
+            ("violations", 1.0, "violations must be an integer >= 0, got 1.0"),
+            ("max_slack", "0.5", "max_slack must be a number or null, got '0.5'"),
+            ("max_slack", False, "max_slack must be a number or null, got False"),
+            ("seed", 4.5, "seed must be an integer or null, got 4.5"),
+            ("seed", "42", "seed must be an integer or null, got '42'"),
+        ],
     )
     def test_rejects_wrongly_typed_fields(self, capsys, tmp_path, field, value, message):
         _, target = self._write_report(capsys, tmp_path)
@@ -530,6 +543,30 @@ class TestReport:
         code, out, err = run(capsys, "report", "--in", str(bad), "--format", "text")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and message in err
+
+    def test_takes_null_and_whole_number_fields(self, capsys, tmp_path):
+        _, target = self._write_report(capsys, tmp_path)
+        records = json.loads(target.read_text())
+        records[0].update(max_slack=None, seed=None)
+        records.append(dict(records[0], max_slack=3, seed=-1, samples=0))
+        good = tmp_path / "nulls.json"
+        good.write_text(json.dumps(records))
+        code, out, err = run(capsys, "report", "--in", str(good), "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out) == records
+
+    def test_csv_quotes_a_field_with_a_comma(self, capsys, tmp_path):
+        _, target = self._write_report(capsys, tmp_path)
+        records = json.loads(target.read_text())
+        records[0]["case_id"] = "A,B"
+        records.append(dict(records[0], case_id='say "u"'))
+        quoted = tmp_path / "quoted.json"
+        quoted.write_text(json.dumps(records))
+        code, out, _ = run(capsys, "report", "--in", str(quoted), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        assert [row[0] for row in rows] == ["case_id", "A,B", 'say "u"']
+        assert out.splitlines()[1].startswith('"A,B",')
 
     def test_rejects_wrong_shape(self, capsys, tmp_path):
         bad = tmp_path / "shape.json"

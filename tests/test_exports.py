@@ -3,8 +3,9 @@ the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module defines a private name nothing
 uses, no module calls ``np.dot``, no metric kernel re-derives what the
 validating wrapper measured or computes with numpy, no function that runs
-on every metric call defines a closure, and every field of a catalog
-declaration is read."""
+on every metric call defines a closure, a domain's point methods are
+defined once over one coercion, and every field of a catalog declaration
+is read."""
 
 import ast
 import dataclasses
@@ -308,6 +309,25 @@ def test_no_per_call_function_defines_a_closure():
     found = _nested_functions(Path(hypmetrics.__file__).parent)
     assert len(found) == len(_PER_CALL["geometry"]) + 10
     assert {name: nested for name, nested in found.items() if nested} == {}
+
+
+def test_domain_point_methods_are_defined_once_over_one_coercion():
+    # contains and distance_to_boundary read each class's checked pass, and
+    # every point reaches the array conversion through _coerced; a second
+    # method body or a second caller would be a second, laxer check
+    tree = ast.parse((Path(hypmetrics.__file__).parent / "geometry.py").read_text(encoding="utf-8"))
+    methods = [
+        name
+        for name, fn in _functions_and_methods(tree)
+        if "." in name and fn.name in ("contains", "distance_to_boundary")
+    ]
+    assert methods == ["_Domain.contains", "_Domain.distance_to_boundary"]
+    callers = [
+        name
+        for name, fn in _functions_and_methods(tree)
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_real_array" for n in ast.walk(fn))
+    ]
+    assert callers == ["_coerced", "FiniteComplement.distances"]
 
 
 def _attribute_reads(package: Path) -> set[str]:

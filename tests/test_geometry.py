@@ -255,43 +255,66 @@ class TestDomains:
     @pytest.mark.parametrize(
         "domain, method, x, message",
         [
-            (FiniteComplement(3, [[0, 0, 0]]), "contains", ["0.5", "0", "0"], "vector of real numbers"),
-            (FiniteComplement(3, [[0, 0, 0]]), "contains", [0.5, 0], "dimension 3, got shape (2,)"),
-            (FiniteComplement(3, [[0, 0, 0]]), "distance_to_boundary", [0.5, 0], "dimension 3, got shape (2,)"),
-            (UpperHalfSpace(3), "contains", ["1", "2", "0.5"], "vector of real numbers"),
-            (UpperHalfSpace(3), "contains", [1.0, 0.5], "dimension 3, got shape (2,)"),
-            (UnitBall(3), "contains", [0.5, 0], "dimension 3, got shape (2,)"),
-            (UnitBall(3), "contains", ["0.5", "0", "0"], "vector of real numbers"),
+            (FiniteComplement(3, [[0, 0, 0]]), "contains", ["0.5", "0", "0"],
+             "a point must be a vector of real numbers, got ['0.5', '0', '0']"),
+            (FiniteComplement(3, [[0, 0, 0]]), "contains", [0.5, 0],
+             "point of dimension 2 used with a domain of dimension 3"),
+            (FiniteComplement(3, [[0, 0, 0]]), "distance_to_boundary", [0.5, 0],
+             "point of dimension 2 used with a domain of dimension 3"),
+            (UpperHalfSpace(3), "contains", ["1", "2", "0.5"],
+             "a point must be a vector of real numbers, got ['1', '2', '0.5']"),
+            (UpperHalfSpace(3), "contains", [1.0, 0.5], "point of dimension 2 used with a domain of dimension 3"),
+            (UnitBall(3), "contains", [0.5, 0], "point of dimension 2 used with a domain of dimension 3"),
+            (UnitBall(3), "contains", ["0.5", "0", "0"],
+             "a point must be a vector of real numbers, got ['0.5', '0', '0']"),
         ],
         ids=lambda v: repr(v) if isinstance(v, list) else v if isinstance(v, str) else type(v).__name__,
     )
     def test_domain_methods_take_only_real_vectors_of_their_dimension(self, domain, method, x, message):
+        # the ParameterError of as_point, message and all
         with pytest.raises(ParameterError) as exc:
             getattr(domain, method)(x)
-        assert message in str(exc.value)
+        with pytest.raises(ParameterError) as coerced:
+            as_point(x, domain.dim)
+        assert str(exc.value) == str(coerced.value) == message
 
     def test_domain_methods_reject_arrays_of_another_shape(self):
-        # a float64 array takes the fast path, which checks the shape too
+        # a float64 array skips the array conversion; its shape is checked all the same
+        messages = {
+            (2,): "point of dimension 2 used with a domain of dimension 3",
+            (1, 3): "a point must be a vector of dimension >= 2, got shape (1, 3)",
+            (4,): "point of dimension 4 used with a domain of dimension 3",
+        }
         for domain in (UnitBall(3), UpperHalfSpace(3), FiniteComplement(3, [E1])):
-            for x in (np.zeros(2), np.zeros((1, 3)), np.zeros(4)):
+            for shape, message in messages.items():
                 for method in (domain.contains, domain.distance_to_boundary):
-                    with pytest.raises(ParameterError, match="expected a point of dimension 3"):
-                        method(x)
+                    with pytest.raises(ParameterError) as exc:
+                        method(np.zeros(shape))
+                    assert str(exc.value) == message
 
     def test_domain_methods_do_not_count_as_point_validation(self, monkeypatch):
-        # the public methods check type and shape without as_point, whose
-        # calls the benchmark tracer counts as point validation, and
-        # without the coercion of the checked pass
+        # the public methods coerce without as_point, whose calls the
+        # benchmark tracer counts as point validation, and coerce once
         def forbidden(*args, **kwargs):
-            raise AssertionError("a validating coercion called")
+            raise AssertionError("as_point called")
+
+        calls = []
+        coerce = geo._coerced
+
+        def counted(p, dim):
+            calls.append(dim)
+            return coerce(p, dim)
 
         domains = (UnitBall(3), UpperHalfSpace(3), FiniteComplement(3, [E1]))
         monkeypatch.setattr(geo, "as_point", forbidden)
-        monkeypatch.setattr(geo, "_coerced", forbidden)
+        monkeypatch.setattr(geo, "_coerced", counted)
         for domain in domains:
             for x in ([0.5, 0, 0.25], np.array([0.5, 0.0, 0.25])):
+                calls.clear()
                 assert domain.contains(x)
+                assert calls == [3]
                 assert domain.distance_to_boundary(x) > 0.0
+                assert calls == [3, 3]
 
 
 # the four catalog domains, each once
@@ -338,12 +361,13 @@ def _checked_inputs(draw):
 
 
 def _outcome(fn):
-    """What ``fn()`` returns, or the type and message of the ParameterError
-    or DomainMembershipError it raises."""
+    """What ``fn()`` returns, a float as its bits, or the type and message
+    of the ParameterError or DomainMembershipError it raises."""
     try:
-        return fn()
+        value = fn()
     except (ParameterError, DomainMembershipError) as exc:
         return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else value
 
 
 class TestCheckedPass:
@@ -355,25 +379,36 @@ class TestCheckedPass:
     @example((_HALF, [0.5, 0.5, math.nan]))
     @example((_PUNCTURED, [1.0, 0.0, 0.0, 0.0]))
     @example((_BALL, np.array([0.6, 0.8, 0.0, math.nan])))
+    # points the domain methods once took without a check
+    @example((_BALL, [2.0, 0.0, 0.0]))
+    @example((_HALF, [0.0, 0.0, -1.0]))
+    @example((_PUNCTURED, [math.nan, 0.0, 0.0]))
+    @example((_HALF, [0.0, 0.0, math.inf]))
     def test_checked_pass_agrees_with_the_public_methods(self, case):
         domain, p = case
         coords = [float(v) for v in p]
         got = _outcome(lambda: domain._checked(p, "x"))
         module_d = _outcome(lambda: distance_to_boundary(domain, p))
+        # the method and the module function: the same bits or the same error
+        assert _outcome(lambda: domain.distance_to_boundary(p)) == module_d
+        # contains is True exactly where the checked pass returns, and raises
+        # its ParameterError
+        inside = _outcome(lambda: domain.contains(p))
+        returned = not isinstance(got[0], type)
+        assert (inside == got) if got[0] is ParameterError else (inside is returned)
         if len(coords) != domain.dim or not all(map(math.isfinite, coords)):
             with pytest.raises(ParameterError) as exc:
                 as_point(p, domain.dim)
-            assert got == module_d == (ParameterError, str(exc.value))
+            assert got == module_d == inside == (ParameterError, str(exc.value))
             return
-        if not domain.contains(p):
+        if not inside:
             message = f"{coords} is not in {domain!r}"
             assert got == (DomainMembershipError, f"x {message}")
             assert module_d == (DomainMembershipError, f"point {message}")
             return
         x, xs, gauge = got
         assert xs == coords and x.tolist() == coords and x.dtype == float
-        d = domain._distance(gauge)
-        assert d.hex() == domain.distance_to_boundary(p).hex() == module_d.hex()
+        assert domain._distance(gauge).hex() == module_d
 
 
 class TestCrossRatio:
@@ -817,9 +852,13 @@ class TestDirectCallsMatchNumpyWrappers:
             self._assert_within_an_ulp(norm, x.tolist())
             radii.append(norm)
             assert b.contains(x) == (norm < 1.0)
-            d = b.distance_to_boundary(x)
-            assert d.hex() == (1.0 - norm).hex()
+            if norm < 1.0:
+                assert b.distance_to_boundary(x).hex() == (1.0 - norm).hex()
+            else:
+                with pytest.raises(DomainMembershipError):
+                    b.distance_to_boundary(x)
         assert max(r for r in radii if r < 1.0) > 1.0 - 2e-6
+        assert max(radii) == 1.0
 
     def test_rho_on_the_ball(self):
         from hypmetrics.metrics import rho
@@ -915,7 +954,11 @@ class TestDirectCallsMatchNumpyWrappers:
         c = FiniteComplement(2, removed)
         assert c.removed.tolist() == removed
         for x in (p for p in self.EDGE_POINTS if p.size == 2):
-            assert c.contains(x) == (not (c.removed == x).all(axis=1).any()), x
+            if np.isfinite(x).all():
+                assert c.contains(x) == (not (c.removed == x).all(axis=1).any()), x
+            else:
+                with pytest.raises(ParameterError, match="^point has non-finite coordinates"):
+                    c.contains(x)
         assert not c.contains(np.array([-0.0, 0.0]))
         assert not c.contains([1.0, 0.0])
         # duplicates are found under the same equality

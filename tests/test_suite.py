@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -392,6 +393,21 @@ class TestCheckCase:
                 formula="n/a",
                 evaluate=lambda domain, smp: (0.0, 1.0),
                 **declaration,
+            )
+
+    @pytest.mark.parametrize("domain", [HALF, None], ids=repr)
+    def test_an_equal_pair_case_runs_on_a_ball_or_a_complement(self, domain):
+        # the sampler anchors its pairs on the ball's centre or a removed point
+        message = "^case RIG-EQUAL: sampler 'equal_pair' runs on UnitBall and FiniteComplement domains only, got "
+        with pytest.raises(ConfigurationError, match=message + re.escape(repr(domain))):
+            InequalityCase(
+                case_id="RIG-EQUAL",
+                paper_ref="none",
+                formula="n/a",
+                domains=(BALL, domain),
+                evaluate=lambda domain, smp: (0.0, 1.0),
+                sampler="equal_pair",
+                grid=(0.0, 1.0) if domain is None else None,
             )
 
     def test_known_counterexample_case_reports_violations(self):
