@@ -209,9 +209,10 @@ def _cmd_eval(args) -> int:
 
 
 def _select(kind: str, known: list[str], requested) -> list[str]:
-    """The requested ids, or every known one when none is given; an
-    unknown id is a usage error that lists the known ones."""
-    ids = requested if requested else known
+    """The requested ids, each once in first-seen order, or every known
+    one when none is given; an unknown id is a usage error that lists the
+    known ones."""
+    ids = list(dict.fromkeys(requested)) if requested else known
     known_ids = set(known)
     unknown = [i for i in ids if i not in known_ids]
     if unknown:

@@ -27,7 +27,7 @@ quartic are written out where they are evaluated.
 
 Points are validated once, at the public entry points: require_member
 and distance_to_boundary, and the metric functions, which check the
-domain's type themselves.  Each hands the point to its domain class's
+domain's type themselves.  Each hands a raw point to its domain class's
 own checked pass (``_checked`` of UnitBall, UpperHalfSpace or
 FiniteComplement), which coerces the point once (:func:`_coerced`, the
 rules of :func:`as_point` with one ``tolist()``; finiteness is tested
@@ -41,7 +41,12 @@ ball's 1 - |x|^2 is read off its gauge in :func:`_one_minus_square`
 only.  The domain methods ``contains`` and ``distance_to_boundary``,
 defined once on a base class, read the same pass; the metric kernels
 and boundary_sup take trusted points, and boundary_sup their coordinate
-lists and gauges too.
+lists and gauges too.  ``_Domain._point`` keeps one pass as a checked
+point (:class:`_CheckedPoint`), which the suite's sampler builds once
+per drawn point: the metric functions and ``distance_to_boundary`` take
+it without a second pass where its domain is the very domain object of
+the call, and everything else, :func:`_coerced` included, takes it as
+its array.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -125,7 +130,13 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     strings or complex values.  Rejects NaN and infinite coordinates,
     and only those: finite coordinates whose sum overflows are accepted.
     INFINITY is not accepted here, callers that allow it must branch
-    before coercing.
+    before coercing.  A checked point is taken as its array.
+
+    Every point so accepted is a valid input, but the metrics' accuracy
+    claim holds only where each distance from the point to a puncture of
+    a finite complement is at least the least normal float
+    (``sys.float_info.min``): ``math.dist`` rounds a subnormal distance
+    by up to 41%, and the log-type metrics inherit it.
     """
     return _coerced(p, dim)[0]
 
@@ -138,6 +149,9 @@ def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
     # argument handling, and every check below still runs
     if type(p) is np.ndarray and p.dtype is _FLOAT64:
         arr = p
+    elif type(p) is _CheckedPoint:
+        # checked on some domain: taken afresh from its array
+        arr = p.x
     elif is_infinity(p):
         raise ParameterError("expected a finite point, got INFINITY")
     else:
@@ -191,6 +205,20 @@ def _check_dim(dim) -> int:
 # Domains
 
 
+class _CheckedPoint:
+    """A point as its domain's checked pass returned it, with that domain:
+    the array ``x``, its coordinates as floats and its gauge.  Built only
+    by ``_Domain._point``.  The metrics and ``distance_to_boundary`` take
+    it as checked where ``domain`` is the very domain object of the call;
+    everywhere else it is a point like any other, coerced and checked
+    afresh from its array."""
+
+    __slots__ = ("x", "coords", "gauge", "domain")
+
+    def __init__(self, x: np.ndarray, coords: list[float], gauge, domain):
+        self.x, self.coords, self.gauge, self.domain = x, coords, gauge, domain
+
+
 class _Domain:
     """The point methods of every domain class, read off its checked pass."""
 
@@ -203,7 +231,13 @@ class _Domain:
         return True
 
     def distance_to_boundary(self, x) -> float:
+        if type(x) is _CheckedPoint and x.domain is self:
+            return self._distance(x.gauge)
         return self._distance(self._checked(x, "point")[2])
+
+    def _point(self, p, name: str) -> _CheckedPoint:
+        """``p`` checked once on this domain, kept as a checked point."""
+        return _CheckedPoint(*self._checked(p, name), self)
 
 
 @dataclass(frozen=True)
@@ -260,6 +294,12 @@ class FiniteComplement(_Domain):
     inside extended space; ``includes_infinity_boundary`` records whether
     the boundary-pair metrics (delta, alpha) may use it.  It defaults to
     True because that is the honest boundary of an unbounded domain.
+
+    Distances to the removed points are ``math.dist`` of Python floats,
+    accurate wherever they are at least the least normal float
+    (``sys.float_info.min``).  A subnormal distance is rounded by up to
+    41%, so the metrics' accuracy claim leaves out points closer than
+    that to a puncture.
     """
 
     def __init__(self, dim: int, removed, includes_infinity_boundary: bool = True):

@@ -42,7 +42,10 @@ Each public metric wraps a kernel, the function body written here.  The
 wrapper checks the domain once against ``_DEFINED_ON`` (and, for delta,
 ``_two_boundary_points``), then x, then y, each in one pass that keeps
 what it measured (the domain class's own checked pass, ``_checked``),
-and returns 0 for equal coordinates.  The kernel takes two distinct,
+and returns 0 for equal coordinates.  A point that arrives as a checked
+point of this very domain object (geometry's ``_CheckedPoint``, which
+the suite's sampler builds once per drawn point) hands over that pass
+instead; any other checked point is checked afresh from its array.  The kernel takes two distinct,
 checked points x, y, their coordinate lists xs, ys and their gauges gx,
 gy, and re-derives none of them: |x| and |y| on the ball, x_n and y_n
 on the half-space, and on a finite complement both distance rows
@@ -66,6 +69,7 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     _NORMAL,
+    _CheckedPoint,
     _cross,
     _depressed_cubic_roots,
     _in_order,
@@ -191,7 +195,10 @@ def _validated(mid: MetricId):
     boundary points if ``mid`` needs two, then x, then y; x == y gives 0.
     Otherwise the kernel runs on the points, their coordinate lists and
     their gauges, on a finite complement both points' distance rows, as
-    the checked pass returns them."""
+    the checked pass returns them.  A point that already holds that pass
+    on this domain object (geometry's ``_CheckedPoint``, which the
+    suite's sampler builds) hands it over unchecked; a raw point pays one
+    type test for it."""
     kinds = _DEFINED_ON[mid]
     needs_two = mid is MetricId.DELTA
 
@@ -206,8 +213,17 @@ def _validated(mid: MetricId):
                     f"{mid.value} requires at least two boundary points (removed set of size >= 2, "
                     "or the infinity flag)"
                 )
-            x, xs, gx = domain._checked(x, "x")
-            y, ys, gy = domain._checked(y, "y")
+            # a checked point of this very domain object is taken as
+            # checked; anything else, other checked points included, is
+            # checked here
+            if type(x) is _CheckedPoint and x.domain is domain:
+                x, xs, gx = x.x, x.coords, x.gauge
+            else:
+                x, xs, gx = domain._checked(x, "x")
+            if type(y) is _CheckedPoint and y.domain is domain:
+                y, ys, gy = y.x, y.coords, y.gauge
+            else:
+                y, ys, gy = domain._checked(y, "y")
             # IEEE == on Python floats, as geometry.same_point compares
             if xs == ys:
                 return 0.0

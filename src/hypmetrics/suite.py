@@ -17,6 +17,14 @@ Mobius case declares ``draw_map``, a function ``(domain, rng) -> (f,
 f(domain))`` that draws the map from the sample's stream before its
 pair; the scalar case declares ``grid`` and the one domain None.
 
+Each sampled point is checked once, where it is drawn: ``sample_point``
+returns every draw as a checked point of its domain (geometry's
+``_CheckedPoint``), a Mobius case checks each image once on the image
+domain, and a ``Sample`` carries those checked points (``px``, ``py``,
+``pz``, ``pfx``, ``pfy``) beside its arrays.  The evaluators hand the
+checked points to the public metric functions, which take them without
+a second check.
+
 Every probe drives a parametric family toward a limit that attains a
 sharp constant and records the convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
 declares it as a domain, a point family ``t -> Sample`` (``sym`` is
@@ -188,10 +196,27 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
             return g / norm
 
 
-def sample_point(domain, rng: np.random.Generator) -> np.ndarray:
+def _member(domain, p):
+    """``p`` checked once on ``domain``, as a checked point, or None
+    where it is outside."""
+    try:
+        return domain._point(p, "point")
+    except DomainMembershipError:
+        return None
+
+
+def sample_point(domain, rng: np.random.Generator):
     """One admissible interior point, stressing the regimes the bounds
     care about (near-boundary on the ball, extreme heights on the
-    half-space, tight clouds around punctures)."""
+    half-space, tight clouds around punctures).
+
+    Every draw is checked once on ``domain``, where it is drawn, and the
+    point is returned as that checked point (geometry's
+    ``_CheckedPoint``; its ``x`` is the array).  The metrics take it on
+    this domain object without checking it again; anything else takes
+    its array.  On a finite complement a draw at a removed point is
+    drawn again, its membership read from the same check.
+    """
     n = domain.dim
     if isinstance(domain, UnitBall):
         direction = _unit(rng, n)
@@ -199,12 +224,12 @@ def sample_point(domain, rng: np.random.Generator) -> np.ndarray:
             radius = rng.random() ** (1.0 / n)
         else:
             radius = 1.0 - 10.0 ** (-float(rng.integers(1, 7)))
-        return radius * direction
+        return domain._point(radius * direction, "point")
     if isinstance(domain, UpperHalfSpace):
         p = np.empty(n)
         p[:-1] = 2.0 * rng.standard_normal(n - 1)
         p[-1] = 10.0 ** _uniform(rng, -6.0, 6.0)
-        return p
+        return domain._point(p, "point")
     while True:
         if rng.random() < 0.7:
             center = domain.removed[int(rng.integers(len(domain.removed)))]
@@ -212,24 +237,35 @@ def sample_point(domain, rng: np.random.Generator) -> np.ndarray:
             p = center + sigma * rng.standard_normal(n)
         else:
             p = domain.centroid + (5.0 + 45.0 * rng.random()) * _unit(rng, n)
-        if domain.contains(p):
-            return p
+        point = _member(domain, p)
+        if point is not None:
+            return point
 
 
-def sample_pair(domain, rng: np.random.Generator):
+def _checked_pair(domain, rng: np.random.Generator):
+    """Two distinct points of :func:`sample_point`, as checked points."""
     x = sample_point(domain, rng)
     while True:
         y = sample_point(domain, rng)
-        if not same_point(x, y):
+        # IEEE == on Python floats, as geometry.same_point compares
+        if x.coords != y.coords:
             return x, y
 
 
+def sample_pair(domain, rng: np.random.Generator):
+    """Two distinct admissible points, as arrays: the draws of
+    :func:`sample_point`, each checked once."""
+    x, y = _checked_pair(domain, rng)
+    return x.x, y.x
+
+
 def _equal_distance_pair(domain, rng: np.random.Generator):
-    """Pair with bit-identical boundary distances.
+    """Pair with bit-identical boundary distances, as checked points.
 
     Built by flipping signs of offset components whose anchor coordinate
     is zero: the two offset vectors then have the same squares in the
-    same order, so the recomputed distances agree exactly.
+    same order, so the recomputed distances agree exactly.  Each point
+    built is checked once.
     """
     n = domain.dim
     if isinstance(domain, UnitBall):
@@ -244,18 +280,17 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         sigma = 10.0 ** _uniform(rng, -4.0, 1.0)
         w = sigma * rng.standard_normal(n)
     flippable = anchor == 0.0
-    x = anchor + w
-    # x is tested once; the loop still makes its draws when x is outside
-    x_inside = domain.contains(x)
+    # x is checked once (None outside); the loop still makes its draws when x is outside
+    x = _member(domain, anchor + w)
     for _ in range(64):
         flips = (rng.random(n) < 0.5) & flippable & (w != 0.0)
         if not flips.any():
             continue
         signs = np.where(flips, -1.0, 1.0)
-        y = anchor + w * signs
-        if domain.contains(y) and x_inside and not same_point(x, y):
+        y = _member(domain, anchor + w * signs)
+        if y is not None and x is not None and x.coords != y.coords:
             return x, y
-    return sample_pair(domain, rng)
+    return _checked_pair(domain, rng)
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -300,6 +335,13 @@ def _ball_map(domain: UnitBall, rng: np.random.Generator):
 
 @dataclass
 class Sample:
+    """One configuration: the arrays x, y, z and the images fx, fy, which
+    reports show, and px, py, pz, pfx, pfy, the points the evaluators
+    hand to the metrics.  The sampler gives checked points, each checked
+    once on its domain (x, y, z) or on the image domain (fx, fy); a
+    sample built from arrays alone, as the probes' families build them,
+    hands the metrics the arrays."""
+
     x: np.ndarray | None = None
     y: np.ndarray | None = None
     z: np.ndarray | None = None
@@ -308,29 +350,38 @@ class Sample:
     fx: np.ndarray | None = None
     fy: np.ndarray | None = None
     t: float | None = None
+    px: object = None
+    py: object = None
+    pz: object = None
+    pfx: object = None
+    pfy: object = None
+
+    def __post_init__(self):
+        if self.px is None:
+            self.px, self.py, self.pz, self.pfx, self.pfy = self.x, self.y, self.z, self.fx, self.fy
 
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
     if case.draw_map is not None:
         f, fd = case.draw_map(domain, rng)
         for _ in range(64):
-            x, y = sample_pair(domain, rng)
-            fx = f.apply(x)
-            fy = f.apply(y)
+            x, y = _checked_pair(domain, rng)
+            fx = f.apply(x.x)
+            fy = f.apply(y.x)
             if is_infinity(fx) or is_infinity(fy) or same_point(fx, fy):
                 continue
-            if not (fd.contains(fx) and fd.contains(fy)):
-                continue
-            return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
+            # each image is checked once on the image domain, fy only where fx is inside
+            pfx = _member(fd, fx)
+            pfy = None if pfx is None else _member(fd, fy)
+            if pfy is not None:
+                return Sample(x=x.x, y=y.x, fmap=f, fdomain=fd, fx=fx, fy=fy, px=x, py=y, pfx=pfx, pfy=pfy)
         raise ConfigurationError(f"no admissible mapped pair found for {case.case_id}")
-    if case.sampler == "pair":
-        x, y = sample_pair(domain, rng)
-        return Sample(x=x, y=y)
     if case.sampler == "triple":
-        x, y = sample_pair(domain, rng)
-        return Sample(x=x, y=y, z=sample_point(domain, rng))
-    x, y = _equal_distance_pair(domain, rng)
-    return Sample(x=x, y=y)
+        x, y = _checked_pair(domain, rng)
+        z = sample_point(domain, rng)
+        return Sample(x=x.x, y=y.x, z=z.x, px=x, py=y, pz=z)
+    x, y = _checked_pair(domain, rng) if case.sampler == "pair" else _equal_distance_pair(domain, rng)
+    return Sample(x=x.x, y=y.x, px=x, py=y)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +515,14 @@ class ProbeResult:
 
 def _axioms_evaluator(metric_fn, triangle: bool):
     def ev(domain, smp: Sample):
-        mxy = metric_fn(domain, smp.x, smp.y)
-        myx = metric_fn(domain, smp.y, smp.x)
-        mxx = metric_fn(domain, smp.x, smp.x)
+        x, y = smp.px, smp.py
+        mxy = metric_fn(domain, x, y)
+        myx = metric_fn(domain, y, x)
+        mxx = metric_fn(domain, x, x)
         residual = max(-mxy, abs(mxy - myx), mxx)
         if triangle:
-            mxz = metric_fn(domain, smp.x, smp.z)
-            mzy = metric_fn(domain, smp.z, smp.y)
+            mxz = metric_fn(domain, x, smp.pz)
+            mzy = metric_fn(domain, smp.pz, y)
             residual = max(residual, math.fsum((mxy, -mxz, -mzy)))
         return residual, 0.0
 
@@ -485,17 +537,17 @@ def _chain(*terms):
 
 def _pairwise(bound, *metrics):
     """The evaluator of a pair case or probe: each metric once at
-    (domain, smp.x, smp.y), in the order given, then ``bound(*values)``,
+    (domain, smp.px, smp.py), in the order given, then ``bound(*values)``,
     the case's (lhs, rhs) or the probe's estimate."""
-    return lambda domain, smp: bound(*[m(domain, smp.x, smp.y) for m in metrics])
+    return lambda domain, smp: bound(*[m(domain, smp.px, smp.py) for m in metrics])
 
 
 def _distortion(bound):
-    """The evaluator of a Mobius case or probe: u at (x, y) on the domain,
-    then u at the images (fx, fy) on the image domain, then
+    """The evaluator of a Mobius case or probe: u at (px, py) on the
+    domain, then u at the images (pfx, pfy) on the image domain, then
     ``bound(u0, u1)``; u is bound when the catalog is built."""
     u = u_metric
-    return lambda domain, smp: bound(u(domain, smp.x, smp.y), u(smp.fdomain, smp.fx, smp.fy))
+    return lambda domain, smp: bound(u(domain, smp.px, smp.py), u(smp.fdomain, smp.pfx, smp.pfy))
 
 
 @lru_cache(maxsize=1)
@@ -650,13 +702,14 @@ def catalog() -> Catalog:
 
     # -- Cassinian comparisons ------------------------------------------------
     def nearer_farther(domain, smp):
-        """min and max of the boundary distances d(x), d(y)."""
-        d = domain.distance_to_boundary(smp.x), domain.distance_to_boundary(smp.y)
+        """min and max of the boundary distances d(x), d(y), read off the
+        gauges of checked points."""
+        d = domain.distance_to_boundary(smp.px), domain.distance_to_boundary(smp.py)
         return min(d), max(d)
 
     def ev_equ12(domain, smp):
-        c_ = C(domain, smp.x, smp.y)
-        u_ = U(domain, smp.x, smp.y)
+        c_ = C(domain, smp.px, smp.py)
+        u_ = U(domain, smp.px, smp.py)
         rmin, rmax = nearer_farther(domain, smp)
         return max(2.0 * math.log1p(rmin * c_) - u_, 0.5 * math.log1p(rmax * c_) - u_), 0.0
 
@@ -667,7 +720,7 @@ def catalog() -> Catalog:
         rmin, rmax = nearer_farther(domain, smp)
         if rmin < 0.25 * rmax:
             return 0.0, math.inf
-        c_ = C(domain, smp.x, smp.y)
+        c_ = C(domain, smp.px, smp.py)
         return 0.5 * math.log1p(rmax * c_) - 2.0 * math.log1p(rmin * c_), 0.0
 
     add("T-EQU12-DOM", "the min-distance Cassinian bound dominates when the boundary distances are within a factor four",
@@ -754,7 +807,7 @@ def catalog() -> Catalog:
     probe("P6", "antipodal family around a single puncture where u is constant 2*log3",
           "y = -x in space punctured at the origin",
           "exact", (0.1, 0.5, 1.0, 2.0, 10.0), TWO_LOG3, 1e-12,
-          punct0, sym, lambda domain, smp: U(domain, smp.x, smp.y))
+          punct0, sym, lambda domain, smp: U(domain, smp.px, smp.py))
     probe("P7", "symmetric family in punctured space attaining the sharp factor 3 over the triangular-ratio bound",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
           "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
@@ -787,9 +840,9 @@ def catalog() -> Catalog:
           ball, sym, _pairwise(operator.sub, U, D))
 
     def ev_p12(domain, smp):
-        c_ = C(domain, smp.x, smp.y)
+        c_ = C(domain, smp.px, smp.py)
         rmin = nearer_farther(domain, smp)[0]
-        return U(domain, smp.x, smp.y) - 2.0 * math.log1p(rmin * c_)
+        return U(domain, smp.px, smp.py) - 2.0 * math.log1p(rmin * c_)
 
     probe("P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",
           "x = t*e1, y = t*e3 in space punctured at the origin",

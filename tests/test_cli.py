@@ -321,6 +321,14 @@ class TestVerify:
         assert code == 2
         assert "unknown case ids: ZZ, BOGUS; known: AX-U, " in err
 
+    def test_a_repeated_case_runs_once_in_first_seen_order(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--case", "AX-J", "--case", "AX-U", "--case", "AX-J", "--case", "AX-U",
+            "--samples", "5",
+        )
+        assert code == 0
+        assert [rec["case_id"] for rec in parse_report(out)] == ["AX-J", "AX-U"]
+
     def test_bad_samples(self, capsys):
         code, _, err = run(capsys, "verify", "--case", "AX-U", "--samples", "0")
         assert code == 2 and err.startswith("error:")
@@ -414,6 +422,15 @@ class TestProbe:
         assert code == 2 and "exactly one" in err
         code, _, err = run(capsys, "probe", "--schedule", "0.1,0.01,0.001,0.0001")
         assert code == 2
+
+    def test_a_repeated_id_runs_once(self, capsys):
+        # one id given twice is one id, so a schedule applies to it
+        code, out, _ = run(capsys, "probe", "--id", "P1", "--id", "P1", "--schedule", "0.5,0.9,0.99,0.999")
+        assert code == 0
+        assert out.count("# probe P1:") == 1
+        code, out, _ = run(capsys, "probe", "--id", "P6", "--id", "P3", "--id", "P6", "--format", "json")
+        assert code == 0
+        assert [rec["case_id"] for rec in parse_report(out)] == ["P6", "P3"]
 
     def test_unparsable_schedule(self, capsys):
         code, _, err = run(capsys, "probe", "--id", "P6", "--schedule", "1,2,x,4")

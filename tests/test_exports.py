@@ -4,8 +4,8 @@ imports a name it never uses, no module defines a private name nothing
 uses, no module calls ``np.dot``, no metric kernel re-derives what the
 validating wrapper measured or computes with numpy, no function that runs
 on every metric call defines a closure, a domain's point methods are
-defined once over one coercion, and every field of a catalog declaration
-is read."""
+defined once over one coercion, no catalog evaluator hands a metric a
+sample's arrays, and every field of a catalog declaration is read."""
 
 import ast
 import dataclasses
@@ -328,6 +328,58 @@ def test_domain_point_methods_are_defined_once_over_one_coercion():
         if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_real_array" for n in ast.walk(fn))
     ]
     assert callers == ["_coerced", "FiniteComplement.distances"]
+
+
+# the arrays of a Sample; the evaluators hand the metrics its points
+# (px, py, pz, pfx, pfy), which the sampler checked once
+_SAMPLE_ARRAYS = {"x", "y", "z", "fx", "fy"}
+
+
+def _sample_array_reads(tree: ast.Module) -> list[str]:
+    """``function:line`` for each read of ``smp.x``, ``smp.y``, ``smp.z``,
+    ``smp.fx`` or ``smp.fy`` in the module, by its innermost enclosing
+    ``def``, a lambda's enclosing ``def`` included."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in _SAMPLE_ARRAYS
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "smp"
+            ):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _sample_parameters(tree: ast.Module) -> list[str]:
+    """The second parameter of each ``def`` or lambda whose parameters are
+    two, the first named ``domain``."""
+    return sorted(
+        {
+            fn.args.args[1].arg
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+            and len(fn.args.args) == 2
+            and fn.args.args[0].arg == "domain"
+        }
+    )
+
+
+def test_no_catalog_evaluator_hands_a_metric_the_arrays_of_a_sample():
+    # an evaluator that passed smp.x to a metric or to distance_to_boundary
+    # would have the point checked again on every call; only the report's
+    # summary of a violating sample reads the arrays
+    tree = ast.parse((Path(hypmetrics.__file__).parent / "suite.py").read_text(encoding="utf-8"))
+    reads = _sample_array_reads(tree)
+    assert reads and {r.partition(":")[0] for r in reads} == {"_sample_summary"}
+    # every (domain, sample) function calls its sample smp, so the reads above are all of them
+    assert _sample_parameters(tree) == ["p", "rng", "smp"]
 
 
 def _attribute_reads(package: Path) -> set[str]:

@@ -831,7 +831,7 @@ class TestDirectCallsMatchNumpyWrappers:
         from hypmetrics.suite import sample_point
 
         rng = np.random.default_rng(40 + n)
-        pts = [sample_point(UnitBall(n), rng) for _ in range(400)]
+        pts = [sample_point(UnitBall(n), rng).x for _ in range(400)]
         for k in range(1, 7):
             g = rng.standard_normal(n)
             pts.append((1.0 - 10.0 ** -k) * g / np.linalg.norm(g))
@@ -998,7 +998,7 @@ class TestDirectCallsMatchNumpyWrappers:
 
         rng = np.random.default_rng(24)
         c = FiniteComplement(3, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 1.0]])
-        points = [sample_point(c, rng) for _ in range(300)]
+        points = [sample_point(c, rng).x for _ in range(300)]
         for p in c.removed:
             points += [p, -p, np.nextafter(p, 1.0), np.nextafter(p, -1.0), p + 5e-324, p - 1e-300]
         edge = FiniteComplement(2, [[0.0, -0.0], [5e-324, 1e308], [-1e308, self.TINY], [1.0, -0.0]])

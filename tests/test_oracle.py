@@ -10,6 +10,11 @@ half-space pairs scaled by 1e-300 to 1e300, complement points 1e-170
 and 1e-250 from a puncture, and complement points 1e200 away, where
 every value must come out finite.
 
+The accuracy claim stops at the least normal float: a point closer than
+that to a puncture has its distance rounded by ``math.dist`` by up to
+41%.  One such point is pinned as data, with the package's value and the
+50-digit value, and the claim is tested just above the threshold.
+
 The one-sided Apollonian supremum lambda(x, y) = sup_p |p-x| / |p-y|
 over the boundary is the ratio at which the Apollonian sphere around y
 first touches the boundary.  Then eta = log max(lambda(x, y),
@@ -26,6 +31,7 @@ the rounding of |x| relatively amplified by 1/d(x).
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -363,6 +369,54 @@ def test_alpha_with_a_ratio_beyond_the_float_range(flag):
             if name == "alpha":
                 pair = alpha_pair_form(domain, a, b)
                 assert abs(pair - got) <= tolerance(domain, a, b, float(want)), (got, pair)
+
+
+# Outside the accuracy claim, kept as data as the known counterexample of
+# tests/test_acceptance.py is: y is 5e-324 * sqrt(2) from the puncture at
+# the origin, a subnormal distance that math.dist rounds to 5e-324, so
+# d(y) is low by a factor sqrt 2, and u, which is 2 log of a quotient by
+# sqrt(d(x) d(y)), comes out log sqrt 2 above its 50-digit value.
+# metric -> (x, y, the package's value, the 50-digit value to 10
+# significant digits)
+SUBNORMAL_OUTLIERS = {"u": ([0.5, 0.0, 0.0], [0.0, 5e-324, -5e-324], 745.1332191019412, 744.7866455)}
+
+
+def test_a_subnormal_distance_to_a_puncture_is_outside_the_accuracy_claim():
+    domain = FiniteComplement(3, PUNCT3)
+    for name, (x, y, pinned, exact) in SUBNORMAL_OUTLIERS.items():
+        x, y = np.array(x), np.array(y)
+        assert 0.0 < min(domain.distances(y).tolist()) < sys.float_info.min
+        got = evaluate_metric(domain, name, x, y)
+        want = reference(domain, name, x, y)
+        assert got == pinned
+        assert MP.nstr(want, 10) == str(exact)
+        assert float(abs(MP.mpf(got) - want)) > tolerance(domain, x, y, float(want))
+        assert math.isclose(got - float(want), 0.5 * math.log(2.0), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["inf", "noinf"])
+def test_the_accuracy_claim_holds_just_above_the_least_normal_distance(flag):
+    # a point 1 to 16 times the least normal float from each puncture of the
+    # 3-point catalog complement, moved along the puncture's zero
+    # coordinates (the components themselves may be subnormal), against
+    # the pinned outlier's x, a point 10 away and a point 1e-300 from
+    # another puncture: every metric at the oracle's tolerance
+    domain = FiniteComplement(3, PUNCT3, includes_infinity_boundary=flag)
+    rng = np.random.default_rng(3131)
+    for p in domain.removed:
+        others = [q for q in domain.removed if q is not p]
+        for factor in (1.0, 1.0000001, 1.5, 2.0, 4.0, 16.0):
+            v = np.where(p == 0.0, rng.standard_normal(3), 0.0)
+            y = p + factor * sys.float_info.min * (v / np.linalg.norm(v))
+            d = min(domain.distances(y).tolist())
+            assert sys.float_info.min <= d < 17.0 * sys.float_info.min
+            for x in (np.array([0.5, 0.0, 0.0]), p + 10.0 * _unit(rng, 3), others[0] + np.array([0.0, 1e-300, 0.0])):
+                for name in CLOSED[FiniteComplement]:
+                    got = evaluate_metric(domain, name, y, x)
+                    want = reference(domain, name, y, x)
+                    assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, y, x, float(want)), (
+                        name, y.tolist(), x.tolist(), got, float(want)
+                    )
 
 
 @pytest.mark.parametrize("y", [[0.0, 1e300], [1e300, 1e-300]], ids=["above", "beside"])

@@ -1,15 +1,26 @@
-"""Property tests: the metric axioms, and the Mobius invariance of delta
-and alpha, on inputs drawn by hypothesis across the sampler's regimes."""
+"""Property tests: the metric axioms, the Mobius invariance of delta and
+alpha, and checked points met by other domain objects, on inputs drawn by
+hypothesis across the sampler's regimes."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, is_infinity
+from hypmetrics.geometry import (
+    BoundaryCardinalityError,
+    DomainMembershipError,
+    FiniteComplement,
+    ParameterError,
+    UnitBall,
+    UpperHalfSpace,
+    distance_to_boundary,
+    is_infinity,
+)
 from hypmetrics.metrics import (
     alpha_metric,
+    alpha_pair_form,
     cassinian,
     delta_metric,
     eta_metric,
@@ -179,3 +190,47 @@ def test_alpha_is_invariant_under_ball_automorphisms(a, x, y):
     # rounding of |p| amplified by 1/d(p), at the points and their images
     amplification = sum(1.0 / BALL.distance_to_boundary(p) for p in (x, y, fx, fy))
     assert abs(before - after) <= 1e-12 * before + 8.0 * EPS * amplification
+
+
+# the domain objects a checked point meets besides its own: a ball equal
+# to BALL but not it, the half-space and the one-point complement, which
+# many of the drawn points lie outside
+OTHER_DOMAINS = (UnitBall(3), HALF, PUNCT1)
+PUBLIC_METRICS = TRIANGLE + (rho, alpha_metric, alpha_pair_form)
+
+
+def _outcome(fn):
+    """The bits of the float ``fn()`` returns, or the type and message of
+    the error it raises."""
+    try:
+        return fn().hex()
+    except (ParameterError, DomainMembershipError, BoundaryCardinalityError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(
+    st.sampled_from([BALL, HALF, PUNCT1, PUNCT3]).flatmap(
+        lambda d: st.tuples(st.just(d), _points(d), _points(d))
+    )
+)
+@example((PUNCT3, np.array([3.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])))
+@example((BALL, np.array([0.5, 0.0, -0.25]), np.array([0.0, 0.5, 0.25])))
+def test_a_checked_point_is_taken_as_checked_on_its_own_domain_object_only(args):
+    # on the domain object that checked it, a checked point gives what its
+    # array gives; on any other, an equal one included, it is checked
+    # afresh from its array: the same value bits, or the same error type
+    # and message, with the other argument raw or checked
+    home, x, y = args
+    assume(_admissible(home, x, y))
+    cx, cy = home._point(x, "x"), home._point(y, "y")
+    assert OTHER_DOMAINS[0] == BALL and OTHER_DOMAINS[0] is not BALL
+    for domain in (home, *OTHER_DOMAINS):
+        for m in PUBLIC_METRICS:
+            raw = _outcome(lambda: m(domain, x, y))
+            for a, b in ((cx, cy), (cx, y), (x, cy)):
+                assert _outcome(lambda: m(domain, a, b)) == raw, (m.__name__, domain)
+        for p, q in ((x, cx), (y, cy)):
+            d = _outcome(lambda: distance_to_boundary(domain, p))
+            assert _outcome(lambda: distance_to_boundary(domain, q)) == d
+            assert _outcome(lambda: domain.distance_to_boundary(q)) == d

@@ -125,20 +125,111 @@ class TestSampling:
         # fallback draw is allowed to differ
         assert hits >= 195
 
-    def test_equal_distance_pair_tests_x_once(self):
+    def test_equal_distance_pair_checks_x_once(self):
+        # one checked pass per point built: x first, then each y; the pair
+        # returned holds the passes that were made
         tested = []
 
         class Ball(UnitBall):
-            def contains(self, p):
+            def _checked(self, p, name):
                 tested.append(p)
-                return super().contains(p)
+                return super()._checked(p, name)
 
         domain = Ball(3)
         for k in range(20):
             tested.clear()
             x, y = _equal_distance_pair(domain, _stream(3, "eq", k))
-            assert sum(p is x for p in tested) == 1, k
-            assert x is tested[0]
+            assert sum(p is x.x for p in tested) == 1, k
+            assert x.x is tested[0] and y.x is tested[-1]
+            assert len({id(p) for p in tested}) == len(tested)
+            assert x.domain is domain and y.domain is domain
+
+    @pytest.mark.parametrize("domain", [BALL, HALF, PUNCT])
+    def test_sample_point_returns_its_draw_checked_on_the_domain(self, domain):
+        for k in range(50):
+            p = sample_point(domain, _stream(4, "pt", k))
+            assert type(p) is geo._CheckedPoint and p.domain is domain
+            x, coords, gauge = domain._checked(p.x, "point")
+            assert x is p.x and coords == p.coords and gauge == p.gauge
+
+    def test_a_rejected_draw_is_checked_once(self, monkeypatch):
+        # the first draw lands on the removed point: the one pass made on it
+        # raises, and the second draw is returned with the pass made on it
+        class Scripted:
+            def __init__(self):
+                self.normals = [np.zeros(3), np.array([0.3, -0.2, 0.1])]
+
+            def random(self):
+                return 0.5
+
+            def integers(self, n):
+                return 0
+
+            def standard_normal(self, n):
+                return self.normals.pop(0)
+
+        checked = []
+        original = FiniteComplement._checked
+
+        def counted(self, p, name):
+            checked.append(p.tolist())
+            return original(self, p, name)
+
+        monkeypatch.setattr(FiniteComplement, "_checked", counted)
+        p = sample_point(PUNCT, Scripted())
+        assert checked[0] == PUNCT.removed[0].tolist()
+        assert checked == [PUNCT.removed[0].tolist(), p.coords]
+
+    def test_each_drawn_point_is_checked_once_and_no_metric_call_checks(self, monkeypatch):
+        # every sampled catalog case: while a sample is built, one checked
+        # pass per drawn point (a pass that raises is a rejected draw) and
+        # one per Mobius image on the image domain, none made twice; while
+        # it is evaluated, none at all
+        passes = []
+
+        def counting(cls):
+            original = cls._checked
+
+            def _checked(self, p, name):
+                try:
+                    out = original(self, p, name)
+                except geo.DomainMembershipError:
+                    passes.append((self, p, False))
+                    raise
+                passes.append((self, p, True))
+                return out
+
+            monkeypatch.setattr(cls, "_checked", _checked)
+
+        for cls in (UnitBall, UpperHalfSpace, FiniteComplement):
+            counting(cls)
+        draws = []
+        draw = suite.sample_point
+        monkeypatch.setattr(suite, "sample_point", lambda domain, rng: draws.append(draw(domain, rng)) or draws[-1])
+        cases = [case for case in catalog().cases if case.grid is None]
+        assert len(cases) == 43
+        for case in cases:
+            for domain in case.domains:
+                for k in range(4):
+                    passes.clear()
+                    draws.clear()
+                    smp = suite._build_sample(case, domain, _stream(7, case.case_id, k))
+                    built = list(passes)
+                    passes.clear()
+                    case.evaluate(domain, smp)
+                    assert passes == [], case.case_id
+                    keys = [(id(d), tuple(p.tolist())) for d, p, _ in built]
+                    assert len(set(keys)) == len(keys), case.case_id
+                    points = [(domain, smp.px), (domain, smp.py)]
+                    points += [(domain, smp.pz)] if smp.z is not None else []
+                    points += [(smp.fdomain, smp.pfx), (smp.fdomain, smp.pfy)] if smp.fmap is not None else []
+                    for d, pt in points:
+                        assert pt.domain is d and any(c is d and p is pt.x and ok for c, p, ok in built), case.case_id
+                    # each draw returned is the one pass made on its array
+                    drawn = {id(pt.x) for pt in draws}
+                    assert sum(id(p) in drawn for _, p, _ in built) == len(draws), case.case_id
+                    if case.draw_map is None and case.sampler != "equal_pair":
+                        assert sum(ok for _, _, ok in built) == len(draws), case.case_id
 
 
 class TestCatalog:
