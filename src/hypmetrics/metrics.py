@@ -45,12 +45,12 @@ what it measured (the domain class's own checked pass, ``_checked``),
 and returns 0 for equal coordinates.  A point that arrives as a checked
 point of this very domain object (geometry's ``_CheckedPoint``, which
 the suite's sampler builds once per drawn point) hands over that pass
-instead; any other checked point is checked afresh from its array.  The kernel takes two distinct,
-checked points x, y, their coordinate lists xs, ys and their gauges gx,
-gy, and re-derives none of them: |x| and |y| on the ball, x_n and y_n
-on the half-space, and on a finite complement both distance rows
-(``FiniteComplement._distance_row``), from which the checked pass read
-membership.  d(x) is read off a gauge by the domain's ``_distance``
+instead; any other checked point is checked afresh from its array.  The
+kernel takes two distinct, checked points x, y, their coordinate lists
+xs, ys and their gauges gx, gy, and re-derives none of them: |x| and |y|
+on the ball, x_n and y_n on the half-space, and on a finite complement
+both distance rows (``FiniteComplement._distance_row``), from which the
+checked pass read membership.  d(x) is read off a gauge by the domain's ``_distance``
 method and the ball's 1 - |x|^2 by geometry's ``_one_minus_square``; no
 kernel decodes a gauge.  rho exists only on the ball and the half-space,
 where delta and alpha call its kernel.
@@ -213,9 +213,6 @@ def _validated(mid: MetricId):
                     f"{mid.value} requires at least two boundary points (removed set of size >= 2, "
                     "or the infinity flag)"
                 )
-            # a checked point of this very domain object is taken as
-            # checked; anything else, other checked points included, is
-            # checked here
             if type(x) is _CheckedPoint and x.domain is domain:
                 x, xs, gx = x.x, x.coords, x.gauge
             else:

@@ -29,7 +29,8 @@ Every probe drives a parametric family toward a limit that attains a
 sharp constant and records the convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
 declares it as a domain, a point family ``t -> Sample`` (``sym`` is
 x = t*e1, y = -t*e1) and a case-style evaluator, so probes run through
-``_pairwise`` and ``_distortion`` as the cases do.
+``_pairwise`` and ``_distortion`` as the cases do; each point a family
+builds is checked once (``_checked_sample``).
 
 Determinism contract: sample k of a case draws from a Philox stream
 keyed by (seed, case id, k) alone and started at counter 0, so results
@@ -337,10 +338,9 @@ def _ball_map(domain: UnitBall, rng: np.random.Generator):
 class Sample:
     """One configuration: the arrays x, y, z and the images fx, fy, which
     reports show, and px, py, pz, pfx, pfy, the points the evaluators
-    hand to the metrics.  The sampler gives checked points, each checked
-    once on its domain (x, y, z) or on the image domain (fx, fy); a
-    sample built from arrays alone, as the probes' families build them,
-    hands the metrics the arrays."""
+    hand to the metrics.  The sampler and the probes give checked points,
+    each checked once on its domain (x, y, z) or on the image domain (fx,
+    fy); a sample built from arrays alone hands the metrics the arrays."""
 
     x: np.ndarray | None = None
     y: np.ndarray | None = None
@@ -359,6 +359,17 @@ class Sample:
     def __post_init__(self):
         if self.px is None:
             self.px, self.py, self.pz, self.pfx, self.pfy = self.x, self.y, self.z, self.fx, self.fy
+
+
+def _checked_sample(domain, smp: Sample) -> Sample:
+    """``smp``, built from arrays by a probe's family, with each point
+    checked once, in the order and under the names the metric calls would
+    check them: x, then y on ``domain``, then the images on the image
+    domain.  A point that fails raises as that metric call would."""
+    smp.px, smp.py = domain._point(smp.x, "x"), domain._point(smp.y, "y")
+    if smp.fdomain is not None:
+        smp.pfx, smp.pfy = smp.fdomain._point(smp.fx, "x"), smp.fdomain._point(smp.fy, "y")
+    return smp
 
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
@@ -771,7 +782,7 @@ def catalog() -> Catalog:
     def probe(probe_id, paper_ref, family, direction, schedule, limit, tolerance, domain, pair, ev):
         probes.append(SharpnessProbe(
             probe_id, paper_ref, family, direction, tuple(schedule), limit, tolerance,
-            lambda t: ev(domain, pair(t))))
+            lambda t: ev(domain, _checked_sample(domain, pair(t)))))
 
     def sym(t):
         return Sample(x=t * e1, y=-t * e1)

@@ -373,11 +373,12 @@ def _sample_parameters(tree: ast.Module) -> list[str]:
 
 def test_no_catalog_evaluator_hands_a_metric_the_arrays_of_a_sample():
     # an evaluator that passed smp.x to a metric or to distance_to_boundary
-    # would have the point checked again on every call; only the report's
-    # summary of a violating sample reads the arrays
+    # would have the point checked again on every call; the arrays are
+    # read only to check a probe's points once and to report a violating
+    # sample
     tree = ast.parse((Path(hypmetrics.__file__).parent / "suite.py").read_text(encoding="utf-8"))
     reads = _sample_array_reads(tree)
-    assert reads and {r.partition(":")[0] for r in reads} == {"_sample_summary"}
+    assert reads and {r.partition(":")[0] for r in reads} == {"_checked_sample", "_sample_summary"}
     # every (domain, sample) function calls its sample smp, so the reads above are all of them
     assert _sample_parameters(tree) == ["p", "rng", "smp"]
 

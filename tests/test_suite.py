@@ -607,6 +607,21 @@ _EXTRA_T = {
 
 
 class TestRunProbe:
+    def test_each_probe_point_is_checked_once(self, monkeypatch):
+        # x and y once each, and the images of a mapped pair once each on
+        # the image domain, however many metrics the probe evaluates
+        names = []
+        for cls in (UnitBall, UpperHalfSpace, FiniteComplement):
+            monkeypatch.setattr(
+                cls, "_checked", lambda self, p, name, original=cls._checked: names.append(name) or original(self, p, name)
+            )
+        mapped = {"P8", "P9", "P9-ADD", "P10"}
+        for probe in catalog().probes:
+            for t in probe.schedule:
+                names.clear()
+                probe.evaluate(t)
+                assert names == ["x", "y"] * (2 if probe.probe_id in mapped else 1), (probe.probe_id, t)
+
     def test_schedule_needs_four_points(self):
         probe = catalog().probe("P2")
         with pytest.raises(ParameterError):
