@@ -42,11 +42,12 @@ only.  The domain methods ``contains`` and ``distance_to_boundary``,
 defined once on a base class, read the same pass; the metric kernels
 and boundary_sup take trusted points, and boundary_sup their coordinate
 lists and gauges too.  ``_Domain._point`` keeps one pass as a checked
-point (:class:`_CheckedPoint`), which the suite's sampler builds once
-per drawn point: the metric functions and ``distance_to_boundary`` take
-it without a second pass where its domain is the very domain object of
-the call, and everything else, :func:`_coerced` included, takes it as
-its array.
+point (:class:`_CheckedPoint`), and ``_Domain._member`` gives None in
+its place where the point is outside, which is all ``contains`` reads.
+The suite's sampler builds one checked point per drawn point: the
+metric functions and ``distance_to_boundary`` take it without a second
+pass where its domain is the very domain object of the call, and
+everything else, :func:`_coerced` included, takes it as its array.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -224,11 +225,7 @@ class _Domain:
 
     def contains(self, x) -> bool:
         """Whether ``x`` is in the domain; bad input raises ParameterError."""
-        try:
-            self._checked(x, "point")
-        except DomainMembershipError:
-            return False
-        return True
+        return self._member(x) is not None
 
     def distance_to_boundary(self, x) -> float:
         if type(x) is _CheckedPoint and x.domain is self:
@@ -238,6 +235,14 @@ class _Domain:
     def _point(self, p, name: str) -> _CheckedPoint:
         """``p`` checked once on this domain, kept as a checked point."""
         return _CheckedPoint(*self._checked(p, name), self)
+
+    def _member(self, p) -> _CheckedPoint | None:
+        """``p`` checked once on this domain, as a checked point, or None
+        where it is outside; bad input raises ParameterError."""
+        try:
+            return self._point(p, "point")
+        except DomainMembershipError:
+            return None
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,9 @@ pair; the scalar case declares ``grid`` and the one domain None.
 Each sampled point is checked once, where it is drawn: ``sample_point``
 returns every draw as a checked point of its domain (geometry's
 ``_CheckedPoint``), a Mobius case checks each image once on the image
-domain, and a ``Sample`` carries those checked points (``px``, ``py``,
-``pz``, ``pfx``, ``pfy``) beside its arrays.  The evaluators hand the
-checked points to the public metric functions, which take them without
-a second check.
+domain, and a ``Sample`` holds each point once, as that checked point.
+The evaluators hand the points to the public metric functions, which
+take them without a second check, and a report shows their coordinates.
 
 Every probe drives a parametric family toward a limit that attains a
 sharp constant and records the convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
@@ -197,15 +196,6 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
             return g / norm
 
 
-def _member(domain, p):
-    """``p`` checked once on ``domain``, as a checked point, or None
-    where it is outside."""
-    try:
-        return domain._point(p, "point")
-    except DomainMembershipError:
-        return None
-
-
 def sample_point(domain, rng: np.random.Generator):
     """One admissible interior point, stressing the regimes the bounds
     care about (near-boundary on the ball, extreme heights on the
@@ -238,7 +228,7 @@ def sample_point(domain, rng: np.random.Generator):
             p = center + sigma * rng.standard_normal(n)
         else:
             p = domain.centroid + (5.0 + 45.0 * rng.random()) * _unit(rng, n)
-        point = _member(domain, p)
+        point = domain._member(p)
         if point is not None:
             return point
 
@@ -282,13 +272,13 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         w = sigma * rng.standard_normal(n)
     flippable = anchor == 0.0
     # x is checked once (None outside); the loop still makes its draws when x is outside
-    x = _member(domain, anchor + w)
+    x = domain._member(anchor + w)
     for _ in range(64):
         flips = (rng.random(n) < 0.5) & flippable & (w != 0.0)
         if not flips.any():
             continue
         signs = np.where(flips, -1.0, 1.0)
-        y = _member(domain, anchor + w * signs)
+        y = domain._member(anchor + w * signs)
         if y is not None and x is not None and x.coords != y.coords:
             return x, y
     return _checked_pair(domain, rng)
@@ -336,39 +326,31 @@ def _ball_map(domain: UnitBall, rng: np.random.Generator):
 
 @dataclass
 class Sample:
-    """One configuration: the arrays x, y, z and the images fx, fy, which
-    reports show, and px, py, pz, pfx, pfy, the points the evaluators
-    hand to the metrics.  The sampler and the probes give checked points,
-    each checked once on its domain (x, y, z) or on the image domain (fx,
-    fy); a sample built from arrays alone hands the metrics the arrays."""
+    """One configuration: the points x, y, z and the images fx, fy, the
+    points the evaluators hand to the metrics.  The sampler and the probes
+    give each as a checked point, checked once on its domain (x, y, z) or
+    on the image domain (fx, fy); a sample built by hand may hold arrays,
+    which the metrics check."""
 
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    z: np.ndarray | None = None
+    x: object = None
+    y: object = None
+    z: object = None
     fmap: MobiusMap | None = None
     fdomain: object | None = None
-    fx: np.ndarray | None = None
-    fy: np.ndarray | None = None
+    fx: object = None
+    fy: object = None
     t: float | None = None
-    px: object = None
-    py: object = None
-    pz: object = None
-    pfx: object = None
-    pfy: object = None
-
-    def __post_init__(self):
-        if self.px is None:
-            self.px, self.py, self.pz, self.pfx, self.pfy = self.x, self.y, self.z, self.fx, self.fy
 
 
 def _checked_sample(domain, smp: Sample) -> Sample:
-    """``smp``, built from arrays by a probe's family, with each point
-    checked once, in the order and under the names the metric calls would
-    check them: x, then y on ``domain``, then the images on the image
-    domain.  A point that fails raises as that metric call would."""
-    smp.px, smp.py = domain._point(smp.x, "x"), domain._point(smp.y, "y")
+    """``smp``, built from arrays by a probe's family, with each array
+    replaced by its point checked once, in the order and under the names
+    the metric calls would check them: x, then y on ``domain``, then the
+    images on the image domain.  A point that fails raises as that metric
+    call would."""
+    smp.x, smp.y = domain._point(smp.x, "x"), domain._point(smp.y, "y")
     if smp.fdomain is not None:
-        smp.pfx, smp.pfy = smp.fdomain._point(smp.fx, "x"), smp.fdomain._point(smp.fy, "y")
+        smp.fx, smp.fy = smp.fdomain._point(smp.fx, "x"), smp.fdomain._point(smp.fy, "y")
     return smp
 
 
@@ -382,17 +364,16 @@ def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> S
             if is_infinity(fx) or is_infinity(fy) or same_point(fx, fy):
                 continue
             # each image is checked once on the image domain, fy only where fx is inside
-            pfx = _member(fd, fx)
-            pfy = None if pfx is None else _member(fd, fy)
-            if pfy is not None:
-                return Sample(x=x.x, y=y.x, fmap=f, fdomain=fd, fx=fx, fy=fy, px=x, py=y, pfx=pfx, pfy=pfy)
+            fx = fd._member(fx)
+            fy = None if fx is None else fd._member(fy)
+            if fy is not None:
+                return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
         raise ConfigurationError(f"no admissible mapped pair found for {case.case_id}")
     if case.sampler == "triple":
         x, y = _checked_pair(domain, rng)
-        z = sample_point(domain, rng)
-        return Sample(x=x.x, y=y.x, z=z.x, px=x, py=y, pz=z)
+        return Sample(x=x, y=y, z=sample_point(domain, rng))
     x, y = _checked_pair(domain, rng) if case.sampler == "pair" else _equal_distance_pair(domain, rng)
-    return Sample(x=x.x, y=y.x, px=x, py=y)
+    return Sample(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +507,14 @@ class ProbeResult:
 
 def _axioms_evaluator(metric_fn, triangle: bool):
     def ev(domain, smp: Sample):
-        x, y = smp.px, smp.py
+        x, y = smp.x, smp.y
         mxy = metric_fn(domain, x, y)
         myx = metric_fn(domain, y, x)
         mxx = metric_fn(domain, x, x)
         residual = max(-mxy, abs(mxy - myx), mxx)
         if triangle:
-            mxz = metric_fn(domain, x, smp.pz)
-            mzy = metric_fn(domain, smp.pz, y)
+            mxz = metric_fn(domain, x, smp.z)
+            mzy = metric_fn(domain, smp.z, y)
             residual = max(residual, math.fsum((mxy, -mxz, -mzy)))
         return residual, 0.0
 
@@ -548,17 +529,17 @@ def _chain(*terms):
 
 def _pairwise(bound, *metrics):
     """The evaluator of a pair case or probe: each metric once at
-    (domain, smp.px, smp.py), in the order given, then ``bound(*values)``,
+    (domain, smp.x, smp.y), in the order given, then ``bound(*values)``,
     the case's (lhs, rhs) or the probe's estimate."""
-    return lambda domain, smp: bound(*[m(domain, smp.px, smp.py) for m in metrics])
+    return lambda domain, smp: bound(*[m(domain, smp.x, smp.y) for m in metrics])
 
 
 def _distortion(bound):
-    """The evaluator of a Mobius case or probe: u at (px, py) on the
-    domain, then u at the images (pfx, pfy) on the image domain, then
+    """The evaluator of a Mobius case or probe: u at (x, y) on the
+    domain, then u at the images (fx, fy) on the image domain, then
     ``bound(u0, u1)``; u is bound when the catalog is built."""
     u = u_metric
-    return lambda domain, smp: bound(u(domain, smp.px, smp.py), u(smp.fdomain, smp.pfx, smp.pfy))
+    return lambda domain, smp: bound(u(domain, smp.x, smp.y), u(smp.fdomain, smp.fx, smp.fy))
 
 
 @lru_cache(maxsize=1)
@@ -715,12 +696,12 @@ def catalog() -> Catalog:
     def nearer_farther(domain, smp):
         """min and max of the boundary distances d(x), d(y), read off the
         gauges of checked points."""
-        d = domain.distance_to_boundary(smp.px), domain.distance_to_boundary(smp.py)
+        d = domain.distance_to_boundary(smp.x), domain.distance_to_boundary(smp.y)
         return min(d), max(d)
 
     def ev_equ12(domain, smp):
-        c_ = C(domain, smp.px, smp.py)
-        u_ = U(domain, smp.px, smp.py)
+        c_ = C(domain, smp.x, smp.y)
+        u_ = U(domain, smp.x, smp.y)
         rmin, rmax = nearer_farther(domain, smp)
         return max(2.0 * math.log1p(rmin * c_) - u_, 0.5 * math.log1p(rmax * c_) - u_), 0.0
 
@@ -731,7 +712,7 @@ def catalog() -> Catalog:
         rmin, rmax = nearer_farther(domain, smp)
         if rmin < 0.25 * rmax:
             return 0.0, math.inf
-        c_ = C(domain, smp.px, smp.py)
+        c_ = C(domain, smp.x, smp.y)
         return 0.5 * math.log1p(rmax * c_) - 2.0 * math.log1p(rmin * c_), 0.0
 
     add("T-EQU12-DOM", "the min-distance Cassinian bound dominates when the boundary distances are within a factor four",
@@ -818,7 +799,7 @@ def catalog() -> Catalog:
     probe("P6", "antipodal family around a single puncture where u is constant 2*log3",
           "y = -x in space punctured at the origin",
           "exact", (0.1, 0.5, 1.0, 2.0, 10.0), TWO_LOG3, 1e-12,
-          punct0, sym, lambda domain, smp: U(domain, smp.px, smp.py))
+          punct0, sym, lambda domain, smp: U(domain, smp.x, smp.y))
     probe("P7", "symmetric family in punctured space attaining the sharp factor 3 over the triangular-ratio bound",
           "x = t*e1, y = -t*e1 in space punctured at e1, t -> 0+",
           "0+", (10.0 ** (-k) for k in range(1, 5)), 3.0, 1e-3,
@@ -851,9 +832,9 @@ def catalog() -> Catalog:
           ball, sym, _pairwise(operator.sub, U, D))
 
     def ev_p12(domain, smp):
-        c_ = C(domain, smp.px, smp.py)
+        c_ = C(domain, smp.x, smp.y)
         rmin = nearer_farther(domain, smp)[0]
-        return U(domain, smp.px, smp.py) - 2.0 * math.log1p(rmin * c_)
+        return U(domain, smp.x, smp.y) - 2.0 * math.log1p(rmin * c_)
 
     probe("P12", "equidistant family around a single puncture where the Cassinian lower bound for u is an equality",
           "x = t*e1, y = t*e3 in space punctured at the origin",
@@ -879,11 +860,11 @@ def _sample_summary(domain, smp: Sample, index: int, lhs: float, rhs: float) -> 
     if smp.t is not None:
         rec["t"] = _round12(smp.t)
     if smp.x is not None:
-        rec["x"] = [_round12(v) for v in smp.x]
+        rec["x"] = [_round12(v) for v in smp.x.coords]
     if smp.y is not None:
-        rec["y"] = [_round12(v) for v in smp.y]
+        rec["y"] = [_round12(v) for v in smp.y.coords]
     if smp.z is not None:
-        rec["z"] = [_round12(v) for v in smp.z]
+        rec["z"] = [_round12(v) for v in smp.z.coords]
     if smp.fmap is not None:
         rec["map"] = repr(smp.fmap)
         rec["image_domain"] = repr(smp.fdomain)

@@ -53,7 +53,7 @@ def sample_lines():
                 smp = _build_sample(case, domain, _stream(42, case.case_id, k))
                 parts = [case.case_id, str(k)]
                 for v in (smp.x, smp.y, smp.z, smp.fx, smp.fy):
-                    parts.append("-" if v is None else _hex(v))
+                    parts.append("-" if v is None else _hex(v.coords))
                 if smp.fmap is not None:
                     parts.append(repr(smp.fmap))
                 if isinstance(smp.fdomain, FiniteComplement):

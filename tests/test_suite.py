@@ -220,9 +220,9 @@ class TestSampling:
                     assert passes == [], case.case_id
                     keys = [(id(d), tuple(p.tolist())) for d, p, _ in built]
                     assert len(set(keys)) == len(keys), case.case_id
-                    points = [(domain, smp.px), (domain, smp.py)]
-                    points += [(domain, smp.pz)] if smp.z is not None else []
-                    points += [(smp.fdomain, smp.pfx), (smp.fdomain, smp.pfy)] if smp.fmap is not None else []
+                    points = [(domain, smp.x), (domain, smp.y)]
+                    points += [(domain, smp.z)] if smp.z is not None else []
+                    points += [(smp.fdomain, smp.fx), (smp.fdomain, smp.fy)] if smp.fmap is not None else []
                     for d, pt in points:
                         assert pt.domain is d and any(c is d and p is pt.x and ok for c, p, ok in built), case.case_id
                     # each draw returned is the one pass made on its array
@@ -359,7 +359,7 @@ class TestCheckCase:
         seen = []
 
         def evaluate(domain, smp):
-            seen.append(smp.x.tolist())
+            seen.append(smp.x.coords)
             return 1.0 + 1e-6, 1.0
 
         rigged = InequalityCase(
@@ -378,7 +378,7 @@ class TestCheckCase:
         seen = []
 
         def evaluate(domain, smp):
-            seen.append(smp.x.tolist())
+            seen.append(smp.x.coords)
             return 5.0, 1.0
 
         rigged = InequalityCase(
