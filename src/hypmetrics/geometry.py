@@ -408,13 +408,14 @@ def distance_to_boundary(domain: Domain, x) -> float:
 def cross_ratio(p, x, q, y) -> float:
     """Absolute cross-ratio |p,x,q,y| = |p-q| |x-y| / (|p-x| |q-y|).
 
-    At most one argument may be INFINITY; the two factors containing it
-    cancel (their ratio is 1).  Coincidences that put a zero in the
-    denominator raise ZeroDivisionError.
+    At most one argument may be INFINITY, or ParameterError is raised;
+    the two factors containing it cancel (their ratio is 1).
+    Coincidences that put a zero in the denominator raise
+    ZeroDivisionError.
     """
     pts = [p if is_infinity(p) else as_point(p) for p in (p, x, q, y)]
     if sum(map(is_infinity, pts)) > 1:
-        raise ValueError("cross_ratio supports at most one point at infinity")
+        raise ParameterError("cross_ratio supports at most one point at infinity")
     dims = sorted({pt.size for pt in pts if not is_infinity(pt)})
     if len(dims) > 1:
         raise ParameterError(f"cross_ratio takes points of one dimension, got dimensions {dims}")

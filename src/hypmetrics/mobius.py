@@ -9,6 +9,7 @@ infinity's bookkeeping local to the inversion generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,16 @@ __all__ = [
 ]
 
 
+def _positive_real(v, name: str) -> float:
+    """``v`` as a float if it is a real number, positive and finite."""
+    if not isinstance(v, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {v!r}")
+    f = float(v)
+    if not (f > 0.0 and math.isfinite(f)):
+        raise ParameterError(f"{name} must be positive and finite")
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class Translation:
     b: np.ndarray
@@ -57,10 +68,7 @@ class Scaling:
     factor: float
 
     def __post_init__(self):
-        f = float(self.factor)
-        if not (f > 0.0 and math.isfinite(f)):
-            raise ParameterError("scaling factor must be positive and finite")
-        object.__setattr__(self, "factor", f)
+        object.__setattr__(self, "factor", _positive_real(self.factor, "scaling factor"))
 
     dim = None
 
@@ -75,7 +83,10 @@ class Orthogonal:
     matrix: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
+        q = np.asarray(self.matrix)
+        if q.dtype.kind not in "biuf":
+            raise ParameterError(f"orthogonal generator needs a real matrix, got dtype {q.dtype}")
+        q = np.asarray(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise ParameterError("orthogonal generator needs a square matrix, n >= 2")
         # np.allclose(q.T @ q, I, atol=1e-10) without its generic overhead:
@@ -105,10 +116,7 @@ class SphereInversion:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
-        r = float(self.radius)
-        if not (r > 0.0 and math.isfinite(r)):
-            raise ParameterError("inversion radius must be positive and finite")
-        object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "radius", _positive_real(self.radius, "inversion radius"))
 
     @property
     def dim(self):

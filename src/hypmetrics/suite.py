@@ -46,6 +46,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import operator
 import struct
 import time
@@ -880,6 +881,11 @@ def sup_refinement():
     yield
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def check_case(
     case: InequalityCase,
     n_samples: int = DEFAULT_SAMPLES,
@@ -891,9 +897,15 @@ def check_case(
     A sample violates when lhs > rhs*(1+slack) + slack.  Each sample is
     evaluated once: every metric is a formula, an exact maximum or a root
     solve, so a second evaluation could only repeat the first.
+
+    ``n_samples`` and ``seed`` are integers, bools excluded, and the
+    record holds them as Python ints.
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
+    if not _is_integer(n_samples) or n_samples < 1:
+        raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not _is_integer(seed):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
+    n_samples, seed = int(n_samples), int(seed)
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
     domains = case.domains

@@ -435,6 +435,11 @@ class TestCrossRatio:
         with pytest.raises(ValueError):
             cross_ratio(INFINITY, np.zeros(3), INFINITY, E1)
 
+    def test_two_infinities_are_a_parameter_error(self):
+        for args in ((INFINITY, np.zeros(3), INFINITY, E1), (E1, INFINITY, np.zeros(3), INFINITY)):
+            with pytest.raises(ParameterError, match="^cross_ratio supports at most one point at infinity$"):
+                cross_ratio(*args)
+
     def test_coincidence_raises(self):
         with pytest.raises(ZeroDivisionError):
             cross_ratio(np.zeros(3), np.zeros(3), E1, 0.5 * E1)

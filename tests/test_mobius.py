@@ -74,6 +74,35 @@ class TestGenerators:
         with pytest.raises(ParameterError):
             Scaling(0.0)
 
+    @pytest.mark.parametrize("factor", ["2", [2], 2j, None], ids=repr)
+    def test_scaling_factor_must_be_real(self, factor):
+        with pytest.raises(ParameterError, match="^scaling factor must be a real number, got "):
+            Scaling(factor)
+
+    def test_real_kinds_of_scaling_factor_and_radius_are_floats(self):
+        for v in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+            assert type(Scaling(v).factor) is float and Scaling(v).factor == 2.0
+            assert type(SphereInversion(E1, v).radius) is float and SphereInversion(E1, v).radius == 2.0
+
+    @pytest.mark.parametrize("radius", ["1.5", [1.5], 1.5j, None], ids=repr)
+    def test_inversion_radius_must_be_real(self, radius):
+        with pytest.raises(ParameterError, match="^inversion radius must be a real number, got "):
+            SphereInversion([0.0, 0.0], radius)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[["1", "0"], ["0", "1"]], np.eye(2, dtype=complex), np.eye(2).astype(object)],
+        ids=["str", "complex", "object"],
+    )
+    def test_orthogonal_matrix_must_be_real(self, matrix):
+        with pytest.raises(ParameterError, match="^orthogonal generator needs a real matrix, got dtype "):
+            Orthogonal(matrix)
+
+    @pytest.mark.parametrize("dtype", [bool, int, float])
+    def test_orthogonal_matrix_of_a_real_kind_is_taken_as_floats(self, dtype):
+        q = Orthogonal(np.eye(3, dtype=dtype)).matrix
+        assert q.dtype == np.float64 and (q == np.eye(3)).all()
+
     def test_orthogonal(self):
         q = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
         o = Orthogonal(q)

@@ -325,6 +325,29 @@ class TestCheckCase:
             with pytest.raises(ParameterError):
                 check_case(case, slack=slack)
 
+    @pytest.mark.parametrize("n_samples", [2.5, True, "3", np.float64(4.0)], ids=repr)
+    def test_n_samples_must_be_an_integer(self, n_samples):
+        # 2.5 died in range(), and True ran one sample that parse_report rejects
+        with pytest.raises(ParameterError, match="^n_samples must be an integer >= 1, got "):
+            check_case(catalog().case("AX-U"), n_samples=n_samples)
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None], ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        # each ran, and gave a record parse_report rejects
+        with pytest.raises(ParameterError, match="^seed must be an integer, got "):
+            check_case(catalog().case("AX-U"), n_samples=2, seed=seed)
+
+    def test_numpy_integers_give_the_record_of_the_python_ints(self):
+        # the record holds Python ints, so it serializes and parses back
+        case = catalog().case("T-JS")
+        got = check_case(case, n_samples=np.int64(4), seed=np.int64(3)).record()
+        want = check_case(case, n_samples=4, seed=3).record()
+        assert type(got["samples"]) is int and type(got["seed"]) is int
+        got.pop("wall_time")
+        want.pop("wall_time")
+        assert got == want
+        assert parse_report(records_to_json([got])) == [got]
+
     def test_grid_case_takes_no_domain(self):
         case = catalog().case("T-ETA-DOM")
         rec = check_case(case, n_samples=64)
@@ -445,6 +468,12 @@ class TestCheckCase:
             assert set(summary) == {"index", "domain", "lhs", "rhs"} | keys
             assert (summary["lhs"], summary["rhs"]) == (2.0, 1.0)
             assert summary["domain"] == (None if declaration["domains"] == (None,) else repr(BALL))
+            if "x" in keys:
+                # the coordinates of the points the sample was built with, to 12 digits
+                smp = suite._build_sample(rigged, BALL, _stream(1, "RIG-SUMMARY", summary["index"]))
+                for name in keys & {"x", "y", "z"}:
+                    coords = geo.as_point(getattr(smp, name)).tolist()
+                    assert summary[name] == [suite._round12(v) for v in coords], name
             if "map" in keys:
                 assert summary["map"] == "MobiusMap([SphereInversion])"
                 assert summary["image_domain"] == repr(BALL)
