@@ -333,7 +333,7 @@ class TestCheckCase:
 
     @pytest.mark.parametrize("seed", [1.5, "7", True, None], ids=repr)
     def test_seed_must_be_an_integer(self, seed):
-        # each ran, and gave a record parse_report rejects
+        # each ran: None into a record with the null seed of a probe, the others into one parse_report rejects
         with pytest.raises(ParameterError, match="^seed must be an integer, got "):
             check_case(catalog().case("AX-U"), n_samples=2, seed=seed)
 
