@@ -68,7 +68,6 @@ __all__ = [
     "INFINITY",
     "is_infinity",
     "as_point",
-    "same_point",
     "UnitBall",
     "UpperHalfSpace",
     "FiniteComplement",
@@ -182,16 +181,6 @@ def _real_array(p) -> np.ndarray:
         # ragged nesting, or an int beyond the float range
         pass
     raise ParameterError(f"a point must be a vector of real numbers, got {p!r}")
-
-
-def same_point(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether two finite points of one dimension are equal coordinatewise.
-
-    IEEE ``==`` on Python floats, so -0.0 equals 0.0; comparing the
-    ``tolist()`` copies is several times cheaper than a numpy reduction
-    on a handful of coordinates.
-    """
-    return x.tolist() == y.tolist()
 
 
 def _check_dim(dim) -> int:
@@ -327,16 +316,6 @@ class FiniteComplement(_Domain):
         """|p - x| for each removed point p, in order, from the coordinates
         of x: every distance to the removed points is taken here."""
         return [math.dist(p, coords) for p in self._removed_rows]
-
-    def distances(self, x) -> np.ndarray:
-        """|p - x| for each removed point p, in order; ``x`` is a real
-        array whose last axis has the domain's dimension, and its leading
-        axes lead the result."""
-        arr = _real_array(x)
-        if arr.ndim == 0 or arr.shape[-1] != self.dim:
-            raise ParameterError(f"expected points of dimension {self.dim} on the last axis, got shape {arr.shape}")
-        rows = [self._distance_row(v) for v in arr.reshape(-1, self.dim).tolist()]
-        return np.array(rows, dtype=float).reshape(*arr.shape[:-1], len(self._removed_rows))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], list[float]]:
         """The checked pass on a finite complement: the point, its

@@ -221,7 +221,7 @@ def _validated(mid: MetricId):
                 y, ys, gy = y.x, y.coords, y.gauge
             else:
                 y, ys, gy = domain._checked(y, "y")
-            # IEEE == on Python floats, as geometry.same_point compares
+            # IEEE == on Python floats, so -0.0 equals 0.0
             if xs == ys:
                 return 0.0
             return kernel(domain, x, y, xs, ys, gx, gy)

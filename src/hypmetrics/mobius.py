@@ -158,8 +158,6 @@ class MobiusMap:
             p = g.apply(p)
         return p
 
-    __call__ = apply
-
     def __repr__(self) -> str:
         names = ", ".join(type(g).__name__ for g in self.generators)
         return f"MobiusMap([{names}])"

@@ -65,7 +65,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     is_infinity,
-    same_point,
 )
 from .metrics import (
     alpha_metric,
@@ -101,7 +100,6 @@ __all__ = [
     "check_case",
     "run_probe",
     "sample_point",
-    "sample_pair",
     "records_to_json",
     "records_to_csv",
     "records_to_text",
@@ -239,16 +237,9 @@ def _checked_pair(domain, rng: np.random.Generator):
     x = sample_point(domain, rng)
     while True:
         y = sample_point(domain, rng)
-        # IEEE == on Python floats, as geometry.same_point compares
+        # IEEE == on Python floats, so -0.0 equals 0.0
         if x.coords != y.coords:
             return x, y
-
-
-def sample_pair(domain, rng: np.random.Generator):
-    """Two distinct admissible points, as arrays: the draws of
-    :func:`sample_point`, each checked once."""
-    x, y = _checked_pair(domain, rng)
-    return x.x, y.x
 
 
 def _equal_distance_pair(domain, rng: np.random.Generator):
@@ -362,12 +353,12 @@ def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> S
             x, y = _checked_pair(domain, rng)
             fx = f.apply(x.x)
             fy = f.apply(y.x)
-            if is_infinity(fx) or is_infinity(fy) or same_point(fx, fy):
+            if is_infinity(fx) or is_infinity(fy):
                 continue
             # each image is checked once on the image domain, fy only where fx is inside
             fx = fd._member(fx)
             fy = None if fx is None else fd._member(fy)
-            if fy is not None:
+            if fy is not None and fx.coords != fy.coords:
                 return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
         raise ConfigurationError(f"no admissible mapped pair found for {case.case_id}")
     if case.sampler == "triple":

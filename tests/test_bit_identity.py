@@ -30,7 +30,7 @@ import numpy as np
 
 from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, distance_to_boundary
 from hypmetrics.metrics import alpha_pair_form, evaluable_metrics, evaluate_metric
-from hypmetrics.suite import _build_sample, _stream, catalog, sample_pair
+from hypmetrics.suite import _build_sample, _checked_pair, _stream, catalog
 
 SAMPLES_PER_DOMAIN = 100
 
@@ -82,7 +82,7 @@ def _fc_pairs(domain, rng):
     and far pairs."""
     n, removed = domain.dim, domain.removed
     for _ in range(120):
-        yield sample_pair(domain, rng)
+        yield [p.x for p in _checked_pair(domain, rng)]
     for _ in range(60):
         p = removed[int(rng.integers(len(removed)))]
         q = removed[int(rng.integers(len(removed)))]
@@ -101,9 +101,9 @@ def fc_metric_lines():
     type where the metric is undefined."""
     rng = np.random.default_rng(42)
     for domain in _fc_domains():
-        yield repr(domain) + "|" + _hex(domain.distances(domain.removed))
+        yield repr(domain) + "|" + _hex(domain.removed_distance_rows)
         for x, y in _fc_pairs(domain, rng):
-            parts = [_hex(x), _hex(y), _hex(domain.distances(x)), _hex(domain.distances(y))]
+            parts = [_hex(x), _hex(y), _hex(domain._distance_row(x.tolist())), _hex(domain._distance_row(y.tolist()))]
             yield "|".join(parts + _metric_values(domain, x, y))
 
 
@@ -135,7 +135,7 @@ def _bh_pairs(domain, rng):
     1e6 with horizontal offsets 1e-6 to 1e6."""
     n = domain.dim
     for _ in range(120):
-        yield sample_pair(domain, rng)
+        yield [p.x for p in _checked_pair(domain, rng)]
     for k in range(80):
         if isinstance(domain, UnitBall):
             g = rng.standard_normal((2, n))

@@ -143,7 +143,6 @@ def test_no_module_calls_np_dot():
 _WRAPPER_WORK = {
     "distance_to_boundary",
     "contains",
-    "same_point",
     "_checked",
     "_coerced",
     "_distance_row",
@@ -327,7 +326,7 @@ def test_domain_point_methods_are_defined_once_over_one_coercion():
         for name, fn in _functions_and_methods(tree)
         if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_real_array" for n in ast.walk(fn))
     ]
-    assert callers == ["_coerced", "FiniteComplement.distances"]
+    assert callers == ["_coerced"]
 
 
 def _attribute_reads(package: Path) -> set[str]:

@@ -29,7 +29,7 @@ from hypmetrics.metrics import (
     triangular_ratio,
     u_metric,
 )
-from hypmetrics.suite import sample_pair
+from hypmetrics.suite import _checked_pair
 
 
 def rho_axial(domain, a, b):
@@ -115,7 +115,7 @@ def test_each_point_is_validated_once(domain, monkeypatch):
     monkeypatch.setattr(geometry, "_require_domain", counted_domain)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        x, y = sample_pair(domain, rng)
+        x, y = (p.x for p in _checked_pair(domain, rng))
         for metric in evaluable_metrics(domain):
             calls.clear()
             evaluate_metric(domain, metric, x, y)
@@ -148,7 +148,7 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
     monkeypatch.setattr(FiniteComplement, "_distance_row", counted_distance_row)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        x, y = sample_pair(domain, rng)
+        x, y = (p.x for p in _checked_pair(domain, rng))
         for fn in PUBLIC_METRICS:
             if fn is rho:
                 continue
@@ -176,7 +176,7 @@ def test_one_boundary_distance_everywhere(domain, monkeypatch):
     monkeypatch.setattr(type(domain), "_distance", recorded)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        x, y = sample_pair(domain, rng)
+        x, y = (p.x for p in _checked_pair(domain, rng))
         read.clear()
         u_metric(domain, x, y)
         assert len(read) == 2
@@ -239,7 +239,7 @@ class TestRho:
         # multiplying the four factors left to right rounded (x, y) and
         # (y, x) differently on 128 of these pairs
         rng = np.random.default_rng(0)
-        pairs = [sample_pair(BALL, rng) for _ in range(2000)]
+        pairs = [(x.x, y.x) for x, y in (_checked_pair(BALL, rng) for _ in range(2000))]
         assert [(x, y) for x, y in pairs if rho(BALL, x, y) != rho(BALL, y, x)] == []
 
 
@@ -351,14 +351,13 @@ def test_finite_complement_reductions_match_cross_ratio_loops(infinity):
     # so they agree exactly; the point at infinity gives |p,x,y,q| its limit,
     # ratio 1 in each Apollonian factor and 0 in the eta, Cassinian and s functionals
     from hypmetrics.geometry import INFINITY, cross_ratio
-    from hypmetrics.suite import sample_pair
 
     d = FiniteComplement(3, [O, 2.0 * E1, [0.0, 3.0, 1.0]], includes_infinity_boundary=infinity)
     bnd = list(d.removed) + ([INFINITY] if infinity else [])
     pairs = [(p, q) for p in bnd for q in bnd if not (p is INFINITY and q is INFINITY)]
     rng = np.random.default_rng(8)
     for _ in range(100):
-        x, y = sample_pair(d, rng)
+        x, y = (p.x for p in _checked_pair(d, rng))
         r = math.dist(x.tolist(), y.tolist())
         dist = [(math.dist(x.tolist(), p), math.dist(y.tolist(), p)) for p in d.removed.tolist()]
         delta = math.log1p(max(cross_ratio(p, x, q, y) for p, q in pairs))

@@ -39,7 +39,7 @@ import pytest
 
 from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace
 from hypmetrics.metrics import alpha_pair_form, evaluate_metric
-from hypmetrics.suite import sample_pair
+from hypmetrics.suite import _checked_pair
 
 MP = mpmath.MPContext()
 MP.dps = 50
@@ -244,7 +244,7 @@ def _extreme_pairs(domain, rng):
 
 def _pairs(domain):
     rng = np.random.default_rng(2024 + domain.dim)
-    return _extreme_pairs(domain, rng) + [sample_pair(domain, rng) for _ in range(250)]
+    return _extreme_pairs(domain, rng) + [(x.x, y.x) for x, y in (_checked_pair(domain, rng) for _ in range(250))]
 
 
 E1 = [1.0, 0.0, 0.0]
@@ -385,7 +385,7 @@ def test_a_subnormal_distance_to_a_puncture_is_outside_the_accuracy_claim():
     domain = FiniteComplement(3, PUNCT3)
     for name, (x, y, pinned, exact) in SUBNORMAL_OUTLIERS.items():
         x, y = np.array(x), np.array(y)
-        assert 0.0 < min(domain.distances(y).tolist()) < sys.float_info.min
+        assert 0.0 < domain.distance_to_boundary(y) < sys.float_info.min
         got = evaluate_metric(domain, name, x, y)
         want = reference(domain, name, x, y)
         assert got == pinned
@@ -408,7 +408,7 @@ def test_the_accuracy_claim_holds_just_above_the_least_normal_distance(flag):
         for factor in (1.0, 1.0000001, 1.5, 2.0, 4.0, 16.0):
             v = np.where(p == 0.0, rng.standard_normal(3), 0.0)
             y = p + factor * sys.float_info.min * (v / np.linalg.norm(v))
-            d = min(domain.distances(y).tolist())
+            d = domain.distance_to_boundary(y)
             assert sys.float_info.min <= d < 17.0 * sys.float_info.min
             for x in (np.array([0.5, 0.0, 0.0]), p + 10.0 * _unit(rng, 3), others[0] + np.array([0.0, 1e-300, 0.0])):
                 for name in CLOSED[FiniteComplement]:

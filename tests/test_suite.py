@@ -26,6 +26,7 @@ from hypmetrics.suite import (
     SharpnessProbe,
     ScheduleError,
     _chain,
+    _checked_pair,
     _distortion,
     _equal_distance_pair,
     _pairwise,
@@ -37,7 +38,6 @@ from hypmetrics.suite import (
     records_to_json,
     records_to_text,
     run_probe,
-    sample_pair,
     sample_point,
 )
 
@@ -107,10 +107,10 @@ class TestSampling:
             p = sample_point(domain, _stream(1, "pt", k))
             assert domain.contains(p)
 
-    def test_sample_pair_distinct(self):
+    def test_checked_pair_distinct(self):
         for k in range(100):
-            x, y = sample_pair(BALL, _stream(2, "pair", k))
-            assert not np.array_equal(x, y)
+            x, y = _checked_pair(BALL, _stream(2, "pair", k))
+            assert not np.array_equal(x.x, y.x)
 
     @pytest.mark.parametrize("domain", [BALL, PUNCT])
     def test_equal_distance_pair_is_bitwise_equal(self, domain):
