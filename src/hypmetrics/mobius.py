@@ -83,7 +83,11 @@ class Orthogonal:
     matrix: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.matrix)
+        try:
+            q = np.asarray(self.matrix)
+        except ValueError:
+            # ragged rows
+            raise ParameterError("orthogonal generator needs a square matrix, n >= 2") from None
         if q.dtype.kind not in "biuf":
             raise ParameterError(f"orthogonal generator needs a real matrix, got dtype {q.dtype}")
         q = np.asarray(q, dtype=float)

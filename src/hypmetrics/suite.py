@@ -316,6 +316,32 @@ def _ball_map(domain: UnitBall, rng: np.random.Generator):
     return ball_automorphism(a), domain
 
 
+@lru_cache(maxsize=None)
+def _cayley(dim: int) -> tuple[MobiusMap, UnitBall]:
+    """The Cayley map of dimension ``dim`` and the ball it takes the
+    half-space onto, built once per dimension and only applied."""
+    return cayley_map(dim), UnitBall(dim)
+
+
+@lru_cache(maxsize=None)
+def _inversion(dim: int) -> MobiusMap:
+    """The unit-sphere inversion of dimension ``dim``, built once per
+    dimension and only applied."""
+    return inversion_unit(dim)
+
+
+def _cayley_draw(domain: UpperHalfSpace, rng: np.random.Generator):
+    """The Cayley map of the half-space ``domain`` onto the ball of its
+    dimension; it draws nothing."""
+    return _cayley(domain.dim)
+
+
+def _inversion_draw(domain: UpperHalfSpace, rng: np.random.Generator):
+    """The unit-sphere inversion, which takes the half-space ``domain``
+    onto itself; it draws nothing."""
+    return _inversion(domain.dim), domain
+
+
 @dataclass
 class Sample:
     """One configuration: the points x, y, z and the images fx, fy, the
@@ -721,17 +747,6 @@ def catalog() -> Catalog:
         notes="upper bound treated as vacuous when s = 1")
 
     # -- Mobius distortion ------------------------------------------------------
-    # the two fixed maps, built once and only applied: the Cayley map takes
-    # the half-space onto the ball, the unit inversion onto itself
-    cay = cayley_map(n)
-    inv = inversion_unit(n)
-
-    def cayley_draw(domain, rng):
-        return cay, ball
-
-    def inversion_draw(domain, rng):
-        return inv, domain
-
     m1 = _distortion(lambda u0, u1: _chain(u0 / 3.0, u1, 3.0 * u0))
     add("M1-FC", "three-fold distortion of u under Mobius maps of punctured space",
         "u/3 <= u'(f.) <= 3*u", (punct1, punct3), m1, constant=3.0, draw_map=_random_map,
@@ -739,15 +754,15 @@ def catalog() -> Catalog:
     add("M1-BALL", "three-fold distortion of u under ball automorphisms",
         "u/3 <= u'(f.) <= 3*u", (ball,), m1, constant=3.0, draw_map=_ball_map)
     add("M1-HB", "three-fold distortion of u under the half-space to ball map",
-        "u/3 <= u'(f.) <= 3*u", (half,), m1, constant=3.0, draw_map=cayley_draw)
+        "u/3 <= u'(f.) <= 3*u", (half,), m1, constant=3.0, draw_map=_cayley_draw)
 
     m_add = _distortion(lambda u0, u1: (abs(u1 - u0), TWO_LOG2))
     add("M2-BALL", "additive distortion of u under ball automorphisms",
         "|u(f.) - u| <= 2*log2", (ball,), m_add, constant=TWO_LOG2, draw_map=_ball_map)
     add("M3-HH", "additive distortion of u under unit-sphere inversion of the half-space",
-        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=inversion_draw)
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=_inversion_draw)
     add("M3-HB", "additive distortion of u under the half-space to ball map",
-        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=cayley_draw)
+        "|u(f.) - u| <= 2*log2", (half,), m_add, constant=TWO_LOG2, draw_map=_cayley_draw)
 
     # -- probes ---------------------------------------------------------------
     probes: list[SharpnessProbe] = []
@@ -801,6 +816,9 @@ def catalog() -> Catalog:
           "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 3.0, 5e-2,
           ball, lambda t: mapped(ball_automorphism(t * e1), ball, (1.0 - t) * e1, -((1.0 - t) * e1)),
           _distortion(lambda u0, u1: u1 / u0))
+
+    # the fixed maps of dimension n, from the cache the Mobius draws read
+    cay, inv = _cayley(n)[0], _inversion(n)
 
     def cayley_pair(t):
         return mapped(cay, ball, t * en, (1.0 / t) * en)
@@ -877,6 +895,14 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number (a Python or numpy int or float,
+    say) and not a bool."""
+    # a float first: the check against the numbers.Real ABC takes about
+    # 0.5 us, several times a probe's cost per schedule value without it
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
 def check_case(
     case: InequalityCase,
     n_samples: int = DEFAULT_SAMPLES,
@@ -889,16 +915,17 @@ def check_case(
     evaluated once: every metric is a formula, an exact maximum or a root
     solve, so a second evaluation could only repeat the first.
 
-    ``n_samples`` and ``seed`` are integers, bools excluded, and the
-    record holds them as Python ints.
+    ``n_samples`` and ``seed`` are integers and ``slack`` a real number,
+    bools excluded, and the record holds the integers as Python ints.
     """
     if not _is_integer(n_samples) or n_samples < 1:
         raise ParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if not _is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     n_samples, seed = int(n_samples), int(seed)
-    if not (math.isfinite(slack) and slack >= 0.0):
+    if not (_is_real(slack) and math.isfinite(slack) and slack >= 0.0):
         raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
+    slack = float(slack)
     domains = case.domains
 
     started = time.perf_counter()
@@ -949,9 +976,14 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     estimate from the expected sharp constant, and whether the deviation
     is non-increasing over the last three points (deviations at the
     noise floor count as converged).  Every probe must be monotone in
-    that sense to pass, as well as end within its tolerance.
+    that sense to pass, as well as end within its tolerance.  A schedule
+    holds at least four finite real numbers, bools excluded.
     """
-    schedule = tuple(float(t) for t in (probe.schedule if schedule_overrides is None else schedule_overrides))
+    schedule = tuple(probe.schedule if schedule_overrides is None else schedule_overrides)
+    for t in schedule:
+        if not _is_real(t):
+            raise ParameterError(f"probe schedule values must be real numbers, got {t!r}")
+    schedule = tuple(map(float, schedule))
     if len(schedule) < 4:
         raise ParameterError("a probe schedule needs at least 4 points")
     for t in schedule:

@@ -98,6 +98,11 @@ class TestGenerators:
         with pytest.raises(ParameterError, match="^orthogonal generator needs a real matrix, got dtype "):
             Orthogonal(matrix)
 
+    def test_ragged_orthogonal_matrix_is_a_parameter_error(self):
+        # numpy's plain ValueError ("inhomogeneous shape") escaped, where a ragged point raises ParameterError
+        with pytest.raises(ParameterError, match="^orthogonal generator needs a square matrix"):
+            Orthogonal([[1, 0], [0]])
+
     @pytest.mark.parametrize("dtype", [bool, int, float])
     def test_orthogonal_matrix_of_a_real_kind_is_taken_as_floats(self, dtype):
         q = Orthogonal(np.eye(3, dtype=dtype)).matrix

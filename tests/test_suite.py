@@ -1,5 +1,6 @@
 """Tests for the verification suite: sampling, case running, probes, reports."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -337,6 +338,33 @@ class TestCheckCase:
         with pytest.raises(ParameterError, match="^seed must be an integer, got "):
             check_case(catalog().case("AX-U"), n_samples=2, seed=seed)
 
+    @pytest.mark.parametrize("slack", ["0", None, True], ids=repr)
+    def test_slack_must_be_a_real_number(self, slack):
+        # "0" and None raised a plain TypeError, and True ran as a slack of 1.0
+        with pytest.raises(ParameterError, match="^slack must be a finite number >= 0, got "):
+            check_case(catalog().case("AX-U"), n_samples=2, slack=slack)
+
+    @staticmethod
+    def _in_dimension(domain, n):
+        """``domain`` in dimension n, a complement's punctures truncated or
+        padded with zeros."""
+        if isinstance(domain, FiniteComplement):
+            removed = [(p + [0.0] * n)[:n] for p in domain.removed.tolist()]
+            return FiniteComplement(n, removed, domain.includes_infinity_boundary)
+        return type(domain)(n)
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_verdicts_hold_in_every_dimension(self, n):
+        # the paper's statements are for R^n: every sampled case keeps its
+        # verdict on domains of dimension n, the Mobius cases included
+        wrong = []
+        for case in catalog().cases:
+            if case.grid is None:
+                case_n = dataclasses.replace(case, domains=tuple(self._in_dimension(d, n) for d in case.domains))
+                if check_case(case_n, n_samples=300, seed=7).passed == (case.case_id == "T-ALJ"):
+                    wrong.append(case.case_id)
+        assert wrong == []
+
     def test_numpy_integers_give_the_record_of_the_python_ints(self):
         # the record holds Python ints, so it serializes and parses back
         case = catalog().case("T-JS")
@@ -655,6 +683,12 @@ class TestRunProbe:
         probe = catalog().probe("P2")
         with pytest.raises(ParameterError):
             run_probe(probe, schedule_overrides=(0.1, 0.01, 0.001))
+
+    @pytest.mark.parametrize("schedule", [["a"] * 4, [0.1, 0.01, 0.001, True]], ids=["str", "bool"])
+    def test_schedule_values_must_be_real_numbers(self, schedule):
+        # "a" raised a plain ValueError from float(), and True ran as t = 1.0
+        with pytest.raises(ParameterError, match="^probe schedule values must be real numbers, got "):
+            run_probe(catalog().probe("P2"), schedule_overrides=schedule)
 
     def test_an_empty_schedule_is_rejected(self):
         # () is a schedule of no points, not a request for the probe's own
