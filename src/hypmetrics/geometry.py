@@ -52,6 +52,9 @@ everything else, :func:`_coerced` included, takes it as its array.
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
 so no square over- or underflows anywhere in the float range.
+
+:func:`_is_real`, :func:`_is_integer` and :func:`_real_array` are the
+package's only number rules: mobius and suite check their inputs by them.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
     elif is_infinity(p):
         raise ParameterError("expected a finite point, got INFINITY")
     else:
-        arr = _real_array(p)
+        arr = _real_array(p, "a point must be a vector")
     if arr.ndim != 1 or arr.size < 2:
         raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
     coords = arr.tolist()
@@ -168,10 +171,23 @@ def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
     return arr, coords
 
 
-def _real_array(p) -> np.ndarray:
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer: a Python or numpy int, never a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number: a Python or numpy int or float, never a bool."""
+    # a float first: the check against the numbers.Real ABC takes about
+    # 0.5 us, several times a probe's cost per schedule value without it
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+def _real_array(p, name: str) -> np.ndarray:
     """``p`` as a float array if it holds only real numbers: an array of
     bools, ints or floats, or of Python objects that are all
-    ``numbers.Real`` (ints too big for int64 arrive so)."""
+    ``numbers.Real`` (ints too big for int64 arrive so).  ``name`` opens
+    the error message, which goes on "of real numbers"."""
     try:
         raw = np.asarray(p)
         kind = raw.dtype.kind
@@ -180,13 +196,13 @@ def _real_array(p) -> np.ndarray:
     except (ValueError, TypeError, OverflowError):
         # ragged nesting, or an int beyond the float range
         pass
-    raise ParameterError(f"a point must be a vector of real numbers, got {p!r}")
+    raise ParameterError(f"{name} of real numbers, got {p!r}")
 
 
 def _check_dim(dim) -> int:
-    """A domain dimension as a Python int, rejected if not an integer >= 2;
-    a numpy integer is kept as the int it equals, as reprs show it."""
-    if not isinstance(dim, numbers.Integral) or dim < 2:
+    """A dimension as a Python int, rejected if not an integer >= 2; a
+    numpy integer is kept as the int it equals, as reprs show it."""
+    if not _is_integer(dim) or dim < 2:
         raise ParameterError(f"domains require an integer dimension >= 2, got {dim!r}")
     return int(dim)
 

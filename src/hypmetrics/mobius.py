@@ -9,7 +9,6 @@ infinity's bookkeeping local to the inversion generator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,9 @@ from .geometry import (
     BoundaryCardinalityError,
     FiniteComplement,
     ParameterError,
+    _check_dim,
+    _is_real,
+    _real_array,
     as_point,
     is_infinity,
 )
@@ -38,7 +40,7 @@ __all__ = [
 
 def _positive_real(v, name: str) -> float:
     """``v`` as a float if it is a real number, positive and finite."""
-    if not isinstance(v, numbers.Real):
+    if not _is_real(v):
         raise ParameterError(f"{name} must be a real number, got {v!r}")
     f = float(v)
     if not (f > 0.0 and math.isfinite(f)):
@@ -83,14 +85,7 @@ class Orthogonal:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            q = np.asarray(self.matrix)
-        except ValueError:
-            # ragged rows
-            raise ParameterError("orthogonal generator needs a square matrix, n >= 2") from None
-        if q.dtype.kind not in "biuf":
-            raise ParameterError(f"orthogonal generator needs a real matrix, got dtype {q.dtype}")
-        q = np.asarray(q, dtype=float)
+        q = _real_array(self.matrix, "orthogonal generator needs a matrix")
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise ParameterError("orthogonal generator needs a square matrix, n >= 2")
         # np.allclose(q.T @ q, I, atol=1e-10) without its generic overhead:
@@ -184,6 +179,7 @@ def ball_automorphism(a) -> MobiusMap:
 def cayley_map(dim: int) -> MobiusMap:
     """Standard conformal map of the upper half-space onto the unit ball,
     z -> -e_n + 2(z + e_n)/|z + e_n|^2; sends e_n to the origin."""
+    dim = _check_dim(dim)
     e_n = np.zeros(dim)
     e_n[-1] = 1.0
     return MobiusMap(
@@ -194,7 +190,7 @@ def cayley_map(dim: int) -> MobiusMap:
 def inversion_unit(dim: int) -> MobiusMap:
     """Inversion z -> z/|z|^2 in the unit sphere; maps the upper
     half-space onto itself."""
-    return MobiusMap((SphereInversion(np.zeros(dim), 1.0),))
+    return MobiusMap((SphereInversion(np.zeros(_check_dim(dim)), 1.0),))
 
 
 def map_domain(f: MobiusMap, domain: FiniteComplement) -> FiniteComplement:

@@ -46,7 +46,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import operator
 import struct
 import time
@@ -64,6 +63,8 @@ from .geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
+    _is_integer,
+    _is_real,
     is_infinity,
 )
 from .metrics import (
@@ -890,19 +891,6 @@ def sup_refinement():
     yield
 
 
-def _is_integer(v) -> bool:
-    """Whether ``v`` is a Python or numpy integer and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """Whether ``v`` is a real number (a Python or numpy int or float,
-    say) and not a bool."""
-    # a float first: the check against the numbers.Real ABC takes about
-    # 0.5 us, several times a probe's cost per schedule value without it
-    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
-
-
 def check_case(
     case: InequalityCase,
     n_samples: int = DEFAULT_SAMPLES,
@@ -1033,14 +1021,13 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
 # Report serialization
 
 _BASE_FIELDS = ("case_id", "paper_ref", "samples", "violations", "max_slack", "seed", "pass")
-# type(), not isinstance: JSON true is a bool, which isinstance counts as an int
 _FIELD_RULES = (
     ("case_id", lambda v: type(v) is str, "a string"),
     ("pass", lambda v: type(v) is bool, "true or false"),
-    ("samples", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    ("violations", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    ("max_slack", lambda v: v is None or type(v) in (int, float), "a number or null"),
-    ("seed", lambda v: v is None or type(v) is int, "an integer or null"),
+    ("samples", lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    ("violations", lambda v: _is_integer(v) and v >= 0, "an integer >= 0"),
+    ("max_slack", lambda v: v is None or _is_real(v), "a number or null"),
+    ("seed", lambda v: v is None or _is_integer(v), "an integer or null"),
 )
 _PROBE_FIELDS = ("schedule", "estimates", "expected_limit", "final_deviation")
 

@@ -91,22 +91,28 @@ class TestGenerators:
 
     @pytest.mark.parametrize(
         "matrix",
-        [[["1", "0"], ["0", "1"]], np.eye(2, dtype=complex), np.eye(2).astype(object)],
+        [[["1", "0"], ["0", "1"]], np.eye(2, dtype=complex), np.array([[1.0, "0"], [0.0, 1.0]], dtype=object)],
         ids=["str", "complex", "object"],
     )
     def test_orthogonal_matrix_must_be_real(self, matrix):
-        with pytest.raises(ParameterError, match="^orthogonal generator needs a real matrix, got dtype "):
+        # an object array is refused only where an entry is not a real number, as a point is
+        with pytest.raises(ParameterError, match="^orthogonal generator needs a matrix of real numbers, got "):
             Orthogonal(matrix)
 
     def test_ragged_orthogonal_matrix_is_a_parameter_error(self):
         # numpy's plain ValueError ("inhomogeneous shape") escaped, where a ragged point raises ParameterError
-        with pytest.raises(ParameterError, match="^orthogonal generator needs a square matrix"):
+        with pytest.raises(ParameterError, match="^orthogonal generator needs a matrix of real numbers, got "):
             Orthogonal([[1, 0], [0]])
 
-    @pytest.mark.parametrize("dtype", [bool, int, float])
+    @pytest.mark.parametrize("dtype", [bool, int, float, object])
     def test_orthogonal_matrix_of_a_real_kind_is_taken_as_floats(self, dtype):
-        q = Orthogonal(np.eye(3, dtype=dtype)).matrix
+        q = Orthogonal(np.eye(3).astype(dtype)).matrix
         assert q.dtype == np.float64 and (q == np.eye(3)).all()
+
+    def test_orthogonal_matrix_of_huge_ints_is_not_orthogonal(self):
+        # 10**30 does not fit an int64: the entries arrive as Python ints, read as floats
+        with pytest.raises(ParameterError, match="^matrix is not orthogonal$"):
+            Orthogonal([[10**30, 0], [0, 1]])
 
     def test_orthogonal(self):
         q = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
