@@ -54,7 +54,8 @@ distance ``math.dist`` of two coordinate lists: both scale internally,
 so no square over- or underflows anywhere in the float range.
 
 :func:`_is_real`, :func:`_is_integer` and :func:`_real_array` are the
-package's only number rules: mobius and suite check their inputs by them.
+package's only number rules, and :func:`_items` its one rule for a
+collection argument: mobius and suite check their inputs by them.
 """
 
 from __future__ import annotations
@@ -199,6 +200,16 @@ def _real_array(p, name: str) -> np.ndarray:
     raise ParameterError(f"{name} of real numbers, got {p!r}")
 
 
+def _items(v, name: str) -> tuple:
+    """The items of the collection ``v``, as a tuple; ``v`` that is not
+    iterable raises ParameterError."""
+    try:
+        items = iter(v)
+    except TypeError:
+        raise ParameterError(f"{name} must be a collection, got {v!r}") from None
+    return tuple(items)
+
+
 def _check_dim(dim) -> int:
     """A dimension as a Python int, rejected if not an integer >= 2; a
     numpy integer is kept as the int it equals, as reprs show it."""
@@ -314,7 +325,9 @@ class FiniteComplement(_Domain):
 
     def __init__(self, dim: int, removed, includes_infinity_boundary: bool = True):
         dim = _check_dim(dim)
-        pts = [as_point(p, dim) for p in removed]
+        if type(includes_infinity_boundary) not in (bool, np.bool_):
+            raise ParameterError(f"includes_infinity_boundary must be a bool, got {includes_infinity_boundary!r}")
+        pts = [as_point(p, dim) for p in _items(removed, "removed points")]
         if not pts:
             raise BoundaryCardinalityError("FiniteComplement requires at least one removed point")
         pts = np.array(pts)

@@ -20,6 +20,7 @@ from .geometry import (
     ParameterError,
     _check_dim,
     _is_real,
+    _items,
     _real_array,
     as_point,
     is_infinity,
@@ -89,9 +90,14 @@ class Orthogonal:
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise ParameterError("orthogonal generator needs a square matrix, n >= 2")
         # np.allclose(q.T @ q, I, atol=1e-10) without its generic overhead:
-        # |QᵀQ - I| <= 1e-10 + 1e-5 |I| elementwise, NaN failing
+        # |QᵀQ - I| <= 1e-10 + 1e-5 |I| elementwise, NaN failing; an inf or
+        # huge entry overflows or makes NaN in the Gram matrix, which fails
         eye = np.eye(q.shape[0])
-        if not (np.abs(q.T @ q - eye) <= 1e-10 + 1e-5 * eye).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            orthogonal = (np.abs(q.T @ q - eye) <= 1e-10 + 1e-5 * eye).all()
+        if not orthogonal:
+            if not np.isfinite(q).all():
+                raise ParameterError(f"orthogonal generator needs finite entries, got {q.tolist()}")
             raise ParameterError("matrix is not orthogonal")
         object.__setattr__(self, "matrix", q)
 
@@ -140,7 +146,7 @@ class MobiusMap:
     __slots__ = ("generators", "dim")
 
     def __init__(self, generators=()):
-        gens = tuple(generators)
+        gens = _items(generators, "Mobius generators")
         for g in gens:
             if not isinstance(g, _GENERATOR_TYPES):
                 raise ParameterError(f"not a Mobius generator: {g!r}")

@@ -65,6 +65,7 @@ from .geometry import (
     UpperHalfSpace,
     _is_integer,
     _is_real,
+    _items,
     is_infinity,
 )
 from .metrics import (
@@ -967,7 +968,7 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     that sense to pass, as well as end within its tolerance.  A schedule
     holds at least four finite real numbers, bools excluded.
     """
-    schedule = tuple(probe.schedule if schedule_overrides is None else schedule_overrides)
+    schedule = _items(probe.schedule if schedule_overrides is None else schedule_overrides, "a probe schedule")
     for t in schedule:
         if not _is_real(t):
             raise ParameterError(f"probe schedule values must be real numbers, got {t!r}")

@@ -4,8 +4,8 @@ imports a name it never uses, no module defines a private name nothing
 uses, no module calls ``np.dot``, no metric kernel re-derives what the
 validating wrapper measured or computes with numpy, no function that runs
 on every metric call defines a closure, a domain's point methods are
-defined once over one coercion, and every field of a catalog declaration
-is read."""
+defined once over one coercion, every field of a catalog declaration is
+read, and only geometry decides what a number is."""
 
 import ast
 import dataclasses
@@ -352,3 +352,33 @@ def test_every_declaration_field_is_read():
     assert sorted(unread.difference(_UNREAD_FIELDS_ALLOWED)) == []
     # an allowed field that gains a reader leaves the list
     assert sorted(unread.intersection(_UNREAD_FIELDS_ALLOWED)) == _UNREAD_FIELDS_ALLOWED
+
+
+def _number_rule_uses(package: Path) -> dict[str, list[str]]:
+    """For each module, what decides a number there: the ``numbers``
+    module named, a dtype ``.kind`` read, and a definition of one of the
+    three number rules."""
+    rules = {"_is_real", "_is_integer", "_real_array"}
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        uses = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                uses += [a.name for a in node.names if a.name == "numbers"]
+            elif isinstance(node, ast.Name) and node.id == "numbers":
+                uses.append("numbers")
+            elif isinstance(node, ast.Attribute) and node.attr == "kind":
+                uses.append(".kind")
+            elif isinstance(node, ast.FunctionDef) and node.name in rules:
+                uses.append(f"def {node.name}")
+        if uses:
+            found[path.stem] = sorted(set(uses))
+    return found
+
+
+def test_only_geometry_decides_what_a_number_is():
+    # a second rule for a real number, an integer or a real array drifts
+    # from the first: a bool taken in one module and refused in another
+    assert _number_rule_uses(Path(hypmetrics.__file__).parent) == {
+        "geometry": [".kind", "def _is_integer", "def _is_real", "def _real_array", "numbers"],
+    }

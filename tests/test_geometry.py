@@ -180,6 +180,22 @@ class TestDomains:
         with pytest.raises(ParameterError):
             FiniteComplement(3, [E1, [1.0, 0.0, 0.0]])
 
+    def test_removed_points_that_are_not_a_collection_are_a_parameter_error(self):
+        # iterating 5 raised a plain TypeError
+        with pytest.raises(ParameterError, match="^removed points must be a collection, got 5$"):
+            FiniteComplement(3, 5)
+
+    @pytest.mark.parametrize("flag", ["no", None, 0, 1.0, np.int64(1)], ids=repr)
+    def test_the_infinity_flag_is_a_bool(self, flag):
+        # bool() made "no" True and None False
+        with pytest.raises(ParameterError, match="^includes_infinity_boundary must be a bool, got "):
+            FiniteComplement(3, [E1], includes_infinity_boundary=flag)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    def test_the_infinity_flag_takes_python_and_numpy_bools(self, flag):
+        d = FiniteComplement(3, [E1], includes_infinity_boundary=flag)
+        assert d.includes_infinity_boundary is bool(flag)
+
     def test_complement_boundary_cardinality_counts_infinity(self):
         assert FiniteComplement(3, [E1]).boundary_cardinality() == 2
         assert FiniteComplement(3, [E1], includes_infinity_boundary=False).boundary_cardinality() == 1

@@ -1,5 +1,7 @@
 """Tests for Mobius generators, composition, canonical maps, and domain images."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,10 +101,22 @@ class TestGenerators:
         with pytest.raises(ParameterError, match="^orthogonal generator needs a matrix of real numbers, got "):
             Orthogonal(matrix)
 
-    def test_ragged_orthogonal_matrix_is_a_parameter_error(self):
-        # numpy's plain ValueError ("inhomogeneous shape") escaped, where a ragged point raises ParameterError
-        with pytest.raises(ParameterError, match="^orthogonal generator needs a matrix of real numbers, got "):
-            Orthogonal([[1, 0], [0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+    def test_a_non_finite_orthogonal_entry_is_named_without_a_warning(self, bad):
+        # NaN read as "not orthogonal", and inf raised numpy's RuntimeWarning under -W error
+        q = np.eye(3)
+        q[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^orthogonal generator needs finite entries, got \[\[1\.0, "):
+                Orthogonal(q)
+
+    def test_an_orthogonal_matrix_with_huge_entries_is_not_orthogonal_without_a_warning(self):
+        # the Gram matrix overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^matrix is not orthogonal$"):
+                Orthogonal([[1e200, 0.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("dtype", [bool, int, float, object])
     def test_orthogonal_matrix_of_a_real_kind_is_taken_as_floats(self, dtype):
@@ -159,10 +173,11 @@ class TestGenerators:
             cases.append(q)
         verdicts = []
         for q in cases:
-            # inf * 0 in the Gram matrix is NaN, which both checks reject
+            # inf * 0 in the Gram matrix is NaN, which both checks reject;
+            # Orthogonal runs outside the errstate, so a warning of its own fails
             with np.errstate(invalid="ignore"):
                 want = bool(np.allclose(q.T @ q, np.eye(len(q)), atol=1e-10))
-                assert self._accepts(q) == want, q
+            assert self._accepts(q) == want, q
             verdicts.append(want)
         # both outcomes occur next to each threshold
         assert verdicts.count(True) > 60 and verdicts.count(False) > 10
@@ -206,6 +221,11 @@ class TestMobiusMap:
     def test_rejects_non_generators(self):
         with pytest.raises(ParameterError):
             MobiusMap([lambda p: p])
+
+    def test_generators_that_are_not_a_collection_are_a_parameter_error(self):
+        # tuple(5) raised a plain TypeError
+        with pytest.raises(ParameterError, match="^Mobius generators must be a collection, got 5$"):
+            MobiusMap(5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):

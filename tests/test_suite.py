@@ -684,11 +684,10 @@ class TestRunProbe:
         with pytest.raises(ParameterError):
             run_probe(probe, schedule_overrides=(0.1, 0.01, 0.001))
 
-    @pytest.mark.parametrize("schedule", [["a"] * 4, [0.1, 0.01, 0.001, True]], ids=["str", "bool"])
-    def test_schedule_values_must_be_real_numbers(self, schedule):
-        # "a" raised a plain ValueError from float(), and True ran as t = 1.0
-        with pytest.raises(ParameterError, match="^probe schedule values must be real numbers, got "):
-            run_probe(catalog().probe("P2"), schedule_overrides=schedule)
+    def test_a_schedule_that_is_not_a_collection_is_a_parameter_error(self):
+        # tuple(5) raised a plain TypeError
+        with pytest.raises(ParameterError, match="^a probe schedule must be a collection, got 5$"):
+            run_probe(catalog().probe("P2"), schedule_overrides=5)
 
     def test_an_empty_schedule_is_rejected(self):
         # () is a schedule of no points, not a request for the probe's own
