@@ -4,6 +4,10 @@ A map is an ordered composition of primitive conformal generators:
 translations, positive scalings, orthogonal maps, and sphere inversions.
 This representation works in every dimension and keeps the point at
 infinity's bookkeeping local to the inversion generator.
+
+Every parameter is checked by geometry's number rules, as a point is: a
+scaling factor or inversion radius is a real number, never a bool, and
+an orthogonal matrix, like a point, is an array of real numbers.
 """
 
 from __future__ import annotations
