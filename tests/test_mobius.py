@@ -111,22 +111,24 @@ class TestGenerators:
             with pytest.raises(ParameterError, match=r"^orthogonal generator needs finite entries, got \[\[1\.0, "):
                 Orthogonal(q)
 
-    def test_an_orthogonal_matrix_with_huge_entries_is_not_orthogonal_without_a_warning(self):
-        # the Gram matrix overflows to inf
+    @pytest.mark.parametrize(
+        "matrix",
+        # 10**30 does not fit an int64, so it arrives as a Python int of an
+        # object array; 1e200 overflows the Gram matrix
+        [[[10**30, 0], [0, 1]], [[1e200, 0.0], [0.0, 1.0]]],
+        ids=["huge-int", "huge-float"],
+    )
+    def test_a_matrix_of_huge_entries_is_not_orthogonal_without_a_warning(self, matrix):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="^matrix is not orthogonal$"):
-                Orthogonal([[1e200, 0.0], [0.0, 1.0]])
+                Orthogonal(matrix)
 
     @pytest.mark.parametrize("dtype", [bool, int, float, object])
     def test_orthogonal_matrix_of_a_real_kind_is_taken_as_floats(self, dtype):
         q = Orthogonal(np.eye(3).astype(dtype)).matrix
         assert q.dtype == np.float64 and (q == np.eye(3)).all()
 
-    def test_orthogonal_matrix_of_huge_ints_is_not_orthogonal(self):
-        # 10**30 does not fit an int64: the entries arrive as Python ints, read as floats
-        with pytest.raises(ParameterError, match="^matrix is not orthogonal$"):
-            Orthogonal([[10**30, 0], [0, 1]])
 
     def test_orthogonal(self):
         q = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
