@@ -80,7 +80,7 @@ def _parse_point(text: str) -> np.ndarray:
         ) from None
     if len(values) < 2:
         raise ParameterError(f"point {text!r} needs at least two coordinates")
-    return np.asarray(values, dtype=float)
+    return np.array(values)
 
 
 def _resolve_seed(explicit: int | None) -> int:

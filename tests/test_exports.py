@@ -356,8 +356,8 @@ def test_every_declaration_field_is_read():
 
 def _number_rule_uses(package: Path) -> dict[str, list[str]]:
     """For each module, what decides a number there: the ``numbers``
-    module named, a dtype ``.kind`` read, and a definition of one of the
-    three number rules."""
+    module named, a dtype ``.kind`` read, an ``np.asarray`` call, and a
+    definition of one of the three number rules."""
     rules = {"_is_real", "_is_integer", "_real_array"}
     found = {}
     for path in sorted(package.glob("*.py")):
@@ -367,8 +367,8 @@ def _number_rule_uses(package: Path) -> dict[str, list[str]]:
                 uses += [a.name for a in node.names if a.name == "numbers"]
             elif isinstance(node, ast.Name) and node.id == "numbers":
                 uses.append("numbers")
-            elif isinstance(node, ast.Attribute) and node.attr == "kind":
-                uses.append(".kind")
+            elif isinstance(node, ast.Attribute) and node.attr in ("kind", "asarray"):
+                uses.append(f".{node.attr}")
             elif isinstance(node, ast.FunctionDef) and node.name in rules:
                 uses.append(f"def {node.name}")
         if uses:
@@ -380,5 +380,5 @@ def test_only_geometry_decides_what_a_number_is():
     # a second rule for a real number, an integer or a real array drifts
     # from the first: a bool taken in one module and refused in another
     assert _number_rule_uses(Path(hypmetrics.__file__).parent) == {
-        "geometry": [".kind", "def _is_integer", "def _is_real", "def _real_array", "numbers"],
+        "geometry": [".asarray", ".kind", "def _is_integer", "def _is_real", "def _real_array", "numbers"],
     }
