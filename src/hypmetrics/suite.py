@@ -17,10 +17,17 @@ Mobius case declares ``draw_map``, a function ``(domain, rng) -> (f,
 f(domain))`` that draws the map from the sample's stream before its
 pair; the scalar case declares ``grid`` and the one domain None.
 
-Each sampled point is checked once, where it is drawn: ``sample_point``
-returns every draw as a checked point of its domain (geometry's
-``_CheckedPoint``), a Mobius case checks each image once on the image
-domain, and a ``Sample`` holds each point once, as that checked point.
+Each sample is drawn in one pass.  A draw is made again only where it
+can really miss: a direction of norm near 0 (``_unit``), a point of a
+finite complement drawn onto a removed point (``sample_point``), a
+second point equal to the first (``_checked_pair``), and an
+equal-distance flip that changed no coordinate
+(``_equal_distance_pair``).  Each sampled point is checked once, where
+it is drawn: ``sample_point`` returns every draw as a checked point of
+its domain (geometry's ``_CheckedPoint``), a Mobius case checks each
+image once on the image domain, where an image that fails raises under
+the case id, and a ``Sample`` holds each point once, as that checked
+point.
 The evaluators hand the points to the public metric functions, which
 take them without a second check, and a report shows their coordinates.
 
@@ -57,7 +64,6 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    BoundaryCardinalityError,
     DomainMembershipError,
     FiniteComplement,
     ParameterError,
@@ -66,7 +72,6 @@ from .geometry import (
     _is_integer,
     _is_real,
     _items,
-    is_infinity,
 )
 from .metrics import (
     alpha_metric,
@@ -250,7 +255,8 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
     Built by flipping signs of offset components whose anchor coordinate
     is zero: the two offset vectors then have the same squares in the
     same order, so the recomputed distances agree exactly.  Each point
-    built is checked once.
+    built is checked once.  A domain that gives no pair in 64 flips, as
+    one whose anchor has no zero coordinate, raises ConfigurationError.
     """
     n = domain.dim
     if isinstance(domain, UnitBall):
@@ -265,7 +271,7 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         sigma = 10.0 ** _uniform(rng, -4.0, 1.0)
         w = sigma * rng.standard_normal(n)
     flippable = anchor == 0.0
-    # x is checked once (None outside); the loop still makes its draws when x is outside
+    # x is checked once; None where it fell on a removed point, which no flip mends
     x = domain._member(anchor + w)
     for _ in range(64):
         flips = (rng.random(n) < 0.5) & flippable & (w != 0.0)
@@ -275,7 +281,7 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
         y = domain._member(anchor + w * signs)
         if y is not None and x is not None and x.coords != y.coords:
             return x, y
-    return _checked_pair(domain, rng)
+    raise ConfigurationError(f"no equal-distance pair found in 64 sign flips on {domain!r}")
 
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -283,7 +289,12 @@ def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _random_mobius(rng: np.random.Generator, n: int) -> MobiusMap:
+def _random_map(domain: FiniteComplement, rng: np.random.Generator):
+    """A random Mobius map of one to three generators and the image of
+    ``domain``.  ``map_domain`` cannot fail here: ``domain`` is a finite
+    complement with two or more boundary points, INFINITY counted, and
+    a Mobius map sends at most one of them to INFINITY."""
+    n = domain.dim
     gens = []
     for _ in range(1 + int(rng.integers(3))):
         kind = int(rng.integers(4))
@@ -295,20 +306,8 @@ def _random_mobius(rng: np.random.Generator, n: int) -> MobiusMap:
             gens.append(Orthogonal(_random_rotation(rng, n)))
         else:
             gens.append(SphereInversion(3.0 * rng.standard_normal(n), 10.0 ** _uniform(rng, -0.5, 0.5)))
-    return MobiusMap(tuple(gens))
-
-
-def _random_map(domain: FiniteComplement, rng: np.random.Generator):
-    """A random Mobius map and the image of ``domain``, a finite
-    complement; a map that leaves the image too few boundary points is
-    drawn again, up to 16 draws."""
-    for _ in range(16):
-        f = _random_mobius(rng, domain.dim)
-        try:
-            return f, map_domain(f, domain)
-        except BoundaryCardinalityError:
-            continue
-    raise ConfigurationError("could not build an admissible random Mobius map")
+    f = MobiusMap(tuple(gens))
+    return f, map_domain(f, domain)
 
 
 def _ball_map(domain: UnitBall, rng: np.random.Generator):
@@ -375,20 +374,18 @@ def _checked_sample(domain, smp: Sample) -> Sample:
 
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
+    """The sample of ``case`` on ``domain``, drawn from ``rng`` in one
+    pass.  A Mobius case draws its map, then a pair, and checks each
+    image once on the image domain under a name that carries the case
+    id: an image outside it raises, and so do images that coincide."""
     if case.draw_map is not None:
         f, fd = case.draw_map(domain, rng)
-        for _ in range(64):
-            x, y = _checked_pair(domain, rng)
-            fx = f.apply(x.x)
-            fy = f.apply(y.x)
-            if is_infinity(fx) or is_infinity(fy):
-                continue
-            # each image is checked once on the image domain, fy only where fx is inside
-            fx = fd._member(fx)
-            fy = None if fx is None else fd._member(fy)
-            if fy is not None and fx.coords != fy.coords:
-                return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
-        raise ConfigurationError(f"no admissible mapped pair found for {case.case_id}")
+        x, y = _checked_pair(domain, rng)
+        fx = fd._point(f.apply(x.x), f"{case.case_id} image of x")
+        fy = fd._point(f.apply(y.x), f"{case.case_id} image of y")
+        if fx.coords == fy.coords:
+            raise ConfigurationError(f"{case.case_id}: the images of distinct points coincide")
+        return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
     if case.sampler == "triple":
         x, y = _checked_pair(domain, rng)
         return Sample(x=x, y=y, z=sample_point(domain, rng))

@@ -122,9 +122,8 @@ class TestSampling:
             dy = domain.distance_to_boundary(y)
             if dx == dy:
                 hits += 1
-        # the sign-flip construction succeeds nearly always; the rare
-        # fallback draw is allowed to differ
-        assert hits >= 195
+        # every pair returned is a sign flip, so no pair may differ
+        assert hits == 200
 
     def test_equal_distance_pair_checks_x_once(self):
         # one checked pass per point built: x first, then each y; the pair
@@ -457,7 +456,7 @@ class TestCheckCase:
         assert rec.record()["max_slack"] is None
 
     def test_a_map_case_with_no_admissible_pair_names_the_case(self):
-        # every image lies 99 or more from the ball, so the sampler gives up
+        # every image lies 99 or more from the ball, so the first image check raises
         far = MobiusMap((Translation(np.array([100.0, 0.0, 0.0])),))
         rigged = InequalityCase(
             case_id="RIG-NO-IMAGE",
@@ -467,8 +466,21 @@ class TestCheckCase:
             evaluate=lambda domain, smp: (0.0, 1.0),
             draw_map=lambda domain, rng: (far, domain),
         )
-        with pytest.raises(ConfigurationError, match="^no admissible mapped pair found for RIG-NO-IMAGE$"):
+        with pytest.raises(geo.DomainMembershipError, match="^RIG-NO-IMAGE image of x "):
             check_case(rigged, n_samples=1, seed=1)
+
+    def test_an_equal_pair_case_with_no_zero_anchor_coordinate_raises(self):
+        # no sign can be flipped about [1, 1, 1], so no equal-distance pair exists
+        rigged = InequalityCase(
+            case_id="RIG-NO-FLIP",
+            paper_ref="none",
+            formula="n/a",
+            domains=(FiniteComplement(3, [[1.0, 1.0, 1.0]]),),
+            evaluate=lambda domain, smp: (2.0, 1.0),
+            sampler="equal_pair",
+        )
+        with pytest.raises(ConfigurationError, match="^no equal-distance pair found in 64 sign flips on "):
+            check_case(rigged, n_samples=200, seed=1)
 
     @pytest.mark.parametrize(
         "declaration, keys",
