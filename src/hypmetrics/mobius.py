@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry import (
     INFINITY,
+    _NORMAL,
     BoundaryCardinalityError,
     FiniteComplement,
     ParameterError,
@@ -118,7 +119,14 @@ class Orthogonal:
 @dataclass(frozen=True, eq=False)
 class SphereInversion:
     """Inversion in the sphere S(center, radius): an involution swapping
-    center and INFINITY."""
+    center and INFINITY.
+
+    Only the center maps to INFINITY: every other point maps to its
+    finite image wherever that image is in the float range.  The image
+    is c + (r^2/|v|^2) v for v = p - c where |v|^2 is a normal float, and
+    c + s (s v) with s = r/|v| where |v|^2 would under- or overflow; an
+    image beyond the float range raises ParameterError.
+    """
 
     center: np.ndarray
     radius: float
@@ -135,10 +143,18 @@ class SphereInversion:
         if is_infinity(p):
             return self.center.copy()
         v = p - self.center
-        n2 = float(v.dot(v))
-        if n2 == 0.0:
+        coords = v.tolist()
+        norm = math.hypot(*coords)
+        # |v|^2 is a normal float in this range, so v.dot(v) neither under- nor overflows
+        if 1.5e-154 < norm < 1.3e154:
+            return self.center + (self.radius * self.radius / float(v.dot(v))) * v
+        if norm == 0.0:
             return INFINITY
-        return self.center + (self.radius * self.radius / n2) * v
+        s = self.radius / norm
+        image = [c + s * (s * x) for c, x in zip(self.center.tolist(), coords)]
+        if not all(map(math.isfinite, image)):
+            raise ParameterError(f"the inversion image of a point {norm!r} from the center is beyond the float range")
+        return np.array(image)
 
 
 _GENERATOR_TYPES = (Translation, Scaling, Orthogonal, SphereInversion)
@@ -178,9 +194,13 @@ def ball_automorphism(a) -> MobiusMap:
     unit ball onto itself.
     """
     a = as_point(a)
-    na2 = float(a.dot(a))
-    if not (0.0 < na2 < 1.0):
+    # |a| decided as UnitBall decides membership, with no under- or overflow
+    norm = math.hypot(*a.tolist())
+    if not (0.0 < norm < 1.0):
         raise ParameterError("ball_automorphism needs 0 < |a| < 1")
+    na2 = float(a.dot(a))
+    if na2 < _NORMAL:
+        raise ParameterError(f"ball_automorphism cannot form a* = a/|a|^2: |a|^2 underflows at |a| = {norm!r}")
     a_star = a / na2
     r = math.sqrt(float(a_star.dot(a_star)) - 1.0)
     return MobiusMap((SphereInversion(a_star, r),))

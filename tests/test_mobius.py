@@ -1,5 +1,6 @@
 """Tests for Mobius generators, composition, canonical maps, and domain images."""
 
+import math
 import warnings
 
 import numpy as np
@@ -201,6 +202,35 @@ class TestGenerators:
         with pytest.raises(ParameterError):
             SphereInversion(E1, 0.0)
 
+    def test_sphere_inversion_round_trip_across_the_float_range(self):
+        # |v|^2 under- or overflows below about 1e-154 and above 1e154, where
+        # a point near the center went to INFINITY and a far one to the center
+        inv = SphereInversion(np.zeros(3), 1.0)
+        rng = np.random.default_rng(11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in np.linspace(-300.0, 300.0, 241):
+                direction = rng.standard_normal(3)
+                p = 10.0**exponent * direction / math.hypot(*direction)
+                image = inv.apply(p)
+                assert not is_infinity(image), exponent
+                q = inv.apply(image)
+                assert math.dist(q, p) <= 6 * np.finfo(float).eps * math.hypot(*p), exponent
+
+    def test_only_the_center_of_an_inversion_maps_to_infinity(self):
+        inv = SphereInversion(np.zeros(2), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inv.apply(np.array([1e-200, 0.0])).tolist() == pytest.approx([1e200, 0.0], rel=1e-15)
+            assert inv.apply(np.array([1e200, 0.0])).tolist() == pytest.approx([1e-200, 0.0], rel=1e-15)
+            assert is_infinity(inv.apply(np.zeros(2)))
+
+    def test_an_inversion_image_beyond_the_float_range_is_a_parameter_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="beyond the float range"):
+                SphereInversion(np.zeros(2), 1.0).apply(np.array([1e-310, 0.0]))
+
 
 class TestMobiusMap:
     def test_composition_order(self):
@@ -275,6 +305,18 @@ class TestCanonicalMaps:
         with pytest.raises(ParameterError):
             ball_automorphism(E1)
 
+    def test_a_huge_ball_automorphism_base_point_is_outside_without_a_warning(self):
+        # |a|^2 overflowed in a.dot(a) before the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^ball_automorphism needs 0 < \|a\| < 1$"):
+                ball_automorphism([1e200, 0.0])
+
+    def test_a_tiny_ball_automorphism_base_point_is_inside_but_cannot_be_inverted(self):
+        # [1e-200, 0] is in the ball, but |a|^2 underflows, so a* = a/|a|^2 cannot be formed
+        with pytest.raises(ParameterError, match=r"^ball_automorphism cannot form a\* = a/\|a\|\^2: \|a\|\^2 underflows"):
+            ball_automorphism([1e-200, 0.0])
+
     def test_cayley_map_known_values(self):
         f = cayley_map(3)
         assert np.allclose(f.apply(E3), np.zeros(3), atol=1e-15)
@@ -315,6 +357,17 @@ class TestMapDomain:
         # 0 goes to infinity (flag), infinity comes back as 0
         assert img.includes_infinity_boundary
         assert len(img.removed) == 1 and np.allclose(img.removed[0], np.zeros(3))
+
+    def test_far_punctures_come_back_near_the_center(self):
+        # the inversion sent each far puncture to the center, so the two coincided
+        d = FiniteComplement(2, [[1e200, 0.0], [2e200, 0.0]])
+        img = map_domain(inversion_unit(2), d)
+        assert [p.tolist() for p in img.removed] == [
+            pytest.approx([1e-200, 0.0], rel=1e-15),
+            pytest.approx([5e-201, 0.0], rel=1e-15),
+            [0.0, 0.0],
+        ]
+        assert img.includes_infinity_boundary is False
 
     def test_unflagged_domain_can_lose_all_finite_boundary(self):
         d = FiniteComplement(3, [np.zeros(3)], includes_infinity_boundary=False)
