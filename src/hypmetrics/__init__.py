@@ -18,7 +18,6 @@ from .geometry import (
     UnitBall,
     UpperHalfSpace,
     cross_ratio,
-    distance_to_boundary,
     is_infinity,
 )
 from .metrics import (

@@ -25,8 +25,11 @@ the Cassinian metric comes out 3.6e-11 relative above its true value.
 The solver defines no function per call: the distance form and the
 quartic are written out where they are evaluated.
 
-Points are validated once, at the public entry points: require_member
-and distance_to_boundary, and the metric functions, which check the
+One class, :class:`Domain`, says what a domain is: UnitBall,
+UpperHalfSpace and FiniteComplement are its subclasses, and a domain
+argument is checked as an instance of it.  Points are validated once, at
+the public entry points: require_member, the domain methods ``contains``
+and ``distance_to_boundary``, and the metric functions, which check the
 domain's type themselves.  Each hands a raw point to its domain class's
 own checked pass (``_checked`` of UnitBall, UpperHalfSpace or
 FiniteComplement), which coerces the point once (:func:`_coerced`, the
@@ -38,16 +41,16 @@ half-space and the distance row to the removed points on a finite
 complement, where membership is read as no distance being 0.  Each
 class reads d(x) off its gauge in one method (``_distance``), and the
 ball's 1 - |x|^2 is read off its gauge in :func:`_one_minus_square`
-only.  The domain methods ``contains`` and ``distance_to_boundary``,
-defined once on a base class, read the same pass; the metric kernels
-and boundary_sup take trusted points, and boundary_sup their coordinate
-lists and gauges too.  ``_Domain._point`` keeps one pass as a checked
-point (:class:`_CheckedPoint`), and ``_Domain._member`` gives None in
-its place where the point is outside, which is all ``contains`` reads.
-The suite's sampler builds one checked point per drawn point: the
-metric functions and ``distance_to_boundary`` take it without a second
-pass where its domain is the very domain object of the call, and
-everything else, :func:`_coerced` included, takes it as its array.
+only.  The domain methods, defined once on :class:`Domain`, read the
+same pass; the metric kernels and boundary_sup take trusted points, and
+boundary_sup their coordinate lists and gauges too.  ``Domain._point``
+keeps one pass as a checked point (:class:`_CheckedPoint`), and
+``Domain._member`` gives None in its place where the point is outside,
+which is all ``contains`` reads.  The suite's sampler builds one checked
+point per drawn point: the metric functions and ``distance_to_boundary``
+take it without a second pass where its domain is the very domain object
+of the call, and everything else, :func:`_coerced` included, takes it as
+its array.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -77,7 +80,6 @@ __all__ = [
     "FiniteComplement",
     "Domain",
     "require_member",
-    "distance_to_boundary",
     "cross_ratio",
     "DomainMembershipError",
     "BoundaryCardinalityError",
@@ -225,7 +227,7 @@ def _check_dim(dim) -> int:
 class _CheckedPoint:
     """A point as its domain's checked pass returned it, with that domain:
     the array ``x``, its coordinates as floats and its gauge.  Built only
-    by ``_Domain._point``.  The metrics and ``distance_to_boundary`` take
+    by ``Domain._point``.  The metrics and ``distance_to_boundary`` take
     it as checked where ``domain`` is the very domain object of the call;
     everywhere else it is a point like any other, coerced and checked
     afresh from its array."""
@@ -236,14 +238,22 @@ class _CheckedPoint:
         self.x, self.coords, self.gauge, self.domain = x, coords, gauge, domain
 
 
-class _Domain:
-    """The point methods of every domain class, read off its checked pass."""
+class Domain:
+    """A domain of R^n: the base of UnitBall, UpperHalfSpace and
+    FiniteComplement, and the type a domain argument is checked against.
+    Its point methods read each subclass's checked pass, and its
+    ``__post_init__`` is the dimension rule of the dataclass subclasses."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def contains(self, x) -> bool:
         """Whether ``x`` is in the domain; bad input raises ParameterError."""
         return self._member(x) is not None
 
     def distance_to_boundary(self, x) -> float:
+        """Euclidean distance from ``x`` to the finite boundary; a point
+        outside the domain raises DomainMembershipError."""
         if type(x) is _CheckedPoint and x.domain is self:
             return self._distance(x.gauge)
         return self._distance(self._checked(x, "point")[2])
@@ -262,13 +272,10 @@ class _Domain:
 
 
 @dataclass(frozen=True)
-class UnitBall(_Domain):
+class UnitBall(Domain):
     """Open unit ball B^n = {|x| < 1}."""
 
     dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
         """The checked pass on the ball: the point, its coordinates and
@@ -285,13 +292,10 @@ class UnitBall(_Domain):
 
 
 @dataclass(frozen=True)
-class UpperHalfSpace(_Domain):
+class UpperHalfSpace(Domain):
     """Open upper half-space H^n = {x_n > 0}."""
 
     dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _checked(self, p, name: str) -> tuple[np.ndarray, list[float], float]:
         """The checked pass on the half-space: the point, its coordinates
@@ -307,7 +311,7 @@ class UpperHalfSpace(_Domain):
         return gauge
 
 
-class FiniteComplement(_Domain):
+class FiniteComplement(Domain):
     """R^n with a nonempty finite set of points removed.
 
     The removed points are the finite boundary.  Topologically the point
@@ -383,9 +387,6 @@ class FiniteComplement(_Domain):
         return f"FiniteComplement(dim={self.dim}, removed=[{pts}]{inf})"
 
 
-Domain = UnitBall | UpperHalfSpace | FiniteComplement
-
-
 def _require_domain(domain) -> None:
     if not isinstance(domain, Domain):
         raise ParameterError(f"expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got {domain!r}")
@@ -400,12 +401,6 @@ def require_member(domain: Domain, x, name: str = "point") -> np.ndarray:
     """Validate the domain and the membership of ``x``; return the coerced point."""
     _require_domain(domain)
     return domain._checked(x, name)[0]
-
-
-def distance_to_boundary(domain: Domain, x) -> float:
-    """Euclidean distance from an interior point to the finite boundary."""
-    _require_domain(domain)
-    return domain.distance_to_boundary(x)
 
 
 # ---------------------------------------------------------------------------

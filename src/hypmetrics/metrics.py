@@ -64,6 +64,7 @@ from enum import Enum
 
 from .geometry import (
     BoundaryCardinalityError,
+    Domain,
     FiniteComplement,
     ParameterError,
     UnitBall,
@@ -109,7 +110,7 @@ class MetricId(str, Enum):
 
 # the domain types each metric is defined on, stated here only; delta
 # alone also needs two boundary points
-_DEFINED_ON = {m: (UnitBall, UpperHalfSpace, FiniteComplement) for m in MetricId}
+_DEFINED_ON = {m: Domain for m in MetricId}
 _DEFINED_ON[MetricId.RHO] = (UnitBall, UpperHalfSpace)
 
 

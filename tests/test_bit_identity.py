@@ -6,7 +6,7 @@ Three SHA-256 digests over ``float.hex`` of every value:
   seed 42, samples 0..99 of each domain (x, y, z, f(x), f(y), the map's
   repr and the image domain's removed points);
 - ``evaluate_metric`` for every evaluable metric, ``alpha_pair_form``,
-  ``distance_to_boundary`` and the distance vectors on finite
+  the domain's ``distance_to_boundary`` and the distance vectors on finite
   complements, at sampler pairs, at pairs in clouds of radius 1e-6 around
   the punctures and at far points 1e3 to 1e6 away;
 - the same values on the unit ball and the upper half-space in
@@ -28,7 +28,7 @@ import hashlib
 
 import numpy as np
 
-from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, distance_to_boundary
+from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace
 from hypmetrics.metrics import alpha_pair_form, evaluable_metrics, evaluate_metric
 from hypmetrics.suite import _build_sample, _checked_pair, _stream, catalog
 
@@ -121,8 +121,8 @@ def _metric_values(domain, x, y) -> list[str]:
     """distance_to_boundary at x and y, every evaluable metric and
     alpha_pair_form, each as its ``_outcome``."""
     calls = [
-        lambda: distance_to_boundary(domain, x),
-        lambda: distance_to_boundary(domain, y),
+        lambda: domain.distance_to_boundary(x),
+        lambda: domain.distance_to_boundary(y),
         *(functools.partial(evaluate_metric, domain, m, x, y) for m in evaluable_metrics(domain)),
         lambda: alpha_pair_form(domain, x, y),
     ]

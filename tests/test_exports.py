@@ -320,7 +320,7 @@ def test_domain_point_methods_are_defined_once_over_one_coercion():
         for name, fn in _functions_and_methods(tree)
         if "." in name and fn.name in ("contains", "distance_to_boundary")
     ]
-    assert methods == ["_Domain.contains", "_Domain.distance_to_boundary"]
+    assert methods == ["Domain.contains", "Domain.distance_to_boundary"]
     callers = [
         name
         for name, fn in _functions_and_methods(tree)

@@ -22,7 +22,6 @@ from hypmetrics.geometry import (
     as_point,
     boundary_sup,
     cross_ratio,
-    distance_to_boundary,
     is_infinity,
     require_member,
 )
@@ -247,8 +246,6 @@ class TestDomains:
         expected = r"^expected a UnitBall, UpperHalfSpace or FiniteComplement domain, got "
         with pytest.raises(ParameterError, match=expected):
             require_member(domain, [0.1, 0.0, 0.0])
-        with pytest.raises(ParameterError, match=expected):
-            distance_to_boundary(domain, [0.1, 0.0, 0.0])
         metrics = (u_metric, rho, j_tilde, j_metric, delta_metric, alpha_metric, alpha_pair_form,
                    eta_metric, cassinian, triangular_ratio)
         for metric in metrics:
@@ -257,7 +254,7 @@ class TestDomains:
 
     def test_distance_to_boundary_validates(self):
         with pytest.raises(DomainMembershipError):
-            distance_to_boundary(UpperHalfSpace(3), [0, 0, -1.0])
+            UpperHalfSpace(3).distance_to_boundary([0, 0, -1.0])
 
     @pytest.mark.parametrize(
         "domain, method, x, message",
@@ -395,9 +392,7 @@ class TestCheckedPass:
         domain, p = case
         coords = [float(v) for v in p]
         got = _outcome(lambda: domain._checked(p, "x"))
-        module_d = _outcome(lambda: distance_to_boundary(domain, p))
-        # the method and the module function: the same bits or the same error
-        assert _outcome(lambda: domain.distance_to_boundary(p)) == module_d
+        method_d = _outcome(lambda: domain.distance_to_boundary(p))
         # contains is True exactly where the checked pass returns, and raises
         # its ParameterError
         inside = _outcome(lambda: domain.contains(p))
@@ -406,16 +401,16 @@ class TestCheckedPass:
         if len(coords) != domain.dim or not all(map(math.isfinite, coords)):
             with pytest.raises(ParameterError) as exc:
                 as_point(p, domain.dim)
-            assert got == module_d == inside == (ParameterError, str(exc.value))
+            assert got == method_d == inside == (ParameterError, str(exc.value))
             return
         if not inside:
             message = f"{coords} is not in {domain!r}"
             assert got == (DomainMembershipError, f"x {message}")
-            assert module_d == (DomainMembershipError, f"point {message}")
+            assert method_d == (DomainMembershipError, f"point {message}")
             return
         x, xs, gauge = got
         assert xs == coords and x.tolist() == coords and x.dtype == float
-        assert domain._distance(gauge).hex() == module_d
+        assert domain._distance(gauge).hex() == method_d
 
 
 class TestCrossRatio:

@@ -12,7 +12,6 @@ from hypmetrics.geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
-    distance_to_boundary,
 )
 from hypmetrics.metrics import (
     MetricId,
@@ -155,17 +154,16 @@ def test_one_distance_table_per_complement_call(domain, monkeypatch):
             rows.clear()
             fn(domain, x, y)
             assert rows == [x.tolist(), y.tolist()], fn.__name__
-        # the module function reads d(x) from the row its membership
-        # check takes, and takes no second one
+        # the domain method reads d(x) from the row its membership check
+        # takes, and takes no second one
         rows.clear()
-        distance_to_boundary(domain, x)
+        domain.distance_to_boundary(x)
         assert rows == [x.tolist()]
 
 
 @pytest.mark.parametrize("domain", _catalog_domains(), ids=_domain_id)
 def test_one_boundary_distance_everywhere(domain, monkeypatch):
-    # the module function, the domain method and the d(x) that u reads
-    # agree bit for bit, each read through the domain class's _distance
+    # the domain method and the d(x) that u reads agree bit for bit, each read through the domain class's _distance
     read = []
     distance = type(domain)._distance
 
@@ -180,9 +178,9 @@ def test_one_boundary_distance_everywhere(domain, monkeypatch):
         read.clear()
         u_metric(domain, x, y)
         assert len(read) == 2
-        d = distance_to_boundary(domain, x)
-        assert read[0] == d == domain.distance_to_boundary(x), (x.tolist(), read[0], d)
-        assert read[2:] == [d, d]
+        d = domain.distance_to_boundary(x)
+        assert read[0] == d, (x.tolist(), read[0], d)
+        assert read[2:] == [d]
 
 
 class TestU:

@@ -15,7 +15,6 @@ from hypmetrics.geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
-    distance_to_boundary,
     is_infinity,
 )
 from hypmetrics.metrics import (
@@ -231,6 +230,5 @@ def test_a_checked_point_is_taken_as_checked_on_its_own_domain_object_only(args)
             for a, b in ((cx, cy), (cx, y), (x, cy)):
                 assert _outcome(lambda: m(domain, a, b)) == raw, (m.__name__, domain)
         for p, q in ((x, cx), (y, cy)):
-            d = _outcome(lambda: distance_to_boundary(domain, p))
-            assert _outcome(lambda: distance_to_boundary(domain, q)) == d
+            d = _outcome(lambda: domain.distance_to_boundary(p))
             assert _outcome(lambda: domain.distance_to_boundary(q)) == d
