@@ -8,6 +8,11 @@ infinity's bookkeeping local to the inversion generator.
 Every parameter is checked by geometry's number rules, as a point is: a
 scaling factor or inversion radius is a real number, never a bool, and
 an orthogonal matrix, like a point, is an array of real numbers.
+
+A generator's ``apply`` takes a point as the float array
+:meth:`MobiusMap.apply` hands it, or INFINITY.  An image beyond the
+float range raises ParameterError, with no numpy warning; every image in
+range keeps the bits of the numpy expression that forms it.
 """
 
 from __future__ import annotations
@@ -54,6 +59,15 @@ def _positive_real(v, name: str) -> float:
     return f
 
 
+def _finite_image(image: list[float], generator: str) -> np.ndarray:
+    """The image coordinates as an array; an image beyond the float range
+    raises ParameterError naming the generator."""
+    # a finite sum has only finite terms
+    if not math.isfinite(sum(image)) and not all(map(math.isfinite, image)):
+        raise ParameterError(f"the {generator} image of a point is beyond the float range")
+    return np.array(image)
+
+
 @dataclass(frozen=True, eq=False)
 class Translation:
     b: np.ndarray
@@ -68,7 +82,9 @@ class Translation:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        return p + self.b
+        # p + b on Python floats: IEEE addition, numpy's bits, and an
+        # overflow is an inf to test rather than a numpy warning
+        return _finite_image([x + b for x, b in zip(p.tolist(), self.b.tolist())], "translation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +99,8 @@ class Scaling:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        return self.factor * p
+        f = self.factor
+        return _finite_image([f * x for x in p.tolist()], "scaling")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +130,12 @@ class Orthogonal:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        return self.matrix @ p
+        # an accepted matrix has norm below 1.00001, so for |p| < 2^1023 no
+        # product or partial sum of the matmul can overflow
+        if math.hypot(*p.tolist()) < 2.0**1023:
+            return self.matrix @ p
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_image((self.matrix @ p).tolist(), "orthogonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +173,7 @@ class SphereInversion:
         if norm == 0.0:
             return INFINITY
         s = self.radius / norm
-        image = [c + s * (s * x) for c, x in zip(self.center.tolist(), coords)]
-        if not all(map(math.isfinite, image)):
-            raise ParameterError(f"the inversion image of a point {norm!r} from the center is beyond the float range")
-        return np.array(image)
+        return _finite_image([c + s * (s * x) for c, x in zip(self.center.tolist(), coords)], "inversion")
 
 
 _GENERATOR_TYPES = (Translation, Scaling, Orthogonal, SphereInversion)
@@ -192,6 +211,10 @@ def ball_automorphism(a) -> MobiusMap:
     """Inversion in the sphere orthogonal to the unit sphere that sends a
     to the origin: center a* = a/|a|^2, radius sqrt(|a*|^2 - 1).  Maps the
     unit ball onto itself.
+
+    A point of the ball so near the unit sphere that |a*|^2 - 1 rounds to
+    0 or below raises ParameterError, as does one so near 0 that |a|^2
+    underflows.
     """
     a = as_point(a)
     # |a| decided as UnitBall decides membership, with no under- or overflow
@@ -202,8 +225,13 @@ def ball_automorphism(a) -> MobiusMap:
     if na2 < _NORMAL:
         raise ParameterError(f"ball_automorphism cannot form a* = a/|a|^2: |a|^2 underflows at |a| = {norm!r}")
     a_star = a / na2
-    r = math.sqrt(float(a_star.dot(a_star)) - 1.0)
-    return MobiusMap((SphereInversion(a_star, r),))
+    r2 = float(a_star.dot(a_star)) - 1.0
+    # within a few ulp of the unit sphere |a*|^2 rounds to 1
+    if not r2 > 0.0:
+        raise ParameterError(
+            f"ball_automorphism needs |a| < 1 by more than rounding: |a*|^2 - 1 rounds to {r2!r} at |a| = {norm!r}"
+        )
+    return MobiusMap((SphereInversion(a_star, math.sqrt(r2)),))
 
 
 def cayley_map(dim: int) -> MobiusMap:

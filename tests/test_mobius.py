@@ -30,6 +30,8 @@ from hypmetrics.mobius import (
 
 E1 = np.array([1.0, 0.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+# a rotation by 0.7, whose image of [-1.7e308, 1.7e308] is beyond the float range
+_ROTATION = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
 
 
 def _inverse(g):
@@ -135,7 +137,8 @@ class TestGenerators:
         q = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
         o = Orthogonal(q)
         assert np.allclose(o.apply(E1), [0, 1, 0])
-        assert np.allclose(_inverse(o).apply(o.apply([0.3, 0.7, -0.1])), [0.3, 0.7, -0.1])
+        p = np.array([0.3, 0.7, -0.1])
+        assert np.allclose(_inverse(o).apply(o.apply(p)), p)
         with pytest.raises(ParameterError):
             Orthogonal(np.eye(3) * 2.0)
 
@@ -231,6 +234,37 @@ class TestGenerators:
             with pytest.raises(ParameterError, match="beyond the float range"):
                 SphereInversion(np.zeros(2), 1.0).apply(np.array([1e-310, 0.0]))
 
+    @pytest.mark.parametrize(
+        "f, p, name",
+        [
+            (MobiusMap([Scaling(1e300)]), [1e10, 1.0], "scaling"),
+            (MobiusMap([Translation([1.7e308, 0.0])]), [1.7e308, 1.0], "translation"),
+            (MobiusMap([Orthogonal(_ROTATION)]), [-1.7e308, 1.7e308], "orthogonal"),
+        ],
+        ids=["scaling", "translation", "orthogonal"],
+    )
+    def test_an_image_beyond_the_float_range_is_a_parameter_error_without_a_warning(self, f, p, name):
+        # numpy's overflow warning came first, and then an inf coordinate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"^the {name} image of a point is beyond the float range$"):
+                f.apply(p)
+
+    def test_images_in_range_keep_numpys_bits(self):
+        # the images are formed on Python floats or tested before the
+        # matmul; every in-range image equals the numpy expression's bits,
+        # at the edge of the range too
+        rng = np.random.default_rng(12)
+        t, s, o = Translation(rng.normal(size=2)), Scaling(10.0 ** rng.uniform(-1, 1)), Orthogonal(_ROTATION)
+        points = [rng.normal(size=2) * 10.0 ** rng.uniform(-300, 300) for _ in range(200)]
+        points += [np.array([1.7e308, 0.0]), np.array([-1e308, -1e308]), np.array([5e-324, -0.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in points:
+                assert t.apply(p).tobytes() == (p + t.b).tobytes()
+                assert s.apply(p).tobytes() == (s.factor * p).tobytes()
+                assert o.apply(p).tobytes() == (_ROTATION @ p).tobytes(), p
+
 
 class TestMobiusMap:
     def test_composition_order(self):
@@ -316,6 +350,14 @@ class TestCanonicalMaps:
         # [1e-200, 0] is in the ball, but |a|^2 underflows, so a* = a/|a|^2 cannot be formed
         with pytest.raises(ParameterError, match=r"^ball_automorphism cannot form a\* = a/\|a\|\^2: \|a\|\^2 underflows"):
             ball_automorphism([1e-200, 0.0])
+
+    def test_a_ball_automorphism_base_point_within_rounding_of_the_sphere_names_the_rounding(self):
+        # inside the ball, but |a*|^2 - 1 rounds to 0, which made the
+        # inversion radius 0 and raised about the radius
+        a = [-0.8784069177470691, -0.08266045905288896, -0.4707106705432321]
+        assert UnitBall(3).contains(a)
+        with pytest.raises(ParameterError, match=r"^ball_automorphism needs \|a\| < 1 by more than rounding: "):
+            ball_automorphism(a)
 
     def test_cayley_map_known_values(self):
         f = cayley_map(3)
