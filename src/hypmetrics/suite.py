@@ -318,29 +318,23 @@ def _ball_map(domain: UnitBall, rng: np.random.Generator):
 
 
 @lru_cache(maxsize=None)
-def _cayley(dim: int) -> tuple[MobiusMap, UnitBall]:
-    """The Cayley map of dimension ``dim`` and the ball it takes the
-    half-space onto, built once per dimension and only applied."""
-    return cayley_map(dim), UnitBall(dim)
-
-
-@lru_cache(maxsize=None)
-def _inversion(dim: int) -> MobiusMap:
-    """The unit-sphere inversion of dimension ``dim``, built once per
+def _fixed_maps(dim: int) -> tuple[MobiusMap, UnitBall, MobiusMap]:
+    """The Cayley map of dimension ``dim``, the ball it takes the
+    half-space onto and the unit-sphere inversion, built once per
     dimension and only applied."""
-    return inversion_unit(dim)
+    return cayley_map(dim), UnitBall(dim), inversion_unit(dim)
 
 
 def _cayley_draw(domain: UpperHalfSpace, rng: np.random.Generator):
     """The Cayley map of the half-space ``domain`` onto the ball of its
     dimension; it draws nothing."""
-    return _cayley(domain.dim)
+    return _fixed_maps(domain.dim)[:2]
 
 
 def _inversion_draw(domain: UpperHalfSpace, rng: np.random.Generator):
     """The unit-sphere inversion, which takes the half-space ``domain``
     onto itself; it draws nothing."""
-    return _inversion(domain.dim), domain
+    return _fixed_maps(domain.dim)[2], domain
 
 
 @dataclass
@@ -817,7 +811,7 @@ def catalog() -> Catalog:
           _distortion(lambda u0, u1: u1 / u0))
 
     # the fixed maps of dimension n, from the cache the Mobius draws read
-    cay, inv = _cayley(n)[0], _inversion(n)
+    cay, _, inv = _fixed_maps(n)
 
     def cayley_pair(t):
         return mapped(cay, ball, t * en, (1.0 / t) * en)
