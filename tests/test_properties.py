@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypmetrics.geometry import (
+    INFINITY,
     BoundaryCardinalityError,
     DomainMembershipError,
     FiniteComplement,
@@ -38,6 +39,7 @@ from hypmetrics.mobius import (
     ball_automorphism,
     map_domain,
 )
+from test_oracle import MP, _dist, _mp, _norm, reference
 
 # derandomized, so a tier-1 run is reproducible and needs no example database
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -155,11 +157,61 @@ def mobius_maps(draw):
     return MobiusMap(tuple(gens))
 
 
-def _invariance(domain, f, x, y, metric):
-    image = map_domain(f, domain)
-    before = metric(domain, x, y)
-    after = metric(image, f.apply(x), f.apply(y))
-    return abs(before - after) <= 1e-8 * max(1.0, abs(before))
+def _orthonormal(q):
+    """The columns of the float matrix ``q`` made orthonormal at 50 digits
+    by Gram-Schmidt: a float Orthogonal matrix is orthogonal only to about
+    1e-16, which a Mobius invariant would show."""
+    cols = []
+    for v in map(_mp, q.T):
+        for u in cols:
+            dot = MP.fsum(a * b for a, b in zip(u, v))
+            v = [a - dot * b for a, b in zip(v, u)]
+        norm = _norm(v)
+        cols.append([a / norm for a in v])
+    return list(zip(*cols))
+
+
+def _mp_apply(f, p):
+    """f(p) at 50 digits: each generator's formula in mpmath on its float
+    parameters, an orthogonal matrix made orthonormal, INFINITY kept as
+    itself."""
+    if not is_infinity(p):
+        p = _mp(p)
+    for g in f.generators:
+        if isinstance(g, SphereInversion):
+            c = _mp(g.center)
+            if is_infinity(p):
+                p = c
+                continue
+            v = [a - b for a, b in zip(p, c)]
+            n2 = MP.fsum(t * t for t in v)
+            p = INFINITY if n2 == 0 else [a + MP.mpf(g.radius) ** 2 / n2 * t for a, t in zip(c, v)]
+        elif is_infinity(p):
+            continue
+        elif isinstance(g, Translation):
+            p = [a + b for a, b in zip(p, _mp(g.b))]
+        elif isinstance(g, Scaling):
+            p = [MP.mpf(g.factor) * a for a in p]
+        else:
+            p = [MP.fsum(q * a for q, a in zip(row, p)) for row in _orthonormal(g.matrix)]
+    return p
+
+
+def _mp_complement_metric(name, removed, flag, x, y):
+    """alpha or delta at 50 digits on the complement of ``removed``, with
+    the point at infinity as a boundary point where ``flag``: the
+    definitions, as ``tests/test_oracle.py``'s reference states them."""
+    r = _dist(x, y)
+    dxs, dys = [_dist(p, x) for p in removed], [_dist(p, y) for p in removed]
+    if name == "alpha":
+        lam_xy, lam_yx = max(a / b for a, b in zip(dxs, dys)), max(b / a for a, b in zip(dxs, dys))
+        if flag:
+            lam_xy, lam_yx = max(lam_xy, MP.one), max(lam_yx, MP.one)
+        return MP.log(lam_xy) + MP.log(lam_yx)
+    best = max(_dist(p, q) * r / (a * b) for p, a in zip(removed, dxs) for q, b in zip(removed, dys))
+    if flag:
+        best = max([best] + [r / a for a in dxs + dys])
+    return MP.log(1 + best)
 
 
 @PROPERTY
@@ -168,15 +220,41 @@ def _invariance(domain, f, x, y, metric):
         lambda d: st.tuples(st.just(d), mobius_maps(), _points(d), _points(d))
     )
 )
+# alpha comes out 12.664218011467252 before the map and 12.664218226406058
+# after it, 1.7e-8 apart: each is its 50-digit reference at its own
+# points, and the gap is the rounding of the images to floats
+@example(
+    (
+        PUNCT1,
+        MobiusMap((SphereInversion([0.0, 0.0, 3.0], 10.0**-0.5), SphereInversion([0.0, 3.0, 3.0], 10.0**-0.5))),
+        np.array([0.0, 0.0, 3.0]),
+        np.array([1.0, 0.0, 1e-5]),
+    )
+)
 def test_delta_and_alpha_are_mobius_invariant_on_finite_complements(args):
+    # the package meets the reference before and after the map, and the
+    # reference is invariant on images formed at 50 digits; comparing the
+    # package's two values would test the rounding of the images instead
     domain, f, x, y = args
     assume(_admissible(domain, x, y) and not (x == y).all())
     # an image at or next to infinity leaves nothing finite to compare
     images = [f.apply(p) for p in (x, y, *domain.removed)]
     assume(all(not is_infinity(p) and np.dot(p, p) < 1e12 for p in images))
-    assert _invariance(domain, f, x, y, alpha_metric)
-    if domain.boundary_cardinality() >= 2:
-        assert _invariance(domain, f, x, y, delta_metric)
+    image, fx, fy = map_domain(f, domain), images[0], images[1]
+    boundary = [_mp_apply(f, p) for p in domain.removed]
+    if domain.includes_infinity_boundary:
+        boundary.append(_mp_apply(f, INFINITY))
+    removed = [p for p in boundary if not is_infinity(p)]
+    flag = len(removed) < len(boundary)
+    metrics = (alpha_metric, delta_metric) if domain.boundary_cardinality() >= 2 else (alpha_metric,)
+    for metric in metrics:
+        name = metric.__name__.removesuffix("_metric")
+        before = reference(domain, name, x, y)
+        bound = 1e-8 * max(1.0, abs(float(before)))
+        assert abs(metric(domain, x, y) - before) <= bound, name
+        assert abs(metric(image, fx, fy) - reference(image, name, fx, fy)) <= bound, name
+        mapped = _mp_complement_metric(name, removed, flag, _mp_apply(f, x), _mp_apply(f, y))
+        assert abs(mapped - before) <= 1e-30 * max(1, abs(before)), name
 
 
 @PROPERTY
@@ -232,3 +310,4 @@ def test_a_checked_point_is_taken_as_checked_on_its_own_domain_object_only(args)
         for p, q in ((x, cx), (y, cy)):
             d = _outcome(lambda: domain.distance_to_boundary(p))
             assert _outcome(lambda: domain.distance_to_boundary(q)) == d
+
