@@ -11,8 +11,11 @@ an orthogonal matrix, like a point, is an array of real numbers.
 
 A generator's ``apply`` takes a point as the float array
 :meth:`MobiusMap.apply` hands it, or INFINITY.  An image beyond the
-float range raises ParameterError, with no numpy warning; every image in
-range keeps the bits of the numpy expression that forms it.
+float range raises ParameterError, with no numpy warning: a translation,
+scaling or orthogonal map runs its numpy expression as it is where a
+bound on |p| shows that nothing can overflow, and under ``np.errstate``
+with a finiteness test only beyond it, so every image in range keeps
+numpy's bits.
 """
 
 from __future__ import annotations
@@ -59,13 +62,17 @@ def _positive_real(v, name: str) -> float:
     return f
 
 
-def _finite_image(image: list[float], generator: str) -> np.ndarray:
-    """The image coordinates as an array; an image beyond the float range
-    raises ParameterError naming the generator."""
-    # a finite sum has only finite terms
-    if not math.isfinite(sum(image)) and not all(map(math.isfinite, image)):
+# below this bound on |p| (and on |p| + |b|, or f |p|) no coordinate of a
+# generator's image, nor any partial sum forming it, can overflow
+_SAFE = 2.0**1023
+
+
+def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
+    """``image`` if every coordinate is finite; an image beyond the float
+    range raises ParameterError naming the generator."""
+    if not np.isfinite(image).all():
         raise ParameterError(f"the {generator} image of a point is beyond the float range")
-    return np.array(image)
+    return image
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +81,7 @@ class Translation:
 
     def __post_init__(self):
         object.__setattr__(self, "b", as_point(self.b))
+        object.__setattr__(self, "_norm", math.hypot(*self.b.tolist()))
 
     @property
     def dim(self):
@@ -82,9 +90,10 @@ class Translation:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        # p + b on Python floats: IEEE addition, numpy's bits, and an
-        # overflow is an inf to test rather than a numpy warning
-        return _finite_image([x + b for x, b in zip(p.tolist(), self.b.tolist())], "translation")
+        if math.hypot(*p.tolist()) + self._norm < _SAFE:
+            return p + self.b
+        with np.errstate(over="ignore"):
+            return _finite_image(p + self.b, "translation")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +108,10 @@ class Scaling:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        f = self.factor
-        return _finite_image([f * x for x in p.tolist()], "scaling")
+        if math.hypot(*p.tolist()) * self.factor < _SAFE:
+            return self.factor * p
+        with np.errstate(over="ignore"):
+            return _finite_image(self.factor * p, "scaling")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +141,12 @@ class Orthogonal:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        # an accepted matrix has norm below 1.00001, so for |p| < 2^1023 no
-        # product or partial sum of the matmul can overflow
-        if math.hypot(*p.tolist()) < 2.0**1023:
+        # an accepted matrix has norm below 1.00001, so each product and
+        # partial sum of a row with p is below 1.00001 |p|
+        if math.hypot(*p.tolist()) < _SAFE:
             return self.matrix @ p
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_image((self.matrix @ p).tolist(), "orthogonal")
+            return _finite_image(self.matrix @ p, "orthogonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +184,7 @@ class SphereInversion:
         if norm == 0.0:
             return INFINITY
         s = self.radius / norm
-        return _finite_image([c + s * (s * x) for c, x in zip(self.center.tolist(), coords)], "inversion")
+        return _finite_image(np.array([c + s * (s * x) for c, x in zip(self.center.tolist(), coords)]), "inversion")
 
 
 _GENERATOR_TYPES = (Translation, Scaling, Orthogonal, SphereInversion)

@@ -251,9 +251,9 @@ class TestGenerators:
                 f.apply(p)
 
     def test_images_in_range_keep_numpys_bits(self):
-        # the images are formed on Python floats or tested before the
-        # matmul; every in-range image equals the numpy expression's bits,
-        # at the edge of the range too
+        # a bound on |p| picks the unguarded or the errstate path; either
+        # way an in-range image has the numpy expression's bits, at the
+        # edge of the range too
         rng = np.random.default_rng(12)
         t, s, o = Translation(rng.normal(size=2)), Scaling(10.0 ** rng.uniform(-1, 1)), Orthogonal(_ROTATION)
         points = [rng.normal(size=2) * 10.0 ** rng.uniform(-300, 300) for _ in range(200)]
