@@ -10,7 +10,9 @@ scaling factor or inversion radius is a real number, never a bool, and
 an orthogonal matrix, like a point, is an array of real numbers.
 
 A generator's ``apply`` takes a point as the float array
-:meth:`MobiusMap.apply` hands it, or INFINITY.  An image beyond the
+:meth:`MobiusMap.apply` hands it, or INFINITY; a translation, orthogonal
+map or inversion reads a list of numbers too, as its numpy expression
+does.  An image beyond the
 float range raises ParameterError, with no numpy warning: a translation,
 scaling or orthogonal map runs its numpy expression as it is where a
 bound on |p| shows that nothing can overflow, and under ``np.errstate``
@@ -67,6 +69,12 @@ def _positive_real(v, name: str) -> float:
 _SAFE = 2.0**1023
 
 
+def _magnitude(p) -> float:
+    """|p| with no under- or overflow, for a float array or a list of
+    numbers alike, as the generators' numpy expressions take either."""
+    return math.hypot(*(p.tolist() if isinstance(p, np.ndarray) else p))
+
+
 def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
     """``image`` if every coordinate is finite; an image beyond the float
     range raises ParameterError naming the generator."""
@@ -90,7 +98,7 @@ class Translation:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        if math.hypot(*p.tolist()) + self._norm < _SAFE:
+        if _magnitude(p) + self._norm < _SAFE:
             return p + self.b
         with np.errstate(over="ignore"):
             return _finite_image(p + self.b, "translation")
@@ -108,7 +116,7 @@ class Scaling:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
-        if math.hypot(*p.tolist()) * self.factor < _SAFE:
+        if _magnitude(p) * self.factor < _SAFE:
             return self.factor * p
         with np.errstate(over="ignore"):
             return _finite_image(self.factor * p, "scaling")
@@ -143,7 +151,7 @@ class Orthogonal:
             return INFINITY
         # an accepted matrix has norm below 1.00001, so each product and
         # partial sum of a row with p is below 1.00001 |p|
-        if math.hypot(*p.tolist()) < _SAFE:
+        if _magnitude(p) < _SAFE:
             return self.matrix @ p
         with np.errstate(over="ignore", invalid="ignore"):
             return _finite_image(self.matrix @ p, "orthogonal")

@@ -137,8 +137,7 @@ class TestGenerators:
         q = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
         o = Orthogonal(q)
         assert np.allclose(o.apply(E1), [0, 1, 0])
-        p = np.array([0.3, 0.7, -0.1])
-        assert np.allclose(_inverse(o).apply(o.apply(p)), p)
+        assert np.allclose(_inverse(o).apply(o.apply([0.3, 0.7, -0.1])), [0.3, 0.7, -0.1])
         with pytest.raises(ParameterError):
             Orthogonal(np.eye(3) * 2.0)
 
@@ -249,6 +248,17 @@ class TestGenerators:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match=f"^the {name} image of a point is beyond the float range$"):
                 f.apply(p)
+
+    def test_a_list_point_is_read_as_its_array(self):
+        # the bound on |p| reads a list as numpy's expression does, in
+        # range and beyond it
+        t, o, i = Translation([0.5, -1.0]), Orthogonal(_ROTATION), SphereInversion([0.0, 3.0], 0.5)
+        for g in (t, o, i):
+            assert g.apply([0.25, 2.0]).tobytes() == g.apply(np.array([0.25, 2.0])).tobytes()
+        with pytest.raises(ParameterError, match="^the translation image of a point is beyond the float range$"):
+            Translation([1.7e308, 0.0]).apply([1.7e308, 1.0])
+        with pytest.raises(ParameterError, match="^the orthogonal image of a point is beyond the float range$"):
+            o.apply([-1.7e308, 1.7e308])
 
     def test_images_in_range_keep_numpys_bits(self):
         # a bound on |p| picks the unguarded or the errstate path; either
