@@ -242,7 +242,12 @@ class Domain:
     """A domain of R^n: the base of UnitBall, UpperHalfSpace and
     FiniteComplement, and the type a domain argument is checked against.
     Its point methods read each subclass's checked pass, and its
-    ``__post_init__`` is the dimension rule of the dataclass subclasses."""
+    ``__post_init__`` is the dimension rule of the dataclass subclasses.
+    Each subclass defines its own ``__init__``, so the base alone, which
+    has no checked pass, refuses to be built."""
+
+    def __init__(self):
+        raise ParameterError("Domain is the base class: build a UnitBall, UpperHalfSpace or FiniteComplement")
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_dim(self.dim))

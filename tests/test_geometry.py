@@ -13,6 +13,7 @@ import hypmetrics.geometry as geo
 import hypmetrics.metrics as met
 from hypmetrics.geometry import (
     BoundaryCardinalityError,
+    Domain,
     DomainMembershipError,
     FiniteComplement,
     INFINITY,
@@ -251,6 +252,12 @@ class TestDomains:
         for metric in metrics:
             with pytest.raises(ParameterError, match=expected):
                 metric(domain, [0.1, 0.0, 0.0], [0.2, 0.0, 0.0])
+
+    def test_the_base_domain_is_a_parameter_error(self):
+        # it has no checked pass, so it is refused where it is built
+        # rather than passing the domain check and failing later
+        with pytest.raises(ParameterError, match="^Domain is the base class: build a UnitBall, "):
+            Domain()
 
     def test_distance_to_boundary_validates(self):
         with pytest.raises(DomainMembershipError):
