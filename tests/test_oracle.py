@@ -82,6 +82,26 @@ def lam(domain, x, y):
     return max(best, MP.one) if domain.includes_infinity_boundary else best
 
 
+def complement_metric(name, removed, flag, x, y):
+    """alpha or delta at 50 digits on the complement of the mpmath points
+    ``removed`` and, where ``flag``, of the point at infinity; x and y in
+    mpmath, so that a caller may pass points formed at 50 digits."""
+    r = _dist(x, y)
+    dxs, dys = [_dist(x, p) for p in removed], [_dist(y, p) for p in removed]
+    if name == "alpha":
+        # the point at infinity, a boundary point when flagged, gives ratio 1
+        lam_xy, lam_yx = max(a / b for a, b in zip(dxs, dys)), max(b / a for a, b in zip(dxs, dys))
+        if flag:
+            lam_xy, lam_yx = max(lam_xy, MP.one), max(lam_yx, MP.one)
+        return MP.log(lam_xy) + MP.log(lam_yx)
+    # the largest cross-ratio |p,x,q,y| over the finite boundary
+    best = max(_dist(p, q) * r / (a * b) for p, a in zip(removed, dxs) for q, b in zip(removed, dys))
+    if flag:
+        # a pair with one entry at infinity leaves |x-y| over the other's distance
+        best = max([best] + [r / a for a in dxs + dys])
+    return MP.log(1 + best)
+
+
 def _least_foot_product(x, y):
     """Least g(tau) = (tau^2 + h_x^2) ((tau-l)^2 + h_y^2) on the boundary
     line through the feet of x and y (at tau = 0 and tau = l): the least
@@ -158,18 +178,13 @@ def reference(domain, name, x, y):
         return MP.log(1 + r / min(dx, dy))
     if name == "j_tilde":
         return (MP.log(1 + r / dx) + MP.log(1 + r / dy)) / 2
-    if name == "rho" or (name == "delta" and not isinstance(domain, FiniteComplement)):
+    if name in ("alpha", "delta") and isinstance(domain, FiniteComplement):
+        removed = [_mp(p) for p in domain.removed]
+        return complement_metric(name, removed, domain.includes_infinity_boundary, x, y)
+    if name == "rho" or name == "delta":
         if isinstance(domain, UnitBall):
             return 2 * MP.asinh(r / MP.sqrt((1 - _norm(x) ** 2) * (1 - _norm(y) ** 2)))
         return 2 * MP.asinh(r / (2 * MP.sqrt(x[-1] * y[-1])))
-    if name == "delta":
-        # the largest cross-ratio |p,x,q,y| over the finite boundary
-        pts = [_mp(p) for p in domain.removed]
-        best = max(_dist(p, q) * r / (_dist(p, x) * _dist(q, y)) for p in pts for q in pts)
-        if domain.includes_infinity_boundary:
-            # a pair with one entry at infinity leaves |x-y| over the other's distance
-            best = max([best] + [r / a for a in dxs + dys])
-        return MP.log(1 + best)
     if name == "eta":
         return MP.log(max(lam(domain, x, y), lam(domain, y, x)))
     if name == "alpha":

@@ -39,7 +39,7 @@ from hypmetrics.mobius import (
     ball_automorphism,
     map_domain,
 )
-from test_oracle import MP, _dist, _mp, _norm, reference
+from test_oracle import MP, _mp, _norm, complement_metric, reference
 
 # derandomized, so a tier-1 run is reproducible and needs no example database
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -197,21 +197,27 @@ def _mp_apply(f, p):
     return p
 
 
-def _mp_complement_metric(name, removed, flag, x, y):
-    """alpha or delta at 50 digits on the complement of ``removed``, with
-    the point at infinity as a boundary point where ``flag``: the
-    definitions, as ``tests/test_oracle.py``'s reference states them."""
-    r = _dist(x, y)
-    dxs, dys = [_dist(p, x) for p in removed], [_dist(p, y) for p in removed]
-    if name == "alpha":
-        lam_xy, lam_yx = max(a / b for a, b in zip(dxs, dys)), max(b / a for a, b in zip(dxs, dys))
-        if flag:
-            lam_xy, lam_yx = max(lam_xy, MP.one), max(lam_yx, MP.one)
-        return MP.log(lam_xy) + MP.log(lam_yx)
-    best = max(_dist(p, q) * r / (a * b) for p, a in zip(removed, dxs) for q, b in zip(removed, dys))
-    if flag:
-        best = max([best] + [r / a for a in dxs + dys])
-    return MP.log(1 + best)
+def _assert_steps_round_well(f, p):
+    """Each generator of ``f`` takes its float input to within 8 eps of
+    its 50-digit image at that input, relative to the step's scale (the
+    input, the image and an inversion center), and the float steps give
+    ``f.apply(p)`` to the bit.  Composed, the steps' rounding can grow
+    without bound near an inversion center, so the whole map is checked
+    step by step rather than against its 50-digit image."""
+    q = p
+    for g in f.generators:
+        image, exact = g.apply(q), _mp_apply(MobiusMap((g,)), q)
+        if is_infinity(exact):
+            assert is_infinity(image), (g, q)
+        else:
+            points = [v for v in (q, image) if not is_infinity(v)]
+            if isinstance(g, SphereInversion):
+                points.append(g.center)
+            scale = sum(_norm(_mp(v)) for v in points)
+            assert _norm([MP.mpf(a) - b for a, b in zip(image.tolist(), exact)]) <= 8 * 2.0**-52 * scale, (g, q)
+        q = image
+    final = f.apply(p)
+    assert is_infinity(q) == is_infinity(final) and (is_infinity(q) or (q == final).all())
 
 
 @PROPERTY
@@ -241,11 +247,17 @@ def test_delta_and_alpha_are_mobius_invariant_on_finite_complements(args):
     images = [f.apply(p) for p in (x, y, *domain.removed)]
     assume(all(not is_infinity(p) and np.dot(p, p) < 1e12 for p in images))
     image, fx, fy = map_domain(f, domain), images[0], images[1]
-    boundary = [_mp_apply(f, p) for p in domain.removed]
-    if domain.includes_infinity_boundary:
-        boundary.append(_mp_apply(f, INFINITY))
-    removed = [p for p in boundary if not is_infinity(p)]
-    flag = len(removed) < len(boundary)
+    boundary = [*domain.removed, *([INFINITY] if domain.includes_infinity_boundary else [])]
+    # the package's images: each generator rounds its own step well, and
+    # map_domain keeps f's images of the boundary
+    for p in (x, y, *boundary):
+        _assert_steps_round_well(f, p)
+    finite = [q for q in map(f.apply, boundary) if not is_infinity(q)]
+    assert len(image.removed) == len(finite) and all((a == b).all() for a, b in zip(image.removed, finite))
+    exact = [_mp_apply(f, p) for p in boundary]
+    removed = [p for p in exact if not is_infinity(p)]
+    flag = len(removed) < len(exact)
+    assert image.includes_infinity_boundary == flag
     metrics = (alpha_metric, delta_metric) if domain.boundary_cardinality() >= 2 else (alpha_metric,)
     for metric in metrics:
         name = metric.__name__.removesuffix("_metric")
@@ -253,7 +265,7 @@ def test_delta_and_alpha_are_mobius_invariant_on_finite_complements(args):
         bound = 1e-8 * max(1.0, abs(float(before)))
         assert abs(metric(domain, x, y) - before) <= bound, name
         assert abs(metric(image, fx, fy) - reference(image, name, fx, fy)) <= bound, name
-        mapped = _mp_complement_metric(name, removed, flag, _mp_apply(f, x), _mp_apply(f, y))
+        mapped = complement_metric(name, removed, flag, _mp_apply(f, x), _mp_apply(f, y))
         assert abs(mapped - before) <= 1e-30 * max(1, abs(before)), name
 
 
