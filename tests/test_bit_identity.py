@@ -1,6 +1,6 @@
-"""Bit-identity fixture of the sampler and the metrics.
+"""Bit-identity fixture of the sampler, the metrics and the ball root solve.
 
-Three SHA-256 digests over ``float.hex`` of every value:
+Four SHA-256 digests over ``float.hex`` of every value:
 
 - the samples ``_build_sample`` builds for every sampled catalog case at
   seed 42, samples 0..99 of each domain (x, y, z, f(x), f(y), the map's
@@ -11,7 +11,11 @@ Three SHA-256 digests over ``float.hex`` of every value:
   the punctures and at far points 1e3 to 1e6 away;
 - the same values on the unit ball and the upper half-space in
   dimensions 2 and 3, at sampler pairs, at pairs 1e-6 to 1e-12 from the
-  sphere and at half-space heights 1e-6 to 1e6.
+  sphere and at half-space heights 1e-6 to 1e6;
+- ``boundary_sup`` of both kinds on the ball in dimensions 2 to 5, at
+  sampler pairs and at pairs 1e-1 to 1e-15 from the sphere: with a point
+  at the origin (w = 0), on one ray, antipodal (w = pi/2), with equal
+  norms (the sum kind's cubic loses its leading term) and close together.
 
 A table pins the outcome of every finite-complement metric at points
 1e-170 from a puncture or 1e200 away, where a squared distance would
@@ -28,7 +32,7 @@ import hashlib
 
 import numpy as np
 
-from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace
+from hypmetrics.geometry import FiniteComplement, UnitBall, UpperHalfSpace, boundary_sup
 from hypmetrics.metrics import alpha_pair_form, evaluable_metrics, evaluate_metric
 from hypmetrics.suite import _build_sample, _checked_pair, _stream, catalog
 
@@ -37,6 +41,7 @@ SAMPLES_PER_DOMAIN = 100
 SAMPLE_DIGEST = "b7d06ac4eeb1666753166cf61a90c09786584fe3716cab8c884393f3fd9d4bd2"
 FC_METRIC_DIGEST = "60b4d2dce9a0195d2e6e7d3356eb3029d86eb75961ad476e82dca7f169bc7013"
 BH_METRIC_DIGEST = "58d5ca2170a75533a55c297330899b7cf056086c0e021c7072f5cb7be8aef78e"
+BALL_SOLVER_DIGEST = "831bbbff588891dd4f43a2f9bb88b2d57d8a1a1f5c823e4dc248966f41cf6ee3"
 
 
 def _hex(values) -> str:
@@ -162,6 +167,46 @@ def bh_metric_lines():
             yield "|".join([repr(domain), _hex(x), _hex(y), *_metric_values(domain, x, y)])
 
 
+def _ball_solver_pairs(domain, rng):
+    """Sampler pairs, then at each depth 1e-1 to 1e-15 from the sphere:
+    a point at the origin with a point at that depth (both orders), two
+    points on one ray, antipodal points, points of equal norm (one the
+    other with signs flipped) and a pair that depth apart."""
+    n = domain.dim
+    for _ in range(100):
+        yield [p.x for p in _checked_pair(domain, rng)]
+    for k in range(1, 16):
+        g = rng.standard_normal((2, n))
+        e, f = g[0] / np.linalg.norm(g[0]), g[1] / np.linalg.norm(g[1])
+        outer, inner = 1.0 - 10.0**-k, rng.uniform(0.05, 0.95)
+        x = outer * e
+        flips = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        flips[int(rng.integers(n))] *= -1.0
+        for pair in (
+            (np.zeros(n), x),
+            (x, np.zeros(n)),
+            (inner * e, x),
+            (x, -inner * e),
+            (x, -x),
+            (x, flips * x),
+            (x, x + 10.0**-k * f),
+        ):
+            if all(domain.contains(p) for p in pair):
+                yield pair
+
+
+def ball_solver_lines():
+    """One line per ball pair: both kinds of ``boundary_sup``, from the
+    coordinate lists and gauges the metric kernels hand it."""
+    rng = np.random.default_rng(42)
+    for n in (2, 3, 4, 5):
+        domain = UnitBall(n)
+        for x, y in _ball_solver_pairs(domain, rng):
+            (x, xs, gx), (y, ys, gy) = domain._checked(x, "x"), domain._checked(y, "y")
+            values = [boundary_sup(x, y, xs, ys, gx, gy, kind) for kind in ("product", "sum")]
+            yield "|".join([str(n), _hex(xs), _hex(ys), _hex(values)])
+
+
 def _digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -249,3 +294,7 @@ def test_finite_complement_values_keep_every_bit():
 
 def test_ball_and_half_space_values_keep_every_bit():
     assert _digest(bh_metric_lines()) == BH_METRIC_DIGEST
+
+
+def test_ball_root_solve_keeps_every_bit():
+    assert _digest(ball_solver_lines()) == BALL_SOLVER_DIGEST
