@@ -385,19 +385,38 @@ def cassinian(domain, x, y, xs, ys, gx, gy) -> float:
         return _largest_over_product(r, zip(gx, gy))
     if isinstance(domain, UpperHalfSpace):
         # ordered so that (x, y) and (y, x) give the same bits
-        a, b = (xs, ys) if _in_order(x, y) else (ys, xs)
-        ha, hb = a[-1], b[-1]
-        ell = math.dist(a[:-1], b[:-1])
-        # lengths in units of s; tau = s (t + el/2), centred between the
-        # feet, turns the cubic into t^3 + p t + q
-        s = ell + ha + hb
-        el, ea, eb = ell / s, ha / s, hb / s
-        p = (2.0 * (ea * ea + eb * eb) - el * el) / 4.0
-        q = el * (eb * eb - ea * ea) / 4.0
-        taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
-        pairs = [(math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus)]
-        return _largest_over_product(r, pairs)
+        return _half_space_cassinian(r, *((xs, ys) if _in_order(x, y) else (ys, xs)))
     return r / boundary_sup(x, y, xs, ys, gx, gy, "product")
+
+
+def _half_space_cassinian(r: float, a: list[float], b: list[float]) -> float:
+    """The half-space Cassinian metric of the ordered coordinate lists a,
+    b at distance r: the largest r / (|a-p| |b-p|) over both feet and the
+    real roots of the cubic.
+
+    Near the float maximum the normaliser s = ell + h_a + h_b overflows,
+    and so may the distances to the boundary; there the value is that of
+    the pair scaled by 1/4 (exact for each coordinate 0 or at least
+    2^-1020 in magnitude), over 4, as the metric scales as 1 / length.  A
+    height that the scaling takes to 0 is at most 2^-1073, next to a
+    point more than 1e308 away, so the value, about 1 / height, is inf.
+    """
+    ha, hb = a[-1], b[-1]
+    ell = math.dist(a[:-1], b[:-1])
+    # lengths in units of s; tau = s (t + el/2), centred between the
+    # feet, turns the cubic into t^3 + p t + q
+    s = ell + ha + hb
+    if s == math.inf:
+        a, b = [0.25 * v for v in a], [0.25 * v for v in b]
+        if a[-1] == 0.0 or b[-1] == 0.0:
+            return math.inf
+        return _half_space_cassinian(math.dist(a, b), a, b) / 4.0
+    el, ea, eb = ell / s, ha / s, hb / s
+    p = (2.0 * (ea * ea + eb * eb) - el * el) / 4.0
+    q = el * (eb * eb - ea * ea) / 4.0
+    taus = [s * (t + 0.5 * el) for t in _depressed_cubic_roots(p, q)]
+    pairs = [(math.hypot(t, ha), math.hypot(t - ell, hb)) for t in (0.0, ell, *taus)]
+    return _largest_over_product(r, pairs)
 
 
 @_validated(MetricId.TRIANGULAR)

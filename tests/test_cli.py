@@ -126,15 +126,14 @@ class TestEval:
         assert err.startswith("error: u evaluates to inf at these points")
         assert "too large" in err and "double precision" in err
 
-    def test_nan_value_exits_2(self, capsys):
-        # the half-space Cassinian cubic's normaliser overflows here, and a
-        # NaN candidate makes the metric NaN
-        code, out, err = run(
-            capsys, "eval", "--domain", "halfspace", "--metric", "cassinian",
-            "-x", "-8e307,1e308", "-y", "8e307,1.7e308",
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: cassinian evaluates to nan at these points")
+    @pytest.mark.parametrize(
+        "x, y, out", [("-8e307,1e308", "8e307,1.7e308", "7.81670282587e-309"), ("0,1e308", "1e308,1e308", "8e-309")]
+    )
+    def test_cassinian_near_the_float_maximum_evaluates(self, capsys, x, y, out):
+        # the half-space Cassinian cubic's normaliser overflows here; the
+        # metric is evaluated on the pair scaled by 1/4
+        got = run(capsys, "eval", "--domain", "halfspace", "--metric", "cassinian", "-x", x, "-y", y)
+        assert got == (0, out + "\n", "")
 
     def test_no_infinity_boundary_changes_the_domain(self, capsys):
         args = ["--metric", "delta", "-x", "0,0,0", "-y", "2,0,0"]

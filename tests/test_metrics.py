@@ -432,13 +432,27 @@ class TestCassinianAndTriangular:
         # minimum of |p| |p - e1/2| over the sphere sits at p = e1
         assert cassinian(BALL, O, 0.5 * E1) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("x, y", [((-8e307, 1e308), (8e307, 1.7e308)), ((0.0, 1e308), (1e308, 1e308))])
-    def test_half_space_cassinian_with_a_nan_candidate_is_nan(self, x, y):
-        # ell + h_x + h_y overflows, so the cubic's roots give NaN
-        # candidates, and a maximum with a NaN entry is NaN; the feet alone
-        # fall short of the values, 7.82e-309 and 8.0e-309 at 50 digits
-        assert math.isnan(cassinian(UpperHalfSpace(2), x, y))
-        assert math.isnan(cassinian(UpperHalfSpace(2), y, x))
+    @pytest.mark.parametrize(
+        "x, y, value",
+        [((-8e307, 1e308), (8e307, 1.7e308), 7.816702825873165e-309), ((0.0, 1e308), (1e308, 1e308), 8e-309)],
+    )
+    def test_half_space_cassinian_near_the_float_maximum(self, x, y, value):
+        # ell + h_x + h_y overflows, and so does a distance to the
+        # boundary; the pair scaled by 1/4 has 4 times the value, which
+        # is within a subnormal ulp of 7.8167028258731632e-309 and 8.0e-309
+        # at 50 digits (tests/test_oracle.py)
+        assert cassinian(UpperHalfSpace(2), x, y) == value
+        assert cassinian(UpperHalfSpace(2), y, x) == value
+
+    @pytest.mark.parametrize("h, value", [(5e-324, math.inf), (1e-323, math.inf), (3e-308, 3.333333333333332e307)])
+    def test_half_space_cassinian_near_the_float_maximum_at_a_tiny_height(self, h, value):
+        # the pair scaled by 1/4 takes a height of 2^-1073 or less to 0,
+        # where the value, about 1 / h, is 1.0e323 and more at 50 digits;
+        # at h = 3e-308 the scaled height is subnormal, and the value is
+        # within 3e-16 of 3.33333333333333309e307
+        x, y = (-1e308, h), (1e308, 1.0)
+        assert cassinian(UpperHalfSpace(2), x, y) == value
+        assert cassinian(UpperHalfSpace(2), y, x) == value
 
     def test_triangular_ball_value(self):
         assert triangular_ratio(BALL, O, 0.5 * E1) == pytest.approx(1.0 / 3.0, abs=1e-10)

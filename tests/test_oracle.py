@@ -446,6 +446,20 @@ def test_distance_ratio_beyond_the_float_range_on_the_half_space(y):
             assert float(abs(MP.mpf(got) - want)) <= tolerance(domain, a, b, float(want)), (name, got, float(want))
 
 
+@pytest.mark.parametrize(
+    "x, y", [([-8e307, 1e308], [8e307, 1.7e308]), ([0.0, 1e308], [1e308, 1e308])], ids=["higher", "level"]
+)
+def test_half_space_cassinian_near_the_float_maximum(x, y):
+    # ell + h_x + h_y overflows; the value is subnormal, so it is held to
+    # the relative tolerance alone
+    domain, x, y = UpperHalfSpace(2), np.array(x), np.array(y)
+    for a, b in ((x, y), (y, x)):
+        got = evaluate_metric(domain, "cassinian", a, b)
+        want = reference(domain, "cassinian", a, b)
+        assert 0.0 < got < sys.float_info.min
+        assert float(abs(MP.mpf(got) - want)) <= REL * float(want), (got, float(want))
+
+
 @pytest.mark.parametrize("domain", [UnitBall(2), UnitBall(3)], ids=repr)
 def test_ball_cassinian_meets_its_50_digit_reference(domain):
     # compared on the log scale, where the tolerance's 1/d amplification
