@@ -10,14 +10,15 @@ scaling factor or inversion radius is a real number, never a bool, and
 an orthogonal matrix, like a point, is an array of real numbers.
 
 A generator's ``apply`` takes a point as the float array
-:meth:`MobiusMap.apply` hands it, or INFINITY; a translation, orthogonal
-map or inversion reads a list of numbers too, as its numpy expression
-does.  An image beyond the
-float range raises ParameterError, with no numpy warning: a translation,
-scaling or orthogonal map runs its numpy expression as it is where a
-bound on |p| shows that nothing can overflow, and under ``np.errstate``
-with a finiteness test only beyond it, so every image in range keeps
-numpy's bits.
+:meth:`MobiusMap.apply` hands it, or INFINITY, and reads a list of
+numbers too: a translation, orthogonal map or inversion as its numpy
+expression does, a scaling as the float array of geometry's number rule
+(``_real_array``).  An image beyond the float range raises
+ParameterError, with no numpy warning: a translation, scaling or
+orthogonal map runs its numpy expression as it is where a bound on |p|
+shows that nothing can overflow, and under ``np.errstate`` with a
+finiteness test only beyond it, so every image in range keeps numpy's
+bits.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ class Scaling:
     def apply(self, p):
         if is_infinity(p):
             return INFINITY
+        if type(p) is not np.ndarray:
+            # a list of numbers, which a float cannot multiply
+            p = _real_array(p, "a point must be a vector")
         if _magnitude(p) * self.factor < _SAFE:
             return self.factor * p
         with np.errstate(over="ignore"):

@@ -260,6 +260,17 @@ class TestGenerators:
         with pytest.raises(ParameterError, match="^the orthogonal image of a point is beyond the float range$"):
             o.apply([-1.7e308, 1.7e308])
 
+    def test_a_scaling_reads_a_list_point(self):
+        # as the array it makes of it, in range and beyond it, where it
+        # raises with no numpy warning
+        s = Scaling(2.0**0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in ([0.25, -2.0], [1, 3, -7], [1e300, 5e-324], [1.2e308, -0.0]):
+                assert s.apply(p).tobytes() == s.apply(np.array(p, dtype=float)).tobytes()
+            with pytest.raises(ParameterError, match="^the scaling image of a point is beyond the float range$"):
+                s.apply([1.7e308, 1.0])
+
     def test_images_in_range_keep_numpys_bits(self):
         # a bound on |p| picks the unguarded or the errstate path; either
         # way an in-range image has the numpy expression's bits, at the
