@@ -533,7 +533,14 @@ def _cubic_roots(c0: float, c1: float, c2: float, c3: float) -> list[float]:
     b, c, d = c2 / c3, c1 / c3, c0 / c3
     p = c - b * b / 3.0
     q = d - b * (c - 2.0 * b * b / 9.0) / 3.0
-    t = max([s - b / 3.0 for s in _depressed_cubic_roots(p, q)], key=abs)
+    # the shifted root of largest magnitude, the first of equals
+    b3 = b / 3.0
+    roots = _depressed_cubic_roots(p, q)
+    t = roots[0] - b3
+    for s in roots[1:]:
+        s -= b3
+        if abs(s) > abs(t):
+            t = s
     # kept only if it lowers |cubic|: next to a multiple root it may not
     ft, slope = ((c3 * t + c2) * t + c1) * t + c0, (3.0 * c3 * t + 2.0 * c2) * t + c1
     if slope != 0.0:
@@ -589,7 +596,11 @@ def boundary_sup(
     form at phi = 2 atan(u), one evaluation per minimum: at a minimum an
     error e in the angle moves the value by O(e^2) only.  The least of
     those candidates and of both arc ends (the anchors t_x and t_y) is
-    returned.
+    returned.  The arc ends read the sin^2 form off sin w alone: at phi =
+    -w the half-angle sines are sin 0 = 0 for x and sin(-w) for y, so D_x
+    = (1-r_x)^2 and D_y = (1-r_y)^2 + 4 r_y sin^2 w, and phi = +w mirrors
+    this; sin w also enters the quartic, and its derivative's
+    coefficients serve both the knots and Newton's slope.
 
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.
@@ -604,15 +615,14 @@ def boundary_sup(
     omb, fb4 = (1.0 - rb) ** 2, 4.0 * rb
     product = kind == "product"
     sin, sqrt = math.sin, math.sqrt
-    # the distance form at both arc ends, then at one root per minimum
-    values = []
-    for phi in (-w, w):
-        sa, sb = sin(0.5 * (phi + w)), sin(0.5 * (phi - w))
-        da, db = oma + fa4 * sa * sa, omb + fb4 * sb * sb
-        values.append(da * db if product else sqrt(da) + sqrt(db))
+    # the distance form at both arc ends, then at one root per minimum;
+    # sin is odd, so (fb4 * sin w) * sin w has the bits of the sin(-w) form
+    sw = sin(w)
+    da, db = oma + fa4 * sw * sw, omb + fb4 * sw * sw
+    values = [oma * db, da * omb] if product else [sqrt(oma) + sqrt(db), sqrt(da) + sqrt(omb)]
     umax = math.tan(0.5 * w)
     if umax > 0.0:
-        s2, sw = sin(0.5 * w) ** 2, sin(w)
+        s2 = sin(0.5 * w) ** 2
         if product:
             Aa, Ba, Ca = (1.0 + ra) ** 2 - fa4 * s2, fa4 * sw, oma + fa4 * s2
             Ab, Bb, Cb = (1.0 + rb) ** 2 - fb4 * s2, -fb4 * sw, omb + fb4 * s2
@@ -628,12 +638,15 @@ def boundary_sup(
             pmr = 2.0 * (ra * (1.0 - rb) + rb * (1.0 - ra)) - 4.0 * (ra + rb) * s2
             ppr = 4.0 * ra * rb + 2.0 * (ra + rb) * (1.0 - 2.0 * s2)
             c0, c1, c2, c3, c4 = q, pmr, 0.0, ppr, -q
-        knots = sorted([t for t in _cubic_roots(c1, 2.0 * c2, 3.0 * c3, 4.0 * c4) if -umax < t < umax])
+        # the derivative's coefficients, for its roots and Newton's slope
+        d2, d3, d4 = 2.0 * c2, 3.0 * c3, 4.0 * c4
+        knots = sorted([t for t in _cubic_roots(c1, d2, d3, d4) if -umax < t < umax])
+        knots.append(umax)
         tol = 1e-15 * umax
         # the quartic at each knot, from the arc end -umax to umax
         end = -umax
         pe = (((c4 * end + c3) * end + c2) * end + c1) * end + c0
-        for knot in (*knots, umax):
+        for knot in knots:
             pk = (((c4 * knot + c3) * knot + c2) * knot + c1) * knot + c0
             if pe < 0.0 <= pk:
                 # Newton on the quartic, kept inside the piece, run until
@@ -646,7 +659,7 @@ def boundary_sup(
                         lo = u
                     else:
                         hi = u
-                    dp = ((4.0 * c4 * u + 3.0 * c3) * u + 2.0 * c2) * u + c1
+                    dp = ((d4 * u + d3) * u + d2) * u + c1
                     step = p / dp if dp > 0.0 else math.inf
                     u -= step
                     if abs(step) <= tol:

@@ -534,15 +534,19 @@ BALL_PAIRS = {
 
 class _Recording:
     """A stand-in for the ``math`` module that appends the name of each
-    function called through it to ``calls``."""
+    function called through it to ``calls``, or with ``values`` the name,
+    the arguments and the result."""
 
-    def __init__(self, calls):
-        self._calls = calls
+    def __init__(self, calls, values=False):
+        self._calls, self._values = calls, values
 
     def __getattr__(self, name):
         f = getattr(math, name)
 
         def record(*args):
+            if self._values:
+                self._calls.append((name, args, f(*args)))
+                return self._calls[-1][2]
             self._calls.append(name)
             return f(*args)
 
@@ -709,6 +713,25 @@ class TestBoundarySup:
                     assert "sin" not in calls[i + 3 : j], (kind, calls[i:j])
                 minima += len(starts)
             assert minima > len(pairs) // 2, kind
+
+    def test_the_arc_ends_share_sin_w(self, monkeypatch):
+        """Work count on the same 2000 sampler pairs, read off the
+        solver's calls to ``math``: before its first atan a call makes at
+        most two calls to sin, sin w and then sin(w/2), w the result of
+        its atan2.  Both arc ends and the quartic's coefficients read
+        them."""
+        calls = []
+        rng = np.random.default_rng(21)
+        pairs = [(x.x, y.x) for x, y in (_checked_pair(UnitBall(3), rng) for _ in range(2000))]
+        monkeypatch.setattr(geo, "math", _Recording(calls, values=True))
+        for kind in KINDS:
+            for x, y in pairs:
+                calls.clear()
+                _least(x, y, kind)
+                (w,) = [result for name, _, result in calls if name == "atan2"]
+                first = next((i for i, (name, _, _) in enumerate(calls) if name == "atan"), len(calls))
+                sines = [args for name, args, _ in calls[:first] if name == "sin"]
+                assert sines in ([(w,)], [(w,), (0.5 * w,)]), (kind, calls[:first])
 
     def test_the_norms_come_with_the_points(self, monkeypatch):
         """Work count on 200 sampler pairs, read off the solver's calls to
