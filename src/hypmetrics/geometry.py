@@ -599,8 +599,7 @@ def boundary_sup(
     returned.  The arc ends read the sin^2 form off sin w alone: at phi =
     -w the half-angle sines are sin 0 = 0 for x and sin(-w) for y, so D_x
     = (1-r_x)^2 and D_y = (1-r_y)^2 + 4 r_y sin^2 w, and phi = +w mirrors
-    this; sin w also enters the quartic, and its derivative's
-    coefficients serve both the knots and Newton's slope.
+    this.
 
     Everything is computed from the canonical pair, so swapping x and y
     gives the same bits.

@@ -126,6 +126,14 @@ class TestEval:
         assert err.startswith("error: u evaluates to inf at these points")
         assert "too large" in err and "double precision" in err
 
+    def test_nan_value_exits_2(self, capsys, monkeypatch):
+        # no kernel gives NaN at the points below; the stand-in shows that
+        # eval rejects a NaN value as it rejects inf
+        monkeypatch.setattr(cli, "evaluate_metric", lambda *args: math.nan)
+        code, out, err = run(capsys, "eval", "--domain", "halfspace", "--metric", "cassinian", "-x", "0,1", "-y", "1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cassinian evaluates to nan at these points")
+
     @pytest.mark.parametrize(
         "x, y, out", [("-8e307,1e308", "8e307,1.7e308", "7.81670282587e-309"), ("0,1e308", "1e308,1e308", "8e-309")]
     )
