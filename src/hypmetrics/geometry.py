@@ -49,12 +49,18 @@ keeps one pass as a checked point (:class:`_CheckedPoint`), and
 which is all ``contains`` reads.  The suite's sampler builds one checked
 point per drawn point: the metric functions and ``distance_to_boundary``
 take it without a second pass where its domain is the very domain object
-of the call, and everything else, :func:`_coerced` included, takes it as
-its array.
+of the call.  Everywhere else :func:`_coerced` takes it as the finite
+vector it was checked to be, its own array and coordinate list with only
+the dimension compared, and the other domain's membership test runs on
+them.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
 so no square over- or underflows anywhere in the float range.
+
+INFINITY is one object, which copies and pickles keep, and the package
+tests a point by identity, ``p is INFINITY``; :func:`is_infinity` is the
+same test for callers.
 
 :func:`_is_real`, :func:`_is_integer` and :func:`_real_array` are the
 package's only number rules, and :func:`_items` its one rule for a
@@ -103,7 +109,9 @@ class _Infinity:
     """Tagged point at infinity of the extended space.
 
     A dedicated singleton, never a coordinate encoding: arithmetic on it
-    is a bug by construction.
+    is a bug by construction.  ``__new__`` returns the one instance, so a
+    copy, a deep copy and an unpickled INFINITY are INFINITY itself, and
+    the package tests a point by identity, ``p is INFINITY``.
     """
 
     __slots__ = ()
@@ -122,7 +130,9 @@ INFINITY = _Infinity()
 
 
 def is_infinity(p) -> bool:
-    return isinstance(p, _Infinity)
+    """Whether ``p`` is INFINITY, the one instance of its class; the
+    package itself tests ``p is INFINITY``."""
+    return p is INFINITY
 
 
 _FLOAT64 = np.dtype(float)
@@ -136,7 +146,8 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     strings or complex values.  Rejects NaN and infinite coordinates,
     and only those: finite coordinates whose sum overflows are accepted.
     INFINITY is not accepted here, callers that allow it must branch
-    before coercing.  A checked point is taken as its array.
+    before coercing.  A checked point is taken as checked: its own array,
+    with only its dimension compared.
 
     Every point so accepted is a valid input, but the metrics' accuracy
     claim holds only where each distance from the point to a puncture of
@@ -150,25 +161,29 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
 def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
     """``p`` as :func:`as_point` takes it, and its coordinates as Python
     floats: the one coercion of a point, shared by ``as_point`` and each
-    domain's checked pass, with one ``tolist()``."""
-    # np.asarray returns a native float64 array as itself; this skips its
-    # argument handling, and every check below still runs
-    if type(p) is np.ndarray and p.dtype is _FLOAT64:
-        arr = p
-    elif type(p) is _CheckedPoint:
-        # checked on some domain: taken afresh from its array
-        arr = p.x
-    elif is_infinity(p):
-        raise ParameterError("expected a finite point, got INFINITY")
+    domain's checked pass, with one ``tolist()``.  A checked point gives
+    its own array and coordinate list, and only its dimension is
+    compared, with the message its array would give."""
+    if type(p) is _CheckedPoint:
+        # checked on some domain, so a vector of finite floats: its own
+        # array and coordinates, with only the dimension left to compare
+        arr, coords = p.x, p.coords
     else:
-        arr = _real_array(p, "a point must be a vector")
-    if arr.ndim != 1 or arr.size < 2:
-        raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
-    coords = arr.tolist()
-    # a finite sum has only finite terms; an inf or NaN coordinate, or a
-    # sum that overflows, is decided coordinate by coordinate
-    if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):
-        raise ParameterError(f"point has non-finite coordinates: {coords}")
+        # np.asarray returns a native float64 array as itself; this skips
+        # its argument handling, and every check below still runs
+        if type(p) is np.ndarray and p.dtype is _FLOAT64:
+            arr = p
+        elif p is INFINITY:
+            raise ParameterError("expected a finite point, got INFINITY")
+        else:
+            arr = _real_array(p, "a point must be a vector")
+        if arr.ndim != 1 or arr.size < 2:
+            raise ParameterError(f"a point must be a vector of dimension >= 2, got shape {arr.shape}")
+        coords = arr.tolist()
+        # a finite sum has only finite terms; an inf or NaN coordinate, or
+        # a sum that overflows, is decided coordinate by coordinate
+        if not math.isfinite(sum(coords)) and not all(map(math.isfinite, coords)):
+            raise ParameterError(f"point has non-finite coordinates: {coords}")
     if dim is not None and arr.size != dim:
         raise ParameterError(f"point of dimension {arr.size} used with a domain of dimension {dim}")
     return arr, coords
@@ -228,9 +243,10 @@ class _CheckedPoint:
     """A point as its domain's checked pass returned it, with that domain:
     the array ``x``, its coordinates as floats and its gauge.  Built only
     by ``Domain._point``.  The metrics and ``distance_to_boundary`` take
-    it as checked where ``domain`` is the very domain object of the call;
-    everywhere else it is a point like any other, coerced and checked
-    afresh from its array."""
+    it as checked where ``domain`` is the very domain object of the call.
+    Everywhere else :func:`_coerced` takes its array and coordinates as
+    they are, a finite vector already, and compares only the dimension;
+    another domain's membership test runs on them afresh."""
 
     __slots__ = ("x", "coords", "gauge", "domain")
 
@@ -421,16 +437,16 @@ def cross_ratio(p, x, q, y) -> float:
     Coincidences that put a zero in the denominator raise
     ZeroDivisionError.
     """
-    pts = [p if is_infinity(p) else as_point(p) for p in (p, x, q, y)]
-    if sum(map(is_infinity, pts)) > 1:
+    pts = [p if p is INFINITY else as_point(p) for p in (p, x, q, y)]
+    if sum(pt is INFINITY for pt in pts) > 1:
         raise ParameterError("cross_ratio supports at most one point at infinity")
-    dims = sorted({pt.size for pt in pts if not is_infinity(pt)})
+    dims = sorted({pt.size for pt in pts if pt is not INFINITY})
     if len(dims) > 1:
         raise ParameterError(f"cross_ratio takes points of one dimension, got dimensions {dims}")
-    p, x, q, y = (pt if is_infinity(pt) else pt.tolist() for pt in pts)
+    p, x, q, y = (pt if pt is INFINITY else pt.tolist() for pt in pts)
 
     def finite(*pairs):
-        return [math.dist(a, b) for a, b in pairs if not (is_infinity(a) or is_infinity(b))]
+        return [math.dist(a, b) for a, b in pairs if a is not INFINITY and b is not INFINITY]
 
     num, den = finite((p, q), (x, y)), finite((p, x), (q, y))
     if 0.0 in den:

@@ -7,24 +7,33 @@ infinity's bookkeeping local to the inversion generator.
 
 Every parameter is checked by geometry's number rules, as a point is: a
 scaling factor or inversion radius is a real number, never a bool, and
-an orthogonal matrix, like a point, is an array of real numbers.
+an orthogonal matrix, like a point, is an array of real numbers.  A
+generator is a slotted dataclass whose ``__post_init__`` checks each
+parameter once and assigns what it accepted; generators compare and hash
+by identity.  A translation, and the base point of
+:func:`ball_automorphism`, reads its norm off the coordinates of its one
+coercion, and an orthogonal matrix is accepted as ``np.allclose(QᵀQ, I,
+atol=1e-10)`` accepts it, decided on the Gram matrix read once as Python
+floats.
 
-A generator's ``apply`` takes a point as the float array
-:meth:`MobiusMap.apply` hands it, or INFINITY, and reads a list of
-numbers too: a translation, orthogonal map or inversion as its numpy
-expression does, a scaling as the float array of geometry's number rule
-(``_real_array``).  An image beyond the float range raises
-ParameterError, with no numpy warning: a translation, scaling or
-orthogonal map runs its numpy expression as it is where a bound on |p|
-shows that nothing can overflow, and under ``np.errstate`` with a
-finiteness test only beyond it, so every image in range keeps numpy's
-bits.
+:meth:`MobiusMap.apply` takes INFINITY, or a point as :func:`as_point`
+takes it, so a checked point (geometry's ``_CheckedPoint``) is taken as
+checked, as its own array.  A generator's ``apply`` takes a point as the
+float array :meth:`MobiusMap.apply` hands it, or INFINITY, which it
+tests by identity, and reads a list of numbers too: a translation,
+orthogonal map or inversion as its numpy expression does, a scaling as
+the float array of geometry's number rule (``_real_array``).  An image
+beyond the float range raises ParameterError, with no numpy warning: a
+translation, scaling or orthogonal map runs its numpy expression as it
+is where a bound on |p| shows that nothing can overflow, and under
+``np.errstate`` with a finiteness test only beyond it, so every image in
+range keeps numpy's bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,11 +44,11 @@ from .geometry import (
     FiniteComplement,
     ParameterError,
     _check_dim,
+    _coerced,
     _is_real,
     _items,
     _real_array,
     as_point,
-    is_infinity,
 )
 
 __all__ = [
@@ -84,20 +93,21 @@ def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
     return image
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Translation:
     b: np.ndarray
+    _norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", as_point(self.b))
-        object.__setattr__(self, "_norm", math.hypot(*self.b.tolist()))
+        self.b, coords = _coerced(self.b, None)
+        self._norm = math.hypot(*coords)
 
     @property
     def dim(self):
         return self.b.size
 
     def apply(self, p):
-        if is_infinity(p):
+        if p is INFINITY:
             return INFINITY
         if _magnitude(p) + self._norm < _SAFE:
             return p + self.b
@@ -105,17 +115,17 @@ class Translation:
             return _finite_image(p + self.b, "translation")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Scaling:
     factor: float
 
     def __post_init__(self):
-        object.__setattr__(self, "factor", _positive_real(self.factor, "scaling factor"))
+        self.factor = _positive_real(self.factor, "scaling factor")
 
     dim = None
 
     def apply(self, p):
-        if is_infinity(p):
+        if p is INFINITY:
             return INFINITY
         if type(p) is not np.ndarray:
             # a list of numbers, which a float cannot multiply
@@ -126,7 +136,7 @@ class Scaling:
             return _finite_image(self.factor * p, "scaling")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Orthogonal:
     matrix: np.ndarray
 
@@ -134,24 +144,29 @@ class Orthogonal:
         q = _real_array(self.matrix, "orthogonal generator needs a matrix")
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
             raise ParameterError("orthogonal generator needs a square matrix, n >= 2")
-        # np.allclose(q.T @ q, I, atol=1e-10) without its generic overhead:
-        # |QᵀQ - I| <= 1e-10 + 1e-5 |I| elementwise, NaN failing; an inf or
-        # huge entry overflows or makes NaN in the Gram matrix, which fails
-        eye = np.eye(q.shape[0])
+        # np.allclose(q.T @ q, I, atol=1e-10) on the Gram matrix read once as
+        # Python floats: |QᵀQ - I| <= 1e-10 + 1e-5 |I| entry by entry, NaN
+        # failing; an inf or huge entry overflows or makes NaN in the Gram
+        # matrix, which fails
         with np.errstate(over="ignore", invalid="ignore"):
-            orthogonal = (np.abs(q.T @ q - eye) <= 1e-10 + 1e-5 * eye).all()
+            gram = (q.T @ q).tolist()
+        orthogonal = all(
+            abs(g - 1.0) <= 1e-10 + 1e-5 if i == j else abs(g) <= 1e-10
+            for i, row in enumerate(gram)
+            for j, g in enumerate(row)
+        )
         if not orthogonal:
             if not np.isfinite(q).all():
                 raise ParameterError(f"orthogonal generator needs finite entries, got {q.tolist()}")
             raise ParameterError("matrix is not orthogonal")
-        object.__setattr__(self, "matrix", q)
+        self.matrix = q
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
     def apply(self, p):
-        if is_infinity(p):
+        if p is INFINITY:
             return INFINITY
         # an accepted matrix has norm below 1.00001, so each product and
         # partial sum of a row with p is below 1.00001 |p|
@@ -161,7 +176,7 @@ class Orthogonal:
             return _finite_image(self.matrix @ p, "orthogonal")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SphereInversion:
     """Inversion in the sphere S(center, radius): an involution swapping
     center and INFINITY.
@@ -177,15 +192,15 @@ class SphereInversion:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", _positive_real(self.radius, "inversion radius"))
+        self.center = as_point(self.center)
+        self.radius = _positive_real(self.radius, "inversion radius")
 
     @property
     def dim(self):
         return self.center.size
 
     def apply(self, p):
-        if is_infinity(p):
+        if p is INFINITY:
             return self.center.copy()
         v = p - self.center
         coords = v.tolist()
@@ -209,17 +224,19 @@ class MobiusMap:
 
     def __init__(self, generators=()):
         gens = _items(generators, "Mobius generators")
+        dims = set()
         for g in gens:
             if not isinstance(g, _GENERATOR_TYPES):
                 raise ParameterError(f"not a Mobius generator: {g!r}")
-        dims = {g.dim for g in gens if g.dim is not None}
+            if g.dim is not None:
+                dims.add(g.dim)
         if len(dims) > 1:
             raise ParameterError(f"generators disagree on dimension: {sorted(dims)}")
         self.generators = gens
         self.dim = dims.pop() if dims else None
 
     def apply(self, p):
-        if not is_infinity(p):
+        if p is not INFINITY:
             p = as_point(p, self.dim)
         for g in self.generators:
             p = g.apply(p)
@@ -239,9 +256,9 @@ def ball_automorphism(a) -> MobiusMap:
     0 or below raises ParameterError, as does one so near 0 that |a|^2
     underflows.
     """
-    a = as_point(a)
+    a, coords = _coerced(a, None)
     # |a| decided as UnitBall decides membership, with no under- or overflow
-    norm = math.hypot(*a.tolist())
+    norm = math.hypot(*coords)
     if not (0.0 < norm < 1.0):
         raise ParameterError("ball_automorphism needs 0 < |a| < 1")
     na2 = float(a.dot(a))
@@ -291,13 +308,13 @@ def map_domain(f: MobiusMap, domain: FiniteComplement) -> FiniteComplement:
     flag = False
     for p in domain.removed:
         q = f.apply(p)
-        if is_infinity(q):
+        if q is INFINITY:
             flag = True
         else:
             removed.append(q)
     if domain.includes_infinity_boundary:
         q = f.apply(INFINITY)
-        if is_infinity(q):
+        if q is INFINITY:
             flag = True
         else:
             removed.append(q)

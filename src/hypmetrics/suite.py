@@ -286,7 +286,7 @@ def _equal_distance_pair(domain, rng: np.random.Generator):
 
 def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    return q * np.sign(r.diagonal())
 
 
 def _random_map(domain: FiniteComplement, rng: np.random.Generator):
@@ -369,14 +369,15 @@ def _checked_sample(domain, smp: Sample) -> Sample:
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
     """The sample of ``case`` on ``domain``, drawn from ``rng`` in one
-    pass.  A Mobius case draws its map, then a pair, and checks each
-    image once on the image domain under a name that carries the case
-    id: an image outside it raises, and so do images that coincide."""
+    pass.  A Mobius case draws its map, then a pair, which the map takes
+    as checked, and checks each image once on the image domain under a
+    name that carries the case id: an image outside it raises, and so do
+    images that coincide."""
     if case.draw_map is not None:
         f, fd = case.draw_map(domain, rng)
         x, y = _checked_pair(domain, rng)
-        fx = fd._point(f.apply(x.x), f"{case.case_id} image of x")
-        fy = fd._point(f.apply(y.x), f"{case.case_id} image of y")
+        fx = fd._point(f.apply(x), f"{case.case_id} image of x")
+        fy = fd._point(f.apply(y), f"{case.case_id} image of y")
         if fx.coords == fy.coords:
             raise ConfigurationError(f"{case.case_id}: the images of distinct points coincide")
         return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
-imports a name it never uses, no module defines a private name nothing
-uses, no module calls ``np.dot``, no metric kernel re-derives what the
+imports a name it never uses, no module calls ``is_infinity`` and mobius
+sets no field through ``object.__setattr__``, no module defines a private
+name nothing uses, no module calls ``np.dot``, no metric kernel re-derives what the
 validating wrapper measured or computes with numpy, no function that runs
 on every metric call defines a closure, a domain's point methods are
 defined once over one coercion, every field of a catalog declaration is
@@ -62,6 +63,29 @@ def test_no_file_imports_a_name_it_never_uses():
     assert len(files) > 10
     unused = {f"{p.parent.name}/{p.name}": names for p in sorted(files) if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _uses(path: Path, name: str) -> list[int]:
+    """Lines where ``path`` reads ``name``, bare or as an attribute of
+    anything: a call, or the function passed on, as to ``map``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    ]
+
+
+def test_one_spelling_of_the_infinity_test_and_of_a_generator_field():
+    # the package tests INFINITY by identity, which the singleton makes
+    # exact; is_infinity is for callers.  Generators assign their fields.
+    package = Path(hypmetrics.__file__).parent
+    files = sorted(package.glob("*.py"))
+    assert len(files) > 4
+    uses = {p.name: lines for p in files if (lines := _uses(p, "is_infinity"))}
+    assert uses == {}
+    assert _uses(package / "mobius.py", "__setattr__") == []
 
 
 def _top_level_definitions(tree: ast.Module):

@@ -1,7 +1,9 @@
 """Tests for points, domains, cross-ratio, and the boundary suprema of the ball."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -79,6 +81,20 @@ class TestPoints:
         assert as_point(p) is p
         assert as_point(p, dim=3) is p
 
+    def test_a_checked_point_is_taken_as_checked(self):
+        # its own array and coordinate list, on any domain; only the
+        # dimension is compared, with the message its array would give
+        x = UnitBall(3)._point([0.5, -0.25, 0.125], "x")
+        for dim in (None, 3):
+            arr, coords = geo._coerced(x, dim)
+            assert arr is x.x and coords is x.coords
+            assert as_point(x, dim) is x.x
+        with pytest.raises(ParameterError) as want:
+            as_point(x.x, 2)
+        with pytest.raises(ParameterError) as got:
+            as_point(x, 2)
+        assert str(got.value) == str(want.value) == "point of dimension 3 used with a domain of dimension 2"
+
     @pytest.mark.parametrize(
         "p",
         [
@@ -127,9 +143,14 @@ class TestPoints:
         assert as_point(p).tolist() == [float(v) for v in p]
 
     def test_infinity_is_a_singleton(self):
-        assert is_infinity(INFINITY)
+        # the package tests a point by identity, so no copy may be a second object
         assert type(INFINITY)() is INFINITY
-        assert not is_infinity(np.zeros(3))
+        assert copy.copy(INFINITY) is INFINITY
+        assert copy.deepcopy(INFINITY) is INFINITY
+        assert copy.deepcopy([INFINITY])[0] is INFINITY
+        assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
+        for p in (INFINITY, np.zeros(3), [0.0, 0.0, 0.0], None):
+            assert is_infinity(p) is (p is INFINITY)
 
 
 class TestDomains:

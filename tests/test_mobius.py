@@ -286,6 +286,21 @@ class TestGenerators:
                 assert s.apply(p).tobytes() == (s.factor * p).tobytes()
                 assert o.apply(p).tobytes() == (_ROTATION @ p).tobytes(), p
 
+    def test_generators_keep_their_repr_identity_equality_and_hash(self):
+        # the reprs of the frozen dataclasses, with no private field shown;
+        # equal parameters make distinct generators, each usable as a key
+        pairs = [
+            (Translation([1.0, 2.0]), "Translation(b=array([1., 2.]))"),
+            (Scaling(2), "Scaling(factor=2.0)"),
+            (Orthogonal([[0, -1], [1, 0]]), "Orthogonal(matrix=array([[ 0., -1.],\n       [ 1.,  0.]]))"),
+            (SphereInversion([0, 1], 1.5), "SphereInversion(center=array([0., 1.]), radius=1.5)"),
+        ]
+        for g, text in pairs:
+            assert repr(g) == text
+            twin = type(g)(*(getattr(g, f) for f in type(g).__match_args__))
+            assert g == g and g != twin and repr(twin) == text
+            assert {g: 1, twin: 2}[g] == 1 and hash(g) == hash(g)
+
 
 class TestMobiusMap:
     def test_composition_order(self):
@@ -306,8 +321,10 @@ class TestMobiusMap:
             assert np.allclose(back, p, atol=1e-9)
 
     def test_rejects_non_generators(self):
-        with pytest.raises(ParameterError):
-            MobiusMap([lambda p: p])
+        with pytest.raises(ParameterError, match=r"^not a Mobius generator: 'shift'$"):
+            MobiusMap([Translation([1.0, 0.0]), "shift"])
+        with pytest.raises(ParameterError, match=r"^not a Mobius generator: 2\.0$"):
+            MobiusMap([2.0, Translation([1.0, 0.0, 0.0])])
 
     def test_generators_that_are_not_a_collection_are_a_parameter_error(self):
         # tuple(5) raised a plain TypeError
@@ -315,8 +332,11 @@ class TestMobiusMap:
             MobiusMap(5)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^generators disagree on dimension: \[2, 3\]$"):
             MobiusMap([Translation([1.0, 0.0]), Translation([1.0, 0.0, 0.0])])
+        gens = [SphereInversion(np.zeros(4), 1.0), Scaling(2.0), Translation([1.0, 0.0]), Orthogonal(np.eye(3))]
+        with pytest.raises(ParameterError, match=r"^generators disagree on dimension: \[2, 3, 4\]$"):
+            MobiusMap(gens)
 
     def test_cross_ratio_invariance(self):
         rng = np.random.default_rng(22)
