@@ -165,8 +165,7 @@ def _coerced(p, dim: int | None) -> tuple[np.ndarray, list[float]]:
     its own array and coordinate list, and only its dimension is
     compared, with the message its array would give."""
     if type(p) is _CheckedPoint:
-        # checked on some domain, so a vector of finite floats: its own
-        # array and coordinates, with only the dimension left to compare
+        # checked on some domain, so already a vector of finite floats
         arr, coords = p.x, p.coords
     else:
         # np.asarray returns a native float64 array as itself; this skips

@@ -228,8 +228,8 @@ class MobiusMap:
         for g in gens:
             if not isinstance(g, _GENERATOR_TYPES):
                 raise ParameterError(f"not a Mobius generator: {g!r}")
-            if g.dim is not None:
-                dims.add(g.dim)
+            dims.add(g.dim)
+        dims.discard(None)
         if len(dims) > 1:
             raise ParameterError(f"generators disagree on dimension: {sorted(dims)}")
         self.generators = gens

@@ -1,12 +1,12 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module calls ``is_infinity`` and mobius
-sets no field through ``object.__setattr__``, no module defines a private
-name nothing uses, no module calls ``np.dot``, no metric kernel re-derives what the
-validating wrapper measured or computes with numpy, no function that runs
-on every metric call defines a closure, a domain's point methods are
-defined once over one coercion, every field of a catalog declaration is
-read, and only geometry decides what a number is."""
+sets no field through ``object.__setattr__``, no module defines a
+private name nothing uses, no module calls ``np.dot``, no metric kernel
+re-derives what the validating wrapper measured or computes with numpy,
+no function that runs on every metric call defines a closure, a domain's
+point methods are defined once over one coercion, every field of a
+catalog declaration is read, and only geometry decides what a number is."""
 
 import ast
 import dataclasses

@@ -287,7 +287,7 @@ class TestGenerators:
                 assert o.apply(p).tobytes() == (_ROTATION @ p).tobytes(), p
 
     def test_generators_keep_their_repr_identity_equality_and_hash(self):
-        # the reprs of the frozen dataclasses, with no private field shown;
+        # the reprs the frozen dataclasses had, with no private field shown;
         # equal parameters make distinct generators, each usable as a key
         pairs = [
             (Translation([1.0, 2.0]), "Translation(b=array([1., 2.]))"),

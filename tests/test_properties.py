@@ -307,9 +307,9 @@ def _outcome(fn):
 @example((BALL, np.array([0.5, 0.0, -0.25]), np.array([0.0, 0.5, 0.25])))
 def test_a_checked_point_is_taken_as_checked_on_its_own_domain_object_only(args):
     # on the domain object that checked it, a checked point gives what its
-    # array gives; on any other, an equal one included, it is checked
-    # afresh from its array: the same value bits, or the same error type
-    # and message, with the other argument raw or checked
+    # array gives; on any other, an equal one included, that domain checks
+    # it afresh: the same value bits, or the same error type and message,
+    # with the other argument raw or checked
     home, x, y = args
     assume(_admissible(home, x, y))
     cx, cy = home._point(x, "x"), home._point(y, "y")
