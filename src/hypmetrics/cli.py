@@ -83,18 +83,6 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("HYPMETRICS_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ParameterError(f"HYPMETRICS_SEED must be an integer, got {env!r}") from None
-
-
 def _emit(text: str, out: str | None, mode: str = "w") -> None:
     if out:
         try:
@@ -141,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate one metric at a pair of points")
     ev.add_argument("--domain", choices=("ball", "halfspace", "complement"), required=True)
-    ev.add_argument("--dim", type=int, default=None, help="dimension check; inferred from the points")
     ev.add_argument("--remove", action="append", default=[], metavar="POINT",
                     help="removed point of a complement domain; repeatable")
     ev.add_argument("--no-infinity-boundary", action="store_true",
@@ -154,8 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--case", action="append", default=None, metavar="ID",
                     help="case id; repeatable; default is the whole catalog")
     vf.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    vf.add_argument("--seed", type=int, default=None,
-                    help=f"overrides HYPMETRICS_SEED; default {DEFAULT_SEED}")
+    vf.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}")
     vf.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     vf.add_argument("--format", choices=_FORMATS, default="json")
     vf.add_argument("--out", default=None, metavar="FILE")
@@ -176,13 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval(args) -> int:
+    if args.domain != "complement" and (args.remove or args.no_infinity_boundary):
+        raise ParameterError("--remove and --no-infinity-boundary need --domain complement")
     x = _parse_point(args.x)
     y = _parse_point(args.y)
     if x.size != y.size:
         raise ParameterError(f"points have different dimensions: {x.size} and {y.size}")
     dim = int(x.size)
-    if args.dim is not None and args.dim != dim:
-        raise ParameterError(f"--dim {args.dim} does not match the {dim}-dimensional points")
     if args.domain == "ball":
         domain = UnitBall(dim)
     elif args.domain == "halfspace":
@@ -223,13 +209,12 @@ def _select(kind: str, known: list[str], requested) -> list[str]:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ParameterError("--samples must be >= 1")
-    seed = _resolve_seed(args.seed)
     cat = catalog()
     ids = _select("case", [c.case_id for c in cat.cases], args.case)
     records = []
     all_pass = True
     for cid in ids:
-        result = check_case(cat.case(cid), n_samples=args.samples, seed=seed, slack=args.slack)
+        result = check_case(cat.case(cid), n_samples=args.samples, seed=args.seed, slack=args.slack)
         records.append(result.record())
         all_pass = all_pass and result.passed
     _emit(_render(records, args.format), args.out)

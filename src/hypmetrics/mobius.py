@@ -10,11 +10,12 @@ scaling factor or inversion radius is a real number, never a bool, and
 an orthogonal matrix, like a point, is an array of real numbers.  A
 generator is a slotted dataclass whose ``__post_init__`` checks each
 parameter once and assigns what it accepted; generators compare and hash
-by identity.  A translation, and the base point of
-:func:`ball_automorphism`, reads its norm off the coordinates of its one
-coercion, and an orthogonal matrix is accepted as ``np.allclose(QᵀQ, I,
-atol=1e-10)`` accepts it, decided on the Gram matrix read once as Python
-floats.
+by identity.  A translation keeps no copy of |b|: its range guard reads
+|b| off ``b`` on every apply, so a reassigned ``b`` is guarded as it
+stands.  The base point of :func:`ball_automorphism` reads its norm off
+the coordinates of its one coercion, and an orthogonal matrix is
+accepted as ``np.allclose(QᵀQ, I, atol=1e-10)`` accepts it, decided on
+the Gram matrix read once as Python floats.
 
 :meth:`MobiusMap.apply` takes INFINITY, or a point as :func:`as_point`
 takes it, so a checked point (geometry's ``_CheckedPoint``) is taken as
@@ -33,7 +34,7 @@ range keeps numpy's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,11 +97,9 @@ def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
 @dataclass(eq=False, slots=True)
 class Translation:
     b: np.ndarray
-    _norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.b, coords = _coerced(self.b, None)
-        self._norm = math.hypot(*coords)
+        self.b = _coerced(self.b, None)[0]
 
     @property
     def dim(self):
@@ -109,7 +108,7 @@ class Translation:
     def apply(self, p):
         if p is INFINITY:
             return INFINITY
-        if _magnitude(p) + self._norm < _SAFE:
+        if _magnitude(p) + _magnitude(self.b) < _SAFE:
             return p + self.b
         with np.errstate(over="ignore"):
             return _finite_image(p + self.b, "translation")

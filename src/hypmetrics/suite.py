@@ -357,13 +357,14 @@ class Sample:
 
 def _checked_sample(domain, smp: Sample) -> Sample:
     """``smp``, built from arrays by a probe's family, with each array
-    replaced by its point checked once, in the order and under the names
-    the metric calls would check them: x, then y on ``domain``, then the
-    images on the image domain.  A point that fails raises as that metric
-    call would."""
+    replaced by its point checked once, in the order the metric calls
+    would check them: x, then y on ``domain``, then their images, named as
+    images, on the image domain.  A point that fails raises as that metric
+    call would, under its own name."""
     smp.x, smp.y = domain._point(smp.x, "x"), domain._point(smp.y, "y")
     if smp.fdomain is not None:
-        smp.fx, smp.fy = smp.fdomain._point(smp.fx, "x"), smp.fdomain._point(smp.fy, "y")
+        smp.fx = smp.fdomain._point(smp.fx, "image of x")
+        smp.fy = smp.fdomain._point(smp.fy, "image of y")
     return smp
 
 

@@ -73,7 +73,7 @@ class TestEval:
         "argv",
         [
             ["eval", "--domain", "ball", "-x", "0,0", "-y", "0,0,1"],
-            ["eval", "--domain", "ball", "--dim", "4", "-x", "0,0,0", "-y", "0.5,0,0"],
+            ["eval", "--domain", "ball", "--remove", "5,5", "-x", "0,0", "-y", "0.5,0"],
             ["eval", "--domain", "complement", "-x", "0,0,0", "-y", "2,0,0"],
             ["eval", "--domain", "ball", "-x", "zero,0", "-y", "0.5,0"],
             ["eval", "--domain", "ball", "-x", "0", "-y", "0.5"],
@@ -87,6 +87,21 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_there_is_no_dim_option(self, capsys):
+        # the dimension is the points'
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--domain", "ball", "--dim", "2", "-x", "0,0", "-y", "0.5,0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["ball", "halfspace"])
+    def test_complement_options_need_the_complement(self, capsys, domain):
+        # the ball and the half-space would ignore them
+        for options in (["--remove", "5,5"], ["--no-infinity-boundary"], ["--remove", "5,5", "--no-infinity-boundary"]):
+            code, out, err = run(capsys, "eval", "--domain", domain, *options, "-x", "0,0.5", "-y", "0.5,0.5")
+            assert (code, out) == (2, "")
+            assert err == "error: --remove and --no-infinity-boundary need --domain complement\n"
 
     @pytest.mark.parametrize(
         "metric, x, y",
@@ -306,8 +321,7 @@ class TestRender:
 
 
 class TestVerify:
-    def test_single_case_json(self, capsys, monkeypatch):
-        monkeypatch.delenv("HYPMETRICS_SEED", raising=False)
+    def test_single_case_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--case", "AX-U", "--samples", "20")
         assert code == 0
         records = parse_report(out)
@@ -353,22 +367,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--case", "T-ALJ", "--samples", "50", "--slack", slack)
         assert code == 2 and out == "" and "slack" in err
 
-    def test_seed_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPMETRICS_SEED", "9")
-        code, out, _ = run(
-            capsys, "verify", "--case", "AX-U", "--samples", "5", "--seed", "7"
-        )
-        assert code == 0 and parse_report(out)[0]["seed"] == 7
-
-    def test_environment_seed_beats_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPMETRICS_SEED", "9")
-        code, out, _ = run(capsys, "verify", "--case", "AX-U", "--samples", "5")
-        assert code == 0 and parse_report(out)[0]["seed"] == 9
-
-    def test_garbage_environment_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPMETRICS_SEED", "soon")
-        code, _, err = run(capsys, "verify", "--case", "AX-U", "--samples", "5")
-        assert code == 2 and "HYPMETRICS_SEED" in err
+    def test_the_seed_is_read_from_the_arguments_only(self, capsys, monkeypatch):
+        # a report's seed is the one its command states, or 42; the
+        # environment, set or garbage, is not read
+        for env in ("9", "soon"):
+            monkeypatch.setenv("HYPMETRICS_SEED", env)
+            code, out, err = run(capsys, "verify", "--case", "AX-U", "--samples", "5")
+            assert (code, err) == (0, "") and parse_report(out)[0]["seed"] == 42
+            code, out, _ = run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--seed", "7")
+            assert code == 0 and parse_report(out)[0]["seed"] == 7
 
     def test_text_and_csv_formats(self, capsys):
         code, out, _ = run(
@@ -474,6 +481,16 @@ class TestProbe:
     def test_schedule_leaving_the_domain(self, capsys):
         code, _, err = run(capsys, "probe", "--id", "P4", "--schedule", "0.5,0.9,0.99,1.0")
         assert code == 2 and "leaves the domain" in err
+
+    def test_an_image_leaving_the_domain_is_named_as_an_image(self, capsys):
+        # x = 1e17 e_n is in the half-space; its Cayley image rounds to
+        # the south pole, which is not in the ball
+        code, out, err = run(capsys, "probe", "--id", "P9", "--schedule", "2,1e4,1e8,1e17")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: probe P9: point family leaves the domain at t = 1e+17 "
+            "(image of x [0.0, 0.0, -1.0] is not in UnitBall(dim=3))\n"
+        )
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "probe", "--id", "P6", "--format", "json")

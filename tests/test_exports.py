@@ -1,12 +1,14 @@
 """Every name a module exports resolves, so ``from module import *`` works,
 the package re-exports only names its modules export, no module or test
 imports a name it never uses, no module calls ``is_infinity`` and mobius
-sets no field through ``object.__setattr__``, no module defines a
-private name nothing uses, no module calls ``np.dot``, no metric kernel
-re-derives what the validating wrapper measured or computes with numpy,
-no function that runs on every metric call defines a closure, a domain's
-point methods are defined once over one coercion, every field of a
-catalog declaration is read, and only geometry decides what a number is."""
+sets no field through ``object.__setattr__``, no module reads the
+environment (``os.environ``, ``os.environb`` or ``os.getenv``), no
+module defines a private name nothing uses, no module calls ``np.dot``,
+no metric kernel re-derives what the validating wrapper measured or
+computes with numpy, no function that runs on every metric call defines
+a closure, a domain's point methods are defined once over one coercion,
+every field of a catalog declaration is read, and only geometry decides
+what a number is."""
 
 import ast
 import dataclasses
@@ -86,6 +88,30 @@ def test_one_spelling_of_the_infinity_test_and_of_a_generator_field():
     uses = {p.name: lines for p in files if (lines := _uses(p, "is_infinity"))}
     assert uses == {}
     assert _uses(package / "mobius.py", "__setattr__") == []
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv")
+
+
+def _environment_reads(path: Path) -> list[int]:
+    """Lines where ``path`` reads the environment: one of ``_ENVIRONMENT``
+    used, bare or as an attribute, or imported under any name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name in _ENVIRONMENT for alias in node.names)
+    ]
+    return sorted(set(imported).union(*(_uses(path, name) for name in _ENVIRONMENT)))
+
+
+def test_no_module_reads_the_environment():
+    # every input comes from the arguments, so the command that made a
+    # report states everything it depends on, its seed included
+    package = Path(hypmetrics.__file__).parent
+    files = sorted(package.glob("*.py"))
+    assert len(files) > 4
+    assert {p.name: lines for p in files if (lines := _environment_reads(p))} == {}
 
 
 def _top_level_definitions(tree: ast.Module):

@@ -249,6 +249,16 @@ class TestGenerators:
             with pytest.raises(ParameterError, match=f"^the {name} image of a point is beyond the float range$"):
                 f.apply(p)
 
+    def test_a_reassigned_translation_is_guarded_by_its_new_vector(self):
+        # the guard reads |b| off b, so a vector set after construction
+        # is bounded as it stands, not by the |b| it was built with
+        t = Translation([1.0, 0.0])
+        t.b = np.array([1e308, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^the translation image of a point is beyond the float range$"):
+                MobiusMap([t]).apply([8.9e307, 1.0])
+
     def test_a_list_point_is_read_as_its_array(self):
         # the bound on |p| reads a list as numpy's expression does, in
         # range and beyond it

@@ -678,7 +678,8 @@ _EXTRA_T = {
 class TestRunProbe:
     def test_each_probe_point_is_checked_once(self, monkeypatch):
         # x and y once each, and the images of a mapped pair once each on
-        # the image domain, however many metrics the probe evaluates
+        # the image domain, named as images, however many metrics the
+        # probe evaluates
         names = []
         for cls in (UnitBall, UpperHalfSpace, FiniteComplement):
             monkeypatch.setattr(
@@ -689,7 +690,8 @@ class TestRunProbe:
             for t in probe.schedule:
                 names.clear()
                 probe.evaluate(t)
-                assert names == ["x", "y"] * (2 if probe.probe_id in mapped else 1), (probe.probe_id, t)
+                images = ["image of x", "image of y"] if probe.probe_id in mapped else []
+                assert names == ["x", "y", *images], (probe.probe_id, t)
 
     def test_schedule_needs_four_points(self):
         probe = catalog().probe("P2")
