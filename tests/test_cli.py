@@ -374,8 +374,17 @@ class TestVerify:
             monkeypatch.setenv("HYPMETRICS_SEED", env)
             code, out, err = run(capsys, "verify", "--case", "AX-U", "--samples", "5")
             assert (code, err) == (0, "") and parse_report(out)[0]["seed"] == 42
-            code, out, _ = run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--seed", "7")
-            assert code == 0 and parse_report(out)[0]["seed"] == 7
+
+    def test_seed_flag_beats_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPMETRICS_SEED", "9")
+        code, out, _ = run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--seed", "7")
+        assert code == 0 and parse_report(out)[0]["seed"] == 7
+
+    def test_garbage_environment_seed(self, capsys, monkeypatch):
+        # the variable is not read, so a garbage value is no error
+        monkeypatch.setenv("HYPMETRICS_SEED", "soon")
+        code, out, err = run(capsys, "verify", "--case", "AX-U", "--samples", "5", "--seed", "7")
+        assert (code, err) == (0, "") and parse_report(out)[0]["seed"] == 7
 
     def test_text_and_csv_formats(self, capsys):
         code, out, _ = run(
