@@ -44,15 +44,13 @@ ball's 1 - |x|^2 is read off its gauge in :func:`_one_minus_square`
 only.  The domain methods, defined once on :class:`Domain`, read the
 same pass; the metric kernels and boundary_sup take trusted points, and
 boundary_sup their coordinate lists and gauges too.  ``Domain._point``
-keeps one pass as a checked point (:class:`_CheckedPoint`), and
-``Domain._member`` gives None in its place where the point is outside,
-which is all ``contains`` reads.  The suite's sampler builds one checked
-point per drawn point: the metric functions and ``distance_to_boundary``
-take it without a second pass where its domain is the very domain object
-of the call.  Everywhere else :func:`_coerced` takes it as the finite
-vector it was checked to be, its own array and coordinate list with only
-the dimension compared, and the other domain's membership test runs on
-them.
+keeps one pass as a checked point (:class:`_CheckedPoint`), which the
+suite's sampler builds per drawn point, and ``Domain._member`` gives None
+where the point is outside, which is all ``contains`` reads.  A checked
+point is taken without a second pass on its very domain object, by
+``_point``, which returns it as itself, ``distance_to_boundary`` and the
+metric functions; elsewhere :func:`_coerced` takes its array and
+coordinates, comparing only the dimension.
 
 Every Euclidean length is ``math.hypot`` of the coordinates and every
 distance ``math.dist`` of two coordinate lists: both scale internally,
@@ -63,8 +61,9 @@ tests a point by identity, ``p is INFINITY``; :func:`is_infinity` is the
 same test for callers.
 
 :func:`_is_real`, :func:`_is_integer` and :func:`_real_array` are the
-package's only number rules, and :func:`_items` its one rule for a
-collection argument: mobius and suite check their inputs by them.
+package's only number rules, :func:`_float` reads a real number as a
+float (an int beyond the float range as an infinity), and :func:`_items`
+is the one rule for a collection argument: mobius and suite use them.
 """
 
 from __future__ import annotations
@@ -200,6 +199,15 @@ def _is_real(v) -> bool:
     return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
+def _float(v) -> float:
+    """The real number ``v`` (:func:`_is_real`) as a float; an int beyond
+    the float range is the infinity of its sign, which finiteness refuses."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _real_array(p, name: str) -> np.ndarray:
     """``p`` as a float array if it holds only real numbers: an array of
     bools, ints or floats, or of Python objects that are all
@@ -241,11 +249,9 @@ def _check_dim(dim) -> int:
 class _CheckedPoint:
     """A point as its domain's checked pass returned it, with that domain:
     the array ``x``, its coordinates as floats and its gauge.  Built only
-    by ``Domain._point``.  The metrics and ``distance_to_boundary`` take
-    it as checked where ``domain`` is the very domain object of the call.
-    Everywhere else :func:`_coerced` takes its array and coordinates as
-    they are, a finite vector already, and compares only the dimension;
-    another domain's membership test runs on them afresh."""
+    by ``Domain._point``, which, like the metrics, takes it as checked on
+    that very domain object; :func:`_coerced` takes its array and
+    coordinates, a finite vector already, comparing only the dimension."""
 
     __slots__ = ("x", "coords", "gauge", "domain")
 
@@ -274,12 +280,13 @@ class Domain:
     def distance_to_boundary(self, x) -> float:
         """Euclidean distance from ``x`` to the finite boundary; a point
         outside the domain raises DomainMembershipError."""
-        if type(x) is _CheckedPoint and x.domain is self:
-            return self._distance(x.gauge)
-        return self._distance(self._checked(x, "point")[2])
+        return self._distance(self._point(x, "point").gauge)
 
     def _point(self, p, name: str) -> _CheckedPoint:
-        """``p`` checked once on this domain, kept as a checked point."""
+        """``p`` checked once on this domain, kept as a checked point; a
+        checked point of this very domain object is returned as itself."""
+        if type(p) is _CheckedPoint and p.domain is self:
+            return p
         return _CheckedPoint(*self._checked(p, name), self)
 
     def _member(self, p) -> _CheckedPoint | None:

@@ -17,18 +17,17 @@ the coordinates of its one coercion, and an orthogonal matrix is
 accepted as ``np.allclose(QᵀQ, I, atol=1e-10)`` accepts it, decided on
 the Gram matrix read once as Python floats.
 
-:meth:`MobiusMap.apply` takes INFINITY, or a point as :func:`as_point`
-takes it, so a checked point (geometry's ``_CheckedPoint``) is taken as
-checked, as its own array.  A generator's ``apply`` takes a point as the
-float array :meth:`MobiusMap.apply` hands it, or INFINITY, which it
-tests by identity, and reads a list of numbers too: a translation,
-orthogonal map or inversion as its numpy expression does, a scaling as
-the float array of geometry's number rule (``_real_array``).  An image
-beyond the float range raises ParameterError, with no numpy warning: a
-translation, scaling or orthogonal map runs its numpy expression as it
-is where a bound on |p| shows that nothing can overflow, and under
-``np.errstate`` with a finiteness test only beyond it, so every image in
-range keeps numpy's bits.
+Every ``apply``, a map's and each generator's, takes INFINITY, tested by
+identity, or a point as :func:`as_point` takes it, once, so a checked
+point (geometry's ``_CheckedPoint``) is taken as checked and any other
+bad point raises ParameterError.  A generator's body (``_image``) takes
+only the float array so coerced, which :meth:`MobiusMap.apply` hands
+each generator in turn, and INFINITY never.  An image beyond the float
+range raises ParameterError, with no numpy warning: a translation,
+scaling or orthogonal map runs its numpy expression as it is where a
+bound on |p| shows that nothing can overflow, and under ``np.errstate``
+with a finiteness test only beyond it, so every in-range image keeps
+numpy's bits.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from .geometry import (
     ParameterError,
     _check_dim,
     _coerced,
+    _float,
     _is_real,
     _items,
     _real_array,
@@ -69,7 +69,7 @@ def _positive_real(v, name: str) -> float:
     """``v`` as a float if it is a real number, positive and finite."""
     if not _is_real(v):
         raise ParameterError(f"{name} must be a real number, got {v!r}")
-    f = float(v)
+    f = _float(v)
     if not (f > 0.0 and math.isfinite(f)):
         raise ParameterError(f"{name} must be positive and finite")
     return f
@@ -80,10 +80,9 @@ def _positive_real(v, name: str) -> float:
 _SAFE = 2.0**1023
 
 
-def _magnitude(p) -> float:
-    """|p| with no under- or overflow, for a float array or a list of
-    numbers alike, as the generators' numpy expressions take either."""
-    return math.hypot(*(p.tolist() if isinstance(p, np.ndarray) else p))
+def _magnitude(p: np.ndarray) -> float:
+    """|p| of a float array, with no under- or overflow."""
+    return math.hypot(*p.tolist())
 
 
 def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
@@ -94,8 +93,21 @@ def _finite_image(image: np.ndarray, generator: str) -> np.ndarray:
     return image
 
 
+class _Generator:
+    """The base of the generators: ``apply`` takes INFINITY or a point as
+    :func:`as_point` takes it, once, and hands the array to ``_image``."""
+
+    __slots__ = ()
+
+    def apply(self, p):
+        return self._infinity_image() if p is INFINITY else self._image(as_point(p, self.dim))
+
+    def _infinity_image(self):
+        return INFINITY
+
+
 @dataclass(eq=False, slots=True)
-class Translation:
+class Translation(_Generator):
     b: np.ndarray
 
     def __post_init__(self):
@@ -105,9 +117,7 @@ class Translation:
     def dim(self):
         return self.b.size
 
-    def apply(self, p):
-        if p is INFINITY:
-            return INFINITY
+    def _image(self, p: np.ndarray) -> np.ndarray:
         if _magnitude(p) + _magnitude(self.b) < _SAFE:
             return p + self.b
         with np.errstate(over="ignore"):
@@ -115,7 +125,7 @@ class Translation:
 
 
 @dataclass(eq=False, slots=True)
-class Scaling:
+class Scaling(_Generator):
     factor: float
 
     def __post_init__(self):
@@ -123,12 +133,7 @@ class Scaling:
 
     dim = None
 
-    def apply(self, p):
-        if p is INFINITY:
-            return INFINITY
-        if type(p) is not np.ndarray:
-            # a list of numbers, which a float cannot multiply
-            p = _real_array(p, "a point must be a vector")
+    def _image(self, p: np.ndarray) -> np.ndarray:
         if _magnitude(p) * self.factor < _SAFE:
             return self.factor * p
         with np.errstate(over="ignore"):
@@ -136,7 +141,7 @@ class Scaling:
 
 
 @dataclass(eq=False, slots=True)
-class Orthogonal:
+class Orthogonal(_Generator):
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -164,9 +169,7 @@ class Orthogonal:
     def dim(self):
         return self.matrix.shape[0]
 
-    def apply(self, p):
-        if p is INFINITY:
-            return INFINITY
+    def _image(self, p: np.ndarray) -> np.ndarray:
         # an accepted matrix has norm below 1.00001, so each product and
         # partial sum of a row with p is below 1.00001 |p|
         if _magnitude(p) < _SAFE:
@@ -176,7 +179,7 @@ class Orthogonal:
 
 
 @dataclass(eq=False, slots=True)
-class SphereInversion:
+class SphereInversion(_Generator):
     """Inversion in the sphere S(center, radius): an involution swapping
     center and INFINITY.
 
@@ -198,9 +201,10 @@ class SphereInversion:
     def dim(self):
         return self.center.size
 
-    def apply(self, p):
-        if p is INFINITY:
-            return self.center.copy()
+    def _infinity_image(self) -> np.ndarray:
+        return self.center.copy()
+
+    def _image(self, p: np.ndarray):
         v = p - self.center
         coords = v.tolist()
         norm = math.hypot(*coords)
@@ -213,9 +217,6 @@ class SphereInversion:
         return _finite_image(np.array([c + s * (s * x) for c, x in zip(self.center.tolist(), coords)]), "inversion")
 
 
-_GENERATOR_TYPES = (Translation, Scaling, Orthogonal, SphereInversion)
-
-
 class MobiusMap:
     """Ordered composition of generators, applied first-to-last."""
 
@@ -225,7 +226,7 @@ class MobiusMap:
         gens = _items(generators, "Mobius generators")
         dims = set()
         for g in gens:
-            if not isinstance(g, _GENERATOR_TYPES):
+            if not isinstance(g, _Generator):
                 raise ParameterError(f"not a Mobius generator: {g!r}")
             dims.add(g.dim)
         dims.discard(None)
@@ -238,7 +239,7 @@ class MobiusMap:
         if p is not INFINITY:
             p = as_point(p, self.dim)
         for g in self.generators:
-            p = g.apply(p)
+            p = g._infinity_image() if p is INFINITY else g._image(p)
         return p
 
     def __repr__(self) -> str:
@@ -303,20 +304,9 @@ def map_domain(f: MobiusMap, domain: FiniteComplement) -> FiniteComplement:
             "map_domain supports FiniteComplement only; ball/half-space images "
             "must be supplied explicitly"
         )
-    removed = []
-    flag = False
-    for p in domain.removed:
-        q = f.apply(p)
-        if q is INFINITY:
-            flag = True
-        else:
-            removed.append(q)
-    if domain.includes_infinity_boundary:
-        q = f.apply(INFINITY)
-        if q is INFINITY:
-            flag = True
-        else:
-            removed.append(q)
+    boundary = [*domain.removed, INFINITY] if domain.includes_infinity_boundary else domain.removed
+    images = [f.apply(p) for p in boundary]
+    removed = [q for q in images if q is not INFINITY]
     if not removed:
         raise BoundaryCardinalityError("image domain has no finite boundary point")
-    return FiniteComplement(domain.dim, removed, includes_infinity_boundary=flag)
+    return FiniteComplement(domain.dim, removed, includes_infinity_boundary=len(removed) < len(images))

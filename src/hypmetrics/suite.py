@@ -24,19 +24,21 @@ second point equal to the first (``_checked_pair``), and an
 equal-distance flip that changed no coordinate
 (``_equal_distance_pair``).  Each sampled point is checked once, where
 it is drawn: ``sample_point`` returns every draw as a checked point of
-its domain (geometry's ``_CheckedPoint``), a Mobius case checks each
-image once on the image domain, where an image that fails raises under
-the case id, and a ``Sample`` holds each point once, as that checked
-point.
-The evaluators hand the points to the public metric functions, which
-take them without a second check, and a report shows their coordinates.
+its domain (geometry's ``_CheckedPoint``), and a ``Sample`` holds each
+point once, as that checked point.  ``_checked_sample`` alone builds the
+images of a Mobius case or a mapped probe: the map applied to the
+checked pair, each image checked once on the image domain (under the
+case id for a case).  The evaluators hand the points to the public
+metric functions, which take them without a second check, and a report
+shows their coordinates.
 
 Every probe drives a parametric family toward a limit that attains a
-sharp constant and records the convergence table.  ``probe(...)``, the counterpart of ``add(...)``,
-declares it as a domain, a point family ``t -> Sample`` (``sym`` is
-x = t*e1, y = -t*e1) and a case-style evaluator, so probes run through
-``_pairwise`` and ``_distortion`` as the cases do; each point a family
-builds is checked once (``_checked_sample``).
+sharp constant and records the convergence table.  ``probe(...)``, the
+counterpart of ``add(...)``, declares it as a domain, a point family
+``t -> Sample`` (``sym`` is x = t*e1, y = -t*e1; a mapped family gives
+its map and image domain) and a case-style evaluator, so probes run
+through ``_pairwise`` and ``_distortion`` as the cases do, and
+``_checked_sample`` checks each point a family builds once.
 
 Determinism contract: sample k of a case draws from a Philox stream
 keyed by (seed, case id, k) alone and started at counter 0, so results
@@ -69,6 +71,7 @@ from .geometry import (
     ParameterError,
     UnitBall,
     UpperHalfSpace,
+    _float,
     _is_integer,
     _is_real,
     _items,
@@ -355,33 +358,31 @@ class Sample:
     t: float | None = None
 
 
-def _checked_sample(domain, smp: Sample) -> Sample:
-    """``smp``, built from arrays by a probe's family, with each array
-    replaced by its point checked once, in the order the metric calls
-    would check them: x, then y on ``domain``, then their images, named as
-    images, on the image domain.  A point that fails raises as that metric
-    call would, under its own name."""
+def _checked_sample(domain, smp: Sample, prefix: str = "") -> Sample:
+    """``smp`` with x, then y checked once on ``domain`` (a checked point
+    of ``domain`` is kept) and, where it has a map, the images ``fx`` and
+    ``fy`` of the checked pair, each checked once on the image domain
+    under a name that starts with ``prefix``: the one place a sample's
+    images are built.  A point that fails raises as a metric call would."""
     smp.x, smp.y = domain._point(smp.x, "x"), domain._point(smp.y, "y")
-    if smp.fdomain is not None:
-        smp.fx = smp.fdomain._point(smp.fx, "image of x")
-        smp.fy = smp.fdomain._point(smp.fy, "image of y")
+    if smp.fmap is not None:
+        smp.fx = smp.fdomain._point(smp.fmap.apply(smp.x), f"{prefix}image of x")
+        smp.fy = smp.fdomain._point(smp.fmap.apply(smp.y), f"{prefix}image of y")
     return smp
 
 
 def _build_sample(case: "InequalityCase", domain, rng: np.random.Generator) -> Sample:
     """The sample of ``case`` on ``domain``, drawn from ``rng`` in one
-    pass.  A Mobius case draws its map, then a pair, which the map takes
-    as checked, and checks each image once on the image domain under a
-    name that carries the case id: an image outside it raises, and so do
-    images that coincide."""
+    pass.  A Mobius case draws its map, then a pair, whose images
+    :func:`_checked_sample` builds under names that carry the case id: an
+    image outside the image domain raises, and so do images that
+    coincide."""
     if case.draw_map is not None:
         f, fd = case.draw_map(domain, rng)
-        x, y = _checked_pair(domain, rng)
-        fx = fd._point(f.apply(x), f"{case.case_id} image of x")
-        fy = fd._point(f.apply(y), f"{case.case_id} image of y")
-        if fx.coords == fy.coords:
+        smp = _checked_sample(domain, Sample(*_checked_pair(domain, rng), fmap=f, fdomain=fd), f"{case.case_id} ")
+        if smp.fx.coords == smp.fy.coords:
             raise ConfigurationError(f"{case.case_id}: the images of distinct points coincide")
-        return Sample(x=x, y=y, fmap=f, fdomain=fd, fx=fx, fy=fy)
+        return smp
     if case.sampler == "triple":
         x, y = _checked_pair(domain, rng)
         return Sample(x=x, y=y, z=sample_point(domain, rng))
@@ -422,6 +423,10 @@ class InequalityCase:
                 f"case {self.case_id}: sampler 'equal_pair' runs on UnitBall and FiniteComplement domains only, "
                 f"got {other[0]!r}"
             )
+        # a grid sample holds t alone: no point is drawn and no map applied
+        drawn = set(self.domains) != {None} or self.draw_map is not None or self.sampler != "pair"
+        if self.grid is not None and drawn:
+            raise ConfigurationError(f"case {self.case_id}: a grid case takes domain None, no draw_map, pair sampler")
 
 
 @dataclass(frozen=True)
@@ -770,9 +775,6 @@ def catalog() -> Catalog:
     def sym(t):
         return Sample(x=t * e1, y=-t * e1)
 
-    def mapped(f, fdomain, x, y):
-        return Sample(x=x, y=y, fdomain=fdomain, fx=f.apply(x), fy=f.apply(y))
-
     u_minus_rho = _pairwise(operator.sub, U, R)
     probe("P1", "two-stage radial family on the ball attaining the additive constant 2*log2",
           "x = s*e1, y = t*e1 on the ball; inner limit t -> 1-, outer s -> 1-",
@@ -809,14 +811,14 @@ def catalog() -> Catalog:
     probe("P8", "ball automorphisms attaining the multiplicative distortion factor 3",
           "f centered at t*e1 applied to x = (1-t)*e1, y = -(1-t)*e1, t -> 1-",
           "1-", (1.0 - 10.0 ** (-k) for k in range(1, 7)), 3.0, 5e-2,
-          ball, lambda t: mapped(ball_automorphism(t * e1), ball, (1.0 - t) * e1, -((1.0 - t) * e1)),
+          ball, lambda t: Sample((1.0 - t) * e1, -((1.0 - t) * e1), fmap=ball_automorphism(t * e1), fdomain=ball),
           _distortion(lambda u0, u1: u1 / u0))
 
     # the fixed maps of dimension n, from the cache the Mobius draws read
     cay, _, inv = _fixed_maps(n)
 
     def cayley_pair(t):
-        return mapped(cay, ball, t * en, (1.0 / t) * en)
+        return Sample(t * en, (1.0 / t) * en, fmap=cay, fdomain=ball)
 
     probe("P9", "half-space to ball map attaining the multiplicative distortion factor 1/3",
           "x = t*e_n, y = e_n/t under the half-space to ball map, t -> 1+",
@@ -830,7 +832,7 @@ def catalog() -> Catalog:
     probe("P10", "unit-sphere inversion of the half-space attaining the additive distortion constant 2*log2",
           "x = e1 + t*e_n, y = e1 + e_n/t under unit inversion, t -> 0+",
           "0+", (10.0 ** (-k) for k in range(1, 7)), TWO_LOG2, 1e-3,
-          half, lambda t: mapped(inv, half, e1 + t * en, e1 + (1.0 / t) * en), _distortion(operator.sub))
+          half, lambda t: Sample(e1 + t * en, e1 + (1.0 / t) * en, fmap=inv, fdomain=half), _distortion(operator.sub))
     probe("P11", "diameter family of the ball where u equals the boundary-pair metric exactly",
           "x = t*e1, y = -t*e1 on the ball",
           "exact", (0.1, 0.5, 0.9, 0.99, 0.999, 0.999999), 0.0, 1e-12,
@@ -905,7 +907,7 @@ def check_case(
     if not _is_integer(seed):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     n_samples, seed = int(n_samples), int(seed)
-    if not (_is_real(slack) and math.isfinite(slack) and slack >= 0.0):
+    if not (_is_real(slack) and math.isfinite(_float(slack)) and slack >= 0.0):
         raise ParameterError(f"slack must be a finite number >= 0, got {slack!r}")
     slack = float(slack)
     domains = case.domains
@@ -965,7 +967,7 @@ def run_probe(probe: SharpnessProbe, schedule_overrides=None) -> ProbeResult:
     for t in schedule:
         if not _is_real(t):
             raise ParameterError(f"probe schedule values must be real numbers, got {t!r}")
-    schedule = tuple(map(float, schedule))
+    schedule = tuple(map(_float, schedule))
     if len(schedule) < 4:
         raise ParameterError("a probe schedule needs at least 4 points")
     for t in schedule:

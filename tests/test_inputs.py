@@ -1,8 +1,9 @@
 """One table of bad values for every public numeric parameter.
 
 geometry holds the package's only number rules: a scalar is a Python or
-numpy int or float, never a bool, and an array holds bools, ints or
-floats only.  Every parameter below is checked by them, so each refuses
+numpy int or float, never a bool, a real scalar is read as a float, so
+an int beyond the float range is refused, and an array holds bools, ints
+or floats only.  The point of every Mobius ``apply`` is an array too.  Every parameter below is checked by them, so each refuses
 the same bad values with a ParameterError that names it, and no numpy
 warning escapes on the way.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from hypmetrics.geometry import FiniteComplement, ParameterError, UnitBall, UpperHalfSpace, as_point
 from hypmetrics.mobius import (
+    MobiusMap,
     Orthogonal,
     Scaling,
     SphereInversion,
@@ -27,6 +29,9 @@ from hypmetrics.suite import catalog, check_case, run_probe
 
 BAD_SCALARS = {"True": True, "str": "1", "complex": 1j, "None": None, "nan": math.nan}
 BAD_INTEGERS = {**BAD_SCALARS, "float": 2.0}
+# a real parameter is read as a float, which an int beyond the float
+# range is not; a dimension or a count of 10**400 is a valid integer
+BAD_REALS = {**BAD_SCALARS, "huge": 10**400, "-huge": -(10**400)}
 # an array takes a bool as 1.0, so its entries get the other bad scalars
 BAD_ENTRIES = {k: v for k, v in BAD_SCALARS.items() if k != "True"}
 
@@ -62,6 +67,11 @@ ARRAYS = [
     ("orthogonal matrix", Orthogonal, [[0.0, 1.0], [1.0, 0.0]], "^orthogonal generator needs "),
     ("inversion center", lambda v: SphereInversion(v, 1.0), [0.0, 0.0], _POINT),
     ("ball_automorphism", ball_automorphism, [0.5, 0.0], _POINT),
+    ("translation apply", Translation([1.0, 0.0]).apply, [0.5, 0.0], _POINT),
+    ("scaling apply", Scaling(2.0).apply, [0.5, 0.0], _POINT),
+    ("orthogonal apply", Orthogonal([[0.0, 1.0], [1.0, 0.0]]).apply, [0.5, 0.0], _POINT),
+    ("inversion apply", SphereInversion([0.0, 0.0], 1.0).apply, [0.5, 0.0], _POINT),
+    ("MobiusMap apply", MobiusMap([Translation([1.0, 0.0]), Scaling(2.0)]).apply, [0.5, 0.0], _POINT),
 ]
 
 
@@ -79,7 +89,7 @@ def _bad_arrays(good: list) -> dict:
 
 TABLE = [
     pytest.param(call, bad, match, id=f"{name}-{label}")
-    for rows, bads in ((SCALARS, lambda good: BAD_SCALARS), (INTEGERS, lambda good: BAD_INTEGERS), (ARRAYS, _bad_arrays))
+    for rows, bads in ((SCALARS, lambda good: BAD_REALS), (INTEGERS, lambda good: BAD_INTEGERS), (ARRAYS, _bad_arrays))
     for name, call, good, match in rows
     for label, bad in bads(good).items()
 ]

@@ -260,8 +260,8 @@ class TestGenerators:
                 MobiusMap([t]).apply([8.9e307, 1.0])
 
     def test_a_list_point_is_read_as_its_array(self):
-        # the bound on |p| reads a list as numpy's expression does, in
-        # range and beyond it
+        # a list is coerced as as_point coerces it, so the bound on |p|
+        # reads its array, in range and beyond it
         t, o, i = Translation([0.5, -1.0]), Orthogonal(_ROTATION), SphereInversion([0.0, 3.0], 0.5)
         for g in (t, o, i):
             assert g.apply([0.25, 2.0]).tobytes() == g.apply(np.array([0.25, 2.0])).tobytes()
@@ -271,8 +271,8 @@ class TestGenerators:
             o.apply([-1.7e308, 1.7e308])
 
     def test_a_scaling_reads_a_list_point(self):
-        # as the array it makes of it, in range and beyond it, where it
-        # raises with no numpy warning
+        # as the array as_point makes of it, in range and beyond it, where
+        # it raises with no numpy warning
         s = Scaling(2.0**0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -280,6 +280,30 @@ class TestGenerators:
                 assert s.apply(p).tobytes() == s.apply(np.array(p, dtype=float)).tobytes()
             with pytest.raises(ParameterError, match="^the scaling image of a point is beyond the float range$"):
                 s.apply([1.7e308, 1.0])
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Translation([0.5, -1.0, 2.0]),
+            Scaling(2.0**0.5),
+            Orthogonal([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            SphereInversion([0.0, 3.0, -1.0], 0.5),
+            MobiusMap([Translation([0.5, -1.0, 2.0]), SphereInversion([0.0, 3.0, -1.0], 0.5), Scaling(3.0)]),
+        ],
+        ids=["translation", "scaling", "orthogonal", "inversion", "map"],
+    )
+    def test_every_apply_reads_its_point_by_as_points_rule(self, f):
+        # a list, a float array and a checked point of the same coordinates
+        # give one image, to the bit; a point of the wrong dimension, a
+        # 1-D point included, is geometry's ParameterError, not numpy's own
+        coords = [0.25, -0.5, 2.0]
+        images = [f.apply(p) for p in (coords, np.array(coords), UpperHalfSpace(3)._point(coords, "x"))]
+        assert len({image.tobytes() for image in images}) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ([1.0],) if f.dim is None else ([1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+                with pytest.raises(ParameterError, match="^(a point must be a vector|point of dimension)"):
+                    f.apply(bad)
 
     def test_images_in_range_keep_numpys_bits(self):
         # a bound on |p| picks the unguarded or the errstate path; either

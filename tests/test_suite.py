@@ -555,6 +555,30 @@ class TestCheckCase:
                 **declaration,
             )
 
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            {"domains": (BALL,)},
+            {"domains": (None, BALL)},
+            {"domains": (None,), "draw_map": lambda domain, rng: (None, domain)},
+            {"domains": (None,), "sampler": "triple"},
+        ],
+        ids=["ball", "none-and-ball", "draw-map", "triple"],
+    )
+    def test_a_grid_case_declares_nothing_a_grid_sample_drops(self, declaration):
+        # a grid sample holds t alone, so a domain, a map draw or a
+        # sampler beside the grid would be dropped without a word
+        message = "^case RIG-GRID: a grid case takes domain None, no draw_map, pair sampler$"
+        with pytest.raises(ConfigurationError, match=message):
+            InequalityCase(
+                case_id="RIG-GRID",
+                paper_ref="none",
+                formula="n/a",
+                evaluate=lambda domain, smp: (0.0, 1.0),
+                grid=(0.0, 1.0),
+                **declaration,
+            )
+
     @pytest.mark.parametrize("domain", [HALF, None], ids=repr)
     def test_an_equal_pair_case_runs_on_a_ball_or_a_complement(self, domain):
         # the sampler anchors its pairs on the ball's centre or a removed point
@@ -692,6 +716,26 @@ class TestRunProbe:
                 probe.evaluate(t)
                 images = ["image of x", "image of y"] if probe.probe_id in mapped else []
                 assert names == ["x", "y", *images], (probe.probe_id, t)
+
+    @pytest.mark.parametrize("probe_id", ["P9", "P9-ADD", "P10"])
+    def test_a_mapped_probe_point_is_coerced_four_times(self, monkeypatch, probe_id):
+        # x and y where they are checked, then each image on the image
+        # domain; the map takes the checked pair as checked, so no
+        # argument but these four is coerced in full
+        full = []
+        coerced = geo._coerced
+
+        def counted(p, dim):
+            if type(p) is not geo._CheckedPoint:
+                full.append(p)
+            return coerced(p, dim)
+
+        monkeypatch.setattr(geo, "_coerced", counted)
+        probe = catalog().probe(probe_id)
+        for t in probe.schedule:
+            full.clear()
+            probe.evaluate(t)
+            assert len(full) == 4, t
 
     def test_schedule_needs_four_points(self):
         probe = catalog().probe("P2")
